@@ -141,12 +141,13 @@ def cert_verify(cert: Certificate) -> VerificationReport:
 
     Raises :class:`MalformedDag` for structural problems; mathematical
     failures (bad seed, bad conjugator, replay mismatch) are reported,
-    not thrown.
+    not thrown.  Verification stops at the first failed seed or
+    conjugator check, so no off-group value is pushed through later
+    nodes, and that check is the last one in the report.
     """
     _validate_structure(cert)
     p = require_odd_prime(cert.p)
     checks: list[CheckResult] = []
-    locus = ""
     m0 = generator("M0", p)
     values: list[Mat4] = []
     membership_cache: dict[tuple[Mat4, GroupLabel], bool] = {}
@@ -159,7 +160,14 @@ def cert_verify(cert: Certificate) -> VerificationReport:
             membership_cache[key] = hit
         return hit
 
-    ok_all = True
+    def report(locus: str = "") -> VerificationReport:
+        return VerificationReport(
+            passed=not locus,
+            checks=tuple(checks),
+            node_count=len(cert.nodes),
+            failure_locus=locus,
+        )
+
     for i, node in enumerate(cert.nodes):
         if node.op == SEED_M0:
             values.append(m0)
@@ -168,8 +176,8 @@ def cert_verify(cert: Certificate) -> VerificationReport:
             checks.append(
                 CheckResult("seed", i, good, "" if good else "seed not in gamma_p2")
             )
-            if not good and ok_all:
-                ok_all, locus = False, f"seed node {i}"
+            if not good:
+                return report(f"seed node {i}")
             values.append(node.value)
         elif node.op == MUL:
             values.append(values[node.args[0]] * values[node.args[1]])
@@ -183,8 +191,8 @@ def cert_verify(cert: Certificate) -> VerificationReport:
                     "conjugator", i, good, "" if good else "conjugator not in gamma0_1p"
                 )
             )
-            if not good and ok_all:
-                ok_all, locus = False, f"conjugator node {i}"
+            if not good:
+                return report(f"conjugator node {i}")
             values.append(g * values[node.args[0]] * g.inv())
 
     replay_ok = values[cert.root] == cert.target
@@ -196,14 +204,7 @@ def cert_verify(cert: Certificate) -> VerificationReport:
             "" if replay_ok else "root value differs from target",
         )
     )
-    if not replay_ok and ok_all:
-        ok_all, locus = False, f"replay mismatch at root {cert.root}"
-    return VerificationReport(
-        passed=ok_all and replay_ok,
-        checks=tuple(checks),
-        node_count=len(cert.nodes),
-        failure_locus=locus,
-    )
+    return report("" if replay_ok else f"replay mismatch at root {cert.root}")
 
 
 class CertBuilder:
@@ -537,4 +538,6 @@ def parse(text: str | bytes) -> Certificate:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at offset {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # a number past the int/str conversion limit
+        raise ParseError(str(exc)) from exc
     return certificate_from_json_obj(obj)

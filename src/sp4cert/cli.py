@@ -52,6 +52,8 @@ def _read_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad JSON at offset {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # a number past the int/str conversion limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -97,10 +99,7 @@ def _cmd_decompose(args) -> int:
     except NotInGroup as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return EXIT_MATH
-    # decompose asserts replay internally; check once more, visibly
-    if word.replay() != m:
-        print("FAIL replay mismatch", file=sys.stderr)
-        return EXIT_MATH
+    # decompose has replayed the word; a mismatch raised ShapeAssertionFailed
     _write_text(args.out, json.dumps(word.to_json_obj(), indent=1))
     return EXIT_OK
 

@@ -6,8 +6,10 @@ by R = diag(1,1,1,p)) factors as a word over
     Mt1..Mt4,   j1(SL(2,Z)),   j2(gamma1_of_p)
 
 and this module produces such a word explicitly.  Replay (the ordered
-left-to-right product of the letters) is the correctness oracle; every
-public function checks it before returning.
+left-to-right product of the letters) is the correctness oracle:
+:func:`decompose` replays its word once, in the coordinates of its
+input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
+checks in this module are explicit, so ``python -O`` keeps them.
 
 The pipeline works by right multiplication throughout:
 
@@ -234,7 +236,8 @@ class _Reducer:
         v = self.row
         self.apply_j1(_gcd_step_matrix(v[0], v[2]))
         v = self.row
-        assert v[2] == 0 and v[0] > 0, v
+        if v[2] != 0 or v[0] <= 0:
+            raise ShapeAssertionFailed("j1 gcd step did not clear v3 to a positive v1")
         return v[0]
 
 
@@ -269,7 +272,8 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
         v = red.row
         red.apply_named("Mt3", -v[1])
         red.gcd_clear_v3()
-    assert red.row == (1, 0, 0, 0), red.row
+    if red.row != (1, 0, 0, 0):
+        raise ShapeAssertionFailed("first row did not reduce to (1,0,0,0)")
     word = GeneratorWord(p=p, tilde=True, letters=tuple(red.letters))
     return word, red.cur
 
@@ -305,12 +309,16 @@ def decompose(
     In plain coordinates the input is conjugated by R into tilde
     coordinates, decomposed there, and the letters mapped back
     (Mt_i -> M_i with the same j1/j2 payloads, which is exactly
-    letterwise R-conjugation).
+    letterwise R-conjugation).  So the plain word replays to k exactly
+    when the tilde word replays to R k R^-1, and only the returned word
+    is replayed.
     """
-    if not tilde:
+    if tilde:
+        word = _decompose_tilde(k, p, diagnostics)
+    else:
         if not member(k, GroupLabel.GAMMA_1P, p):
             raise NotInGroup(f"not in gamma_1p at p={p}")
-        word_t = decompose(r_conjugate(k, p), p, tilde=True, diagnostics=diagnostics)
+        word_t = _decompose_tilde(r_conjugate(k, p), p, diagnostics)
         letters = tuple(
             Named("M" + letter.name[2:], letter.exp)
             if isinstance(letter, Named)
@@ -318,9 +326,13 @@ def decompose(
             for letter in word_t.letters
         )
         word = GeneratorWord(p=p, tilde=False, letters=letters)
-        assert word.replay() == k
-        return word
+    if word.replay() != k:
+        raise ShapeAssertionFailed(f"word does not replay to its input at p={p}")
+    return word
 
+
+def _decompose_tilde(k: Mat4, p: int, diagnostics: dict | None) -> GeneratorWord:
+    """Tilde-coordinate word for a gamma_tilde_1p member k, not replayed."""
     mult_word, red = reduce_first_row(k, p)
     work = _Reducer(red, p)
     work.letters = list(mult_word.letters)
@@ -356,6 +368,4 @@ def decompose(
     if x != 0:
         letters.append(J1(Mat2.of(1, 0, x, 1)))
     letters.extend(_invert_letter(letter) for letter in reversed(work.letters))
-    word = GeneratorWord(p=p, tilde=True, letters=_simplify_letters(letters))
-    assert word.replay() == k
-    return word
+    return GeneratorWord(p=p, tilde=True, letters=_simplify_letters(letters))

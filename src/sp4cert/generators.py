@@ -43,6 +43,7 @@ residual so the exponent convention stays machine-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import UnknownName
 from .groups import SymplecticForm, j1_embed, j2_embed, require_odd_prime
@@ -64,9 +65,23 @@ def _unit(i: int, j: int, value=1) -> Mat4:
     return Mat4.from_rows(rows)
 
 
+# (name, p) pairs kept built; p can come from user input, so the cache is bounded
+_GENERATOR_CACHE_SIZE = 256
+
+
 def generator(name: str, p: int) -> Mat4 | Mat2:
-    """The named generator at the odd prime p (P is the only 2x2)."""
+    """The named generator at the odd prime p (P is the only 2x2).
+
+    Each ``(name, p)`` is built once and the immutable matrix shared;
+    ``BadPrime`` and ``UnknownName`` are raised on every call."""
     require_odd_prime(p)
+    if name not in GENERATOR_NAMES:
+        raise UnknownName(f"no generator named {name!r}")
+    return _build_generator(name, p)
+
+
+@lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
+def _build_generator(name: str, p: int) -> Mat4 | Mat2:
     if name == "M0":
         return _unit(1, 3)
     if name == "M1":
@@ -102,9 +117,7 @@ def generator(name: str, p: int) -> Mat4 | Mat2:
         return Mat4.diagonal(1, 1, 1, p)
     if name == "J":
         return SymplecticForm.standard().matrix
-    if name == "Lambda":
-        return SymplecticForm.polarised(p).matrix
-    raise UnknownName(f"no generator named {name!r}")
+    return SymplecticForm.polarised(p).matrix  # Lambda
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,19 @@ rounding.  Both matrix types are immutable values; all operations
 return fresh objects, so certificate replay is deterministic and the
 types are safe to share between threads.
 
+Integer powers ``m ** n`` of both types go through one helper.  When
+``N = m - 1`` squares to zero -- as for M0..M4, Mt1..Mt4, L1..L5 and
+the SL(2) letters T, U and P -- the power is the closed form
+``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.  The helper tests ``N N = 0`` on the input
+itself (one product), and any other base falls back to binary powering,
+of the inverse when ``n < 0``.
+
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
 fraction with positive denominator.  Round-trips are bit-exact.
+Integers past the interpreter's int/str conversion limit (4,300 digits
+by default) are written in pieces below it; reading such an entry is a
+:class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -28,6 +38,11 @@ from fractions import Fraction
 from .errors import BothZero, NotUnimodular, ParseError, SingularMatrix
 
 Scalar = int | Fraction
+
+# decimal digits per str() call: below 640, the smallest int/str
+# conversion limit the interpreter accepts, so no setting of it trips
+_DIGITS = 600
+_DIGITS_BOUND = 10 ** _DIGITS
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -99,15 +114,7 @@ class Mat2:
         return Mat2.of(d * det, -b * det, -c * det, a * det)
 
     def __pow__(self, n: int) -> "Mat2":
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        acc = Mat2.identity()
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(self, n, Mat2.identity())
 
     def is_identity(self) -> bool:
         return self.rows == ((1, 0), (0, 1))
@@ -221,15 +228,7 @@ class Mat4:
         return Mat4(tuple(tuple(row) for row in inv))
 
     def __pow__(self, n: int) -> "Mat4":
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        acc = Mat4.identity()
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(self, n, Mat4.identity())
 
     def is_identity(self) -> bool:
         return self == Mat4.identity()
@@ -241,6 +240,30 @@ class Mat4:
         return self.rows[i][j].denominator == 1
 
 
+def _power(m, n: int, one):
+    """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``, with ``one`` its identity.
+
+    If ``N = m - 1`` has ``N N = 0`` the result is ``1 + n N``;
+    otherwise binary powering, of ``m.inv()`` when ``n < 0``."""
+    cls = type(m)
+    nil = cls(
+        tuple(tuple(x - i for x, i in zip(r, e)) for r, e in zip(m.rows, one.rows))
+    )
+    if not any(x for row in (nil * nil).rows for x in row):
+        return cls(
+            tuple(tuple(i + n * x for x, i in zip(r, e)) for r, e in zip(nil.rows, one.rows))
+        )
+    base = m if n >= 0 else m.inv()
+    n = abs(n)
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # interchange format: strings "n" or "num/den", reduced, positive denominator
 # ---------------------------------------------------------------------------
@@ -248,11 +271,23 @@ class Mat4:
 _ENTRY_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
 
 
+def _int_to_str(n: int) -> str:
+    """``str(n)`` for an integer of any size."""
+    if -_DIGITS_BOUND < n < _DIGITS_BOUND:
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    # about half the digits: n has at least 0.301 * bit_length of them
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** k)
+    return _int_to_str(high) + _int_to_str(low).zfill(k)
+
+
 def scalar_to_str(x: Scalar) -> str:
     x = _frac(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def scalar_from_str(s: str, where: str = "") -> Fraction:
@@ -261,8 +296,11 @@ def scalar_from_str(s: str, where: str = "") -> Fraction:
     m = _ENTRY_RE.match(s)
     if not m:
         raise ParseError(f"bad scalar {s!r} {where}".rstrip())
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError as exc:  # past the int/str conversion limit
+        raise ParseError(f"entry too long to read {where}".rstrip() + f": {exc}") from exc
     if den != 1 and math.gcd(abs(num), den) != 1:
         raise ParseError(f"scalar {s!r} is not reduced {where}".rstrip())
     return Fraction(num, den)
@@ -286,7 +324,7 @@ def mat4_from_lists(obj) -> Mat4:
 
 
 def mat2_to_lists(m: Mat2) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.rows]
+    return [[_int_to_str(x) for x in row] for row in m.rows]
 
 
 def mat2_from_lists(obj) -> Mat2:

@@ -100,6 +100,22 @@ def test_bad_conjugator_reported():
     assert "conjugator" in report.failure_locus
 
 
+def test_verification_stops_at_first_failed_conjugator():
+    p = 7
+    cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 3, 3)), p)
+    conj_ids = [i for i, node in enumerate(cert.nodes) if node.op == CONJ]
+    i = conj_ids[len(conj_ids) // 2]
+    nodes = list(cert.nodes)
+    nodes[i] = CertNode(CONJ, nodes[i].args, nodes[i].value * Mat4.diagonal(2, 1, 1, 1))
+    report = cert_verify(Certificate(p, tuple(nodes), cert.root, cert.target))
+    assert not report.passed
+    assert report.failure_locus == f"conjugator node {i}"
+    last = report.checks[-1]
+    assert (last.kind, last.node, last.ok) == ("conjugator", i, False)
+    assert all(c.ok and c.node < i for c in report.checks[:-1])
+    assert report.lines()[-1] == f"FAIL (conjugator node {i})"
+
+
 def test_malformed_dag_rejected():
     p = 3
     with pytest.raises(MalformedDag):

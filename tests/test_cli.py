@@ -51,6 +51,19 @@ def test_member_missing_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", ['"' + "7" * 5001 + '"', "7" * 5001])
+def test_member_on_entry_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, entry):
+    # a 5,001-digit entry, as a string and as a bare JSON number
+    path = tmp_path / "big.json"
+    path.write_text(
+        f'[["1","0",{entry},"0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]'
+    )
+    code = main(["member", "--group", "gamma_1p", "--p", "7", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "4300 digits" in captured.err
+
+
 def test_even_p_rejected_up_front(m0_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["member", "--group", "gamma_1p", "--p", "4", "--in", m0_file])

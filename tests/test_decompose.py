@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import sp4cert
 
 from sp4cert.decompose import (
     GeneratorWord,
@@ -190,3 +197,42 @@ def test_word_json_rejects_junk():
         GeneratorWord.from_json_obj({"p": 3, "coords": "tilde", "letters": [{}]})
     with pytest.raises(ParseError):
         GeneratorWord.from_json_obj([1, 2, 3])
+
+
+# --- the replay check ------------------------------------------------------
+
+
+def test_replay_check_survives_python_optimise_flag():
+    # one emitted letter is corrupted; the replay check alone can see it
+    script = textwrap.dedent("""
+        import importlib
+
+        from sp4cert.errors import ShapeAssertionFailed
+        from sp4cert.generators import generator
+
+        assert False, "python -O was expected to strip this"
+        dec = importlib.import_module("sp4cert.decompose")
+        simplify = dec._simplify_letters
+
+        def corrupt(letters):
+            first, *rest = simplify(letters)
+            return (dec.Named(first.name, first.exp + 1), *rest)
+
+        dec._simplify_letters = corrupt
+        for tilde, name in ((True, "Mt2"), (False, "M2")):
+            try:
+                dec.decompose(generator(name, 3), 3, tilde=tilde)
+            except ShapeAssertionFailed:
+                print("rejected")
+        """)
+    src = str(Path(sp4cert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected", "rejected"]

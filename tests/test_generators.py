@@ -44,6 +44,20 @@ def test_bad_prime():
         generator("M0", 4)
 
 
+def test_generators_are_built_once_and_errors_repeat():
+    assert generator("Mt3", 11) is generator("Mt3", 11)
+    assert generator("Mt3", 11) is not generator("Mt3", 13)
+    for _ in range(2):
+        with pytest.raises(BadPrime):
+            generator("Mt3", 9)
+        with pytest.raises(BadPrime):
+            generator("Mt3", [11])
+        with pytest.raises(UnknownName):
+            generator("Mt9", 11)
+        with pytest.raises(UnknownName):
+            generator(["Mt3"], 11)
+
+
 def test_home_group_membership():
     for p in (3, 5, 7):
         for name in ("M0", "M1", "M2", "M3", "M4", "L2", "L4", "L5"):

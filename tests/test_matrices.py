@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sp4cert.errors import BothZero, NotUnimodular, ParseError, SingularMatrix
-from sp4cert.generators import generator
-from sp4cert.groups import GroupLabel
+from sp4cert.generators import GENERATOR_NAMES, generator
+from sp4cert.groups import GroupLabel, j1_embed
 from sp4cert.matrices import (
     Mat2,
     Mat4,
@@ -19,6 +19,7 @@ from sp4cert.matrices import (
     scalar_to_str,
 )
 from sp4cert.sampling import SampleSpec, sample
+from sp4cert.sl2 import S, T, U
 
 I4 = Mat4.identity()
 
@@ -197,3 +198,138 @@ def test_mat2_interchange_rejects_fractions():
 def test_mat4_interchange_rejects_bad_shape():
     with pytest.raises(ParseError):
         mat4_from_lists([["1", "0", "0"], ["0", "1", "0"]])
+
+
+# --- powers ----------------------------------------------------------------
+
+
+def _repeated(m, e):
+    """m ** e by e-fold multiplication, independent of __pow__."""
+    base = m if e >= 0 else m.inv()
+    acc = type(m).identity()
+    for _ in range(abs(e)):
+        acc = acc * base
+    return acc
+
+
+def _nilpotent_part(m):
+    """N = m - 1 as a list of rows, for Mat2 and Mat4 alike."""
+    return [
+        [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.rows)
+    ]
+
+
+def _squares_to_zero(m) -> bool:
+    n = _nilpotent_part(m)
+    size = len(n)
+    return all(
+        sum(n[i][k] * n[k][j] for k in range(size)) == 0
+        for i in range(size)
+        for j in range(size)
+    )
+
+
+def _unipotent_letters(p):
+    named = {name: generator(name, p) for name in GENERATOR_NAMES}
+    named.update({"T": T, "U": U})
+    return {name: m for name, m in named.items() if _squares_to_zero(m)}
+
+
+def test_unipotent_letters_are_the_table_minus_forms():
+    assert sorted(_unipotent_letters(5)) == sorted(
+        set(GENERATOR_NAMES) - {"R", "J", "Lambda"} | {"T", "U"}
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_closed_form_powers_match_repeated_products(p):
+    for name, m in _unipotent_letters(p).items():
+        for sign, step in ((1, m), (-1, m.inv())):
+            acc = type(m).identity()
+            for e in range(51):
+                assert m ** (sign * e) == acc, (name, sign * e)
+                acc = acc * step
+
+
+@pytest.mark.parametrize("e", [10**6, -(10**6)])
+def test_closed_form_powers_at_large_exponents(e):
+    for name, m in _unipotent_letters(7).items():
+        expected = [
+            [(i == j) + e * x for j, x in enumerate(row)]
+            for i, row in enumerate(_nilpotent_part(m))
+        ]
+        power = m ** e
+        assert [list(row) for row in power.rows] == expected, name
+        assert power == (m ** 1000) ** (e // 1000), name
+
+
+GENERAL_BASES = {
+    "j1(S)": j1_embed(S),
+    "M0*M1": generator("M0", 5) * generator("M1", 5),
+    "M3*M4": generator("M3", 5) * generator("M4", 5),
+    "S": S,
+    "TU": T * U,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_BASES))
+def test_general_bases_keep_binary_powering(name):
+    m = GENERAL_BASES[name]
+    assert not _squares_to_zero(m)
+    for e in range(-12, 13):
+        assert m ** e == _repeated(m, e), e
+
+
+def test_general_power_values():
+    one = Mat4.identity()
+    j1s = j1_embed(S)
+    assert j1s ** 4 == one
+    assert j1s ** -1 == j1s ** 3 == j1s.inv()
+    assert j1s ** 2 != one
+    assert S ** -6 == Mat2.of(-1, 0, 0, -1)
+
+
+def test_general_power_of_non_unimodular_mat2():
+    d = Mat2.of(2, 0, 0, 1)
+    assert d ** 0 == Mat2.identity()
+    assert d ** 3 == Mat2.of(8, 0, 0, 1)
+    with pytest.raises(NotUnimodular):
+        d ** -1
+
+
+# --- integers past the int/str conversion limit -----------------------------
+
+
+def _horner(digits: str) -> int:
+    n = 0
+    for ch in digits:
+        n = 10 * n + ord(ch) - ord("0")
+    return n
+
+
+def test_integers_past_the_digit_limit_are_written():
+    rng = random.Random(5001)
+    digits = "9" + "".join(rng.choice("0123456789") for _ in range(4999)) + "7"
+    n = _horner(digits)
+    assert scalar_to_str(n) == digits and scalar_to_str(-n) == "-" + digits
+    assert scalar_to_str(Fraction(n, 10**5000)) == f"{digits}/1{'0' * 5000}"
+    assert mat2_to_lists(Mat2.of(n, 1, -n, 1)) == [[digits, "1"], ["-" + digits, "1"]]
+    m4 = Mat4.from_rows([[1, 0, -n, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert mat4_to_lists(m4)[0][2] == "-" + digits
+
+
+def test_entries_past_the_digit_limit_are_a_parse_error():
+    digits = "7" * 5001
+    for text in (digits, "-" + digits, f"1/{digits}"):
+        with pytest.raises(ParseError, match="too long"):
+            scalar_from_str(text)
+    with pytest.raises(ParseError, match=r"at \(1,0\)"):
+        mat2_from_lists([["1", "0"], [digits, "1"]])
+
+
+@pytest.mark.parametrize("digits", [599, 600, 601, 1199, 1200, 1201, 4301, 12345])
+def test_integer_strings_at_chunk_boundaries(digits):
+    n = 10 ** (digits - 1) + 7 * 10 ** (digits // 2) + 3
+    text = scalar_to_str(n)
+    assert len(text) == digits
+    assert _horner(text) == n
