@@ -197,7 +197,11 @@ def _cmd_fuzz(args) -> int:
             seed=args.seed + i,
             word_length=5 + (i % 16),
         )
-        ok = _fuzz_trial(args.suite, args.p, spec)
+        try:
+            ok = _fuzz_trial(args.suite, args.p, spec)
+        except (Sp4CertError, ArithmeticError) as exc:
+            print(f"FAIL at trial {i}: {spec.describe()} ({type(exc).__name__}: {exc})")
+            return EXIT_MATH
         if not ok:
             print(f"FAIL at trial {i}: {spec.describe()}")
             return EXIT_MATH

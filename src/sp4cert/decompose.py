@@ -143,7 +143,11 @@ class GeneratorWord:
             if not isinstance(item, dict):
                 raise ParseError(f"letter {idx} malformed")
             if "gen" in item:
-                letters.append(Named(str(item["gen"]), int(item["exp"])))
+                try:
+                    exp = int(item["exp"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"letter {idx} has a bad exponent: {exc}") from exc
+                letters.append(Named(str(item["gen"]), exp))
             elif "j1" in item:
                 letters.append(J1(mat2_from_lists(item["j1"])))
             elif "j2" in item:

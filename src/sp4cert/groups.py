@@ -15,6 +15,25 @@ congruence conditions relative to those forms.  Conventions:
   ``R = diag(1,1,1,p)`` and under which shortness of a row vector is
   invariant under right multiplication.
 
+* ``symplectic_check`` never forms the product ``g * form * g^T``.
+  That product is antisymmetric like the form, so it equals the form
+  iff its six entries above the diagonal do, and entry (i, j) is the
+  form's pairing of rows i and j: ``sum f_ab (u_a v_b - u_b v_a)`` over
+  the nonzero ``f_ab`` with a < b (two terms for J and for Lambda).
+  The pairings run on the integers ``D * g``, D the lcm of g's
+  denominators (1 except in gamma0_1p), against ``D^2 * form``.
+  :class:`SymplecticForm` refuses a matrix that is not antisymmetric,
+  so this is always the whole condition.
+
+* The congruence predicates test integrality and the congruence
+  pattern first, as remainders of ``g_ij - delta_ij``, and run the
+  symplectic test only on matrices that pass.  The verdict is the same
+  conjunction in either order; a non-member usually fails on a
+  remainder, which is cheaper than the pairings.
+
+* ``p`` must be an odd prime below 3317044064679887385961981, the
+  smallest strong pseudoprime to the bases 2..41 of :func:`is_prime`.
+
 * A nonzero integer row vector ``v`` is *short* when some integer
   vector ``w`` satisfies ``v Lambda w^T = 1``, equivalently when
   ``gcd(v1, p*v2, v3, p*v4) = 1``; otherwise it is *long*.
@@ -40,9 +59,10 @@ gamma1prime_p2     2x2, det 1, ``g - 1`` in ((p^2 Z, pZ),(p^3 Z, p^2 Z))
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadPrime, NotUnimodular, ZeroVector
 from .matrices import Mat2, Mat4, ext_gcd
@@ -70,11 +90,14 @@ class VectorClass(Enum):
     LONG = "long"
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the smallest strong pseudoprime to every base above (OEIS A014233)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the base set covers n < 3.3e24)."""
+    """Miller-Rabin to the bases 2..41: deterministic for n < _MR_BOUND,
+    a probable-prime test at and above it."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -98,6 +121,9 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> int:
+    """Return p if it is an odd prime below _MR_BOUND, else raise BadPrime."""
+    if isinstance(p, int) and p >= _MR_BOUND:
+        raise BadPrime(f"primality is proven only below {_MR_BOUND}, got {p}")
     if not isinstance(p, int) or p % 2 == 0 or not is_prime(p):
         raise BadPrime(f"p must be an odd prime, got {p!r}")
     return p
@@ -105,9 +131,27 @@ def require_odd_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """An antisymmetric 4x4 form, either J (det 1) or Lambda (det p^2)."""
+    """An antisymmetric 4x4 form, either J (det 1) or Lambda (det p^2).
+
+    Construction rejects a matrix that is not antisymmetric, which is
+    what makes :func:`symplectic_check`'s six row pairings the whole
+    symplectic condition."""
 
     matrix: Mat4
+    # the form scaled to integers: nonzero (a, b, F_ab) above the diagonal,
+    # and F itself, with F = E * matrix for E the lcm of its denominators
+    _terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.matrix != -self.matrix.transpose():
+            raise ValueError("a symplectic form must be antisymmetric")
+        _, scaled = _scaled_numerators(self.matrix)
+        terms = tuple(
+            (a, b, scaled[a][b]) for a in range(4) for b in range(a + 1, 4) if scaled[a][b]
+        )
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_scaled", scaled)
 
     @staticmethod
     def standard() -> "SymplecticForm":
@@ -127,67 +171,84 @@ class SymplecticForm:
         )
 
 
+def _scaled_numerators(m: Mat4) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(D, D*m)`` with D the lcm of m's denominators, so D*m is integral."""
+    d = math.lcm(*(x.denominator for row in m.rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.rows)
+
+
 def symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
-    """True iff ``m`` preserves the form under the row convention."""
-    f = form.matrix
-    return m * f * m.transpose() == f
+    """True iff ``m`` preserves the form under the row convention.
+
+    Compares the form's pairings of the six row pairs (i < j) of the
+    integers ``D*m`` with ``D^2 f_ij``, as the module docstring explains;
+    f enters scaled to integers on both sides."""
+    d, rows = _scaled_numerators(m)
+    d2, terms, scaled = d * d, form._terms, form._scaled
+    for i in range(3):
+        u = rows[i]
+        for j in range(i + 1, 4):
+            v = rows[j]
+            pairing = 0
+            for a, b, f in terms:
+                pairing += f * (u[a] * v[b] - u[b] * v[a])
+            if pairing != d2 * scaled[i][j]:
+                return False
+    return True
 
 
-def _divisible(x: Fraction, n: int) -> bool:
-    return x.denominator == 1 and x.numerator % n == 0
+_J = SymplecticForm.standard()
+
+# Lambda forms kept built; p can come from user input, so the cache is bounded
+_FORM_CACHE_SIZE = 256
+_polarised = lru_cache(maxsize=_FORM_CACHE_SIZE)(SymplecticForm.polarised)
+
+
+def _congruent(m: Mat4, moduli) -> bool:
+    """True iff every entry is an integer with ``m_ij - delta_ij``
+    divisible by ``moduli[i][j]``; slots whose modulus is None are left
+    to the caller."""
+    for i, (row, mods) in enumerate(zip(m.rows, moduli)):
+        for j, (x, n) in enumerate(zip(row, mods)):
+            if n is None:
+                continue
+            if x.denominator != 1 or (x.numerator - (i == j)) % n:
+                return False
+    return True
 
 
 def _member_gamma_1p(m: Mat4, p: int) -> bool:
-    if not m.is_integral():
-        return False
-    if not symplectic_check(m, SymplecticForm.standard()):
-        return False
-    d = m - Mat4.identity()
     moduli = (
         (1, 1, 1, p),
         (p, p, p, p * p),
         (1, 1, 1, p),
         (1, 1, 1, p),
     )
-    return all(
-        _divisible(d[i][j], moduli[i][j]) for i in range(4) for j in range(4)
-    )
+    return _congruent(m, moduli) and symplectic_check(m, _J)
 
 
 def _member_gamma0_1p(m: Mat4, p: int) -> bool:
-    if not symplectic_check(m, SymplecticForm.standard()):
+    # diagonal moduli are 1, so m - 1 and m have the same residues here
+    moduli = (
+        (1, 1, 1, p),
+        (p, 1, p, p),
+        (1, 1, 1, p),
+        (1, None, 1, 1),
+    )
+    if m[3][1].denominator not in (1, p):  # the single (1/p)Z slot
         return False
-    for i in range(4):
-        for j in range(4):
-            x = m[i][j]
-            if (i, j) == (3, 1):
-                if (p * x).denominator != 1:  # the single (1/p)Z slot
-                    return False
-            elif (i, j) in ((0, 3), (1, 0), (1, 2), (1, 3), (2, 3)):
-                if not _divisible(x, p):
-                    return False
-            elif x.denominator != 1:
-                return False
-    return True
+    return _congruent(m, moduli) and symplectic_check(m, _J)
 
 
 def _member_gamma_tilde_1p(m: Mat4, p: int) -> bool:
-    if not m.is_integral():
-        return False
-    if not symplectic_check(m, SymplecticForm.polarised(p)):
-        return False
-    r2 = tuple(x.numerator % p for x in m[1])
-    r4 = tuple(x.numerator % p for x in m[3])
-    return r2 == (0, 1 % p, 0, 0) and r4 == (0, 0, 0, 1 % p)
+    # rows 2 and 4 congruent to (0,1,0,0) and (0,0,0,1) mod p
+    moduli = ((1,) * 4, (p,) * 4, (1,) * 4, (p,) * 4)
+    return _congruent(m, moduli) and symplectic_check(m, _polarised(p))
 
 
 def _member_gamma_p2(m: Mat4, p: int) -> bool:
-    if not m.is_integral():
-        return False
-    if not symplectic_check(m, SymplecticForm.standard()):
-        return False
-    d = m - Mat4.identity()
-    return all(_divisible(d[i][j], p * p) for i in range(4) for j in range(4))
+    p2 = p * p
+    return _congruent(m, ((p2,) * 4,) * 4) and symplectic_check(m, _J)
 
 
 def _member_gamma1_of_p(q: Mat2, p: int) -> bool:
@@ -232,9 +293,9 @@ def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     if not isinstance(m, Mat4):
         raise TypeError(f"{label.value} is a 4x4 predicate")
     if label is GroupLabel.SP4Z_J:
-        return m.is_integral() and symplectic_check(m, SymplecticForm.standard())
+        return m.is_integral() and symplectic_check(m, _J)
     if label is GroupLabel.SP_LAMBDA_Z:
-        return m.is_integral() and symplectic_check(m, SymplecticForm.polarised(p))
+        return m.is_integral() and symplectic_check(m, _polarised(p))
     if label is GroupLabel.GAMMA_1P:
         return _member_gamma_1p(m, p)
     if label is GroupLabel.GAMMA0_1P:

@@ -15,7 +15,7 @@ from sp4cert.certificates import (
     CertNode,
 )
 from sp4cert.generators import generator
-from sp4cert.groups import GroupLabel
+from sp4cert.groups import GroupLabel, SymplecticForm
 from sp4cert.matrices import Mat4
 from sp4cert.sampling import SampleSpec, sample
 
@@ -46,6 +46,57 @@ def evaluate_nodes(cert: Certificate) -> list[Mat4]:
             g = node.value
             values.append(g * values[node.args[0]] * g.inv())
     return values
+
+
+def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
+    """The symplectic test as the full product ``m f m^T == f``."""
+    f = form.matrix
+    return m * f * m.transpose() == f
+
+
+def _divisible(x, n: int) -> bool:
+    return x.denominator == 1 and x.numerator % n == 0
+
+
+def reference_member(m: Mat4, label: GroupLabel, p: int) -> bool:
+    """The 4x4 predicates as first written: the full-product symplectic
+    test, then the congruence pattern read off ``m - 1`` (or ``m``)."""
+    j = SymplecticForm.standard()
+    lam = SymplecticForm.polarised(p)
+    if label is GroupLabel.SP4Z_J:
+        return m.is_integral() and reference_symplectic_check(m, j)
+    if label is GroupLabel.SP_LAMBDA_Z:
+        return m.is_integral() and reference_symplectic_check(m, lam)
+    if label is GroupLabel.GAMMA0_1P:
+        if not reference_symplectic_check(m, j):
+            return False
+        for r in range(4):
+            for c in range(4):
+                x = m[r][c]
+                if (r, c) == (3, 1):
+                    if (p * x).denominator != 1:
+                        return False
+                elif (r, c) in ((0, 3), (1, 0), (1, 2), (1, 3), (2, 3)):
+                    if not _divisible(x, p):
+                        return False
+                elif x.denominator != 1:
+                    return False
+        return True
+    if not m.is_integral():
+        return False
+    if label is GroupLabel.GAMMA_TILDE_1P:
+        if not reference_symplectic_check(m, lam):
+            return False
+        r2 = tuple(x.numerator % p for x in m[1])
+        r4 = tuple(x.numerator % p for x in m[3])
+        return r2 == (0, 1 % p, 0, 0) and r4 == (0, 0, 0, 1 % p)
+    if not reference_symplectic_check(m, j):
+        return False
+    d = m - Mat4.identity()
+    if label is GroupLabel.GAMMA_P2:
+        return all(_divisible(d[r][c], p * p) for r in range(4) for c in range(4))
+    moduli = ((1, 1, 1, p), (p, p, p, p * p), (1, 1, 1, p), (1, 1, 1, p))
+    return all(_divisible(d[r][c], moduli[r][c]) for r in range(4) for c in range(4))
 
 
 _E12 = Mat4.from_rows(

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from sp4cert import cli
 from sp4cert.cli import main
 from sp4cert.decompose import GeneratorWord
+from sp4cert.errors import BadPrime
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel
 from sp4cert.matrices import mat4_to_lists
@@ -154,3 +156,26 @@ def test_fuzz_suites(suite, capsys):
 
 def test_fuzz_witness_suite(capsys):
     assert main(["fuzz", "--p", "3", "--n", "2", "--seed", "5", "--suite", "witness"]) == 0
+
+
+@pytest.mark.parametrize("p", ["318665857834031151167461", "3317044064679887385961981"])
+def test_strong_pseudoprimes_rejected_up_front(m0_file, capsys, p):
+    # composites that pass Miller-Rabin to the bases 2..37 and 2..41
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--group", "gamma_1p", "--p", p, "--in", m0_file])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("crash", [ZeroDivisionError("boom"), BadPrime("bad p")])
+def test_fuzz_crash_prints_its_spec(monkeypatch, capsys, crash):
+    def trial(suite, p, spec):
+        if spec.seed == 13:
+            raise crash
+        return True
+
+    monkeypatch.setattr(cli, "_fuzz_trial", trial)
+    assert main(["fuzz", "--p", "3", "--n", "5", "--seed", "11", "--suite", "decompose"]) == 1
+    spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 13, 7)
+    out = capsys.readouterr().out
+    assert out == f"FAIL at trial 2: {spec.describe()} ({type(crash).__name__}: {crash})\n"

@@ -199,6 +199,14 @@ def test_word_json_rejects_junk():
         GeneratorWord.from_json_obj([1, 2, 3])
 
 
+@pytest.mark.parametrize("exp", ["x", None, "7" * 5001])
+def test_word_json_bad_exponent_is_a_parse_error(exp):
+    # a non-number, null, and a string past the int/str conversion limit
+    obj = {"p": 3, "coords": "untilded", "letters": [{"gen": "M1", "exp": exp}]}
+    with pytest.raises(ParseError, match="letter 0"):
+        GeneratorWord.from_json_obj(obj)
+
+
 # --- the replay check ------------------------------------------------------
 
 

@@ -1,24 +1,33 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4cert.errors import BadPrime, NotUnimodular, ZeroVector
 from sp4cert.generators import generator
 from sp4cert.groups import (
+    TWO_BY_TWO_LABELS,
     GroupLabel,
     SymplecticForm,
     VectorClass,
+    is_prime,
     j1_embed,
     j2_embed,
     member,
     r_conjugate,
+    require_odd_prime,
     short_witness,
     symplectic_check,
     vector_class,
 )
 from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
+from sp4cert.sl2 import T, U
+
+from support import reference_member, reference_symplectic_check
 
 I4 = Mat4.identity()
 J = SymplecticForm.standard()
@@ -347,3 +356,152 @@ def test_prime_shear_iff_j2_in_level_p2():
 def test_group_label_serialisation():
     assert GroupLabel.GAMMA_TILDE_1P.value == "gamma_tilde_1p"
     assert GroupLabel("sp_lambda_z") is GroupLabel.SP_LAMBDA_Z
+
+
+# --- differential: pairing test and congruences first vs full product -------
+
+FOUR_BY_FOUR = [g for g in GroupLabel if g not in TWO_BY_TWO_LABELS]
+PRIMES = st.sampled_from((3, 5, 7))
+DIFF = settings(max_examples=60, deadline=None)
+
+
+def _pools(p):
+    """Letters at the prime p, pooled so that words over one pool stay in
+    gamma_1p, gamma0_1p (plain j2 images with their c/p slot),
+    gamma_tilde_1p and gamma_p2 respectively."""
+    plain = [generator(n, p) for n in ("M0", "M1", "M2", "M3", "M4", "L2", "L4", "L5")]
+    gamma_1p = plain + [j1_embed(T), j1_embed(U), j2_embed(generator("P", p), p)]
+    return [
+        gamma_1p,
+        gamma_1p + [j2_embed(T, p), j2_embed(U, p)],
+        [generator(f"Mt{i}", p) for i in range(1, 5)]
+        + [j2_embed(generator("P", p), p, tilde=True), j1_embed(T)],
+        [generator("L1", p), generator("L3", p)] + [g ** (p * p) for g in plain],
+    ]
+
+
+def _outside(p):
+    """Elements each outside some of the groups: off a congruence
+    pattern, off both forms, or off J alone."""
+    return [
+        j2_embed(T, p),
+        Mat4.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+        j2_embed(T, p, tilde=True),
+        generator("M0", p),
+        Mat4.from_rows([[1, p * p, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        Mat4.diagonal(1, 1, 1, p),
+    ]
+
+
+@st.composite
+def products(draw):
+    p = draw(PRIMES)
+    letters = draw(st.sampled_from(_pools(p)))
+    m = I4
+    for _ in range(draw(st.integers(0, 6))):
+        m = m * letters[draw(st.integers(0, len(letters) - 1))] ** draw(
+            st.integers(-3, 3)
+        )
+    if draw(st.booleans()):
+        m = m * draw(st.sampled_from(_outside(p)))
+    return m, p
+
+
+def _agree(m, p):
+    for form in (J, lam_form(p)):
+        assert symplectic_check(m, form) == reference_symplectic_check(m, form)
+    for label in FOUR_BY_FOUR:
+        assert member(m, label, p) == reference_member(m, label, p), label
+
+
+@DIFF
+@given(st.lists(st.integers(-4, 4), min_size=16, max_size=16), PRIMES)
+def test_pairing_matches_full_product_on_integer_matrices(entries, p):
+    _agree(Mat4.from_rows([entries[4 * i:4 * i + 4] for i in range(4)]), p)
+
+
+@DIFF
+@given(products())
+def test_pairing_matches_full_product_on_generator_products(case):
+    _agree(*case)
+
+
+@DIFF
+@given(products(), st.integers(0, 15), st.integers(1, 4), st.integers(1, 2))
+def test_pairing_matches_full_product_with_a_one_over_p_entry(case, slot, k, e):
+    m, p = case
+    rows = [list(r) for r in m.rows]
+    rows[slot // 4][slot % 4] += Fraction(k, p ** e)
+    _agree(Mat4.from_rows(rows), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gamma0_slot_takes_exactly_the_denominators_one_and_p(p):
+    # 1 + x E(4,2) is symplectic for every rational x
+    for x in (1, Fraction(1, p), Fraction(2, p), Fraction(1, p * p), Fraction(1, 2),
+              Fraction(1, 2 * p)):
+        m = Mat4.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, x, 0, 1]])
+        assert symplectic_check(m, J)
+        verdict = member(m, GroupLabel.GAMMA0_1P, p)
+        assert verdict == reference_member(m, GroupLabel.GAMMA0_1P, p)
+        assert verdict == (Fraction(x).denominator in (1, p))
+
+
+def test_differential_cases_reach_every_verdict():
+    # the products above do land in each group, and outside it
+    seen = {label: set() for label in FOUR_BY_FOUR}
+    for p in (3, 5, 7):
+        for x in sum(_pools(p), []) + _outside(p):
+            for label in FOUR_BY_FOUR:
+                seen[label].add(member(x, label, p))
+    assert all(v == {True, False} for v in seen.values())
+
+
+def test_form_must_be_antisymmetric():
+    with pytest.raises(ValueError):
+        SymplecticForm(I4)
+    with pytest.raises(ValueError):
+        SymplecticForm(Mat4.from_rows(
+            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+        ))
+
+
+def test_rational_form_scales_to_integers():
+    half = SymplecticForm(Mat4.from_rows(
+        [[0, 0, Fraction(1, 2), 0], [0, 0, 0, Fraction(1, 2)],
+         [Fraction(-1, 2), 0, 0, 0], [0, Fraction(-1, 2), 0, 0]]
+    ))
+    for m in (generator("M2", 5), j2_embed(U, 5), Mat4.diagonal(2, 1, 1, 1)):
+        assert symplectic_check(m, half) == reference_symplectic_check(m, half)
+
+
+@pytest.mark.parametrize("label", [
+    GroupLabel.SP4Z_J, GroupLabel.SP_LAMBDA_Z, GroupLabel.GAMMA_1P,
+    GroupLabel.GAMMA_TILDE_1P, GroupLabel.GAMMA_P2,
+])
+def test_integral_predicates_reject_rational_input(label):
+    for slot in range(16):
+        rows = [list(r) for r in I4.rows]
+        rows[slot // 4][slot % 4] += Fraction(1, 3)
+        assert member(Mat4.from_rows(rows), label, 3) is False
+
+
+# --- primes ------------------------------------------------------------------
+
+
+def test_strong_pseudoprime_to_bases_up_to_37_is_not_prime():
+    n = 318665857834031151167461  # OEIS A014233(12)
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    with pytest.raises(BadPrime):
+        require_odd_prime(n)
+
+
+def test_primes_at_the_proof_bound_are_refused():
+    n = 3317044064679887385961981  # OEIS A014233(13): passes every base to 41
+    assert is_prime(n)  # a probable prime only: the test is not proven here
+    with pytest.raises(BadPrime, match="3317044064679887385961981"):
+        require_odd_prime(n)
+    with pytest.raises(BadPrime):
+        member(I4, GroupLabel.GAMMA_1P, n)
+    assert require_odd_prime(2**61 - 1) == 2**61 - 1  # a Mersenne prime below it
