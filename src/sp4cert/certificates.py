@@ -44,7 +44,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .decompose import J1, Named, decompose
-from .errors import MalformedDag, NotInGroup, NotUnimodular, ParseError
+from .errors import (
+    MalformedDag,
+    NotInGroup,
+    NotUnimodular,
+    ParseError,
+    ShapeAssertionFailed,
+)
 from .generators import generator
 from .groups import GroupLabel, j1_embed, j2_embed, member, require_odd_prime
 from .matrices import Mat2, Mat4, ext_gcd, mat4_from_lists, mat4_to_lists
@@ -313,6 +319,13 @@ class CertBuilder:
 # ---------------------------------------------------------------------------
 
 
+def _require_value(b: CertBuilder, idx: int, expected: Mat4, what: str) -> None:
+    """Raise :class:`ShapeAssertionFailed` unless node ``idx`` evaluates
+    to ``expected``; an explicit check, so ``python -O`` keeps it."""
+    if b.value(idx) != expected:
+        raise ShapeAssertionFailed(f"the {what} chain does not evaluate to its target at p={b.p}")
+
+
 def _core_nodes(b: CertBuilder) -> dict[str, int]:
     """Nodes for M2, L2, L4, M3, M4, M1 (plus L5) from seeds only."""
     p = b.p
@@ -327,38 +340,38 @@ def _core_nodes(b: CertBuilder) -> dict[str, int]:
     n_m2 = b.mul(
         b.mul(b.conj(n_m0, g["M4"].inv()), n_m0_inv), b.inv(n_l1)
     )
-    assert b.value(n_m2) == g["M2"]
+    _require_value(b, n_m2, g["M2"], "M2")
 
     # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1)); the j1 image is M0^-2
     n_l2 = b.mul(
         b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].inv())),
         b.mul(n_m0_inv, n_m0_inv),
     )
-    assert b.value(n_l2) == g["L2"]
+    _require_value(b, n_l2, g["L2"], "L2")
 
     # L4 = L2^lam L3^mu with -2*lam + p^2*mu = 1
     _, lam, mu = ext_gcd(-2, p * p)
     n_l3 = b.seed_p2(g["L3"])
     n_l4 = b.mul(b.power(n_l2, lam), b.power(n_l3, mu))
-    assert b.value(n_l4) == g["L4"]
+    _require_value(b, n_l4, g["L4"], "L4")
 
     # M3 = (L4 (M1 M0 M1^-1) M0^-1)^-1
     n_m3 = b.inv(b.mul(b.mul(n_l4, b.conj(n_m0, g["M1"])), n_m0_inv))
-    assert b.value(n_m3) == g["M3"]
+    _require_value(b, n_m3, g["M3"], "M3")
 
     # M4 = (L5^-1 M2^-1 L5) M2 L1
     n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].inv()), n_m2), n_l1)
-    assert b.value(n_m4) == g["M4"]
+    _require_value(b, n_m4, g["M4"], "M4")
 
     # L5 = j1(U) = j1(S) M0^-1 j1(S)^-1
     n_l5 = b.conj(n_m0_inv, j1_embed(S))
-    assert b.value(n_l5) == g["L5"]
+    _require_value(b, n_l5, g["L5"], "L5")
 
     # M1 = ((M3 (L5 L4) M3^-1) L5^-1 L2)^-1
     n_m1 = b.inv(
         b.mul(b.mul(b.conj(b.mul(n_l5, n_l4), g["M3"]), b.inv(n_l5)), n_l2)
     )
-    assert b.value(n_m1) == g["M1"]
+    _require_value(b, n_m1, g["M1"], "M1")
 
     return {
         "M1": n_m1, "M2": n_m2, "M3": n_m3, "M4": n_m4,
@@ -392,7 +405,7 @@ def _j1_chain(b: CertBuilder, a: Mat2) -> int:
         else:
             parts.append(b.conj(b.power(n_m0, -exp), j1_embed(S)))
     idx = b.product(parts)
-    assert b.value(idx) == j1_embed(a)
+    _require_value(b, idx, j1_embed(a), "j1")
     return idx
 
 
@@ -427,7 +440,7 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
             idx = b.conj(base, j2_embed(step.conjugator, p))
     if idx is None:
         idx = b.identity()
-    assert b.value(idx) == j2_embed(q, p)
+    _require_value(b, idx, j2_embed(q, p), "j2")
     return idx
 
 
@@ -466,7 +479,7 @@ def normal_closure_witness(k: Mat4, p: int) -> Certificate:
                 core = _core_nodes(b)
             parts.append(_j2_chain(b, core, letter.payload))
     root = b.product(parts)
-    assert b.value(root) == k
+    _require_value(b, root, k, "witness")
     return b.certificate(root, target=k)
 
 

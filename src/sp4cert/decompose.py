@@ -11,6 +11,13 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
+Every letter is the identity plus at most four entries, so each step,
+in the reduction and in replay alike, multiplies by a letter through
+column operations (:func:`_times_letter`): column j of ``acc * s`` sums
+only the columns of ``acc`` picked by the nonzero ``s[k][j]``.  The
+letter matrices themselves still come from ``letter_matrix``,
+``generator``, ``j1_embed`` and ``j2_embed`` alone.
+
 The pipeline works by right multiplication throughout:
 
 1.  *First-row reduction.*  Right multiplication acts on the first row
@@ -41,9 +48,9 @@ The pipeline works by right multiplication throughout:
     the 2x2 block Q at positions {(2,2),(2,4),(4,2),(4,4)} lies in
     ``gamma1_of_p``; multiplying by j2(Q)^-1 clears rows 2 and 4 except
     for first-column entries -n*p and m*p tied to row 3 by the
-    symplectic condition.  Both block arrangements (direct and
-    transposed) are tried and the one that actually clears is used; the
-    choice can be observed through the ``diagnostics`` parameter.
+    symplectic condition.  The block is tested once and that one
+    product is the working matrix from then on; ``diagnostics`` records
+    the arrangement as ``"direct"``.
 
 3.  *Residue.*  Right multiplication by Mt4^-n Mt1^-m leaves exactly
     j1((1,0),(x,1)), the final letter.
@@ -56,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import (
@@ -100,13 +108,13 @@ class GeneratorWord:
         if isinstance(letter, Named):
             return generator(letter.name, self.p) ** letter.exp
         if isinstance(letter, J1):
-            return j1_embed(letter.payload, tilde=self.tilde)
+            return j1_embed(letter.payload)
         return j2_embed(letter.payload, self.p, tilde=self.tilde)
 
     def replay(self) -> Mat4:
         acc = Mat4.identity()
         for letter in self.letters:
-            acc = acc * self.letter_matrix(letter)
+            acc = _times_letter(acc, self.letter_matrix(letter))
         return acc
 
     def to_json_obj(self) -> dict:
@@ -155,6 +163,38 @@ class GeneratorWord:
             else:
                 raise ParseError(f"letter {idx} has no recognised tag")
         return GeneratorWord(p=p, tilde=coords == "tilde", letters=tuple(letters))
+
+
+_ZERO = Fraction(0)
+
+
+def _times_letter(acc: Mat4, s: Mat4) -> Mat4:
+    """``acc * s`` by column operations.
+
+    Column j of the product sums ``acc[i][k] * s[k][j]`` over the
+    nonzero ``s[k][j]`` only, taking ``acc[i][k]`` itself when the
+    factor is 1.  Exact for any ``s``; a letter matrix costs a handful
+    of operations per row instead of a full 4x4 product.
+
+    ``Mat4.__mul__`` could skip zeros the same way for every product.
+    Once the benchmark's ``witness`` memory reading stops growing with
+    the number of rounds a faster run completes (see ROADMAP.md), fold
+    this into ``Mat4.__mul__`` and delete it."""
+    columns = [
+        tuple((k, None if x == 1 else x) for k, row in enumerate(s.rows) if (x := row[j]))
+        for j in range(4)
+    ]
+    out = []
+    for row in acc.rows:
+        new = []
+        for terms in columns:
+            total = None
+            for k, x in terms:
+                term = row[k] if x is None else row[k] * x
+                total = term if total is None else total + term
+            new.append(_ZERO if total is None else total)
+        out.append(tuple(new))
+    return Mat4(tuple(out))
 
 
 def _invert_letter(letter: Letter) -> Letter:
@@ -223,18 +263,21 @@ class _Reducer:
     def apply_named(self, name: str, exp: int) -> None:
         if exp == 0:
             return
-        self.cur = self.cur * generator(name, self.p) ** exp
+        self.cur = _times_letter(self.cur, generator(name, self.p) ** exp)
         self.letters.append(Named(name, exp))
 
     def apply_j1(self, a: Mat2) -> None:
         if a.is_identity():
             return
-        self.cur = self.cur * j1_embed(a, tilde=True)
+        self.cur = _times_letter(self.cur, j1_embed(a))
         self.letters.append(J1(a))
 
     def apply_j2_inverse(self, q: Mat2) -> None:
-        self.cur = self.cur * j2_embed(q.inv(), self.p, tilde=True)
-        self.letters.append(J2(q.inv()))
+        if q.is_identity():
+            return
+        inverse = q.inv()
+        self.cur = _times_letter(self.cur, j2_embed(inverse, self.p, tilde=True))
+        self.letters.append(J2(inverse))
 
     def gcd_clear_v3(self) -> int:
         v = self.row
@@ -343,21 +386,15 @@ def _decompose_tilde(k: Mat4, p: int, diagnostics: dict | None) -> GeneratorWord
 
     block = _extract_block(red)
     shape = None
-    for arrangement, candidate in (("direct", block), ("swapped", block.transpose())):
-        if not member(candidate, GroupLabel.GAMMA1_OF_P, p):
-            continue
-        trial = red * j2_embed(candidate.inv(), p, tilde=True)
-        shape = _cleared_shape(trial, p)
-        if shape is not None:
-            if not candidate.is_identity():
-                work.apply_j2_inverse(candidate)
-            if diagnostics is not None:
-                diagnostics.setdefault("j2_arrangements", []).append(arrangement)
-            break
+    if member(block, GroupLabel.GAMMA1_OF_P, p):
+        work.apply_j2_inverse(block)
+        shape = _cleared_shape(work.cur, p)
     if shape is None:
         raise ShapeAssertionFailed(
-            f"no j2 arrangement clears rows 2 and 4 of {red.rows}"
+            f"the j2 block does not clear rows 2 and 4 of {red.rows}"
         )
+    if diagnostics is not None:
+        diagnostics.setdefault("j2_arrangements", []).append("direct")
 
     m, n = shape
     work.apply_named("Mt4", -n)
@@ -365,7 +402,7 @@ def _decompose_tilde(k: Mat4, p: int, diagnostics: dict | None) -> GeneratorWord
 
     residue = work.cur
     x = int(residue[2][0])
-    if residue != j1_embed(Mat2.of(1, 0, x, 1), tilde=True):
+    if residue != j1_embed(Mat2.of(1, 0, x, 1)):
         raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.rows}")
 
     letters: list[Letter] = []

@@ -64,7 +64,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadPrime, NotUnimodular, ZeroVector
+from .errors import BadPrime, NotUnimodular, ShapeAssertionFailed, ZeroVector
 from .matrices import Mat2, Mat4, ext_gcd
 
 
@@ -305,13 +305,9 @@ def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     return _member_gamma_p2(m, p)
 
 
-def j1_embed(a: Mat2, tilde: bool = False) -> Mat4:
-    """Embed SL(2,Z) along coordinates (1,3).
-
-    The tilde and plain embeddings coincide entrywise; the flag exists
-    so call sites document which coordinate system they work in.
-    """
-    del tilde  # same matrix in both coordinate systems
+def j1_embed(a: Mat2) -> Mat4:
+    """Embed SL(2,Z) along coordinates (1,3); the tilde and plain
+    embeddings coincide entrywise."""
     if a.det() != 1:
         raise NotUnimodular("j1 payload must have determinant 1")
     (x, y), (z, w) = a.rows
@@ -407,5 +403,6 @@ def short_witness(v: tuple[int, int, int, int], p: int) -> tuple[int, int, int, 
         raise ZeroVector("cannot witness the zero vector")
     if g != 1:
         raise ValueError(f"vector {v} is long (gcd {g})")
-    assert sum(c * t for c, t in zip(coeffs, acc)) == 1
+    if sum(c * t for c, t in zip(coeffs, acc)) != 1:
+        raise ShapeAssertionFailed(f"witness {acc} does not pair to 1 with {v}")
     return (acc[0], acc[1], acc[2], acc[3])

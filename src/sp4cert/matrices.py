@@ -16,9 +16,15 @@ types are safe to share between threads.
 Integer powers ``m ** n`` of both types go through one helper.  When
 ``N = m - 1`` squares to zero -- as for M0..M4, Mt1..Mt4, L1..L5 and
 the SL(2) letters T, U and P -- the power is the closed form
-``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.  The helper tests ``N N = 0`` on the input
-itself (one product), and any other base falls back to binary powering,
-of the inverse when ``n < 0``.
+``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.
+The helper collects the nonzero entries of ``N``, tests ``N N = 0`` by
+summing products over those entries only, and builds ``1 + n N`` by
+touching only them, so a letter's power costs no matrix product.  The
+sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
+to zero only through cancellation.  Any other base falls back to
+binary powering, of the inverse when ``n < 0``.
+
+``Mat4.identity()`` returns one shared immutable constant.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -35,7 +41,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BothZero, NotUnimodular, ParseError, SingularMatrix
+from .errors import (
+    BothZero,
+    NotUnimodular,
+    ParseError,
+    ShapeAssertionFailed,
+    SingularMatrix,
+)
 
 Scalar = int | Fraction
 
@@ -60,7 +72,8 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_t, t = t, old_t - q * t
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
-    assert a * old_s + b * old_t == old_r
+    if a * old_s + b * old_t != old_r:
+        raise ShapeAssertionFailed(f"ext_gcd({a}, {b}) broke the Bezout identity")
     return old_r, old_s, old_t
 
 
@@ -114,7 +127,7 @@ class Mat2:
         return Mat2.of(d * det, -b * det, -c * det, a * det)
 
     def __pow__(self, n: int) -> "Mat2":
-        return _power(self, n, Mat2.identity())
+        return _power(self, n)
 
     def is_identity(self) -> bool:
         return self.rows == ((1, 0), (0, 1))
@@ -139,9 +152,7 @@ class Mat4:
 
     @staticmethod
     def identity() -> "Mat4":
-        return Mat4.from_rows(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        )
+        return _IDENTITY4
 
     @staticmethod
     def diagonal(d1, d2, d3, d4) -> "Mat4":
@@ -228,10 +239,10 @@ class Mat4:
         return Mat4(tuple(tuple(row) for row in inv))
 
     def __pow__(self, n: int) -> "Mat4":
-        return _power(self, n, Mat4.identity())
+        return _power(self, n)
 
     def is_identity(self) -> bool:
-        return self == Mat4.identity()
+        return self.rows == _IDENTITY4.rows
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.rows for x in r)
@@ -240,19 +251,36 @@ class Mat4:
         return self.rows[i][j].denominator == 1
 
 
-def _power(m, n: int, one):
-    """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``, with ``one`` its identity.
+_IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
+
+
+def _power(m, n: int):
+    """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``.
 
     If ``N = m - 1`` has ``N N = 0`` the result is ``1 + n N``;
-    otherwise binary powering, of ``m.inv()`` when ``n < 0``."""
+    otherwise binary powering, of ``m.inv()`` when ``n < 0``.  Both the
+    test and the closed form visit only the nonzero entries of ``N``."""
     cls = type(m)
-    nil = cls(
-        tuple(tuple(x - i for x, i in zip(r, e)) for r, e in zip(m.rows, one.rows))
-    )
-    if not any(x for row in (nil * nil).rows for x in row):
-        return cls(
-            tuple(tuple(i + n * x for x, i in zip(r, e)) for r, e in zip(nil.rows, one.rows))
-        )
+    one = cls.identity()
+    nil = []  # (i, j, N_ij) for the nonzero N_ij
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if i == j:
+                if x != 1:
+                    nil.append((i, j, x - 1))
+            elif x:
+                nil.append((i, j, x))
+    # (N N)_ij accumulates N_ik N_kj; its terms may cancel
+    square: dict[tuple[int, int], Scalar] = {}
+    for i, k, x in nil:
+        for k2, j, y in nil:
+            if k == k2:
+                square[i, j] = square.get((i, j), 0) + x * y
+    if not any(square.values()):
+        rows = [list(r) for r in one.rows]
+        for i, j, x in nil:
+            rows[i][j] += n * x
+        return cls(tuple(tuple(r) for r in rows))
     base = m if n >= 0 else m.inv()
     n = abs(n)
     acc = one

@@ -113,7 +113,7 @@ def _sample_sp_lambda(rng: random.Random, p: int, length: int) -> Mat4:
         if pick < 4:
             acc = acc * generator(f"Mt{pick + 1}", p) ** _nonzero_exp(rng, 2)
         elif pick == 4:
-            acc = acc * j1_embed(_sample_sl2(rng, rng.randint(1, 3)), tilde=True)
+            acc = acc * j1_embed(_sample_sl2(rng, rng.randint(1, 3)))
         else:
             acc = acc * j2_embed(_sample_sl2(rng, rng.randint(1, 2)), p, tilde=True)
     return acc

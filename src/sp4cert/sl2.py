@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import NotInGroup, NotUnimodular
+from .errors import NotInGroup, NotUnimodular, ShapeAssertionFailed
 from .groups import GroupLabel, member
 from .matrices import Mat2
 
@@ -145,7 +145,8 @@ def sl2_decompose(a: Mat2) -> Sl2Word:
     b = cur[0][1]
     _push(letters, "T", b)
     word = Sl2Word(tuple(letters))
-    assert word.replay() == a
+    if word.replay() != a:
+        raise ShapeAssertionFailed(f"SL(2) word does not replay to {a.rows}")
     return word
 
 
@@ -169,7 +170,8 @@ def normal_closure_decompose(a: Mat2) -> ConjugateList:
                 ConjugateFactor(S, -sign) for _ in range(abs(exp))
             )
     result = ConjugateList(tuple(factors))
-    assert result.replay() == a
+    if result.replay() != a:
+        raise ShapeAssertionFailed(f"conjugate list does not replay to {a.rows}")
     return result
 
 
@@ -272,5 +274,6 @@ def gamma1p_generate(q: Mat2, p: int) -> Gamma1pSteps:
         cases.append(3)
 
     result = Gamma1pSteps(p=p, target=q, steps=tuple(steps), cases_applied=tuple(cases))
-    assert result.replay() == q
+    if result.replay() != q:
+        raise ShapeAssertionFailed(f"gamma1_of_p steps do not replay to {q.rows}")
     return result

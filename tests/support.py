@@ -54,6 +54,30 @@ def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
     return m * f * m.transpose() == f
 
 
+def reference_power(m, n: int):
+    """``m ** n`` as first written: ``N N = 0`` tested by one full
+    product of ``N = m - 1``, ``1 + n N`` built entry by entry, else
+    binary powering of ``m`` or ``m.inv()``."""
+    cls = type(m)
+    one = cls.identity()
+    nil = cls(
+        tuple(tuple(x - i for x, i in zip(r, e)) for r, e in zip(m.rows, one.rows))
+    )
+    if not any(x for row in (nil * nil).rows for x in row):
+        return cls(
+            tuple(tuple(i + n * x for x, i in zip(r, e)) for r, e in zip(nil.rows, one.rows))
+        )
+    base = m if n >= 0 else m.inv()
+    n = abs(n)
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
+
+
 def _divisible(x, n: int) -> bool:
     return x.denominator == 1 and x.numerator % n == 0
 

@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import sp4cert
 
 from support import random_tamper
 
@@ -358,3 +365,77 @@ def test_parse_rejects_unreduced_entries():
     obj["target"][0][0] = "2/4"
     with pytest.raises(ParseError):
         certificate_from_json_obj(obj)
+
+
+# --- checks that python -O keeps -------------------------------------------
+
+
+def test_chain_checks_survive_python_optimise_flag():
+    # each case feeds one check a wrong value; only an explicit raise sees it
+    script = textwrap.dedent("""
+        import dataclasses
+        import importlib
+
+        from sp4cert.errors import ShapeAssertionFailed
+        from sp4cert.matrices import Mat2
+
+        assert False, "python -O was expected to strip this"
+        certs = importlib.import_module("sp4cert.certificates")
+        groups = importlib.import_module("sp4cert.groups")
+        sl2 = importlib.import_module("sp4cert.sl2")
+        p, a = 3, Mat2.of(2, 1, 1, 1)
+        P = Mat2.of(1, 0, p, 1)
+        real = {name: getattr(mod, name) for mod, name in (
+            (certs, "generator"), (certs, "sl2_decompose"), (certs, "gamma1p_generate"),
+            (certs, "_j1_chain"), (sl2, "_push"), (sl2, "sl2_decompose"),
+            (sl2, "MultiplyLeftP"), (groups, "ext_gcd"),
+        )}
+
+        def ext_gcd_off(x, y):
+            g, s, t = real["ext_gcd"](x, y)
+            return g, s + 1, t
+
+        @dataclasses.dataclass(frozen=True)
+        class PowerOffByOne(real["MultiplyLeftP"]):
+            def __post_init__(self):
+                object.__setattr__(self, "exponent", self.exponent + 1)
+
+        cases = {
+            "core": (certs, "generator",
+                     lambda name, q: real["generator"]("M3" if name == "M2" else name, q),
+                     lambda: certs.build_generator_certs(p)),
+            "j1": (certs, "sl2_decompose", lambda m: real["sl2_decompose"](m * sl2.T),
+                   lambda: certs.expand_j1(a, p)),
+            "j2": (certs, "gamma1p_generate", lambda q, r: real["gamma1p_generate"](P * q, r),
+                   lambda: certs.expand_j2(P, p)),
+            "witness": (certs, "_j1_chain", lambda b, m: real["_j1_chain"](b, m * sl2.T),
+                        lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
+            "sl2": (sl2, "_push", lambda letters, name, exp: real["_push"](letters, name, exp + 1),
+                    lambda: sl2.sl2_decompose(a)),
+            "conjugates": (sl2, "sl2_decompose", lambda m: real["sl2_decompose"](m * sl2.T),
+                           lambda: sl2.normal_closure_decompose(a)),
+            "gamma1p": (sl2, "MultiplyLeftP", PowerOffByOne, lambda: sl2.gamma1p_generate(P, p)),
+            "short": (groups, "ext_gcd", ext_gcd_off,
+                      lambda: groups.short_witness((2, 0, 3, 0), p)),
+        }
+        for label, (mod, name, wrong, call) in cases.items():
+            setattr(mod, name, wrong)
+            try:
+                call()
+            except ShapeAssertionFailed:
+                print("rejected", label)
+            finally:
+                setattr(mod, name, real[name])
+        """)
+    src = str(Path(sp4cert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    labels = ["core", "j1", "j2", "witness", "sl2", "conjugates", "gamma1p", "short"]
+    assert done.stdout.split() == [w for label in labels for w in ("rejected", label)]

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
@@ -14,6 +16,7 @@ from sp4cert.decompose import (
     J1,
     J2,
     Named,
+    _times_letter,
     decompose,
     reduce_first_row,
 )
@@ -174,6 +177,60 @@ def test_intermediates_stay_in_group():
             cur = cur * word.letter_matrix(letter)
             assert member(cur, GroupLabel.GAMMA_TILDE_1P, p)
         assert cur == k
+
+
+# --- letters applied by column operations ----------------------------------
+
+DIFF = settings(max_examples=80, deadline=None)
+RATIONAL = st.fractions(-50, 50, max_denominator=12)
+NAMES = ("M1", "M2", "M3", "M4", "Mt1", "Mt2", "Mt3", "Mt4")
+
+
+@st.composite
+def dense(draw, entries=RATIONAL):
+    return Mat4.from_rows(
+        [[draw(entries) for _ in range(4)] for _ in range(4)]
+    )
+
+
+@st.composite
+def sl2_payload(draw):
+    """A product of powers of T and U: any SL(2,Z) element."""
+    acc = Mat2.identity()
+    for _ in range(draw(st.integers(0, 5))):
+        letter = Mat2.of(1, 1, 0, 1) if draw(st.booleans()) else Mat2.of(1, 0, 1, 1)
+        acc = acc * letter ** draw(st.integers(-9, 9))
+    return acc
+
+
+@st.composite
+def letter_matrices(draw):
+    """Every kind of letter at p in {3, 5, 7}, built by ``letter_matrix``:
+    named powers, j1 payloads, and tilde and plain j2 payloads (a plain
+    payload puts c/p in its (4,2) slot)."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    word = GeneratorWord(p=p, tilde=draw(st.booleans()), letters=())
+    kind = draw(st.sampled_from(("named", "j1", "j2")))
+    if kind == "named":
+        exp = draw(st.sampled_from((0, 1, -1, 10**6, -(10**6))))
+        return word.letter_matrix(Named(draw(st.sampled_from(NAMES)), exp))
+    if kind == "j1":
+        return word.letter_matrix(J1(draw(sl2_payload())))
+    return word.letter_matrix(J2(draw(sl2_payload())))
+
+
+@DIFF
+@given(dense(), letter_matrices())
+def test_letter_product_matches_full_product(acc, letter):
+    assert _times_letter(acc, letter) == acc * letter
+
+
+@DIFF
+@given(dense(), dense(st.one_of(st.just(0), st.just(1), RATIONAL)))
+def test_letter_product_matches_full_product_for_any_matrix(acc, s):
+    out = _times_letter(acc, s)
+    assert out == acc * s
+    assert all(type(x) is Fraction for row in out.rows for x in row)
 
 
 # --- serialisation ---------------------------------------------------------

@@ -1,8 +1,11 @@
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from support import reference_power
 
 from sp4cert.errors import BothZero, NotUnimodular, ParseError, SingularMatrix
 from sp4cert.generators import GENERATOR_NAMES, generator
@@ -277,7 +280,7 @@ def test_general_bases_keep_binary_powering(name):
     m = GENERAL_BASES[name]
     assert not _squares_to_zero(m)
     for e in range(-12, 13):
-        assert m ** e == _repeated(m, e), e
+        assert m ** e == _repeated(m, e) == reference_power(m, e), e
 
 
 def test_general_power_values():
@@ -295,6 +298,85 @@ def test_general_power_of_non_unimodular_mat2():
     assert d ** 3 == Mat2.of(8, 0, 0, 1)
     with pytest.raises(NotUnimodular):
         d ** -1
+
+
+# --- powers against the full-product definition -----------------------------
+
+DIFF = settings(max_examples=80, deadline=None)
+
+
+def _outcome(fn):
+    """A value, or the type of the library error it raised."""
+    try:
+        return fn()
+    except (NotUnimodular, SingularMatrix) as exc:
+        return type(exc)
+
+
+def _one_plus_outer(size, u, v):
+    rows = [[(i == j) + u[i] * v[j] for j in range(size)] for i in range(size)]
+    return Mat2.from_rows(rows) if size == 2 else Mat4.from_rows(rows)
+
+
+@st.composite
+def rank_one(draw, near_miss: bool):
+    """``(1 + u v^T, v . u)`` with ``v`` the projection of a random vector
+    off ``u``, so ``v . u = 0``; a near miss adds 1 at a slot where u is
+    nonzero.  Mat2 takes integers, Mat4 fractions too."""
+    size = draw(st.sampled_from((2, 4)))
+    entry = st.integers(-6, 6) if size == 2 else st.fractions(-6, 6, max_denominator=5)
+    u = draw(st.lists(entry, min_size=size, max_size=size))
+    w = draw(st.lists(entry, min_size=size, max_size=size))
+    uu, wu = sum(x * x for x in u), sum(x * y for x, y in zip(w, u))
+    v = [x * uu - y * wu for x, y in zip(w, u)]
+    if near_miss:
+        slots = [i for i, x in enumerate(u) if x]
+        if not slots:
+            slots = [0]
+            u[0] = 1
+        v[draw(st.sampled_from(slots))] += 1
+    m = _one_plus_outer(size, u, v)
+    return m, sum(x * y for x, y in zip(v, u))
+
+
+@contextlib.contextmanager
+def _no_products(cls):
+    """Make any product of ``cls`` matrices fail inside the block."""
+    def refuse(self, other):
+        raise AssertionError("the closed form took a matrix product")
+
+    saved = cls.__mul__
+    cls.__mul__ = refuse
+    try:
+        yield
+    finally:
+        cls.__mul__ = saved
+
+
+@DIFF
+@given(rank_one(near_miss=False), st.sampled_from((0, 1, -1, 2, -3, 10**6, -(10**6))))
+def test_power_of_dense_rank_one_nilpotent_matches_reference(case, n):
+    m, dot = case
+    assert dot == 0
+    with _no_products(type(m)):
+        power = m ** n
+    assert power == reference_power(m, n)
+
+
+@DIFF
+@given(rank_one(near_miss=True), st.integers(-5, 5))
+def test_power_of_near_miss_matches_reference(case, n):
+    m, dot = case
+    assert dot != 0
+    assert _outcome(lambda: m ** n) == _outcome(lambda: reference_power(m, n))
+
+
+def test_identity_is_one_shared_constant():
+    assert Mat4.identity() is Mat4.identity()
+    assert Mat4.identity() == Mat4.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    assert all(type(x) is Fraction for row in Mat4.identity().rows for x in row)
 
 
 # --- integers past the int/str conversion limit -----------------------------
