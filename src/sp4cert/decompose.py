@@ -49,8 +49,7 @@ The pipeline works by right multiplication throughout:
     ``gamma1_of_p``; multiplying by j2(Q)^-1 clears rows 2 and 4 except
     for first-column entries -n*p and m*p tied to row 3 by the
     symplectic condition.  The block is tested once and that one
-    product is the working matrix from then on; ``diagnostics`` records
-    the arrangement as ``"direct"``.
+    product is the working matrix from then on.
 
 3.  *Residue.*  Right multiplication by Mt4^-n Mt1^-m leaves exactly
     j1((1,0),(x,1)), the final letter.
@@ -74,7 +73,7 @@ from .errors import (
 )
 from .generators import generator
 from .groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate
-from .matrices import Mat2, Mat4, ext_gcd, mat2_from_lists, mat2_to_lists
+from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,10 @@ class GeneratorWord:
         if not isinstance(obj, dict):
             raise ParseError("word must be a JSON object")
         try:
-            p = int(obj["p"])
+            p = json_int(obj["p"], "word p")
             coords = obj["coords"]
             raw = obj["letters"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise ParseError(f"word header malformed: {exc}") from exc
         if coords not in ("tilde", "untilded"):
             raise ParseError(f"bad coords {coords!r}")
@@ -151,10 +150,7 @@ class GeneratorWord:
             if not isinstance(item, dict):
                 raise ParseError(f"letter {idx} malformed")
             if "gen" in item:
-                try:
-                    exp = int(item["exp"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"letter {idx} has a bad exponent: {exc}") from exc
+                exp = json_int(item.get("exp"), f"letter {idx} exponent")
                 letters.append(Named(str(item["gen"]), exp))
             elif "j1" in item:
                 letters.append(J1(mat2_from_lists(item["j1"])))
@@ -348,9 +344,7 @@ def _cleared_shape(k: Mat4, p: int) -> tuple[int, int] | None:
     return (m, n) if actual == expect else None
 
 
-def decompose(
-    k: Mat4, p: int, tilde: bool = True, diagnostics: dict | None = None
-) -> GeneratorWord:
+def decompose(k: Mat4, p: int, tilde: bool = True) -> GeneratorWord:
     """Word over the generating set replaying exactly to k.
 
     In plain coordinates the input is conjugated by R into tilde
@@ -361,11 +355,11 @@ def decompose(
     is replayed.
     """
     if tilde:
-        word = _decompose_tilde(k, p, diagnostics)
+        word = _decompose_tilde(k, p)
     else:
         if not member(k, GroupLabel.GAMMA_1P, p):
             raise NotInGroup(f"not in gamma_1p at p={p}")
-        word_t = _decompose_tilde(r_conjugate(k, p), p, diagnostics)
+        word_t = _decompose_tilde(r_conjugate(k, p), p)
         letters = tuple(
             Named("M" + letter.name[2:], letter.exp)
             if isinstance(letter, Named)
@@ -378,7 +372,7 @@ def decompose(
     return word
 
 
-def _decompose_tilde(k: Mat4, p: int, diagnostics: dict | None) -> GeneratorWord:
+def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
     """Tilde-coordinate word for a gamma_tilde_1p member k, not replayed."""
     mult_word, red = reduce_first_row(k, p)
     work = _Reducer(red, p)
@@ -393,8 +387,6 @@ def _decompose_tilde(k: Mat4, p: int, diagnostics: dict | None) -> GeneratorWord
         raise ShapeAssertionFailed(
             f"the j2 block does not clear rows 2 and 4 of {red.rows}"
         )
-    if diagnostics is not None:
-        diagnostics.setdefault("j2_arrangements", []).append("direct")
 
     m, n = shape
     work.apply_named("Mt4", -n)

@@ -337,11 +337,6 @@ def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
     )
 
 
-def r_matrix(p: int) -> Mat4:
-    require_odd_prime(p)
-    return Mat4.diagonal(1, 1, 1, p)
-
-
 def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
     """Return ``R m R^{-1}`` (or ``R^{-1} m R`` when ``inverse``)."""
     require_odd_prime(p)

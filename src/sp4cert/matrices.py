@@ -247,9 +247,6 @@ class Mat4:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.rows for x in r)
 
-    def entry_is_integral(self, i: int, j: int) -> bool:
-        return self.rows[i][j].denominator == 1
-
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
 
@@ -332,6 +329,13 @@ def scalar_from_str(s: str, where: str = "") -> Fraction:
     if den != 1 and math.gcd(abs(num), den) != 1:
         raise ParseError(f"scalar {s!r} is not reduced {where}".rstrip())
     return Fraction(num, den)
+
+
+def json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer; a float, bool or string is a :class:`ParseError`."""
+    if type(x) is not int:
+        raise ParseError(f"{what} must be an integer, not {type(x).__name__}")
+    return x
 
 
 def mat4_to_lists(m: Mat4) -> list[list[str]]:

@@ -59,9 +59,6 @@ class Sl2Word:
             acc = acc * _LETTERS[name] ** exp
         return acc
 
-    def total_exponent_size(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
 
 @dataclass(frozen=True)
 class ConjugateFactor:

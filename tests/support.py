@@ -5,15 +5,7 @@ from __future__ import annotations
 
 import random
 
-from sp4cert.certificates import (
-    CONJ,
-    INV,
-    MUL,
-    SEED_M0,
-    SEED_P2,
-    Certificate,
-    CertNode,
-)
+from sp4cert.certificates import CONJ, SEED_M0, SEED_P2, Certificate, CertNode, evaluate
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, SymplecticForm
 from sp4cert.matrices import Mat4
@@ -27,25 +19,6 @@ def corpus(group: GroupLabel, p: int, count: int, seed: int, max_len: int = 20):
         spec = SampleSpec(group=group, p=p, seed=seed + i, word_length=i % (max_len + 1))
         out.append(sample(spec))
     return out
-
-
-def evaluate_nodes(cert: Certificate) -> list[Mat4]:
-    """Pure replay of a certificate, with no side-condition checks."""
-    m0 = generator("M0", cert.p)
-    values: list[Mat4] = []
-    for node in cert.nodes:
-        if node.op == SEED_M0:
-            values.append(m0)
-        elif node.op == SEED_P2:
-            values.append(node.value)
-        elif node.op == MUL:
-            values.append(values[node.args[0]] * values[node.args[1]])
-        elif node.op == INV:
-            values.append(values[node.args[0]].inv())
-        else:
-            g = node.value
-            values.append(g * values[node.args[0]] * g.inv())
-    return values
 
 
 def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
@@ -161,7 +134,7 @@ def random_tamper(cert: Certificate, rng: random.Random) -> Certificate:
             candidate = Certificate(
                 cert.p, tuple(nodes[:i] + [new] + nodes[i + 1:]), cert.root, cert.target
             )
-            values = evaluate_nodes(candidate)
+            values = evaluate(candidate)
             if values[cert.root] == cert.target:
                 continue  # redirect happened to preserve the value; retry
             return candidate

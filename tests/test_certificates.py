@@ -17,12 +17,14 @@ from sp4cert.certificates import (
     MUL,
     SEED_M0,
     SEED_P2,
+    CertBuilder,
     Certificate,
     CertNode,
     build_generator_certs,
     cert_verify,
     certificate_from_json_obj,
     certificate_to_json_obj,
+    evaluate,
     expand_j1,
     expand_j2,
     normal_closure_witness,
@@ -121,6 +123,34 @@ def test_verification_stops_at_first_failed_conjugator():
     assert (last.kind, last.node, last.ok) == ("conjugator", i, False)
     assert all(c.ok and c.node < i for c in report.checks[:-1])
     assert report.lines()[-1] == f"FAIL (conjugator node {i})"
+
+
+@pytest.mark.parametrize("op", [SEED_P2, CONJ])
+def test_failed_check_replays_nothing(monkeypatch, op):
+    p = 7
+    cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 3, 3)), p)
+    nodes = list(cert.nodes)
+    i = max(j for j, node in enumerate(nodes) if node.op == op)
+    assert any(node.op in (MUL, INV) for node in nodes[:i])  # a replay to i would multiply
+    nodes[i] = CertNode(op, nodes[i].args, nodes[i].value * Mat4.diagonal(2, 1, 1, 1))
+    for name in ("__mul__", "inv"):
+        monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("product after a failed check"))
+    report = cert_verify(Certificate(p, tuple(nodes), cert.root, cert.target))
+    kind = "seed" if op == SEED_P2 else "conjugator"
+    assert report.failure_locus == f"{kind} node {i}"
+    assert not report.checks[-1].ok and report.checks[-1].node == i
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_evaluate_matches_the_builder_values(monkeypatch, p):
+    builders = []
+    monkeypatch.setattr(CertBuilder, "certificate", lambda b, *args, **kw: builders.append(b))
+    for i in range(4):
+        normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 8100 + i, 4 + i)), p)
+    assert len(builders) == 4
+    for b in builders:
+        whole = Certificate(p, tuple(b.nodes), len(b.nodes) - 1, b.values[-1])
+        assert evaluate(whole) == b.values
 
 
 def test_malformed_dag_rejected():
@@ -357,6 +387,18 @@ def test_parse_rejects_forward_reference():
     obj = certificate_to_json_obj(build_generator_certs(3)["M2"])
     obj["nodes"][0] = {"id": 0, "op": "mul", "args": [1, 2]}
     with pytest.raises(ParseError):
+        certificate_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("bad", [lambda x: x + 0.9, lambda x: True, str])
+@pytest.mark.parametrize("path", [["p"], ["root"], ["nodes", 1, "id"], ["nodes", 1, "args", 0]])
+def test_parse_accepts_only_json_integers(path, bad):
+    obj = certificate_to_json_obj(build_generator_certs(3)["M2"])
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = bad(holder[path[-1]])
+    with pytest.raises(ParseError, match="must be an integer"):
         certificate_from_json_obj(obj)
 
 

@@ -8,7 +8,7 @@ from sp4cert.decompose import GeneratorWord
 from sp4cert.errors import BadPrime
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel
-from sp4cert.matrices import mat4_to_lists
+from sp4cert.matrices import Mat4, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -134,6 +134,16 @@ def test_verify_garbage_exits_two(tmp_path):
     assert main(["verify", "--cert", str(path)]) == 2
 
 
+@pytest.mark.parametrize("op", [[], {}])
+def test_verify_unhashable_op_exits_two(tmp_path, capsys, op):
+    target = mat4_to_lists(generator("M0", 3))
+    obj = {"p": 3, "nodes": [{"id": 0, "op": op, "args": []}], "root": 0, "target": target}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert "unknown op" in capsys.readouterr().err
+
+
 def test_check_identities(capsys):
     assert main(["check-identities", "--p", "7"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
@@ -165,6 +175,14 @@ def test_strong_pseudoprimes_rejected_up_front(m0_file, capsys, p):
         main(["member", "--group", "gamma_1p", "--p", p, "--in", m0_file])
     assert exc.value.code == 2
     assert "--p" in capsys.readouterr().err
+
+
+def test_fuzz_decompose_reports_a_replay_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(GeneratorWord, "replay", lambda self: Mat4.identity())
+    assert main(["fuzz", "--p", "3", "--n", "2", "--seed", "11", "--suite", "decompose"]) == 1
+    spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 11, 5)
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL at trial 0: {spec.describe()} (ShapeAssertionFailed: ")
 
 
 @pytest.mark.parametrize("crash", [ZeroDivisionError("boom"), BadPrime("bad p")])

@@ -158,15 +158,6 @@ def test_decompose_j2_payloads_valid():
     assert seen_j2 > 0
 
 
-def test_direct_block_arrangement_fires():
-    p = 3
-    diag = {}
-    for k in tilde_corpus(p, 30, 9100, max_len=10):
-        decompose(k, p, tilde=True, diagnostics=diag)
-    arrangements = set(diag["j2_arrangements"])
-    assert arrangements == {"direct"}
-
-
 def test_intermediates_stay_in_group():
     p = 3
     for k in tilde_corpus(p, 20, 2500, max_len=10):
@@ -254,11 +245,15 @@ def test_word_json_rejects_junk():
         GeneratorWord.from_json_obj({"p": 3, "coords": "tilde", "letters": [{}]})
     with pytest.raises(ParseError):
         GeneratorWord.from_json_obj([1, 2, 3])
+    for p in (3.9, True, "3"):  # not truncated or coerced
+        with pytest.raises(ParseError, match="must be an integer"):
+            GeneratorWord.from_json_obj({"p": p, "coords": "untilded", "letters": []})
 
 
-@pytest.mark.parametrize("exp", ["x", None, "7" * 5001])
+@pytest.mark.parametrize("exp", ["x", None, "7" * 5001, 2.7, True, "2"])
 def test_word_json_bad_exponent_is_a_parse_error(exp):
-    # a non-number, null, and a string past the int/str conversion limit
+    # a non-number, null, a string past the int/str conversion limit, and
+    # a float, a bool and a digit string, none of them truncated or coerced
     obj = {"p": 3, "coords": "untilded", "letters": [{"gen": "M1", "exp": exp}]}
     with pytest.raises(ParseError, match="letter 0"):
         GeneratorWord.from_json_obj(obj)
