@@ -31,7 +31,7 @@ from .groups import (
     member,
     require_odd_prime,
 )
-from .matrices import mat2_from_lists, mat4_from_lists
+from .matrices import load_json, mat2_from_lists, mat4_from_lists
 from .sampling import SampleSpec, sample
 from .siegel import section4_check
 
@@ -47,13 +47,9 @@ def _read_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad JSON at offset {exc.pos}: {exc.msg}") from exc
-    except ValueError as exc:  # a number past the int/str conversion limit
-        raise ParseError(f"{path}: {exc}") from exc
+    return load_json(text, path)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -282,10 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, MalformedDag) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BadPrime as exc:
+    except (ParseError, MalformedDag, BadPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Sp4CertError as exc:

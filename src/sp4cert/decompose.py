@@ -222,17 +222,11 @@ def _simplify_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
                 if merged.exp:
                     out.append(merged)
                 continue
-            if isinstance(letter, J1) and isinstance(prev, J1):
+            if isinstance(letter, (J1, J2)) and type(prev) is type(letter):
                 out.pop()
                 product = prev.payload * letter.payload
                 if not product.is_identity():
-                    out.append(J1(product))
-                continue
-            if isinstance(letter, J2) and isinstance(prev, J2):
-                out.pop()
-                product = prev.payload * letter.payload
-                if not product.is_identity():
-                    out.append(J2(product))
+                    out.append(type(letter)(product))
                 continue
         out.append(letter)
     return tuple(out)

@@ -23,6 +23,11 @@ P     ((1,0),(p,1))  (2x2)                     gamma1_of_p
 R     diag(1,1,1,p)
 ====  =======================================  ==============
 
+Rows M0..L5 are kept as data in ``_ENTRIES``, the identity plus the
+listed entries, and built by writing those entries in; no matrix
+product is formed.  That is exact: in each row, the product of two
+listed units E(i,j) E(k,l) is zero because j != k.
+
 A widely reproduced variant of M1 has row 4 equal to (1,0,0,0); that
 matrix is singular (rows 1 and 4 coincide), and conjugation by R then
 cannot land on Mt1, whose row 4 is (p,0,0,1).  The entry (4,4) = 1 used
@@ -57,13 +62,24 @@ GENERATOR_NAMES = (
 )
 
 
-def _unit(i: int, j: int, value=1) -> Mat4:
-    rows = [[0] * 4 for _ in range(4)]
-    rows[i - 1][j - 1] = value
-    for k in range(4):
-        rows[k][k] += 1
-    return Mat4.from_rows(rows)
-
+# M0..L5 as the identity plus these (1-based) entries, row for row as in
+# the module table
+_ENTRIES = {
+    "M0": lambda p: {(1, 3): 1},
+    "M1": lambda p: {(3, 2): 1, (4, 1): 1},
+    "M2": lambda p: {(1, 4): p, (2, 3): p},
+    "M3": lambda p: {(1, 2): 1, (4, 3): -1},
+    "M4": lambda p: {(2, 1): -p, (3, 4): p},
+    "Mt1": lambda p: {(3, 2): 1, (4, 1): p},
+    "Mt2": lambda p: {(1, 4): 1, (2, 3): p},
+    "Mt3": lambda p: {(1, 2): 1, (4, 3): -p},
+    "Mt4": lambda p: {(2, 1): -p, (3, 4): 1},
+    "L1": lambda p: {(2, 4): p * p},
+    "L2": lambda p: {(4, 2): -2},
+    "L3": lambda p: {(4, 2): p * p},
+    "L4": lambda p: {(4, 2): 1},
+    "L5": lambda p: {(3, 1): 1},
+}
 
 # (name, p) pairs kept built; p can come from user input, so the cache is bounded
 _GENERATOR_CACHE_SIZE = 256
@@ -82,35 +98,11 @@ def generator(name: str, p: int) -> Mat4 | Mat2:
 
 @lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
 def _build_generator(name: str, p: int) -> Mat4 | Mat2:
-    if name == "M0":
-        return _unit(1, 3)
-    if name == "M1":
-        m = _unit(3, 2)
-        return m * _unit(4, 1)
-    if name == "M2":
-        return _unit(1, 4, p) * _unit(2, 3, p)
-    if name == "M3":
-        return _unit(1, 2) * _unit(4, 3, -1)
-    if name == "M4":
-        return _unit(2, 1, -p) * _unit(3, 4, p)
-    if name == "Mt1":
-        return _unit(3, 2) * _unit(4, 1, p)
-    if name == "Mt2":
-        return _unit(1, 4) * _unit(2, 3, p)
-    if name == "Mt3":
-        return _unit(1, 2) * _unit(4, 3, -p)
-    if name == "Mt4":
-        return _unit(2, 1, -p) * _unit(3, 4)
-    if name == "L1":
-        return _unit(2, 4, p * p)
-    if name == "L2":
-        return _unit(4, 2, -2)
-    if name == "L3":
-        return _unit(4, 2, p * p)
-    if name == "L4":
-        return _unit(4, 2)
-    if name == "L5":
-        return _unit(3, 1)
+    if name in _ENTRIES:
+        rows = [[int(i == j) for j in range(4)] for i in range(4)]
+        for (i, j), x in _ENTRIES[name](p).items():
+            rows[i - 1][j - 1] = x
+        return Mat4.from_rows(rows)
     if name == "P":
         return Mat2.of(1, 0, p, 1)
     if name == "R":

@@ -25,11 +25,13 @@ congruence conditions relative to those forms.  Conventions:
   :class:`SymplecticForm` refuses a matrix that is not antisymmetric,
   so this is always the whole condition.
 
-* The congruence predicates test integrality and the congruence
-  pattern first, as remainders of ``g_ij - delta_ij``, and run the
-  symplectic test only on matrices that pass.  The verdict is the same
-  conjunction in either order; a non-member usually fails on a
-  remainder, which is cheaper than the pairings.
+* Every group is written down once, as data: :func:`_pattern` maps a
+  label and p to ``(moduli, form)``, the table below, and
+  :func:`member` reads it on one path.  It tests the congruences first,
+  as remainders of ``g_ij - delta_ij`` (which also demands integrality),
+  and runs det 1 or the symplectic test only on matrices that pass.
+  The verdict is the same conjunction in either order; a non-member
+  usually fails on a remainder, which is cheaper than the pairings.
 
 * ``p`` must be an odd prime below 3317044064679887385961981, the
   smallest strong pseudoprime to the bases 2..41 of :func:`is_prime`.
@@ -38,22 +40,24 @@ congruence conditions relative to those forms.  Conventions:
   vector ``w`` satisfies ``v Lambda w^T = 1``, equivalently when
   ``gcd(v1, p*v2, v3, p*v4) = 1``; otherwise it is *long*.
 
-The eight predicates (plus plain SL(2,Z)), with ``g`` the candidate:
+The nine predicates, with ``g`` the candidate; each modulus divides
+``g_ij - delta_ij`` (``Z`` is modulus 1), and ``(1/p)Z`` is the one
+entry allowed the denominator p:
 
-=================  ====================================================
-gamma_1p           integral, symplectic for J, ``g - 1`` entrywise in
-                   ((Z,Z,Z,pZ),(pZ,pZ,pZ,p^2 Z),(Z,Z,Z,pZ),(Z,Z,Z,pZ))
-gamma0_1p          symplectic for J over Q, ``g`` entrywise in
-                   ((Z,Z,Z,pZ),(pZ,Z,pZ,pZ),(Z,Z,Z,pZ),(Z,(1/p)Z,Z,Z))
-gamma_tilde_1p     integral, symplectic for Lambda, rows 2 and 4
-                   congruent to (0,1,0,0) and (0,0,0,1) mod p
-gamma_p2           integral, symplectic for J, congruent to 1 mod p^2
-sp4z_j             integral, symplectic for J
-sp_lambda_z        integral, symplectic for Lambda
-sl2z               2x2 integral, determinant 1
-gamma1_of_p        2x2, det 1, shape ((ap+1, bp),(cp, dp+1))
-gamma1prime_p2     2x2, det 1, ``g - 1`` in ((p^2 Z, pZ),(p^3 Z, p^2 Z))
-=================  ====================================================
+=================  ====================================================  ========
+gamma_1p           ((Z,Z,Z,pZ),(pZ,pZ,pZ,p^2 Z),(Z,Z,Z,pZ),(Z,Z,Z,pZ))  J
+gamma0_1p          ((Z,Z,Z,pZ),(pZ,Z,pZ,pZ),(Z,Z,Z,pZ),(Z,(1/p)Z,Z,Z))   J
+gamma_tilde_1p     ((Z,Z,Z,Z),(pZ,pZ,pZ,pZ),(Z,Z,Z,Z),(pZ,pZ,pZ,pZ))     Lambda
+gamma_p2           p^2 Z in every entry                                  J
+sp4z_j             Z in every entry                                      J
+sp_lambda_z        Z in every entry                                      Lambda
+sl2z               2x2, ((Z,Z),(Z,Z))                                    det 1
+gamma1_of_p        2x2, ((pZ,pZ),(pZ,pZ))                                det 1
+gamma1prime_p2     2x2, ((p^2 Z,pZ),(p^3 Z,p^2 Z))                       det 1
+=================  ====================================================  ========
+
+So gamma_tilde_1p's rows 2 and 4 are (0,1,0,0) and (0,0,0,1) mod p,
+and gamma0_1p's symplectic condition holds over Q.
 """
 
 from __future__ import annotations
@@ -199,15 +203,37 @@ def symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
 
 _J = SymplecticForm.standard()
 
-# Lambda forms kept built; p can come from user input, so the cache is bounded
-_FORM_CACHE_SIZE = 256
-_polarised = lru_cache(maxsize=_FORM_CACHE_SIZE)(SymplecticForm.polarised)
+# (label, p) patterns kept built; p can come from user input, so the cache is bounded
+_PATTERN_CACHE_SIZE = 256
 
 
-def _congruent(m: Mat4, moduli) -> bool:
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _pattern(label: GroupLabel, p: int):
+    """``(moduli, form)`` for the labelled group, row for row as in the
+    module table: ``moduli[i][j]`` divides ``g_ij - delta_ij`` (None
+    marks the (1/p)Z slot of gamma0_1p), and ``form`` is J, Lambda, or
+    None for the 2x2 groups, whose condition is det 1."""
+    p2 = p * p
+    z, zp = (1, 1, 1, 1), (p, p, p, p)
+    lam = SymplecticForm.polarised(p)
+    return {
+        GroupLabel.GAMMA_1P: (((1, 1, 1, p), (p, p, p, p2), (1, 1, 1, p), (1, 1, 1, p)), _J),
+        GroupLabel.GAMMA0_1P: (((1, 1, 1, p), (p, 1, p, p), (1, 1, 1, p), (1, None, 1, 1)), _J),
+        GroupLabel.GAMMA_TILDE_1P: ((z, zp, z, zp), lam),
+        GroupLabel.GAMMA_P2: (((p2,) * 4,) * 4, _J),
+        GroupLabel.SP4Z_J: ((z, z, z, z), _J),
+        GroupLabel.SP_LAMBDA_Z: ((z, z, z, z), lam),
+        GroupLabel.SL2Z: (((1, 1), (1, 1)), None),
+        GroupLabel.GAMMA1_OF_P: (((p, p), (p, p)), None),
+        GroupLabel.GAMMA1PRIME_P2: (((p2, p), (p2 * p, p2)), None),
+    }[label]
+
+
+def _congruent(m: Mat2 | Mat4, moduli) -> bool:
     """True iff every entry is an integer with ``m_ij - delta_ij``
     divisible by ``moduli[i][j]``; slots whose modulus is None are left
-    to the caller."""
+    to the caller.  ``Mat2`` entries are ints, which have a numerator
+    and a denominator too."""
     for i, (row, mods) in enumerate(zip(m.rows, moduli)):
         for j, (x, n) in enumerate(zip(row, mods)):
             if n is None:
@@ -217,92 +243,24 @@ def _congruent(m: Mat4, moduli) -> bool:
     return True
 
 
-def _member_gamma_1p(m: Mat4, p: int) -> bool:
-    moduli = (
-        (1, 1, 1, p),
-        (p, p, p, p * p),
-        (1, 1, 1, p),
-        (1, 1, 1, p),
-    )
-    return _congruent(m, moduli) and symplectic_check(m, _J)
-
-
-def _member_gamma0_1p(m: Mat4, p: int) -> bool:
-    # diagonal moduli are 1, so m - 1 and m have the same residues here
-    moduli = (
-        (1, 1, 1, p),
-        (p, 1, p, p),
-        (1, 1, 1, p),
-        (1, None, 1, 1),
-    )
-    if m[3][1].denominator not in (1, p):  # the single (1/p)Z slot
-        return False
-    return _congruent(m, moduli) and symplectic_check(m, _J)
-
-
-def _member_gamma_tilde_1p(m: Mat4, p: int) -> bool:
-    # rows 2 and 4 congruent to (0,1,0,0) and (0,0,0,1) mod p
-    moduli = ((1,) * 4, (p,) * 4, (1,) * 4, (p,) * 4)
-    return _congruent(m, moduli) and symplectic_check(m, _polarised(p))
-
-
-def _member_gamma_p2(m: Mat4, p: int) -> bool:
-    p2 = p * p
-    return _congruent(m, ((p2,) * 4,) * 4) and symplectic_check(m, _J)
-
-
-def _member_gamma1_of_p(q: Mat2, p: int) -> bool:
-    (a, b), (c, d) = q.rows
-    return (
-        q.det() == 1
-        and (a - 1) % p == 0
-        and b % p == 0
-        and c % p == 0
-        and (d - 1) % p == 0
-    )
-
-
-def _member_gamma1prime_p2(q: Mat2, p: int) -> bool:
-    (a, b), (c, d) = q.rows
-    p2 = p * p
-    return (
-        q.det() == 1
-        and (a - 1) % p2 == 0
-        and b % p == 0
-        and c % (p2 * p) == 0
-        and (d - 1) % p2 == 0
-    )
-
-
 def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     """Exact membership test for the labelled group at the odd prime p.
 
-    Both the symplectic/determinant condition and the congruence
-    pattern are checked; malformed input simply fails the predicate.
+    Reads the group's row of :func:`_pattern`: the congruences first,
+    then det 1 or the symplectic condition; malformed input simply
+    fails the predicate.
     """
     label = GroupLabel(label)
     require_odd_prime(p)
-    if label in TWO_BY_TWO_LABELS:
-        if not isinstance(m, Mat2):
-            raise TypeError(f"{label.value} is a 2x2 predicate")
-        if label is GroupLabel.SL2Z:
-            return m.det() == 1
-        if label is GroupLabel.GAMMA1_OF_P:
-            return _member_gamma1_of_p(m, p)
-        return _member_gamma1prime_p2(m, p)
-    if not isinstance(m, Mat4):
-        raise TypeError(f"{label.value} is a 4x4 predicate")
-    if label is GroupLabel.SP4Z_J:
-        return m.is_integral() and symplectic_check(m, _J)
-    if label is GroupLabel.SP_LAMBDA_Z:
-        return m.is_integral() and symplectic_check(m, _polarised(p))
-    if label is GroupLabel.GAMMA_1P:
-        return _member_gamma_1p(m, p)
-    if label is GroupLabel.GAMMA0_1P:
-        return _member_gamma0_1p(m, p)
-    if label is GroupLabel.GAMMA_TILDE_1P:
-        return _member_gamma_tilde_1p(m, p)
-    return _member_gamma_p2(m, p)
+    moduli, form = _pattern(label, p)
+    size = len(moduli)
+    if not isinstance(m, Mat2 if size == 2 else Mat4):
+        raise TypeError(f"{label.value} is a {size}x{size} predicate")
+    if label is GroupLabel.GAMMA0_1P and m[3][1].denominator not in (1, p):
+        return False  # the single (1/p)Z slot
+    if not _congruent(m, moduli):
+        return False
+    return m.det() == 1 if form is None else symplectic_check(m, form)
 
 
 def j1_embed(a: Mat2) -> Mat4:

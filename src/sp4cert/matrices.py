@@ -28,7 +28,9 @@ binary powering, of the inverse when ``n < 0``.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
-fraction with positive denominator.  Round-trips are bit-exact.
+fraction with denominator at least 2.  Only this canonical spelling is
+read (``-0``, ``0/1`` and ``5/1`` are refused), so round-trips are
+bit-exact.
 Integers past the interpreter's int/str conversion limit (4,300 digits
 by default) are written in pieces below it; reading such an entry is a
 :class:`ParseError`.
@@ -36,6 +38,7 @@ by default) are written in pieces below it; reading such an entry is a
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -293,7 +296,8 @@ def _power(m, n: int):
 # interchange format: strings "n" or "num/den", reduced, positive denominator
 # ---------------------------------------------------------------------------
 
-_ENTRY_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
+# canonical only: no "-0", no leading zeros; a denominator of 1 is refused below
+_ENTRY_RE = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
 
 def _int_to_str(n: int) -> str:
@@ -316,6 +320,9 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 def scalar_from_str(s: str, where: str = "") -> Fraction:
+    """Read an entry written as :func:`scalar_to_str` writes it; any
+    other spelling of the same number (``-0``, ``0/1``, ``n/1``,
+    ``2/4``) is a :class:`ParseError`, so round-trips are bit-exact."""
     if not isinstance(s, str):
         raise ParseError(f"entry {where or s!r} must be a string")
     m = _ENTRY_RE.match(s)
@@ -326,9 +333,24 @@ def scalar_from_str(s: str, where: str = "") -> Fraction:
         den = int(m.group(2)) if m.group(2) else 1
     except ValueError as exc:  # past the int/str conversion limit
         raise ParseError(f"entry too long to read {where}".rstrip() + f": {exc}") from exc
-    if den != 1 and math.gcd(abs(num), den) != 1:
-        raise ParseError(f"scalar {s!r} is not reduced {where}".rstrip())
+    if m.group(2) and (den == 1 or math.gcd(num, den) != 1):
+        raise ParseError(f"scalar {s!r} is not canonical {where}".rstrip())
     return Fraction(num, den)
+
+
+def load_json(text: str | bytes, where: str = ""):
+    """``json.loads(text)``, with every refusal of its input -- bad JSON,
+    bad UTF-8, a number past the int/str conversion limit, nesting past
+    the recursion limit -- raised as a :class:`ParseError`."""
+    prefix = f"{where}: " if where else ""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{prefix}bad JSON at offset {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # bad UTF-8, or a number past the digit limit
+        raise ParseError(f"{prefix}{exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{prefix}JSON nested too deeply") from exc
 
 
 def json_int(x, what: str) -> int:
@@ -342,17 +364,27 @@ def mat4_to_lists(m: Mat4) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in m.rows]
 
 
-def mat4_from_lists(obj) -> Mat4:
-    if not isinstance(obj, list) or len(obj) != 4:
-        raise ParseError("matrix must be a list of 4 rows")
+def _read_rows(obj, n: int, read) -> tuple[tuple, ...]:
+    """An n x n list of entry strings, each read by ``read(entry, where)``."""
+    if not isinstance(obj, list) or len(obj) != n:
+        raise ParseError(f"matrix must be a list of {n} rows")
     rows = []
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != 4:
-            raise ParseError(f"row {i} must be a list of 4 entries")
-        rows.append(
-            tuple(scalar_from_str(x, where=f"at ({i},{j})") for j, x in enumerate(row))
-        )
-    return Mat4(tuple(rows))
+        if not isinstance(row, list) or len(row) != n:
+            raise ParseError(f"row {i} must be a list of {n} entries")
+        rows.append(tuple(read(x, f"at ({i},{j})") for j, x in enumerate(row)))
+    return tuple(rows)
+
+
+def _int_from_str(s: str, where: str) -> int:
+    v = scalar_from_str(s, where)
+    if v.denominator != 1:
+        raise ParseError(f"entry {where} must be an integer")
+    return int(v)
+
+
+def mat4_from_lists(obj) -> Mat4:
+    return Mat4(_read_rows(obj, 4, scalar_from_str))
 
 
 def mat2_to_lists(m: Mat2) -> list[list[str]]:
@@ -360,17 +392,4 @@ def mat2_to_lists(m: Mat2) -> list[list[str]]:
 
 
 def mat2_from_lists(obj) -> Mat2:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ParseError("matrix must be a list of 2 rows")
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ParseError(f"row {i} must be a list of 2 entries")
-        entries = []
-        for j, x in enumerate(row):
-            v = scalar_from_str(x, where=f"at ({i},{j})")
-            if v.denominator != 1:
-                raise ParseError(f"entry at ({i},{j}) must be an integer")
-            entries.append(int(v))
-        rows.append(tuple(entries))
-    return Mat2(tuple(rows))
+    return Mat2(_read_rows(obj, 2, _int_from_str))

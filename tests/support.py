@@ -7,8 +7,8 @@ import random
 
 from sp4cert.certificates import CONJ, SEED_M0, SEED_P2, Certificate, CertNode, evaluate
 from sp4cert.generators import generator
-from sp4cert.groups import GroupLabel, SymplecticForm
-from sp4cert.matrices import Mat4
+from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm
+from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -55,9 +55,20 @@ def _divisible(x, n: int) -> bool:
     return x.denominator == 1 and x.numerator % n == 0
 
 
-def reference_member(m: Mat4, label: GroupLabel, p: int) -> bool:
-    """The 4x4 predicates as first written: the full-product symplectic
-    test, then the congruence pattern read off ``m - 1`` (or ``m``)."""
+def reference_member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
+    """The predicates as first written.  4x4: the full-product symplectic
+    test, then the congruence pattern read off ``m - 1`` (or ``m``).
+    2x2: ``ad - bc = 1``, then the rows of the ``groups`` docstring."""
+    if label in TWO_BY_TWO_LABELS:
+        (a, b), (c, d) = m.rows
+        if a * d - b * c != 1:
+            return False
+        if label is GroupLabel.SL2Z:
+            return True
+        if label is GroupLabel.GAMMA1_OF_P:  # g - 1 in ((pZ, pZ), (pZ, pZ))
+            return (a - 1) % p == 0 and b % p == 0 and c % p == 0 and (d - 1) % p == 0
+        # gamma1prime_p2: g - 1 in ((p^2 Z, pZ), (p^3 Z, p^2 Z))
+        return (a - 1) % p**2 == 0 and b % p == 0 and c % p**3 == 0 and (d - 1) % p**2 == 0
     j = SymplecticForm.standard()
     lam = SymplecticForm.polarised(p)
     if label is GroupLabel.SP4Z_J:

@@ -402,6 +402,14 @@ def test_parse_accepts_only_json_integers(path, bad):
         certificate_from_json_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, b'{"p": "\xff"}', "7" * 5001, "{not json", b"\x00"]
+)
+def test_parse_maps_every_json_refusal_to_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
 def test_parse_rejects_unreduced_entries():
     obj = certificate_to_json_obj(seed_only_cert())
     obj["target"][0][0] = "2/4"

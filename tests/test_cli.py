@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sp4cert import cli
+from sp4cert.certificates import normal_closure_witness, serialize
 from sp4cert.cli import main
 from sp4cert.decompose import GeneratorWord
 from sp4cert.errors import BadPrime
@@ -197,3 +198,50 @@ def test_fuzz_crash_prints_its_spec(monkeypatch, capsys, crash):
     spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 13, 7)
     out = capsys.readouterr().out
     assert out == f"FAIL at trial 2: {spec.describe()} ({type(crash).__name__}: {crash})\n"
+
+
+# each way a file can refuse to parse, as bytes; "5/1" spells the integer 5
+# non-canonically and is refused since round-trips must be bit-exact
+_NON_CANONICAL = [["1", "5/1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                  ["0", "0", "0", "1"]]
+HOSTILE = {
+    "deep_nesting": b"[" * 200_000,
+    "invalid_utf8": b'[["\xff"]]',
+    "null": b"null",
+    "long_number": b"7" * 5001,
+    "n_over_1": json.dumps(_NON_CANONICAL).encode(),
+}
+
+
+@pytest.fixture(scope="module")
+def m0_cert_text():
+    return serialize(normal_closure_witness(generator("M0", 3), 3))
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE))
+@pytest.mark.parametrize(
+    "command", ["member", "decompose", "witness", "verify --cert", "verify --target"]
+)
+def test_hostile_input_exits_two(tmp_path, capsys, m0_cert_text, command, hostile):
+    # any exception escaping main fails this test, so exit 2 means the
+    # input reached the documented parse-error path
+    content = HOSTILE[hostile]
+    if command == "verify --cert" and hostile == "n_over_1":
+        cert = json.loads(m0_cert_text)
+        cert["target"] = _NON_CANONICAL
+        content = json.dumps(cert).encode()
+    bad = tmp_path / "hostile.json"
+    bad.write_bytes(content)
+    good = tmp_path / "cert.json"
+    good.write_text(m0_cert_text)
+    argv = {
+        "member": ["member", "--group", "gamma_1p", "--p", "3", "--in", str(bad)],
+        "decompose": ["decompose", "--p", "3", "--in", str(bad)],
+        "witness": ["witness", "--p", "3", "--in", str(bad)],
+        "verify --cert": ["verify", "--cert", str(bad)],
+        "verify --target": ["verify", "--cert", str(good), "--target", str(bad)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -18,6 +18,51 @@ def test_l1_table_entry():
     )
 
 
+# every unipotent generator, entry for entry, as first built from
+# products of matrix units
+PINNED = {
+    3: {
+        "M0": ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "M1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+        "M2": ((1, 0, 0, 3), (0, 1, 3, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "M3": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)),
+        "M4": ((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 3), (0, 0, 0, 1)),
+        "Mt1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (3, 0, 0, 1)),
+        "Mt2": ((1, 0, 0, 1), (0, 1, 3, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "Mt3": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -3, 1)),
+        "Mt4": ((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+        "L1": ((1, 0, 0, 0), (0, 1, 0, 9), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "L2": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)),
+        "L3": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 9, 0, 1)),
+        "L4": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)),
+        "L5": ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)),
+    },
+    7: {
+        "M0": ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "M1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+        "M2": ((1, 0, 0, 7), (0, 1, 7, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "M3": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)),
+        "M4": ((1, 0, 0, 0), (-7, 1, 0, 0), (0, 0, 1, 7), (0, 0, 0, 1)),
+        "Mt1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (7, 0, 0, 1)),
+        "Mt2": ((1, 0, 0, 1), (0, 1, 7, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "Mt3": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -7, 1)),
+        "Mt4": ((1, 0, 0, 0), (-7, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+        "L1": ((1, 0, 0, 0), (0, 1, 0, 49), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "L2": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)),
+        "L3": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 49, 0, 1)),
+        "L4": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)),
+        "L5": ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)),
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED))
+def test_unipotent_generators_are_pinned(p):
+    assert set(PINNED[p]) == set(GENERATOR_NAMES) - {"P", "R", "J", "Lambda"}
+    for name, rows in PINNED[p].items():
+        assert generator(name, p) == Mat4.from_rows(rows), name
+
+
 def test_m1_has_unit_corner():
     # row 4 must be (1,0,0,1); with (4,4) = 0 the matrix is singular and
     # R-conjugation cannot reach Mt1, whose row 4 is (p,0,0,1)

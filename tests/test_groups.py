@@ -454,6 +454,48 @@ def test_differential_cases_reach_every_verdict():
     assert all(v == {True, False} for v in seen.values())
 
 
+# --- differential: the 2x2 rows of the pattern table vs the docstring ------
+
+TWO_BY_TWO = [g for g in GroupLabel if g in TWO_BY_TWO_LABELS]
+
+
+def _outside2(p):
+    """2x2 factors each outside some of the three groups."""
+    return [T, U, Mat2.of(1, 0, p, 1), Mat2.of(1, 0, p * p, 1), Mat2.of(1, p, 0, 1),
+            Mat2.of(1 + p, p, p, 1), Mat2.of(2, 0, 0, 1), Mat2.of(-1, 0, 0, -1)]
+
+
+def _agree2(q, p):
+    for label in TWO_BY_TWO:
+        assert member(q, label, p) == reference_member(q, label, p), label
+
+
+@DIFF
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4), PRIMES)
+def test_two_by_two_predicates_match_the_docstring_on_integer_matrices(entries, p):
+    _agree2(Mat2.of(*entries), p)
+
+
+@DIFF
+@given(PRIMES, st.sampled_from(TWO_BY_TWO), st.integers(0, 10**6), st.integers(0, 8),
+       st.integers(-1, 7))
+def test_two_by_two_predicates_match_the_docstring_on_samples(p, label, seed, length, k):
+    q = sample(SampleSpec(label, p, seed, length))
+    if k >= 0:
+        q = q * _outside2(p)[k]
+    _agree2(q, p)
+
+
+def test_two_by_two_cases_reach_every_verdict():
+    seen = {label: set() for label in TWO_BY_TWO}
+    for p in (3, 5, 7):
+        pool = [sample(SampleSpec(g, p, 1, 4)) for g in TWO_BY_TWO] + _outside2(p)
+        for q in pool:
+            for label in TWO_BY_TWO:
+                seen[label].add(member(q, label, p))
+    assert all(v == {True, False} for v in seen.values())
+
+
 def test_form_must_be_antisymmetric():
     with pytest.raises(ValueError):
         SymplecticForm(I4)

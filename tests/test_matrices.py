@@ -172,7 +172,8 @@ def test_scalar_strings_round_trip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "a", "+3", "01", "1/0", "2/4", "1/-3", "--2", "1.5", " 1"]
+    "bad", ["", "a", "+3", "01", "1/0", "2/4", "1/-3", "--2", "1.5", " 1",
+            "-0", "-0/1", "0/1", "0/5", "5/1", "-5/1", "-00"]
 )
 def test_scalar_strings_rejected(bad):
     with pytest.raises(ParseError):
