@@ -94,7 +94,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class CheckResult:
-    kind: str  # "structure" | "seed" | "conjugator" | "replay"
+    kind: str  # "structure" | "seed" | "conjugator" | "resource" | "replay"
     node: int | None
     ok: bool
     detail: str = ""
@@ -166,6 +166,29 @@ def evaluate(cert: Certificate) -> list[Mat4]:
     return values
 
 
+# replay refuses a mul or conj value with an entry wider than
+# _BUDGET_SCALE * L + _BUDGET_SLACK bits, L the widest numerator or
+# denominator among the certificate's literals (seeds, conjugators and
+# target); every operand is then within budget, so each product's cost
+# is bounded by the size of the file
+_BUDGET_SCALE = 4
+_BUDGET_SLACK = 64
+
+
+def _entry_bits(m: Mat4) -> int:
+    """Bits of the widest numerator or denominator of ``m``."""
+    acc = 0
+    for row in m.rows:
+        for x in row:
+            acc |= abs(x.numerator) | x.denominator
+    return acc.bit_length()
+
+
+def _bit_budget(cert: Certificate) -> int:
+    literals = [cert.target, *(node.value for node in cert.nodes if node.value is not None)]
+    return _BUDGET_SCALE * max(map(_entry_bits, literals)) + _BUDGET_SLACK
+
+
 def cert_verify(cert: Certificate) -> VerificationReport:
     """Check every seed and conjugator, then replay the DAG exactly.
 
@@ -174,6 +197,8 @@ def cert_verify(cert: Certificate) -> VerificationReport:
     not thrown.  The first failed seed or conjugator check ends
     verification before any product is formed, and is the last check in
     the report; once all have passed, every value is a group element.
+    A mul or conj value over the bit budget ends replay as a failed
+    ``resource`` check at that node.
     """
     _validate_structure(cert)
     p = require_odd_prime(cert.p)
@@ -195,7 +220,18 @@ def cert_verify(cert: Certificate) -> VerificationReport:
         if not good:
             return VerificationReport(False, tuple(checks), len(cert.nodes), f"{kind} node {i}")
 
-    replay_ok = evaluate(cert)[cert.root] == cert.target
+    budget = _bit_budget(cert)
+    m0 = generator("M0", p)
+    values: list[Mat4] = []
+    for i, node in enumerate(cert.nodes):
+        value = _node_value(node, values, m0)
+        if node.op in (MUL, CONJ) and _entry_bits(value) > budget:
+            detail = f"value wider than the {budget}-bit budget"
+            checks.append(CheckResult("resource", i, False, detail))
+            return VerificationReport(False, tuple(checks), len(cert.nodes), f"resource node {i}")
+        values.append(value)
+
+    replay_ok = values[cert.root] == cert.target
     detail = "" if replay_ok else "root value differs from target"
     checks.append(CheckResult("replay", cert.root, replay_ok, detail))
     locus = "" if replay_ok else f"replay mismatch at root {cert.root}"

@@ -19,6 +19,7 @@ from . import certificates as certs
 from .decompose import decompose
 from .errors import (
     BadPrime,
+    DomainError,
     MalformedDag,
     NotInGroup,
     ParseError,
@@ -67,16 +68,27 @@ def _write_text(path: str | None, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _prime(value: str) -> int:
+def _integer(value: str) -> int:
     try:
-        p = int(value)
+        return int(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from exc
+
+
+def _prime(value: str) -> int:
+    p = _integer(value)
     try:
         require_odd_prime(p)
     except BadPrime as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return p
+
+
+def _positive(value: str) -> int:
+    n = _integer(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not positive")
+    return n
 
 
 def _cmd_member(args) -> int:
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("fuzz", _cmd_fuzz, "seeded randomized suites")
     sp.add_argument("--p", required=True, type=_prime)
-    sp.add_argument("--n", type=int, default=50)
+    sp.add_argument("--n", type=_positive, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite", required=True,
                     choices=("decompose", "witness", "predicates", "identities"))
@@ -278,7 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, MalformedDag, BadPrime) as exc:
+    except (ParseError, MalformedDag, BadPrime, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Sp4CertError as exc:

@@ -15,8 +15,8 @@ Every letter is the identity plus at most four entries, so each step,
 in the reduction and in replay alike, multiplies by a letter through
 column operations (:func:`_times_letter`): column j of ``acc * s`` sums
 only the columns of ``acc`` picked by the nonzero ``s[k][j]``.  The
-letter matrices themselves still come from ``letter_matrix``,
-``generator``, ``j1_embed`` and ``j2_embed`` alone.
+reducer and replay share one map from a letter to its matrix,
+:meth:`GeneratorWord.letter_matrix`.
 
 The pipeline works by right multiplication throughout:
 
@@ -201,14 +201,18 @@ def _invert_letter(letter: Letter) -> Letter:
     return J2(letter.payload.inv())
 
 
+def _is_identity(letter: Letter) -> bool:
+    if isinstance(letter, Named):
+        return letter.exp == 0
+    return letter.payload.is_identity()
+
+
 def _simplify_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Merge adjacent letters of the same kind; exact because j1 and j2
     are homomorphisms.  Identity letters are dropped."""
     out: list[Letter] = []
     for letter in letters:
-        if isinstance(letter, Named) and letter.exp == 0:
-            continue
-        if isinstance(letter, (J1, J2)) and letter.payload.is_identity():
+        if _is_identity(letter):
             continue
         if out:
             prev = out[-1]
@@ -243,35 +247,23 @@ class _Reducer:
 
     def __init__(self, k: Mat4, p: int):
         self.cur = k
-        self.p = p
+        self.alphabet = GeneratorWord(p=p, tilde=True, letters=())
         self.letters: list[Letter] = []
 
     @property
     def row(self) -> tuple[int, int, int, int]:
         return tuple(int(x) for x in self.cur[0])
 
-    def apply_named(self, name: str, exp: int) -> None:
-        if exp == 0:
+    def apply(self, letter: Letter) -> None:
+        """Right-multiply by a tilde letter and log it; identities are skipped."""
+        if _is_identity(letter):
             return
-        self.cur = _times_letter(self.cur, generator(name, self.p) ** exp)
-        self.letters.append(Named(name, exp))
-
-    def apply_j1(self, a: Mat2) -> None:
-        if a.is_identity():
-            return
-        self.cur = _times_letter(self.cur, j1_embed(a))
-        self.letters.append(J1(a))
-
-    def apply_j2_inverse(self, q: Mat2) -> None:
-        if q.is_identity():
-            return
-        inverse = q.inv()
-        self.cur = _times_letter(self.cur, j2_embed(inverse, self.p, tilde=True))
-        self.letters.append(J2(inverse))
+        self.cur = _times_letter(self.cur, self.alphabet.letter_matrix(letter))
+        self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
         v = self.row
-        self.apply_j1(_gcd_step_matrix(v[0], v[2]))
+        self.apply(J1(_gcd_step_matrix(v[0], v[2])))
         v = self.row
         if v[2] != 0 or v[0] <= 0:
             raise ShapeAssertionFailed("j1 gcd step did not clear v3 to a positive v1")
@@ -297,17 +289,17 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
     v = red.row
     if (v[1], v[3]) != (0, 0):
         if g > 1 and v[1] != 0:  # (b)
-            red.apply_named("Mt2", 1)
+            red.apply(Named("Mt2", 1))
             g = red.gcd_clear_v3()
         if g > 1:  # (c)
-            red.apply_named("Mt3", -1)
+            red.apply(Named("Mt3", -1))
             g = red.gcd_clear_v3()
         if g != 1:
             raise LongFirstRow(f"gcd stalled at {g}; first row was not short")
         v = red.row
-        red.apply_named("Mt2", -v[3])  # (d)
+        red.apply(Named("Mt2", -v[3]))  # (d)
         v = red.row
-        red.apply_named("Mt3", -v[1])
+        red.apply(Named("Mt3", -v[1]))
         red.gcd_clear_v3()
     if red.row != (1, 0, 0, 0):
         raise ShapeAssertionFailed("first row did not reduce to (1,0,0,0)")
@@ -375,7 +367,7 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
     block = _extract_block(red)
     shape = None
     if member(block, GroupLabel.GAMMA1_OF_P, p):
-        work.apply_j2_inverse(block)
+        work.apply(J2(block.inv()))
         shape = _cleared_shape(work.cur, p)
     if shape is None:
         raise ShapeAssertionFailed(
@@ -383,8 +375,8 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
         )
 
     m, n = shape
-    work.apply_named("Mt4", -n)
-    work.apply_named("Mt1", -m)
+    work.apply(Named("Mt4", -n))
+    work.apply(Named("Mt1", -m))
 
     residue = work.cur
     x = int(residue[2][0])

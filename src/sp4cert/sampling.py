@@ -11,7 +11,7 @@ so input coverage is a test-quality concern, not a soundness one.  What
 *is* guaranteed: the sampler revalidates its output against the group
 predicate and refuses to return anything that fails it.
 
-Alphabets:
+Alphabets, one row per entry of the dispatch table ``_SAMPLERS``:
 
 =================  ======================================================
 gamma_1p           M1..M4, j1(random SL2 word), j2(random gamma1_of_p)
@@ -22,6 +22,11 @@ sl2z               T and U with exponents in [-3, 3]
 gamma1_of_p        ((1,p),(0,1)), ((1,0),(p,1)) and SL2-conjugates
 gamma1prime_p2     ((1,p),(0,1)) and ((1,0),(p^3,1))
 =================  ======================================================
+
+The gamma_1p and sp_lambda_z samples are drawn as a
+:class:`~sp4cert.decompose.GeneratorWord` and the sl2z samples as an
+:class:`~sp4cert.sl2.Sl2Word`, and multiplied out by that word's own
+``replay``, the same product the decomposition oracle uses.
 """
 
 from __future__ import annotations
@@ -29,18 +34,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .decompose import J1, J2, GeneratorWord, Letter, Named
 from .errors import InternalPredicateFailure, UnknownName
-from .generators import generator
-from .groups import (
-    GroupLabel,
-    j1_embed,
-    j2_embed,
-    member,
-    r_conjugate,
-    require_odd_prime,
-)
+from .groups import GroupLabel, member, r_conjugate, require_odd_prime
 from .matrices import Mat2, Mat4
-from .sl2 import T, U
+from .sl2 import Sl2Word
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,9 @@ def _nonzero_exp(rng: random.Random, bound: int = 3) -> int:
 
 
 def _sample_sl2(rng: random.Random, length: int) -> Mat2:
-    acc = Mat2.identity()
-    for _ in range(length):
-        acc = acc * (T if rng.random() < 0.5 else U) ** _nonzero_exp(rng)
-    return acc
+    return Sl2Word(
+        tuple(("T" if rng.random() < 0.5 else "U", _nonzero_exp(rng)) for _ in range(length))
+    ).replay()
 
 
 def _sample_gamma1_of_p(rng: random.Random, p: int, length: int) -> Mat2:
@@ -91,32 +88,23 @@ def _sample_gamma1prime_p2(rng: random.Random, p: int, length: int) -> Mat2:
     return acc
 
 
-def _sample_gamma_1p(rng: random.Random, p: int, length: int) -> Mat4:
-    acc = Mat4.identity()
+def _sample_word(rng: random.Random, p: int, length: int, tilde: bool) -> Mat4:
+    """Replay of a random word over M1..M4, j1 of SL(2,Z) words and j2 of
+    gamma1_of_p words; with ``tilde``, over Mt1..Mt4, j1 and tilde j2 of
+    SL(2,Z) words."""
+    prefix = "Mt" if tilde else "M"
+    letters: list[Letter] = []
     for _ in range(length):
         pick = rng.randrange(6)
         if pick < 4:
-            acc = acc * generator(f"M{pick + 1}", p) ** _nonzero_exp(rng, 2)
+            letters.append(Named(f"{prefix}{pick + 1}", _nonzero_exp(rng, 2)))
         elif pick == 4:
-            acc = acc * j1_embed(_sample_sl2(rng, rng.randint(1, 3)))
+            letters.append(J1(_sample_sl2(rng, rng.randint(1, 3))))
+        elif tilde:
+            letters.append(J2(_sample_sl2(rng, rng.randint(1, 2))))
         else:
-            acc = acc * j2_embed(
-                _sample_gamma1_of_p(rng, p, rng.randint(1, 2)), p
-            )
-    return acc
-
-
-def _sample_sp_lambda(rng: random.Random, p: int, length: int) -> Mat4:
-    acc = Mat4.identity()
-    for _ in range(length):
-        pick = rng.randrange(6)
-        if pick < 4:
-            acc = acc * generator(f"Mt{pick + 1}", p) ** _nonzero_exp(rng, 2)
-        elif pick == 4:
-            acc = acc * j1_embed(_sample_sl2(rng, rng.randint(1, 3)))
-        else:
-            acc = acc * j2_embed(_sample_sl2(rng, rng.randint(1, 2)), p, tilde=True)
-    return acc
+            letters.append(J2(_sample_gamma1_of_p(rng, p, rng.randint(1, 2))))
+    return GeneratorWord(p, tilde, tuple(letters)).replay()
 
 
 def _sym2(rng: random.Random, scale: int) -> tuple[int, int, int]:
@@ -160,32 +148,31 @@ def _sample_gamma_p2(rng: random.Random, p: int, length: int) -> Mat4:
     return acc
 
 
+# one sampler per label, (rng, p, word_length) -> matrix, in the order
+# of the module table
+_SAMPLERS = {
+    GroupLabel.GAMMA_1P: lambda rng, p, n: _sample_word(rng, p, n, tilde=False),
+    GroupLabel.GAMMA_TILDE_1P: lambda rng, p, n: r_conjugate(
+        _sample_word(rng, p, n, tilde=False), p
+    ),
+    GroupLabel.GAMMA_P2: _sample_gamma_p2,
+    GroupLabel.SP_LAMBDA_Z: lambda rng, p, n: _sample_word(rng, p, n, tilde=True),
+    GroupLabel.SL2Z: lambda rng, p, n: _sample_sl2(rng, n),
+    GroupLabel.GAMMA1_OF_P: _sample_gamma1_of_p,
+    GroupLabel.GAMMA1PRIME_P2: _sample_gamma1prime_p2,
+}
+
+
 def sample(spec: SampleSpec) -> Mat2 | Mat4:
     """Deterministic member of the requested group; identical specs
     yield identical matrices.  The result is revalidated before return;
     a predicate failure is a sampler bug and raises."""
     label = GroupLabel(spec.group)
     p = require_odd_prime(spec.p)
-    rng = random.Random(spec.seed)
-    n = spec.word_length
-
-    if label is GroupLabel.SL2Z:
-        result: Mat2 | Mat4 = _sample_sl2(rng, n)
-    elif label is GroupLabel.GAMMA1_OF_P:
-        result = _sample_gamma1_of_p(rng, p, n)
-    elif label is GroupLabel.GAMMA1PRIME_P2:
-        result = _sample_gamma1prime_p2(rng, p, n)
-    elif label is GroupLabel.GAMMA_1P:
-        result = _sample_gamma_1p(rng, p, n)
-    elif label is GroupLabel.GAMMA_TILDE_1P:
-        result = r_conjugate(_sample_gamma_1p(rng, p, n), p)
-    elif label is GroupLabel.SP_LAMBDA_Z:
-        result = _sample_sp_lambda(rng, p, n)
-    elif label is GroupLabel.GAMMA_P2:
-        result = _sample_gamma_p2(rng, p, n)
-    else:
+    sampler = _SAMPLERS.get(label)
+    if sampler is None:
         raise UnknownName(f"no sampler for {label.value}")
-
+    result = sampler(random.Random(spec.seed), p, spec.word_length)
     if not member(result, label, p):
         raise InternalPredicateFailure(
             f"sampler output fails its own predicate: {spec.describe()}"

@@ -67,8 +67,8 @@ def _check_unit(name: str, value: float) -> float:
 
 
 def _check_scale(c: float) -> float:
-    if not c > 0.0:
-        raise DomainError(f"c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"c must be positive and finite, got {c}")
     return c
 
 
@@ -151,7 +151,7 @@ def section4_check(c: float, samples: int = 1000, tol: float = 1e-10) -> Section
     _check_scale(c)
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise DomainError(f"tol must be nonnegative, got {tol}")
 
     radius = math.exp(-TWO_PI * c)

@@ -26,8 +26,10 @@ exactly):
   3. lam prime to p, p | alf:  multiplying on the left by
      ((1,p),(0,1)), itself in gamma1prime_p2, lands in case 2.
 
-  The case chain is at most (3) -> (2) -> (1), so the recursion depth
-  never exceeds 3.  All step payloads are revalidated by predicate.
+  The cases run as one straight chain: case 3 when it applies, then
+  case 2 whenever lam is prime to p (left multiplication by the shear
+  keeps lam mod p), then case 1.  The gamma1prime_p2 payload of case 1
+  is rechecked by predicate, and the step list is replayed at return.
 """
 
 from __future__ import annotations
@@ -230,47 +232,33 @@ def gamma1p_generate(q: Mat2, p: int) -> Gamma1pSteps:
     if not member(q, GroupLabel.GAMMA1_OF_P, p):
         raise NotInGroup(f"not in gamma1_of_p at p={p}: {q.rows}")
 
-    pmat = Mat2.of(1, 0, p, 1)
-    steps: list[Step] = []
+    # each case maps m one case down and puts the step undoing it in
+    # front, so replay runs case 1's steps first
+    m = q
+    undo: list[Step] = []
     cases: list[int] = []
-
-    def case1(m: Mat2) -> None:
-        lam = (m[0][0] - 1) // p
-        bet = m[1][0] // p
-        assert lam % p == 0
-        prime = pmat ** (-bet) * m
-        if not prime.is_identity():
-            assert member(prime, GroupLabel.GAMMA1PRIME_P2, p), prime.rows
-            steps.append(MultiplyLeftPrime(prime))
-        if bet != 0:
-            steps.append(MultiplyLeftP(bet))
-        cases.append(1)
-
-    def case2(m: Mat2) -> None:
-        lam = (m[0][0] - 1) // p
-        alf = m[0][1] // p
-        assert lam % p != 0 and alf % p != 0
-        # smallest nonnegative k with lam = k*alf mod p
-        k = (lam * pow(alf, -1, p)) % p
-        conj = Mat2.of(1, 0, k, 1)
-        case1(conj * m * conj.inv())
-        steps.append(ConjugateBy(conj.inv()))
-        cases.append(2)
-
     lam = (q[0][0] - 1) // p
-    alf = q[0][1] // p
-    if lam % p == 0:
-        case1(q)
-    elif alf % p != 0:
-        case2(q)
-    else:
+    if lam % p != 0 and (q[0][1] // p) % p == 0:  # case 3
         shear = Mat2.of(1, p, 0, 1)  # in gamma1prime_p2, as is its inverse
-        assert member(shear.inv(), GroupLabel.GAMMA1PRIME_P2, p)
-        case2(shear * q)
-        steps.append(MultiplyLeftPrime(shear.inv()))
-        cases.append(3)
+        m = shear * m
+        undo.insert(0, MultiplyLeftPrime(shear.inv()))
+        cases.insert(0, 3)
+    if lam % p != 0:  # case 2
+        # smallest nonnegative k with lam = k*alf mod p, alf = m[0][1] / p
+        k = (lam * pow(m[0][1] // p, -1, p)) % p
+        conj = Mat2.of(1, 0, k, 1)
+        m = conj * m * conj.inv()
+        undo.insert(0, ConjugateBy(conj.inv()))
+        cases.insert(0, 2)
+    bet = m[1][0] // p  # case 1
+    prime = Mat2.of(1, 0, p, 1) ** (-bet) * m
+    if not member(prime, GroupLabel.GAMMA1PRIME_P2, p):
+        raise ShapeAssertionFailed(f"P^-bet q is not in gamma1prime_p2: {prime.rows}")
+    steps: list[Step] = [] if prime.is_identity() else [MultiplyLeftPrime(prime)]
+    if bet != 0:
+        steps.append(MultiplyLeftP(bet))
 
-    result = Gamma1pSteps(p=p, target=q, steps=tuple(steps), cases_applied=tuple(cases))
+    result = Gamma1pSteps(p=p, target=q, steps=(*steps, *undo), cases_applied=(1, *cases))
     if result.replay() != q:
         raise ShapeAssertionFailed(f"gamma1_of_p steps do not replay to {q.rows}")
     return result

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import random
 
-from sp4cert.certificates import CONJ, SEED_M0, SEED_P2, Certificate, CertNode, evaluate
+from sp4cert.certificates import CONJ, MUL, SEED_M0, SEED_P2, Certificate, CertNode, evaluate
 from sp4cert.generators import generator
-from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm
+from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed
 from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
 
@@ -153,3 +153,11 @@ def random_tamper(cert: Certificate, rng: random.Random) -> Certificate:
             cert.p, tuple(nodes[:i] + [new] + nodes[i + 1:]), cert.root, cert.target
         )
     raise AssertionError("no tamperable node found")
+
+
+def hostile_chain(muls: int = 22) -> Certificate:
+    """A gamma_p2 seed at p = 3 followed by ``muls`` self-mul nodes; each
+    squaring doubles the bits, so a full replay of 22 takes about a minute."""
+    seed = j1_embed(Mat2.of(1, 9, 0, 1)) * j1_embed(Mat2.of(1, 0, 9, 1))
+    nodes = (CertNode(SEED_P2, (), seed),) + tuple(CertNode(MUL, (i, i)) for i in range(muls))
+    return Certificate(3, nodes, muls, Mat4.identity())

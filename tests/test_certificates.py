@@ -3,13 +3,14 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
 import sp4cert
 
-from support import random_tamper
+from support import hostile_chain, random_tamper
 
 from sp4cert.certificates import (
     CONJ,
@@ -139,6 +140,27 @@ def test_failed_check_replays_nothing(monkeypatch, op):
     kind = "seed" if op == SEED_P2 else "conjugator"
     assert report.failure_locus == f"{kind} node {i}"
     assert not report.checks[-1].ok and report.checks[-1].node == i
+
+
+def test_hostile_mul_chain_is_refused_quickly():
+    start = time.perf_counter()
+    report = cert_verify(hostile_chain())
+    assert time.perf_counter() - start < 0.1
+    last = report.checks[-1]
+    assert not report.passed and (last.kind, last.ok) == ("resource", False)
+    # the literal widest entry is 82 (7 bits), so the budget is 4 * 7 + 64
+    assert last.detail == "value wider than the 92-bit budget"
+    assert report.failure_locus == f"resource node {last.node}"
+
+
+def test_hostile_conj_chain_is_refused():
+    p = 3
+    g = j1_embed(Mat2.of(82, 9, 9, 1))
+    nodes = (CertNode(SEED_M0),) + tuple(CertNode(CONJ, (i,), g) for i in range(30))
+    report = cert_verify(Certificate(p, nodes, 30, generator("M0", p)))
+    last = report.checks[-1]
+    assert (last.kind, last.ok) == ("resource", False)
+    assert nodes[last.node].op == CONJ and not report.passed
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

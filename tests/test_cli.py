@@ -1,15 +1,19 @@
 import json
+import sys
+import time
 
 import pytest
+
+from support import hostile_chain
 
 from sp4cert import cli
 from sp4cert.certificates import normal_closure_witness, serialize
 from sp4cert.cli import main
-from sp4cert.decompose import GeneratorWord
+from sp4cert.decompose import GeneratorWord, Named
 from sp4cert.errors import BadPrime
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel
-from sp4cert.matrices import Mat4, mat4_to_lists
+from sp4cert.matrices import mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -179,7 +183,11 @@ def test_strong_pseudoprimes_rejected_up_front(m0_file, capsys, p):
 
 
 def test_fuzz_decompose_reports_a_replay_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(GeneratorWord, "replay", lambda self: Mat4.identity())
+    # the sampler replays words too, so the fault goes into the word itself
+    def wrong_word(k, p):
+        return GeneratorWord(p, True, (Named("Mt1", 1),))
+
+    monkeypatch.setattr(sys.modules["sp4cert.decompose"], "_decompose_tilde", wrong_word)
     assert main(["fuzz", "--p", "3", "--n", "2", "--seed", "11", "--suite", "decompose"]) == 1
     spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 11, 5)
     out = capsys.readouterr().out
@@ -245,3 +253,38 @@ def test_hostile_input_exits_two(tmp_path, capsys, m0_cert_text, command, hostil
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_refuses_the_hostile_chain(tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_text(serialize(hostile_chain()))
+    start = time.perf_counter()
+    code = main(["verify", "--cert", str(path)])
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert "  FAIL resource node 4: value wider than the 92-bit budget" in out.splitlines()
+    assert out.splitlines()[-1] == "FAIL (resource node 4)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "section4 --samples 1",
+        "section4 --c -1",
+        "section4 --c nan",
+        "section4 --c inf",
+        "section4 --tol -1",
+        "section4 --tol nan",
+        "fuzz --p 3 --suite identities --n -5",
+        "fuzz --p 3 --suite identities --n 0",
+    ],
+)
+def test_usage_errors_exit_two(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse refuses the value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert any(line.startswith("error: ") or ": error: " in line for line in err.splitlines())

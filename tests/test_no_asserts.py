@@ -24,14 +24,6 @@ ALLOWED = {
     ): "pins the residual of the wrong L1 exponent; the recorded identity is the reported check",
     ("sl2.py", "sl2_decompose", "x in (1, -1) and cur[1][1] == x"):
         "Euclid ends on a diagonal +-1; the explicit replay check at return catches any slip",
-    ("sl2.py", "case1", "lam % p == 0"):
-        "case guard set by the dispatcher; gamma1p_generate checks replay explicitly at return",
-    ("sl2.py", "case1", "member(prime, GroupLabel.GAMMA1PRIME_P2, p)"):
-        "payload recheck; gamma1p_generate checks replay explicitly at return",
-    ("sl2.py", "case2", "lam % p != 0 and alf % p != 0"):
-        "case guard set by the dispatcher; gamma1p_generate checks replay explicitly at return",
-    ("sl2.py", "gamma1p_generate", "member(shear.inv(), GroupLabel.GAMMA1PRIME_P2, p)"):
-        "the shear is a constant of the case split; replay is checked explicitly at return",
 }
 
 

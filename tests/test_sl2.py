@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sp4cert.errors import NotInGroup, NotUnimodular
+from sp4cert import sl2
+from sp4cert.errors import NotInGroup, NotUnimodular, ShapeAssertionFailed
 from sp4cert.groups import GroupLabel, member
 from sp4cert.matrices import Mat2
 from sp4cert.sampling import SampleSpec, sample
@@ -161,3 +163,34 @@ def test_gamma1p_sampler_pattern_stability():
     for i in range(100):
         q = sample(SampleSpec(GroupLabel.GAMMA1_OF_P, p, rng.randrange(10**6), 6))
         assert member(q, GroupLabel.GAMMA1_OF_P, p)
+
+
+# sha256 of repr((steps, cases_applied)) for gamma1_of_p samples over seeds
+# 0..59 with word length seed % 9, recorded before the case chain was
+# written straight-line
+STEP_DIGESTS = {
+    3: "87767111874d04660ec56ce61f93c4e36975e555abe8df4659ac422523e63d9f",
+    5: "1e062537170a8b3768276c433f045f37f63f4f3fcb72fa74cf06175668d8f9e2",
+    7: "c68ce3ec59cf1011e5bd606a0308c242bb103e13686b5119a62475879fe6a2f4",
+}
+
+
+@pytest.mark.parametrize("p", sorted(STEP_DIGESTS))
+def test_gamma1p_steps_are_pinned(p):
+    h = hashlib.sha256()
+    cases = set()
+    for seed in range(60):
+        result = gamma1p_generate(sample(SampleSpec(GroupLabel.GAMMA1_OF_P, p, seed, seed % 9)), p)
+        cases.add(result.cases_applied)
+        h.update(repr((result.steps, result.cases_applied)).encode())
+    assert cases == {(1,), (1, 2), (1, 2, 3)}
+    assert h.hexdigest() == STEP_DIGESTS[p]
+
+
+def test_gamma1p_case_one_payload_is_checked_explicitly(monkeypatch):
+    def no_prime_members(m, label, p):
+        return label is not GroupLabel.GAMMA1PRIME_P2 and member(m, label, p)
+
+    monkeypatch.setattr(sl2, "member", no_prime_members)
+    with pytest.raises(ShapeAssertionFailed, match="gamma1prime_p2"):
+        gamma1p_generate(Mat2.of(6, 25, 5, 21), 5)
