@@ -49,13 +49,12 @@ print(f"\nserialised certificate: {len(text)} bytes")
 from sp4cert.certificates import SEED_P2, Certificate, CertNode
 from sp4cert.matrices import Mat4
 
-unit_12 = Mat4.from_rows(
-    [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-)
 nodes = list(cert.nodes)
 for i, node in enumerate(nodes):
     if node.op == SEED_P2:
-        nodes[i] = CertNode(SEED_P2, (), node.value + unit_12)
+        rows = [list(row) for row in node.value.rows]
+        rows[0][1] += 1  # entry (1,2)
+        nodes[i] = CertNode(SEED_P2, (), Mat4.from_rows(rows))
         break
 tampered = Certificate(cert.p, tuple(nodes), cert.root, cert.target)
 print("\ntampered seed detected:", not cert_verify(tampered).passed)

@@ -157,15 +157,6 @@ def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
     return g * values[node.args[0]] * g.inv()
 
 
-def evaluate(cert: Certificate) -> list[Mat4]:
-    """The value of every node, in order; no side condition is checked."""
-    m0 = generator("M0", cert.p)
-    values: list[Mat4] = []
-    for node in cert.nodes:
-        values.append(_node_value(node, values, m0))
-    return values
-
-
 # replay refuses a mul or conj value with an entry wider than
 # _BUDGET_SCALE * L + _BUDGET_SLACK bits, L the widest numerator or
 # denominator among the certificate's literals (seeds, conjugators and

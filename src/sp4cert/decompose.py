@@ -11,12 +11,20 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
-Every letter is the identity plus at most four entries, so each step,
-in the reduction and in replay alike, multiplies by a letter through
-column operations (:func:`_times_letter`): column j of ``acc * s`` sums
-only the columns of ``acc`` picked by the nonzero ``s[k][j]``.  The
-reducer and replay share one map from a letter to its matrix,
-:meth:`GeneratorWord.letter_matrix`.
+Every letter is an integer matrix in tilde coordinates, read off one
+table (:func:`_letter_rows`): a named power is the identity plus e
+times the entries of its tilde twin in ``generators._ENTRIES``
+(M_i -> Mt_i), a j1 letter writes its payload into coordinates (1,3)
+and a j2 letter writes it into (2,4).  A plain letter is the
+R-conjugate of those rows, so a plain word is replayed in tilde
+coordinates and conjugated back once at the end, which keeps a plain
+j2 payload with p not dividing c exact.  Replay multiplies the integer
+rows from the identity; the reducer applies the same rows to its
+``Fraction`` working matrix.  Either way a letter is the identity plus
+at most four entries, so each step goes by column operations
+(:func:`_times_letter`): column j of ``acc * s`` sums only the columns
+of ``acc`` picked by the nonzero ``s[k][j]``.
+:meth:`GeneratorWord.letter_matrix` is the ``Mat4`` view of one letter.
 
 The pipeline works by right multiplication throughout:
 
@@ -62,17 +70,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import (
     LongFirstRow,
     NotInGroup,
+    NotUnimodular,
     ParseError,
     ShapeAssertionFailed,
+    UnknownName,
 )
-from .generators import generator
-from .groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate
+from .generators import _ENTRIES
+from .groups import GroupLabel, member, r_conjugate, require_odd_prime
 from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
@@ -93,28 +102,67 @@ class J2:
 
 
 Letter = Union[Named, J1, J2]
+Rows = tuple[tuple, ...]
+
+_IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+# the named letters of each alphabet (keyed by ``tilde``), each mapped to
+# the tilde twin whose entries give its rows
+_TWINS = {
+    True: {f"Mt{i}": f"Mt{i}" for i in range(1, 5)},
+    False: {f"M{i}": f"Mt{i}" for i in range(1, 5)},
+}
+
+
+def _letter_rows(letter: Letter, p: int, tilde: bool) -> Rows:
+    """A letter's integer rows in tilde coordinates.
+
+    A named power ``e`` is ``1 + e N``, N the entries of the tilde twin
+    (exact since N N = 0); j1 and j2 payloads go into coordinates (1,3)
+    and (2,4).  A name outside the ``tilde`` alphabet raises
+    :class:`UnknownName`, a payload of determinant other than 1
+    :class:`NotUnimodular`."""
+    if isinstance(letter, Named):
+        twin = _TWINS[tilde].get(letter.name)
+        if twin is None:
+            coords = "tilde" if tilde else "untilded"
+            raise UnknownName(f"no {coords} letter named {letter.name!r}")
+        rows = [list(r) for r in _IDENTITY_ROWS]
+        for (i, j), x in _ENTRIES[twin](p).items():
+            rows[i - 1][j - 1] += letter.exp * x
+        return tuple(map(tuple, rows))
+    (a, b), (c, d) = letter.payload.rows
+    if a * d - b * c != 1:
+        raise NotUnimodular("j1 and j2 payloads must have determinant 1")
+    if isinstance(letter, J1):
+        return ((a, 0, b, 0), (0, 1, 0, 0), (c, 0, d, 0), (0, 0, 0, 1))
+    return ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d))
 
 
 @dataclass(frozen=True)
 class GeneratorWord:
-    """Word over the generating set; replay multiplies left to right."""
+    """Word over the generating set; replay multiplies left to right.
+
+    Named letters are M1..M4 in plain coordinates and Mt1..Mt4 in tilde
+    coordinates."""
 
     p: int
     tilde: bool
     letters: tuple[Letter, ...]
 
     def letter_matrix(self, letter: Letter) -> Mat4:
-        if isinstance(letter, Named):
-            return generator(letter.name, self.p) ** letter.exp
-        if isinstance(letter, J1):
-            return j1_embed(letter.payload)
-        return j2_embed(letter.payload, self.p, tilde=self.tilde)
+        """The letter's matrix in the word's coordinates."""
+        return GeneratorWord(self.p, self.tilde, (letter,)).replay()
 
     def replay(self) -> Mat4:
-        acc = Mat4.identity()
+        """The product of the letters, multiplied on integer rows from
+        the identity; :class:`BadPrime` for a bad p, whatever the letters."""
+        require_odd_prime(self.p)
+        acc = _IDENTITY_ROWS
         for letter in self.letters:
-            acc = _times_letter(acc, self.letter_matrix(letter))
-        return acc
+            acc = _times_letter(acc, _letter_rows(letter, self.p, self.tilde))
+        m = Mat4.from_rows(acc)
+        return m if self.tilde else r_conjugate(m, self.p, inverse=True)
 
     def to_json_obj(self) -> dict:
         letters = []
@@ -145,13 +193,19 @@ class GeneratorWord:
             raise ParseError(f"bad coords {coords!r}")
         if not isinstance(raw, list):
             raise ParseError("letters must be a list")
+        names = _TWINS[coords == "tilde"]
         letters: list[Letter] = []
         for idx, item in enumerate(raw):
             if not isinstance(item, dict):
                 raise ParseError(f"letter {idx} malformed")
             if "gen" in item:
+                gen = item["gen"]
+                if not isinstance(gen, str) or gen not in names:
+                    raise ParseError(
+                        f"letter {idx}: gen must be one of {', '.join(names)} in {coords} coords"
+                    )
                 exp = json_int(item.get("exp"), f"letter {idx} exponent")
-                letters.append(Named(str(item["gen"]), exp))
+                letters.append(Named(gen, exp))
             elif "j1" in item:
                 letters.append(J1(mat2_from_lists(item["j1"])))
             elif "j2" in item:
@@ -161,36 +215,36 @@ class GeneratorWord:
         return GeneratorWord(p=p, tilde=coords == "tilde", letters=tuple(letters))
 
 
-_ZERO = Fraction(0)
-
-
-def _times_letter(acc: Mat4, s: Mat4) -> Mat4:
-    """``acc * s`` by column operations.
+def _times_letter(acc: Rows, s: Rows) -> Rows:
+    """The rows of ``acc * s``, by column operations.
 
     Column j of the product sums ``acc[i][k] * s[k][j]`` over the
     nonzero ``s[k][j]`` only, taking ``acc[i][k]`` itself when the
-    factor is 1.  Exact for any ``s``; a letter matrix costs a handful
-    of operations per row instead of a full 4x4 product.
+    factor is 1.  Exact for any ``s``; a letter costs a handful of
+    operations per row instead of a full 4x4 product.  Entries keep the
+    type of ``acc``'s: integer rows in replay, ``Fraction`` rows in the
+    reducer.
 
     ``Mat4.__mul__`` could skip zeros the same way for every product.
     Once the benchmark's ``witness`` memory reading stops growing with
     the number of rounds a faster run completes (see ROADMAP.md), fold
     this into ``Mat4.__mul__`` and delete it."""
     columns = [
-        tuple((k, None if x == 1 else x) for k, row in enumerate(s.rows) if (x := row[j]))
+        tuple((k, None if x == 1 else x) for k, row in enumerate(s) if (x := row[j]))
         for j in range(4)
     ]
     out = []
-    for row in acc.rows:
+    for row in acc:
         new = []
         for terms in columns:
             total = None
             for k, x in terms:
                 term = row[k] if x is None else row[k] * x
                 total = term if total is None else total + term
-            new.append(_ZERO if total is None else total)
+            # a zero column of s gives the zero of acc's entry type
+            new.append(row[0] * 0 if total is None else total)
         out.append(tuple(new))
-    return Mat4(tuple(out))
+    return tuple(out)
 
 
 def _invert_letter(letter: Letter) -> Letter:
@@ -247,7 +301,7 @@ class _Reducer:
 
     def __init__(self, k: Mat4, p: int):
         self.cur = k
-        self.alphabet = GeneratorWord(p=p, tilde=True, letters=())
+        self.p = p
         self.letters: list[Letter] = []
 
     @property
@@ -255,10 +309,11 @@ class _Reducer:
         return tuple(int(x) for x in self.cur[0])
 
     def apply(self, letter: Letter) -> None:
-        """Right-multiply by a tilde letter and log it; identities are skipped."""
+        """Right-multiply by a tilde letter's integer rows and log it;
+        identities are skipped."""
         if _is_identity(letter):
             return
-        self.cur = _times_letter(self.cur, self.alphabet.letter_matrix(letter))
+        self.cur = Mat4(_times_letter(self.cur.rows, _letter_rows(letter, self.p, True)))
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
@@ -379,12 +434,12 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
     work.apply(Named("Mt1", -m))
 
     residue = work.cur
-    x = int(residue[2][0])
-    if residue != j1_embed(Mat2.of(1, 0, x, 1)):
+    shear = J1(Mat2.of(1, 0, int(residue[2][0]), 1))
+    if residue.rows != _letter_rows(shear, p, True):
         raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.rows}")
 
     letters: list[Letter] = []
-    if x != 0:
-        letters.append(J1(Mat2.of(1, 0, x, 1)))
+    if not _is_identity(shear):
+        letters.append(shear)
     letters.extend(_invert_letter(letter) for letter in reversed(work.letters))
     return GeneratorWord(p=p, tilde=True, letters=_simplify_letters(letters))

@@ -26,7 +26,9 @@ R     diag(1,1,1,p)
 Rows M0..L5 are kept as data in ``_ENTRIES``, the identity plus the
 listed entries, and built by writing those entries in; no matrix
 product is formed.  That is exact: in each row, the product of two
-listed units E(i,j) E(k,l) is zero because j != k.
+listed units E(i,j) E(k,l) is zero because j != k.  The Mt rows are
+also the letter table of ``decompose``, which writes a power e of M_i
+or Mt_i as the identity plus e times the Mt_i entries.
 
 A widely reproduced variant of M1 has row 4 equal to (1,0,0,0); that
 matrix is singular (rows 1 and 4 coincide), and conjugation by R then

@@ -179,14 +179,6 @@ class Mat4:
             out.append(tuple(row))
         return Mat4(tuple(out))
 
-    def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4(
-            tuple(
-                tuple(x + y for x, y in zip(r, s))
-                for r, s in zip(self.rows, other.rows)
-            )
-        )
-
     def __sub__(self, other: "Mat4") -> "Mat4":
         return Mat4(
             tuple(
@@ -200,25 +192,6 @@ class Mat4:
 
     def transpose(self) -> "Mat4":
         return Mat4(tuple(tuple(self.rows[j][i] for j in range(4)) for i in range(4)))
-
-    def det(self) -> Fraction:
-        # cofactor expansion along the first row; exact at any magnitude
-        def det3(m):
-            return (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-
-        total = Fraction(0)
-        sign = 1
-        for j in range(4):
-            minor = [
-                [self.rows[i][k] for k in range(4) if k != j] for i in range(1, 4)
-            ]
-            total += sign * self.rows[0][j] * det3(minor)
-            sign = -sign
-        return total
 
     def inv(self) -> "Mat4":
         """Exact inverse via Gauss-Jordan elimination over the rationals."""

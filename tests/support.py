@@ -1,13 +1,24 @@
-"""Shared helpers for the test suite: deterministic corpora and the
-certificate tamper engine used by the mutation-soundness checks."""
+"""Shared helpers for the test suite: deterministic corpora, reference
+forms of the program's arithmetic, and the certificate tamper engine
+used by the mutation-soundness checks."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from sp4cert.certificates import CONJ, MUL, SEED_M0, SEED_P2, Certificate, CertNode, evaluate
+from sp4cert.certificates import (
+    CONJ,
+    MUL,
+    SEED_M0,
+    SEED_P2,
+    Certificate,
+    CertNode,
+    _node_value,
+)
+from sp4cert.decompose import J1, GeneratorWord, Named
 from sp4cert.generators import generator
-from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed
+from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed
 from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
 
@@ -19,6 +30,57 @@ def corpus(group: GroupLabel, p: int, count: int, seed: int, max_len: int = 20):
         spec = SampleSpec(group=group, p=p, seed=seed + i, word_length=i % (max_len + 1))
         out.append(sample(spec))
     return out
+
+
+def mat4_add(a: Mat4, b: Mat4) -> Mat4:
+    """Entrywise sum."""
+    return Mat4(tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)))
+
+
+def mat4_det(m: Mat4) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+
+    def det3(n):
+        return (
+            n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
+            - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
+            + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
+        )
+
+    total = Fraction(0)
+    for j in range(4):
+        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
+        total += (-1) ** j * m[0][j] * det3(minor)
+    return total
+
+
+def evaluate(cert: Certificate) -> list[Mat4]:
+    """The value of every node, in order; no side condition is checked."""
+    m0 = generator("M0", cert.p)
+    values: list[Mat4] = []
+    for node in cert.nodes:
+        values.append(_node_value(node, values, m0))
+    return values
+
+
+def fraction_entries(m) -> bool:
+    """True iff ``m`` is a ``Mat4`` whose entries are all ``Fraction``."""
+    return isinstance(m, Mat4) and all(type(x) is Fraction for row in m.rows for x in row)
+
+
+def reference_replay(word: GeneratorWord) -> Mat4:
+    """A word's replay as first written: the ``Fraction`` product of
+    ``generator(name) ** e``, ``j1_embed`` and ``j2_embed`` in the word's
+    own coordinates."""
+    acc = Mat4.identity()
+    for letter in word.letters:
+        if isinstance(letter, Named):
+            acc = acc * generator(letter.name, word.p) ** letter.exp
+        elif isinstance(letter, J1):
+            acc = acc * j1_embed(letter.payload)
+        else:
+            acc = acc * j2_embed(letter.payload, word.p, tilde=word.tilde)
+    return acc
 
 
 def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
@@ -129,7 +191,7 @@ def random_tamper(cert: Certificate, rng: random.Random) -> Certificate:
         if node.op == SEED_M0:
             new = CertNode(SEED_P2, (), generator("M0", cert.p))
         elif node.op == SEED_P2:
-            new = CertNode(SEED_P2, (), node.value + _E12)
+            new = CertNode(SEED_P2, (), mat4_add(node.value, _E12))
         elif node.op == CONJ:
             new = CertNode(CONJ, node.args, node.value * _DET2)
         else:

@@ -10,7 +10,7 @@ import pytest
 
 import sp4cert
 
-from support import hostile_chain, random_tamper
+from support import evaluate, hostile_chain, random_tamper
 
 from sp4cert.certificates import (
     CONJ,
@@ -25,7 +25,6 @@ from sp4cert.certificates import (
     cert_verify,
     certificate_from_json_obj,
     certificate_to_json_obj,
-    evaluate,
     expand_j1,
     expand_j2,
     normal_closure_witness,

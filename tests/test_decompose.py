@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,16 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
+from support import fraction_entries, reference_replay
+
 from sp4cert.decompose import (
     GeneratorWord,
     J1,
     J2,
     Named,
+    _letter_rows,
     _times_letter,
     decompose,
     reduce_first_row,
 )
-from sp4cert.errors import NotInGroup, ParseError
+from sp4cert.errors import BadPrime, NotInGroup, NotUnimodular, ParseError, UnknownName
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, j2_embed, member, r_conjugate
 from sp4cert.matrices import Mat2, Mat4
@@ -174,7 +176,10 @@ def test_intermediates_stay_in_group():
 
 DIFF = settings(max_examples=80, deadline=None)
 RATIONAL = st.fractions(-50, 50, max_denominator=12)
-NAMES = ("M1", "M2", "M3", "M4", "Mt1", "Mt2", "Mt3", "Mt4")
+ALPHABET = {False: ("M1", "M2", "M3", "M4"), True: ("Mt1", "Mt2", "Mt3", "Mt4")}
+EXPONENTS = st.one_of(
+    st.sampled_from((0, 1, -1, 10**6, -(10**6))), st.integers(-(10**6), 10**6)
+)
 
 
 @st.composite
@@ -195,33 +200,91 @@ def sl2_payload(draw):
 
 
 @st.composite
-def letter_matrices(draw):
-    """Every kind of letter at p in {3, 5, 7}, built by ``letter_matrix``:
-    named powers, j1 payloads, and tilde and plain j2 payloads (a plain
-    payload puts c/p in its (4,2) slot)."""
-    p = draw(st.sampled_from((3, 5, 7)))
-    word = GeneratorWord(p=p, tilde=draw(st.booleans()), letters=())
+def letters(draw, tilde):
+    """A letter of the ``tilde`` or plain alphabet: a named power, a j1
+    payload, or a j2 payload (plain j2 payloads with p not dividing c
+    included; those put c/p in the (4,2) slot)."""
     kind = draw(st.sampled_from(("named", "j1", "j2")))
     if kind == "named":
-        exp = draw(st.sampled_from((0, 1, -1, 10**6, -(10**6))))
-        return word.letter_matrix(Named(draw(st.sampled_from(NAMES)), exp))
-    if kind == "j1":
-        return word.letter_matrix(J1(draw(sl2_payload())))
-    return word.letter_matrix(J2(draw(sl2_payload())))
+        return Named(draw(st.sampled_from(ALPHABET[tilde])), draw(EXPONENTS))
+    return (J1 if kind == "j1" else J2)(draw(sl2_payload()))
+
+
+@st.composite
+def words(draw, min_len=0, max_len=6):
+    """A word at p in {3, 5, 7, 11} in either coordinates, over its own alphabet."""
+    tilde = draw(st.booleans())
+    return GeneratorWord(
+        p=draw(st.sampled_from((3, 5, 7, 11))),
+        tilde=tilde,
+        letters=tuple(draw(st.lists(letters(tilde), min_size=min_len, max_size=max_len))),
+    )
 
 
 @DIFF
-@given(dense(), letter_matrices())
-def test_letter_product_matches_full_product(acc, letter):
-    assert _times_letter(acc, letter) == acc * letter
+@given(dense(), words(min_len=1, max_len=1))
+def test_letter_product_matches_full_product(acc, word):
+    for letter in word.letters:
+        rows = _letter_rows(letter, word.p, word.tilde)
+        assert Mat4(_times_letter(acc.rows, rows)) == acc * Mat4.from_rows(rows)
 
 
 @DIFF
 @given(dense(), dense(st.one_of(st.just(0), st.just(1), RATIONAL)))
 def test_letter_product_matches_full_product_for_any_matrix(acc, s):
-    out = _times_letter(acc, s)
+    out = Mat4(_times_letter(acc.rows, s.rows))
     assert out == acc * s
-    assert all(type(x) is Fraction for row in out.rows for x in row)
+    assert fraction_entries(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words())
+def test_integer_replay_matches_the_fraction_product(word):
+    replayed = word.replay()
+    assert replayed == reference_replay(word)
+    assert fraction_entries(replayed)
+    for letter in word.letters:
+        single = GeneratorWord(word.p, word.tilde, (letter,))
+        matrix = word.letter_matrix(letter)
+        assert matrix == reference_replay(single)
+        assert fraction_entries(matrix)
+
+
+# --- a word's letters come from its own alphabet ---------------------------
+
+FOREIGN = {False: ("Mt1", "Mt4", "M0", "L3", "P", "R", "J", "Lambda", "M5"),
+           True: ("M1", "M4", "M0", "L3", "P", "R", "J", "Lambda", "Mt0")}
+
+
+@pytest.mark.parametrize("tilde", [False, True])
+def test_foreign_names_are_refused(tilde):
+    coords = "tilde" if tilde else "untilded"
+    for name in FOREIGN[tilde] + (7, None, ["M1"]):
+        obj = {"p": 3, "coords": coords, "letters": [{"gen": name, "exp": 1}]}
+        with pytest.raises(ParseError, match="letter 0"):
+            GeneratorWord.from_json_obj(obj)
+    for name in FOREIGN[tilde]:
+        word = GeneratorWord(3, tilde, (Named(name, 1),))
+        with pytest.raises(UnknownName):
+            word.replay()
+        with pytest.raises(UnknownName):
+            word.letter_matrix(Named(name, 1))
+    for name in ALPHABET[tilde]:
+        obj = {"p": 3, "coords": coords, "letters": [{"gen": name, "exp": 2}]}
+        assert GeneratorWord.from_json_obj(obj).replay() == generator(name, 3) ** 2
+
+
+def test_bad_prime_and_bad_payload_raise_at_replay():
+    shear = J1(Mat2.of(1, 0, 4, 1))
+    for p in (9, 2, 1):
+        with pytest.raises(BadPrime):
+            GeneratorWord(p, True, (shear,)).replay()  # a j1-only word too
+        with pytest.raises(BadPrime):
+            GeneratorWord(p, False, ()).replay()
+    for kind in (J1, J2):
+        for tilde in (False, True):
+            with pytest.raises(NotUnimodular):
+                GeneratorWord(3, tilde, (kind(Mat2.of(2, 0, 0, 1)),)).replay()
 
 
 # --- serialisation ---------------------------------------------------------

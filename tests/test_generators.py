@@ -1,7 +1,9 @@
 import pytest
 
+from support import mat4_det
+
 from sp4cert.errors import BadPrime, UnknownName
-from sp4cert.generators import GENERATOR_NAMES, generator, verify_identities
+from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, generator, verify_identities
 from sp4cert.groups import GroupLabel, member, r_conjugate
 from sp4cert.matrices import Mat2, Mat4
 
@@ -63,6 +65,18 @@ def test_unipotent_generators_are_pinned(p):
         assert generator(name, p) == Mat4.from_rows(rows), name
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_entry_table_squares_to_zero(p):
+    # a letter's power is read off the table as 1 + e N, exact only if N N = 0
+    zero = Mat4.from_rows([[0] * 4] * 4)
+    for name, entries in _ENTRIES.items():
+        n = Mat4.from_rows(
+            [[entries(p).get((i, j), 0) for j in range(1, 5)] for i in range(1, 5)]
+        )
+        assert n * n == zero, name
+        assert generator(name, p) - Mat4.identity() == n, name
+
+
 def test_m1_has_unit_corner():
     # row 4 must be (1,0,0,1); with (4,4) = 0 the matrix is singular and
     # R-conjugation cannot reach Mt1, whose row 4 is (p,0,0,1)
@@ -71,7 +85,7 @@ def test_m1_has_unit_corner():
         assert m1 == Mat4.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
         )
-        assert m1.det() == 1
+        assert mat4_det(m1) == 1
         assert r_conjugate(m1, p) == generator("Mt1", p)
 
 

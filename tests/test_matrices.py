@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import reference_power
+from support import evaluate, fraction_entries, mat4_det, reference_power
 
+from sp4cert.certificates import expand_j1, expand_j2, normal_closure_witness
+from sp4cert.decompose import decompose, reduce_first_row
 from sp4cert.errors import BothZero, NotUnimodular, ParseError, SingularMatrix
 from sp4cert.generators import GENERATOR_NAMES, generator
-from sp4cert.groups import GroupLabel, j1_embed
+from sp4cert.groups import GroupLabel, j1_embed, j2_embed, r_conjugate
 from sp4cert.matrices import (
     Mat2,
     Mat4,
@@ -75,7 +77,7 @@ def test_duplicated_row_matrix_is_singular():
     bad = Mat4.from_rows(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 0]]
     )
-    assert bad.det() == 0
+    assert mat4_det(bad) == 0
     with pytest.raises(SingularMatrix):
         bad.inv()
 
@@ -87,7 +89,7 @@ def test_inverse_exact_on_group_samples():
         assert m.inv() * m == I4
     # determinant -1 case
     flip = Mat4.diagonal(1, 1, 1, -1)
-    assert flip.det() == -1
+    assert mat4_det(flip) == -1
     assert flip * flip.inv() == I4
 
 
@@ -95,7 +97,7 @@ def test_det_multiplicative_seeded():
     rng = random.Random(77)
     for _ in range(30):
         a, b = rand_int_mat(rng, 5), rand_int_mat(rng, 5)
-        assert (a * b).det() == a.det() * b.det()
+        assert mat4_det(a * b) == mat4_det(a) * mat4_det(b)
 
 
 def test_rational_entries_stay_reduced():
@@ -416,3 +418,31 @@ def test_integer_strings_at_chunk_boundaries(digits):
     text = scalar_to_str(n)
     assert len(text) == digits
     assert _horner(text) == n
+
+
+def test_every_returned_mat4_has_fraction_entries():
+    # Mat4 promises Fraction entries whatever built it: integer letter
+    # rows, the parser, the samplers, the certificate builders
+    p = 5
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 71, 9))
+    kt = r_conjugate(k, p)
+    word, tilde_word = decompose(k, p, tilde=False), decompose(kt, p)
+    a = Mat2.of(2, 1, 1, 1)
+    returned = [
+        I4, Mat4.diagonal(1, 2, 3, 4), Mat4.from_rows([[7] * 4] * 4),
+        k * k, k.inv(), k ** 3, k ** -2, -k, k.transpose(), k - I4,
+        mat4_from_lists(mat4_to_lists(k)), j1_embed(a), j2_embed(a, p),
+        j2_embed(a, p, tilde=True), kt, r_conjugate(kt, p, inverse=True),
+        word.replay(), tilde_word.replay(), reduce_first_row(kt, p)[1],
+        *(generator(name, p) for name in GENERATOR_NAMES if name != "P"),
+        *(w.letter_matrix(x) for w in (word, tilde_word) for x in w.letters),
+        *(sample(SampleSpec(g, p, 72, 8)) for g in (
+            GroupLabel.GAMMA_1P, GroupLabel.GAMMA_TILDE_1P, GroupLabel.GAMMA_P2,
+            GroupLabel.SP_LAMBDA_Z,
+        )),
+        *evaluate(expand_j1(a, p)),
+        *evaluate(expand_j2(Mat2.of(1 + p, p, -p, 1 - p), p)),
+        *evaluate(normal_closure_witness(k, p)),
+    ]
+    for m in returned:
+        assert fraction_entries(m), m
