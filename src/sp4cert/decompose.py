@@ -20,11 +20,16 @@ R-conjugate of those rows, so a plain word is replayed in tilde
 coordinates and conjugated back once at the end, which keeps a plain
 j2 payload with p not dividing c exact.  Replay multiplies the integer
 rows from the identity; the reducer applies the same rows to its
-``Fraction`` working matrix.  Either way a letter is the identity plus
-at most four entries, so each step goes by column operations
+integer working rows.  Either way a letter is the identity plus at
+most four entries, so each step goes by column operations
 (:func:`_times_letter`): column j of ``acc * s`` sums only the columns
 of ``acc`` picked by the nonzero ``s[k][j]``.
 :meth:`GeneratorWord.letter_matrix` is the ``Mat4`` view of one letter.
+
+:func:`decompose` reads a member's integer rows, R-conjugates a plain
+input on them and checks its replayed rows against them, in the input's
+coordinates; :func:`reduce_first_row` and :meth:`GeneratorWord.replay`
+are the ``Mat4`` views of that row code.
 
 The pipeline works by right multiplication throughout:
 
@@ -81,7 +86,7 @@ from .errors import (
     UnknownName,
 )
 from .generators import _ENTRIES
-from .groups import GroupLabel, member, r_conjugate, require_odd_prime
+from .groups import GroupLabel, _r_conjugate_rows, member, require_odd_prime
 from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
@@ -155,14 +160,18 @@ class GeneratorWord:
         return GeneratorWord(self.p, self.tilde, (letter,)).replay()
 
     def replay(self) -> Mat4:
-        """The product of the letters, multiplied on integer rows from
-        the identity; :class:`BadPrime` for a bad p, whatever the letters."""
+        """The product of the letters; BadPrime for a bad p, whatever the letters."""
+        return Mat4.from_rows(self._replay_rows())
+
+    def _replay_rows(self) -> Rows:
+        """The rows of :meth:`replay`, multiplied on integer rows from
+        the identity; a ``Fraction`` enters only where a plain word's
+        conjugation back by R leaves one."""
         require_odd_prime(self.p)
         acc = _IDENTITY_ROWS
         for letter in self.letters:
             acc = _times_letter(acc, _letter_rows(letter, self.p, self.tilde))
-        m = Mat4.from_rows(acc)
-        return m if self.tilde else r_conjugate(m, self.p, inverse=True)
+        return acc if self.tilde else _r_conjugate_rows(acc, self.p, inverse=True)
 
     def to_json_obj(self) -> dict:
         letters = []
@@ -222,8 +231,7 @@ def _times_letter(acc: Rows, s: Rows) -> Rows:
     nonzero ``s[k][j]`` only, taking ``acc[i][k]`` itself when the
     factor is 1.  Exact for any ``s``; a letter costs a handful of
     operations per row instead of a full 4x4 product.  Entries keep the
-    type of ``acc``'s: integer rows in replay, ``Fraction`` rows in the
-    reducer.
+    type of ``acc``'s: integer rows in replay and in the reducer.
 
     ``Mat4.__mul__`` could skip zeros the same way for every product.
     Once the benchmark's ``witness`` memory reading stops growing with
@@ -297,32 +305,36 @@ def _gcd_step_matrix(v1: int, v3: int) -> Mat2:
 
 
 class _Reducer:
-    """Accumulates right multipliers applied to a working matrix."""
+    """Accumulates right multipliers applied to integer working rows."""
 
-    def __init__(self, k: Mat4, p: int):
-        self.cur = k
+    def __init__(self, rows: Rows, p: int):
+        self.cur = rows
         self.p = p
         self.letters: list[Letter] = []
-
-    @property
-    def row(self) -> tuple[int, int, int, int]:
-        return tuple(int(x) for x in self.cur[0])
 
     def apply(self, letter: Letter) -> None:
         """Right-multiply by a tilde letter's integer rows and log it;
         identities are skipped."""
         if _is_identity(letter):
             return
-        self.cur = Mat4(_times_letter(self.cur.rows, _letter_rows(letter, self.p, True)))
+        self.cur = _times_letter(self.cur, _letter_rows(letter, self.p, True))
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
-        v = self.row
+        v = self.cur[0]
         self.apply(J1(_gcd_step_matrix(v[0], v[2])))
-        v = self.row
+        v = self.cur[0]
         if v[2] != 0 or v[0] <= 0:
             raise ShapeAssertionFailed("j1 gcd step did not clear v3 to a positive v1")
         return v[0]
+
+
+def _member_rows(k: Mat4, label: GroupLabel, p: int) -> Rows:
+    """k's entries as integer rows; :class:`NotInGroup` unless k lies in
+    the labelled group, whose members are integral."""
+    if not member(k, label, p):
+        raise NotInGroup(f"not in {label.value} at p={p}")
+    return tuple(tuple(x.numerator for x in row) for row in k.rows)
 
 
 def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
@@ -332,16 +344,21 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
     only Mt1..Mt4 and j1 letters, together with the reduced matrix:
     ``k * word.replay() == reduced``.
     """
-    if not member(k, GroupLabel.GAMMA_TILDE_1P, p):
-        raise NotInGroup(f"not in gamma_tilde_1p at p={p}")
-    v = tuple(int(x) for x in k[0])
+    red = _reduce_rows(_member_rows(k, GroupLabel.GAMMA_TILDE_1P, p), p)
+    return GeneratorWord(p=p, tilde=True, letters=tuple(red.letters)), Mat4.from_rows(red.cur)
+
+
+def _reduce_rows(rows: Rows, p: int) -> _Reducer:
+    """First-row reduction of a gamma_tilde_1p member's integer rows (the
+    caller tests membership); the reducer holds the multipliers and rows."""
+    v = rows[0]
     if math.gcd(v[0], p * v[1], v[2], p * v[3]) != 1:
         # impossible for genuine members; loud signal of a predicate bug
         raise LongFirstRow(f"first row {v} is long at p={p}")
 
-    red = _Reducer(k, p)
+    red = _Reducer(rows, p)
     g = red.gcd_clear_v3()  # (a)
-    v = red.row
+    v = red.cur[0]
     if (v[1], v[3]) != (0, 0):
         if g > 1 and v[1] != 0:  # (b)
             red.apply(Named("Mt2", 1))
@@ -351,38 +368,22 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
             g = red.gcd_clear_v3()
         if g != 1:
             raise LongFirstRow(f"gcd stalled at {g}; first row was not short")
-        v = red.row
+        v = red.cur[0]
         red.apply(Named("Mt2", -v[3]))  # (d)
-        v = red.row
+        v = red.cur[0]
         red.apply(Named("Mt3", -v[1]))
         red.gcd_clear_v3()
-    if red.row != (1, 0, 0, 0):
+    if red.cur[0] != (1, 0, 0, 0):
         raise ShapeAssertionFailed("first row did not reduce to (1,0,0,0)")
-    word = GeneratorWord(p=p, tilde=True, letters=tuple(red.letters))
-    return word, red.cur
+    return red
 
 
-def _extract_block(red: Mat4) -> Mat2:
-    return Mat2.of(
-        int(red[1][1]), int(red[1][3]), int(red[3][1]), int(red[3][3])
-    )
-
-
-def _cleared_shape(k: Mat4, p: int) -> tuple[int, int] | None:
-    """If k matches ((1,0,0,0),(-n p,1,0,0),(*,m,1,n),(m p,0,0,1)),
+def _cleared_shape(rows: Rows, p: int) -> tuple[int, int] | None:
+    """If the rows are ((1,0,0,0),(-n p,1,0,0),(*,m,1,n),(m p,0,0,1)),
     return (m, n); otherwise None."""
-    rows = k.rows
-    if not k.is_integral():
-        return None
-    m, n = int(rows[2][1]), int(rows[2][3])
-    expect = (
-        (1, 0, 0, 0),
-        (-n * p, 1, 0, 0),
-        (int(rows[2][0]), m, 1, n),
-        (m * p, 0, 0, 1),
-    )
-    actual = tuple(tuple(int(x) for x in r) for r in rows)
-    return (m, n) if actual == expect else None
+    m, n = rows[2][1], rows[2][3]
+    expect = ((1, 0, 0, 0), (-n * p, 1, 0, 0), (rows[2][0], m, 1, n), (m * p, 0, 0, 1))
+    return (m, n) if rows == expect else None
 
 
 def decompose(k: Mat4, p: int, tilde: bool = True) -> GeneratorWord:
@@ -392,51 +393,47 @@ def decompose(k: Mat4, p: int, tilde: bool = True) -> GeneratorWord:
     coordinates, decomposed there, and the letters mapped back
     (Mt_i -> M_i with the same j1/j2 payloads, which is exactly
     letterwise R-conjugation).  So the plain word replays to k exactly
-    when the tilde word replays to R k R^-1, and only the returned word
-    is replayed.
+    when the tilde word replays to R k R^-1.  The returned word's
+    replayed rows are compared with k's own.
     """
     if tilde:
-        word = _decompose_tilde(k, p)
+        rows = tilde_rows = _member_rows(k, GroupLabel.GAMMA_TILDE_1P, p)
     else:
-        if not member(k, GroupLabel.GAMMA_1P, p):
-            raise NotInGroup(f"not in gamma_1p at p={p}")
-        word_t = _decompose_tilde(r_conjugate(k, p), p)
+        rows = _member_rows(k, GroupLabel.GAMMA_1P, p)
+        tilde_rows = _member_rows(Mat4(_r_conjugate_rows(rows, p)), GroupLabel.GAMMA_TILDE_1P, p)
+    word = _decompose_tilde(tilde_rows, p)
+    if not tilde:
         letters = tuple(
-            Named("M" + letter.name[2:], letter.exp)
-            if isinstance(letter, Named)
-            else letter
-            for letter in word_t.letters
+            Named("M" + letter.name[2:], letter.exp) if isinstance(letter, Named) else letter
+            for letter in word.letters
         )
         word = GeneratorWord(p=p, tilde=False, letters=letters)
-    if word.replay() != k:
+    if word._replay_rows() != rows:
         raise ShapeAssertionFailed(f"word does not replay to its input at p={p}")
     return word
 
 
-def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
-    """Tilde-coordinate word for a gamma_tilde_1p member k, not replayed."""
-    mult_word, red = reduce_first_row(k, p)
-    work = _Reducer(red, p)
-    work.letters = list(mult_word.letters)
-
-    block = _extract_block(red)
+def _decompose_tilde(rows: Rows, p: int) -> GeneratorWord:
+    """Tilde-coordinate word for a gamma_tilde_1p member's integer rows,
+    not replayed."""
+    work = _reduce_rows(rows, p)
+    red = work.cur
+    block = Mat2.of(red[1][1], red[1][3], red[3][1], red[3][3])
     shape = None
     if member(block, GroupLabel.GAMMA1_OF_P, p):
         work.apply(J2(block.inv()))
         shape = _cleared_shape(work.cur, p)
     if shape is None:
-        raise ShapeAssertionFailed(
-            f"the j2 block does not clear rows 2 and 4 of {red.rows}"
-        )
+        raise ShapeAssertionFailed(f"the j2 block does not clear rows 2 and 4 of {red}")
 
     m, n = shape
     work.apply(Named("Mt4", -n))
     work.apply(Named("Mt1", -m))
 
     residue = work.cur
-    shear = J1(Mat2.of(1, 0, int(residue[2][0]), 1))
-    if residue.rows != _letter_rows(shear, p, True):
-        raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.rows}")
+    shear = J1(Mat2.of(1, 0, residue[2][0], 1))
+    if residue != _letter_rows(shear, p, True):
+        raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue}")
 
     letters: list[Letter] = []
     if not _is_identity(shear):

@@ -43,8 +43,9 @@ power of L1: the exact computation gives
     L5^-1 M2^-1 L5 M2      =  M4 L1^-1,
 
 so multiplying by L1 (not L1^-1) on the right yields M4; the -1
-variant leaves the product at M4 L1^-2.  The check records that
-residual so the exponent convention stays machine-verified.
+variant leaves the product at M4 L1^-2.  That residual and L4 = j2(P)
+are checked, not reported: either failure raises
+:class:`ShapeAssertionFailed`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import UnknownName
+from .errors import ShapeAssertionFailed, UnknownName
 from .groups import SymplecticForm, j1_embed, j2_embed, require_odd_prime
 from .matrices import Mat2, Mat4, ext_gcd
 
@@ -179,20 +180,22 @@ def verify_identities(p: int) -> IdentityReport:
         l4,
         note=f"lam={lam} mu={mu} from ext_gcd(-2, {p * p})",
     )
-    assert l4 == j2_embed(Mat2.of(1, 0, p, 1), p)
+    if l4 != j2_embed(Mat2.of(1, 0, p, 1), p):
+        raise ShapeAssertionFailed(f"L4 is not j2(P) at p={p}")
 
     # m3: l4 times an m1-conjugate of m0 times m0^-1 inverts to m3
     record("m3-from-l4-chain", (l4 * m1 * m0 * m1.inv() * m0.inv()).inv(), m3)
 
     # m4: l5/m2 commutator; needs the +1 power of l1 (the -1 power
-    # leaves m4 * l1^-2, recorded below so the convention stays checked)
+    # leaves m4 * l1^-2, which is checked below)
     record(
         "m4-from-l5-commutator",
         l5.inv() * m2.inv() * l5 * m2 * l1,
         m4,
         note="uses l1^+1; the l1^-1 variant equals m4*l1^-2",
     )
-    assert l5.inv() * m2.inv() * l5 * m2 * l1.inv() == m4 * l1 ** -2
+    if l5.inv() * m2.inv() * l5 * m2 * l1.inv() != m4 * l1 ** -2:
+        raise ShapeAssertionFailed(f"the l1^-1 variant is not m4*l1^-2 at p={p}")
 
     # m1: chain through m3, l5, l4, l2
     record(

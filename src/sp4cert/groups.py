@@ -298,20 +298,21 @@ def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
 def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
     """Return ``R m R^{-1}`` (or ``R^{-1} m R`` when ``inverse``)."""
     require_odd_prime(p)
-    # conjugation by diag(1,1,1,p) scales row 4 by p and column 4 by 1/p
-    s = Fraction(p) if not inverse else Fraction(1, p)
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            x = m[i][j]
-            if i == 3:
-                x = x * s
-            if j == 3:
-                x = x / s
-            row.append(x)
-        rows.append(tuple(row))
-    return Mat4(tuple(rows))
+    return Mat4.from_rows(_r_conjugate_rows(m.rows, p, inverse))
+
+
+def _r_conjugate_rows(rows: tuple[tuple, ...], p: int, inverse: bool = False) -> tuple[tuple, ...]:
+    """The rows of :func:`r_conjugate`, p unchecked: row 4 times p and
+    column 4 over p (the other way round when ``inverse``), entry (4,4)
+    fixed.  Entries keep their type: an integer over p stays an integer
+    when p divides it, and only otherwise becomes a ``Fraction``."""
+
+    def over(x):
+        return x // p if type(x) is int and not x % p else Fraction(x, p)
+
+    up, down = (over, lambda x: x * p) if inverse else (lambda x: x * p, over)
+    *top, (a, b, c, d) = rows
+    return (*((x, y, z, down(w)) for x, y, z, w in top), (up(a), up(b), up(c), d))
 
 
 def vector_class(v: tuple[int, int, int, int], p: int) -> VectorClass:

@@ -220,9 +220,6 @@ class Mat4:
     def is_identity(self) -> bool:
         return self.rows == _IDENTITY4.rows
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
-
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
 

@@ -63,6 +63,11 @@ def evaluate(cert: Certificate) -> list[Mat4]:
     return values
 
 
+def is_integral(m: Mat4) -> bool:
+    """True iff every entry of ``m`` is an integer."""
+    return all(x.denominator == 1 for row in m.rows for x in row)
+
+
 def fraction_entries(m) -> bool:
     """True iff ``m`` is a ``Mat4`` whose entries are all ``Fraction``."""
     return isinstance(m, Mat4) and all(type(x) is Fraction for row in m.rows for x in row)
@@ -81,6 +86,25 @@ def reference_replay(word: GeneratorWord) -> Mat4:
         else:
             acc = acc * j2_embed(letter.payload, word.p, tilde=word.tilde)
     return acc
+
+
+def reference_r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
+    """``R m R^-1`` (``R^-1 m R`` when ``inverse``) as first written: every
+    entry as a ``Fraction``, row 4 times s and column 4 over s, with
+    s = p (1/p when ``inverse``)."""
+    s = Fraction(p) if not inverse else Fraction(1, p)
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            x = m[i][j]
+            if i == 3:
+                x = x * s
+            if j == 3:
+                x = x / s
+            row.append(x)
+        rows.append(tuple(row))
+    return Mat4(tuple(rows))
 
 
 def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
@@ -134,9 +158,9 @@ def reference_member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     j = SymplecticForm.standard()
     lam = SymplecticForm.polarised(p)
     if label is GroupLabel.SP4Z_J:
-        return m.is_integral() and reference_symplectic_check(m, j)
+        return is_integral(m) and reference_symplectic_check(m, j)
     if label is GroupLabel.SP_LAMBDA_Z:
-        return m.is_integral() and reference_symplectic_check(m, lam)
+        return is_integral(m) and reference_symplectic_check(m, lam)
     if label is GroupLabel.GAMMA0_1P:
         if not reference_symplectic_check(m, j):
             return False
@@ -152,7 +176,7 @@ def reference_member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
                 elif x.denominator != 1:
                     return False
         return True
-    if not m.is_integral():
+    if not is_integral(m):
         return False
     if label is GroupLabel.GAMMA_TILDE_1P:
         if not reference_symplectic_check(m, lam):

@@ -1,8 +1,10 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,16 @@ from sp4cert.decompose import (
 )
 from sp4cert.errors import BadPrime, NotInGroup, NotUnimodular, ParseError, UnknownName
 from sp4cert.generators import generator
-from sp4cert.groups import GroupLabel, j2_embed, member, r_conjugate
+from sp4cert.groups import (
+    GroupLabel,
+    SymplecticForm,
+    _congruent,
+    _pattern,
+    j2_embed,
+    member,
+    r_conjugate,
+    symplectic_check,
+)
 from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
 
@@ -119,6 +130,69 @@ def test_decompose_rejects_non_members():
         decompose(generator("Mt2", 3), 3, tilde=False)
     with pytest.raises(NotInGroup):
         decompose(generator("M2", 3), 3, tilde=True)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_plain_decompose_rejects_each_kind_of_non_member(p):
+    off_form = Mat4.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert _congruent(off_form, _pattern(GroupLabel.GAMMA_1P, p)[0])
+    assert not symplectic_check(off_form, SymplecticForm.standard())
+    slot = j2_embed(Mat2.of(1, 0, 1, 1), p)
+    assert member(slot, GroupLabel.GAMMA0_1P, p) and slot[3][1] == Fraction(1, p)
+    tilde_member = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, p, 11, 8))
+    assert not member(tilde_member, GroupLabel.GAMMA_1P, p)
+    cases = (
+        Mat4.from_rows([[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        off_form,  # integral, on the congruence pattern, not symplectic
+        slot,
+        tilde_member,
+    )
+    for k in cases:
+        with pytest.raises(NotInGroup) as exc:
+            decompose(k, p, tilde=False)
+        assert str(exc.value) == f"not in gamma_1p at p={p}"
+
+
+def test_plain_decompose_tests_the_input_and_its_conjugate(monkeypatch):
+    dec = importlib.import_module("sp4cert.decompose")
+    seen = []
+
+    def spy(m, label, p):
+        seen.append((GroupLabel(label), m))
+        return member(m, label, p)
+
+    monkeypatch.setattr(dec, "member", spy)
+    p = 5
+    for i in range(6):
+        k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 8100 + i, 4 + i))
+        conjugate = r_conjugate(k, p)
+        seen.clear()
+        dec.decompose(k, p, tilde=False)
+        assert seen[:2] == [(GroupLabel.GAMMA_1P, k), (GroupLabel.GAMMA_TILDE_1P, conjugate)]
+        seen.clear()
+        dec.decompose(conjugate, p, tilde=True)
+        assert seen[0] == (GroupLabel.GAMMA_TILDE_1P, conjugate)
+        assert GroupLabel.GAMMA_1P not in [label for label, _ in seen]
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_decompose_does_no_fraction_arithmetic(monkeypatch, p):
+    # members are integral: past the parse, the whole path runs on integer rows
+    plain = [sample(SampleSpec(GroupLabel.GAMMA_1P, p, 9000 + i, i % 21)) for i in range(21)]
+    tilde = tilde_corpus(p, 21, 9500)
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, lambda *a, name=name: pytest.fail(f"Fraction.{name}"))
+    plain_words = [decompose(k, p, tilde=False) for k in plain]
+    tilde_words = [decompose(k, p, tilde=True) for k in tilde]
+    monkeypatch.undo()
+    assert [w.replay() for w in plain_words] == plain
+    assert [w.replay() for w in tilde_words] == tilde
 
 
 def test_decompose_replay_on_corpus():

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import sp4cert
 from support import mat4_det
 
 from sp4cert.errors import BadPrime, UnknownName
@@ -153,6 +160,43 @@ def test_identities_pass(p):
 def test_identity_report_lines_end_with_verdict():
     lines = verify_identities(3).lines()
     assert lines[-1] == "PASS"
+
+
+def test_table_checks_survive_python_optimise_flag():
+    # L4 = j2(P) and the wrong-L1-exponent residual are checked, not
+    # reported; breaking L4, then L1, must raise under -O too
+    script = textwrap.dedent("""
+        import importlib
+
+        from sp4cert.errors import ShapeAssertionFailed
+
+        assert False, "python -O was expected to strip this"
+        gens = importlib.import_module("sp4cert.generators")
+        for name, entries in (("L4", {(4, 2): 2}), ("L1", {(2, 4): 18})):
+            saved = gens._ENTRIES[name]
+            gens._ENTRIES[name] = lambda p, entries=entries: entries
+            gens._build_generator.cache_clear()
+            try:
+                gens.verify_identities(3)
+            except ShapeAssertionFailed as exc:
+                print(f"rejected {name}: {exc}")
+            gens._ENTRIES[name] = saved
+            gens._build_generator.cache_clear()
+        """)
+    src = str(Path(sp4cert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected L4: L4 is not j2(P) at p=3",
+        "rejected L1: the l1^-1 variant is not m4*l1^-2 at p=3",
+    ]
 
 
 def test_commutator_intermediate_block():

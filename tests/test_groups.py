@@ -11,6 +11,7 @@ from sp4cert.generators import generator
 from sp4cert.groups import (
     TWO_BY_TWO_LABELS,
     GroupLabel,
+    _r_conjugate_rows,
     SymplecticForm,
     VectorClass,
     is_prime,
@@ -27,7 +28,13 @@ from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import T, U
 
-from support import mat4_det, reference_member, reference_symplectic_check
+from support import (
+    fraction_entries,
+    mat4_det,
+    reference_member,
+    reference_r_conjugate,
+    reference_symplectic_check,
+)
 
 I4 = Mat4.identity()
 J = SymplecticForm.standard()
@@ -442,6 +449,50 @@ def test_gamma0_slot_takes_exactly_the_denominators_one_and_p(p):
         verdict = member(m, GroupLabel.GAMMA0_1P, p)
         assert verdict == reference_member(m, GroupLabel.GAMMA0_1P, p)
         assert verdict == (Fraction(x).denominator in (1, p))
+
+
+# --- differential: R-conjugation vs the entrywise Fraction version ----------
+
+RATIONAL = st.fractions(-50, 50, max_denominator=12)
+
+
+def _same_conjugates(m, p):
+    for inverse in (False, True):
+        out = r_conjugate(m, p, inverse)
+        assert out == reference_r_conjugate(m, p, inverse)
+        assert fraction_entries(out)
+
+
+@DIFF
+@given(st.lists(RATIONAL, min_size=16, max_size=16), PRIMES)
+def test_r_conjugate_matches_the_fraction_version_on_rationals(entries, p):
+    _same_conjugates(Mat4.from_rows([entries[4 * i:4 * i + 4] for i in range(4)]), p)
+
+
+@DIFF
+@given(products(), st.integers(-4, 4))
+def test_r_conjugate_matches_the_fraction_version_with_a_one_over_p_slot(case, k):
+    # the pools include gamma0_1p; k/p more in its (1/p)Z slot keeps it there
+    m, p = case
+    rows = [list(r) for r in m.rows]
+    rows[3][1] += Fraction(k, p)
+    _same_conjugates(Mat4.from_rows(rows), p)
+
+
+def test_r_conjugate_rows_keep_integers_where_p_divides():
+    p = 5
+    for m in gamma1p_corpus(p, 20, 4100):
+        rows = tuple(tuple(int(x) for x in r) for r in m.rows)
+        tilde = _r_conjugate_rows(rows, p)
+        assert all(type(x) is int for r in tilde for x in r)
+        assert _r_conjugate_rows(tilde, p, inverse=True) == rows
+    # a tilde j2 image with p not dividing c: in plain coordinates one
+    # entry, c/p at (4,2), is a Fraction
+    j2_rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1))
+    plain = _r_conjugate_rows(j2_rows, p, inverse=True)
+    slots = [(i, j) for i, r in enumerate(plain) for j, x in enumerate(r) if type(x) is not int]
+    assert slots == [(3, 1)]
+    assert plain[3][1] == Fraction(1, p)
 
 
 def test_differential_cases_reach_every_verdict():

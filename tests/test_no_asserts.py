@@ -15,13 +15,6 @@ PACKAGE = Path(sp4cert.__file__).resolve().parent
 
 # (file, innermost function, assert test as ast.unparse prints it) -> reason
 ALLOWED = {
-    ("generators.py", "verify_identities", "l4 == j2_embed(Mat2.of(1, 0, p, 1), p)"):
-        "L4 = j2(P) is a fixed fact of the generator table, not a returned value",
-    (
-        "generators.py",
-        "verify_identities",
-        "l5.inv() * m2.inv() * l5 * m2 * l1.inv() == m4 * l1 ** (-2)",
-    ): "pins the residual of the wrong L1 exponent; the recorded identity is the reported check",
     ("sl2.py", "sl2_decompose", "x in (1, -1) and cur[1][1] == x"):
         "Euclid ends on a diagonal +-1; the explicit replay check at return catches any slip",
 }
