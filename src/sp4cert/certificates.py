@@ -158,26 +158,17 @@ def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
 
 
 # replay refuses a mul or conj value with an entry wider than
-# _BUDGET_SCALE * L + _BUDGET_SLACK bits, L the widest numerator or
-# denominator among the certificate's literals (seeds, conjugators and
-# target); every operand is then within budget, so each product's cost
-# is bounded by the size of the file
+# _BUDGET_SCALE * L + _BUDGET_SLACK bits, L the widest Mat4.entry_bits()
+# (reduced numerator or denominator) among the certificate's literals
+# (seeds, conjugators and target); every operand is then within budget,
+# so each product's cost is bounded by the size of the file
 _BUDGET_SCALE = 4
 _BUDGET_SLACK = 64
 
 
-def _entry_bits(m: Mat4) -> int:
-    """Bits of the widest numerator or denominator of ``m``."""
-    acc = 0
-    for row in m.rows:
-        for x in row:
-            acc |= abs(x.numerator) | x.denominator
-    return acc.bit_length()
-
-
 def _bit_budget(cert: Certificate) -> int:
     literals = [cert.target, *(node.value for node in cert.nodes if node.value is not None)]
-    return _BUDGET_SCALE * max(map(_entry_bits, literals)) + _BUDGET_SLACK
+    return _BUDGET_SCALE * max(m.entry_bits() for m in literals) + _BUDGET_SLACK
 
 
 def cert_verify(cert: Certificate) -> VerificationReport:
@@ -216,7 +207,7 @@ def cert_verify(cert: Certificate) -> VerificationReport:
     values: list[Mat4] = []
     for i, node in enumerate(cert.nodes):
         value = _node_value(node, values, m0)
-        if node.op in (MUL, CONJ) and _entry_bits(value) > budget:
+        if node.op in (MUL, CONJ) and value.entry_bits() > budget:
             detail = f"value wider than the {budget}-bit budget"
             checks.append(CheckResult("resource", i, False, detail))
             return VerificationReport(False, tuple(checks), len(cert.nodes), f"resource node {i}")

@@ -24,12 +24,13 @@ integer working rows.  Either way a letter is the identity plus at
 most four entries, so each step goes by column operations
 (:func:`_times_letter`): column j of ``acc * s`` sums only the columns
 of ``acc`` picked by the nonzero ``s[k][j]``.
-:meth:`GeneratorWord.letter_matrix` is the ``Mat4`` view of one letter.
 
-:func:`decompose` reads a member's integer rows, R-conjugates a plain
-input on them and checks its replayed rows against them, in the input's
-coordinates; :func:`reduce_first_row` and :meth:`GeneratorWord.replay`
-are the ``Mat4`` views of that row code.
+:func:`decompose` reads a member's integer rows (``k.scaled()``, whose
+d is 1 for a member), R-conjugates a plain input on them and checks its
+replayed rows against them, in the input's coordinates;
+:func:`reduce_first_row` and :meth:`GeneratorWord.replay` are the
+``Mat4`` views of that row code, and a one-letter word's ``replay()`` is
+the matrix of that letter.
 
 The pipeline works by right multiplication throughout:
 
@@ -155,17 +156,13 @@ class GeneratorWord:
     tilde: bool
     letters: tuple[Letter, ...]
 
-    def letter_matrix(self, letter: Letter) -> Mat4:
-        """The letter's matrix in the word's coordinates."""
-        return GeneratorWord(self.p, self.tilde, (letter,)).replay()
-
     def replay(self) -> Mat4:
         """The product of the letters; BadPrime for a bad p, whatever the letters."""
         return Mat4.from_rows(self._replay_rows())
 
     def _replay_rows(self) -> Rows:
         """The rows of :meth:`replay`, multiplied on integer rows from
-        the identity; a ``Fraction`` enters only where a plain word's
+        the identity; a non-integer enters only where a plain word's
         conjugation back by R leaves one."""
         require_odd_prime(self.p)
         acc = _IDENTITY_ROWS
@@ -334,7 +331,7 @@ def _member_rows(k: Mat4, label: GroupLabel, p: int) -> Rows:
     the labelled group, whose members are integral."""
     if not member(k, label, p):
         raise NotInGroup(f"not in {label.value} at p={p}")
-    return tuple(tuple(x.numerator for x in row) for row in k.rows)
+    return k.scaled()[1]
 
 
 def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:

@@ -20,18 +20,20 @@ congruence conditions relative to those forms.  Conventions:
   iff its six entries above the diagonal do, and entry (i, j) is the
   form's pairing of rows i and j: ``sum f_ab (u_a v_b - u_b v_a)`` over
   the nonzero ``f_ab`` with a < b (two terms for J and for Lambda).
-  The pairings run on the integers ``D * g``, D the lcm of g's
-  denominators (1 except in gamma0_1p), against ``D^2 * form``.
+  The pairings run on the integer rows e of ``g.scaled() = (d, e)``,
+  ``e = d * g`` for d the lcm of g's denominators, against
+  ``d^2 * form``.
   :class:`SymplecticForm` refuses a matrix that is not antisymmetric,
   so this is always the whole condition.
 
 * Every group is written down once, as data: :func:`_pattern` maps a
   label and p to ``(moduli, form)``, the table below, and
-  :func:`member` reads it on one path.  It tests the congruences first,
-  as remainders of ``g_ij - delta_ij`` (which also demands integrality),
-  and runs det 1 or the symplectic test only on matrices that pass.
-  The verdict is the same conjunction in either order; a non-member
-  usually fails on a remainder, which is cheaper than the pairings.
+  :func:`member` reads it on one path, on the same rows e.  It refuses
+  d outside {1, p}, tests each congruence as a remainder of
+  ``e_ij - d delta_ij`` modulo ``d n_ij`` (which also demands an
+  integral entry), and runs det 1 or the pairings only on matrices that
+  pass.  The verdict is the same conjunction in either order; a
+  non-member usually fails on a remainder, cheaper than the pairings.
 
 * ``p`` must be an odd prime below 3317044064679887385961981, the
   smallest strong pseudoprime to the bases 2..41 of :func:`is_prime`.
@@ -65,11 +67,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadPrime, NotUnimodular, ShapeAssertionFailed, ZeroVector
-from .matrices import Mat2, Mat4, ext_gcd
+from .matrices import Mat2, Mat4, _quotient, ext_gcd
 
 
 class GroupLabel(str, Enum):
@@ -142,20 +143,17 @@ class SymplecticForm:
     symplectic condition."""
 
     matrix: Mat4
-    # the form scaled to integers: nonzero (a, b, F_ab) above the diagonal,
-    # and F itself, with F = E * matrix for E the lcm of its denominators
+    # the nonzero (a, b, F_ab) above the diagonal of matrix.scaled()
     _terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-    _scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.matrix != -self.matrix.transpose():
+        _, scaled = self.matrix.scaled()
+        if any(scaled[a][b] != -scaled[b][a] for a in range(4) for b in range(a, 4)):
             raise ValueError("a symplectic form must be antisymmetric")
-        _, scaled = _scaled_numerators(self.matrix)
         terms = tuple(
             (a, b, scaled[a][b]) for a in range(4) for b in range(a + 1, 4) if scaled[a][b]
         )
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_scaled", scaled)
 
     @staticmethod
     def standard() -> "SymplecticForm":
@@ -175,20 +173,14 @@ class SymplecticForm:
         )
 
 
-def _scaled_numerators(m: Mat4) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(D, D*m)`` with D the lcm of m's denominators, so D*m is integral."""
-    d = math.lcm(*(x.denominator for row in m.rows for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.rows)
-
-
 def symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
     """True iff ``m`` preserves the form under the row convention.
 
-    Compares the form's pairings of the six row pairs (i < j) of the
-    integers ``D*m`` with ``D^2 f_ij``, as the module docstring explains;
-    f enters scaled to integers on both sides."""
-    d, rows = _scaled_numerators(m)
-    d2, terms, scaled = d * d, form._terms, form._scaled
+    Compares the form's pairings of the six row pairs (i < j) of
+    ``(d, rows) = m.scaled()`` with ``d^2 f_ij``, as the module
+    docstring explains; f enters scaled to integers on both sides."""
+    d, rows = m.scaled()
+    d2, terms, scaled = d * d, form._terms, form.matrix.scaled()[1]
     for i in range(3):
         u = rows[i]
         for j in range(i + 1, 4):
@@ -229,26 +221,12 @@ def _pattern(label: GroupLabel, p: int):
     }[label]
 
 
-def _congruent(m: Mat2 | Mat4, moduli) -> bool:
-    """True iff every entry is an integer with ``m_ij - delta_ij``
-    divisible by ``moduli[i][j]``; slots whose modulus is None are left
-    to the caller.  ``Mat2`` entries are ints, which have a numerator
-    and a denominator too."""
-    for i, (row, mods) in enumerate(zip(m.rows, moduli)):
-        for j, (x, n) in enumerate(zip(row, mods)):
-            if n is None:
-                continue
-            if x.denominator != 1 or (x.numerator - (i == j)) % n:
-                return False
-    return True
-
-
 def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     """Exact membership test for the labelled group at the odd prime p.
 
-    Reads the group's row of :func:`_pattern`: the congruences first,
-    then det 1 or the symplectic condition; malformed input simply
-    fails the predicate.
+    Reads the group's row of :func:`_pattern` against ``m.scaled()``:
+    d in {1, p}, the congruences, then det 1 or the symplectic
+    condition; malformed input simply fails the predicate.
     """
     label = GroupLabel(label)
     require_odd_prime(p)
@@ -256,10 +234,14 @@ def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     size = len(moduli)
     if not isinstance(m, Mat2 if size == 2 else Mat4):
         raise TypeError(f"{label.value} is a {size}x{size} predicate")
-    if label is GroupLabel.GAMMA0_1P and m[3][1].denominator not in (1, p):
-        return False  # the single (1/p)Z slot
-    if not _congruent(m, moduli):
+    d, rows = m.scaled()
+    if d != 1 and d != p:
         return False
+    # a modulus d*n refuses e_ij/d off the integers; None is the (1/p)Z slot
+    for i, (row, mods) in enumerate(zip(rows, moduli)):
+        for j, (x, n) in enumerate(zip(row, mods)):
+            if n is not None and (x - d * (i == j)) % (d * n):
+                return False
     return m.det() == 1 if form is None else symplectic_check(m, form)
 
 
@@ -277,22 +259,18 @@ def j1_embed(a: Mat2) -> Mat4:
 def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
     """Embed a 2x2 unimodular matrix along coordinates (2,4).
 
-    Plain coordinates place ``(a, p*b, c/p, d)``; tilde coordinates
-    place ``(a, b, c, d)``.  For plain coordinates the result is
-    integral only when p divides c, but non-integral images are still
-    valid elements of the rational group gamma0_1p.
+    Tilde coordinates place ``(a, b, c, d)``; plain coordinates place
+    ``(a, p*b, c/p, d)``, the R^-1-conjugate of the tilde image.  For
+    plain coordinates the result is integral only when p divides c, but
+    non-integral images are still valid elements of the rational group
+    gamma0_1p.
     """
     require_odd_prime(p)
     if q.det() != 1:
         raise NotUnimodular("j2 payload must have determinant 1")
     (a, b), (c, d) = q.rows
-    if tilde:
-        return Mat4.from_rows(
-            [[1, 0, 0, 0], [0, a, 0, b], [0, 0, 1, 0], [0, c, 0, d]]
-        )
-    return Mat4.from_rows(
-        [[1, 0, 0, 0], [0, a, 0, p * b], [0, 0, 1, 0], [0, Fraction(c, p), 0, d]]
-    )
+    rows = ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d))
+    return Mat4.from_rows(rows if tilde else _r_conjugate_rows(rows, p, inverse=True))
 
 
 def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
@@ -304,13 +282,9 @@ def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
 def _r_conjugate_rows(rows: tuple[tuple, ...], p: int, inverse: bool = False) -> tuple[tuple, ...]:
     """The rows of :func:`r_conjugate`, p unchecked: row 4 times p and
     column 4 over p (the other way round when ``inverse``), entry (4,4)
-    fixed.  Entries keep their type: an integer over p stays an integer
-    when p divides it, and only otherwise becomes a ``Fraction``."""
-
-    def over(x):
-        return x // p if type(x) is int and not x % p else Fraction(x, p)
-
-    up, down = (over, lambda x: x * p) if inverse else (lambda x: x * p, over)
+    fixed.  An integer over p stays an integer when p divides it."""
+    times, over = (lambda x: x * p), (lambda x: _quotient(x, p))
+    up, down = (over, times) if inverse else (times, over)
     *top, (a, b, c, d) = rows
     return (*((x, y, z, down(w)) for x, y, z, w in top), (up(a), up(b), up(c), d))
 

@@ -7,6 +7,9 @@ Every group element in this package lives in one of two carriers:
 * ``Mat4`` -- 4x4 matrices over exact rationals (``fractions.Fraction``,
   which keeps every entry reduced with a positive denominator).
 
+Only this module knows the entries are ``Fraction`` objects; others
+read a matrix through ``scaled()`` and :meth:`Mat4.entry_bits`.
+
 There is no floating point anywhere in this module: divisibility
 patterns such as ``p^2 | x`` or ``x in (1/p)Z`` are meaningless after
 rounding.  Both matrix types are immutable values; all operations
@@ -91,11 +94,6 @@ class Mat2:
         return Mat2(((int(a), int(b)), (int(c), int(d))))
 
     @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2.of(a, b, c, d)
-
-    @staticmethod
     def identity() -> "Mat2":
         return Mat2.of(1, 0, 0, 1)
 
@@ -115,10 +113,6 @@ class Mat2:
         (a, b), (c, d) = self.rows
         return a * d - b * c
 
-    def transpose(self) -> "Mat2":
-        (a, b), (c, d) = self.rows
-        return Mat2.of(a, c, b, d)
-
     def inv(self) -> "Mat2":
         """Exact inverse.  Only determinant +-1 has an integer inverse."""
         det = self.det()
@@ -134,6 +128,10 @@ class Mat2:
 
     def is_identity(self) -> bool:
         return self.rows == ((1, 0), (0, 1))
+
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
+        """``(1, rows)``: the entries are integers already."""
+        return 1, self.rows
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -179,20 +177,6 @@ class Mat4:
             out.append(tuple(row))
         return Mat4(tuple(out))
 
-    def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4(
-            tuple(
-                tuple(x - y for x, y in zip(r, s))
-                for r, s in zip(self.rows, other.rows)
-            )
-        )
-
-    def __neg__(self) -> "Mat4":
-        return Mat4(tuple(tuple(-x for x in r) for r in self.rows))
-
-    def transpose(self) -> "Mat4":
-        return Mat4(tuple(tuple(self.rows[j][i] for j in range(4)) for i in range(4)))
-
     def inv(self) -> "Mat4":
         """Exact inverse via Gauss-Jordan elimination over the rationals."""
         m = [list(r) for r in self.rows]
@@ -217,11 +201,33 @@ class Mat4:
     def __pow__(self, n: int) -> "Mat4":
         return _power(self, n)
 
-    def is_identity(self) -> bool:
-        return self.rows == _IDENTITY4.rows
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(d, rows)``: d > 0 the lcm of the denominators, ``rows`` the
+        integer entries of ``d * self``; worked out once per matrix."""
+        pair = getattr(self, "_scaled", None)
+        if pair is None:
+            ratios = [x.as_integer_ratio() for row in self.rows for x in row]
+            d = math.lcm(*[q for _, q in ratios])
+            e = [n * (d // q) for n, q in ratios]
+            pair = d, (tuple(e[:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:]))
+            object.__setattr__(self, "_scaled", pair)
+        return pair
+
+    def entry_bits(self) -> int:
+        """Bits of the widest reduced numerator or denominator."""
+        acc = 0
+        for row in self.rows:
+            for x in row:
+                acc |= abs(x.numerator) | x.denominator
+        return acc.bit_length()
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
+
+
+def _quotient(x, n: int):
+    """``x / n``: an ``int`` when n divides the ``int`` x, else a ``Fraction``."""
+    return x // n if type(x) is int and not x % n else Fraction(x, n)
 
 
 def _power(m, n: int):

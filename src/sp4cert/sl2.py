@@ -136,7 +136,8 @@ def sl2_decompose(a: Mat2) -> Sl2Word:
             cur = U ** (-q) * cur
             _push(letters, "U", q)
     x = cur[0][0]
-    assert x in (1, -1) and cur[1][1] == x, cur
+    if x not in (1, -1) or cur[1][1] != x:
+        raise ShapeAssertionFailed(f"Euclid did not end on a diagonal +-1: {cur.rows}")
     if x == -1:
         for name, exp in _MINUS_ONE:
             _push(letters, name, exp)

@@ -37,6 +37,15 @@ def mat4_add(a: Mat4, b: Mat4) -> Mat4:
     return Mat4(tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)))
 
 
+def mat4_sub(a: Mat4, b: Mat4) -> Mat4:
+    """Entrywise difference."""
+    return Mat4(tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)))
+
+
+def mat4_transpose(m: Mat4) -> Mat4:
+    return Mat4(tuple(zip(*m.rows)))
+
+
 def mat4_det(m: Mat4) -> Fraction:
     """Determinant by cofactor expansion along the first row."""
 
@@ -110,7 +119,7 @@ def reference_r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
 def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
     """The symplectic test as the full product ``m f m^T == f``."""
     f = form.matrix
-    return m * f * m.transpose() == f
+    return m * f * mat4_transpose(m) == f
 
 
 def reference_power(m, n: int):
@@ -186,7 +195,7 @@ def reference_member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
         return r2 == (0, 1 % p, 0, 0) and r4 == (0, 0, 0, 1 % p)
     if not reference_symplectic_check(m, j):
         return False
-    d = m - Mat4.identity()
+    d = mat4_sub(m, Mat4.identity())
     if label is GroupLabel.GAMMA_P2:
         return all(_divisible(d[r][c], p * p) for r in range(4) for c in range(4))
     moduli = ((1, 1, 1, p), (p, p, p, p * p), (1, 1, 1, p), (1, 1, 1, p))

@@ -196,6 +196,22 @@ def test_malformed_dag_rejected():
         )
 
 
+def test_builder_refuses_a_seed_outside_gamma_p2():
+    builder = CertBuilder(3)
+    with pytest.raises(NotInGroup, match="seed must lie in gamma_p2"):
+        builder.seed_p2(generator("M0", 3))
+    assert builder.nodes == []
+
+
+def test_builder_refuses_a_conjugator_outside_gamma0_1p():
+    builder = CertBuilder(3)
+    a = builder.seed_m0()
+    for g in (generator("Mt2", 3), Mat4.diagonal(2, 1, 1, 1)):
+        with pytest.raises(NotInGroup, match="conjugator must lie in gamma0_1p"):
+            builder.conj(a, g)
+    assert len(builder.nodes) == 1
+
+
 # --- build_generator_certs -------------------------------------------------
 
 

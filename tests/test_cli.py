@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import time
@@ -7,13 +8,18 @@ import pytest
 from support import hostile_chain
 
 from sp4cert import cli
-from sp4cert.certificates import normal_closure_witness, serialize
+from sp4cert.certificates import (
+    build_generator_certs,
+    certificate_to_json_obj,
+    normal_closure_witness,
+    serialize,
+)
 from sp4cert.cli import main
 from sp4cert.decompose import GeneratorWord, Named
 from sp4cert.errors import BadPrime
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel
-from sp4cert.matrices import mat4_to_lists
+from sp4cert.matrices import Mat4, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -147,6 +153,79 @@ def test_verify_unhashable_op_exits_two(tmp_path, capsys, op):
     path.write_text(json.dumps(obj))
     assert main(["verify", "--cert", str(path)]) == 2
     assert "unknown op" in capsys.readouterr().err
+
+
+def _malformed(edit):
+    """The M2 generator certificate at p = 3 (nodes seed_m0, inv,
+    seed_p2, conj, mul, inv, mul) after ``edit`` has changed its JSON."""
+    obj = certificate_to_json_obj(build_generator_certs(3)["M2"])
+    edit(obj)
+    return obj
+
+
+def _set(path, value):
+    def edit(obj):
+        holder = obj
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+    return edit
+
+
+def _swap_first_ids(obj):
+    obj["nodes"][0]["id"], obj["nodes"][1]["id"] = 1, 0
+
+
+MALFORMED = {
+    "no_nodes": (_set(["nodes"], []), "no nodes"),
+    "root_out_of_range": (_set(["root"], 7), "root 7 out of range"),
+    "value_on_mul": (_set(["nodes", 4, "value"], mat4_to_lists(Mat4.identity())),
+                     "node 4: op mul value mismatch"),
+    "no_value_on_conj": (lambda obj: obj["nodes"][3].pop("value"), "node 3: op conj value"),
+    "nodes_not_a_list": (_set(["nodes"], {"0": "seed_m0"}), "nodes must be a list"),
+    "node_not_an_object": (_set(["nodes", 1], ["inv", 0]), "node 1 malformed"),
+    "ids_out_of_order": (_swap_first_ids, "ids must be 0..n-1 in order"),
+    "args_not_a_list": (_set(["nodes", 4, "args"], 3), "args must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_refuses_a_malformed_certificate(tmp_path, capsys, case):
+    edit, message = MALFORMED[case]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_malformed(edit)))
+    code = main(["verify", "--cert", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_witness_non_member_exits_one(tmp_path, capsys):
+    path = tmp_path / "mt2.json"
+    path.write_text(json.dumps(mat4_to_lists(generator("Mt2", 3))))
+    code = main(["witness", "--p", "3", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "FAIL not in gamma_1p at p=3\n"
+
+
+@pytest.mark.parametrize("p", ["3.0", "three", "0x3", ""])
+def test_non_integer_p_exits_two(m0_file, capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--group", "gamma_1p", "--p", p, "--in", m0_file])
+    assert exc.value.code == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
+def test_decompose_through_stdin_and_stdout(member_file, tmp_path, monkeypatch, capsys):
+    path, _ = member_file
+    out = tmp_path / "word.json"
+    assert main(["decompose", "--p", "3", "--in", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(path, encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    assert main(["decompose", "--p", "3", "--in", "-", "--out", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_check_identities(capsys):

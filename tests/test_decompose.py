@@ -20,6 +20,7 @@ from sp4cert.decompose import (
     J2,
     Named,
     _letter_rows,
+    _simplify_letters,
     _times_letter,
     decompose,
     reduce_first_row,
@@ -29,7 +30,6 @@ from sp4cert.generators import generator
 from sp4cert.groups import (
     GroupLabel,
     SymplecticForm,
-    _congruent,
     _pattern,
     j2_embed,
     member,
@@ -92,7 +92,7 @@ def test_reduce_keeps_membership_at_every_step():
         word, red = reduce_first_row(k, p)
         cur = k
         for letter in word.letters:
-            cur = cur * word.letter_matrix(letter)
+            cur = cur * GeneratorWord(p, True, (letter,)).replay()
             assert member(cur, GroupLabel.GAMMA_TILDE_1P, p)
         assert cur == red
 
@@ -135,7 +135,8 @@ def test_decompose_rejects_non_members():
 @pytest.mark.parametrize("p", [3, 7])
 def test_plain_decompose_rejects_each_kind_of_non_member(p):
     off_form = Mat4.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert _congruent(off_form, _pattern(GroupLabel.GAMMA_1P, p)[0])
+    moduli = _pattern(GroupLabel.GAMMA_1P, p)[0]
+    assert all((off_form[i][j] - (i == j)) % moduli[i][j] == 0 for i in range(4) for j in range(4))
     assert not symplectic_check(off_form, SymplecticForm.standard())
     slot = j2_embed(Mat2.of(1, 0, 1, 1), p)
     assert member(slot, GroupLabel.GAMMA0_1P, p) and slot[3][1] == Fraction(1, p)
@@ -241,7 +242,7 @@ def test_intermediates_stay_in_group():
         # walking the word from the left stays inside the group
         cur = I4
         for letter in word.letters:
-            cur = cur * word.letter_matrix(letter)
+            cur = cur * GeneratorWord(p, True, (letter,)).replay()
             assert member(cur, GroupLabel.GAMMA_TILDE_1P, p)
         assert cur == k
 
@@ -319,7 +320,7 @@ def test_integer_replay_matches_the_fraction_product(word):
     assert fraction_entries(replayed)
     for letter in word.letters:
         single = GeneratorWord(word.p, word.tilde, (letter,))
-        matrix = word.letter_matrix(letter)
+        matrix = single.replay()
         assert matrix == reference_replay(single)
         assert fraction_entries(matrix)
 
@@ -341,8 +342,6 @@ def test_foreign_names_are_refused(tilde):
         word = GeneratorWord(3, tilde, (Named(name, 1),))
         with pytest.raises(UnknownName):
             word.replay()
-        with pytest.raises(UnknownName):
-            word.letter_matrix(Named(name, 1))
     for name in ALPHABET[tilde]:
         obj = {"p": 3, "coords": coords, "letters": [{"gen": name, "exp": 2}]}
         assert GeneratorWord.from_json_obj(obj).replay() == generator(name, 3) ** 2
@@ -359,6 +358,30 @@ def test_bad_prime_and_bad_payload_raise_at_replay():
         for tilde in (False, True):
             with pytest.raises(NotUnimodular):
                 GeneratorWord(3, tilde, (kind(Mat2.of(2, 0, 0, 1)),)).replay()
+
+
+# --- merging adjacent letters ----------------------------------------------
+
+SHEAR = Mat2.of(1, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "letters, merged",
+    [
+        ((Named("Mt2", 2), Named("Mt2", -2)), ()),
+        ((Named("Mt3", 1), Named("Mt3", 2)), (Named("Mt3", 3),)),
+        ((Named("Mt1", 0), J1(Mat2.identity()), J2(Mat2.identity()), Named("Mt4", 5)),
+         (Named("Mt4", 5),)),
+        ((J1(SHEAR), J1(SHEAR.inv())), ()),
+        ((Named("Mt1", 1), J1(SHEAR), J1(SHEAR.inv()), Named("Mt1", 1)), (Named("Mt1", 2),)),
+        ((J1(SHEAR), J2(SHEAR), Named("Mt1", 1), Named("Mt2", 1)),
+         (J1(SHEAR), J2(SHEAR), Named("Mt1", 1), Named("Mt2", 1))),
+    ],
+)
+def test_simplify_merges_adjacent_letters_of_one_kind(letters, merged):
+    assert _simplify_letters(letters) == merged
+    before = GeneratorWord(5, True, letters).replay()
+    assert GeneratorWord(5, True, merged).replay() == before
 
 
 # --- serialisation ---------------------------------------------------------

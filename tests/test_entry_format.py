@@ -1,0 +1,67 @@
+"""Only ``matrices`` knows how matrix entries are stored.
+
+Every other module reads a matrix through ``scaled()`` and
+``entry_bits()``, so a change of the entry format is a change to
+``matrices.py`` alone.  The guard walks each module's syntax tree:
+importing ``fractions``, naming ``Fraction`` or reading ``.numerator``
+or ``.denominator`` anywhere else fails.  Docstrings and comments are
+not names, so prose about fractions is free.
+"""
+
+import ast
+from pathlib import Path
+
+import sp4cert
+
+PACKAGE = Path(sp4cert.__file__).resolve().parent
+OWNER = "matrices.py"
+FORMAT_NAMES = {"Fraction"}
+FORMAT_ATTRIBUTES = {"numerator", "denominator"}
+
+
+def _format_reads(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each place the source touches the entry format."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append((node.lineno, "from fractions import"))
+        elif isinstance(node, ast.alias) and node.name in FORMAT_NAMES:
+            found.append((getattr(node, "lineno", 0), f"imports {node.name}"))
+        elif isinstance(node, ast.Name) and node.id in FORMAT_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in FORMAT_NAMES | FORMAT_ATTRIBUTES:
+            found.append((node.lineno, f".{node.attr}"))
+    return sorted(found)
+
+
+def test_only_matrices_touches_the_entry_format():
+    stray = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != OWNER
+        for line, what in _format_reads(path.read_text())
+    ]
+    assert not stray, "read matrices through scaled() or entry_bits():\n" + "\n".join(stray)
+
+
+def test_the_owner_is_the_module_that_uses_the_format():
+    assert _format_reads((PACKAGE / OWNER).read_text())
+
+
+def test_guard_sees_each_kind_of_read():
+    source = (
+        '"""Fraction, numerator and denominator in prose are fine."""\n'
+        "import fractions\n"
+        "from fractions import Fraction as F\n"
+        "# x.numerator in a comment is fine\n"
+        "def f(x):\n"
+        "    return fractions.Fraction(x.numerator, x.denominator), Fraction\n"
+    )
+    found = _format_reads(source)
+    assert {line for line, _ in found} == {2, 3, 6}
+    assert {what for _, what in found} == {
+        "import fractions", "from fractions import", "imports Fraction",
+        ".Fraction", ".numerator", ".denominator", "Fraction",
+    }

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from support import evaluate, fraction_entries, mat4_det, reference_power
 
 from sp4cert.certificates import expand_j1, expand_j2, normal_closure_witness
-from sp4cert.decompose import decompose, reduce_first_row
+from sp4cert.decompose import GeneratorWord, decompose, reduce_first_row
 from sp4cert.errors import BothZero, NotUnimodular, ParseError, SingularMatrix
 from sp4cert.generators import GENERATOR_NAMES, generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, r_conjugate
@@ -318,7 +319,7 @@ def _outcome(fn):
 
 def _one_plus_outer(size, u, v):
     rows = [[(i == j) + u[i] * v[j] for j in range(size)] for i in range(size)]
-    return Mat2.from_rows(rows) if size == 2 else Mat4.from_rows(rows)
+    return Mat2.of(*rows[0], *rows[1]) if size == 2 else Mat4.from_rows(rows)
 
 
 @st.composite
@@ -420,6 +421,20 @@ def test_integer_strings_at_chunk_boundaries(digits):
     assert _horner(text) == n
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=60), min_size=16, max_size=16))
+def test_scaled_and_entry_bits_read_the_entries(entries):
+    m = Mat4.from_rows([entries[4 * i:4 * i + 4] for i in range(4)])
+    d, rows = m.scaled()
+    assert d == math.lcm(*(x.denominator for x in entries)) > 0
+    assert [Fraction(e, d) for row in rows for e in row] == entries
+    assert all(type(e) is int for row in rows for e in row)
+    assert m.scaled() == (d, rows)
+    widest = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in entries)
+    assert m.entry_bits() == widest
+    assert Mat2.of(1, -2, 3, 4).scaled() == (1, ((1, -2), (3, 4)))
+
+
 def test_every_returned_mat4_has_fraction_entries():
     # Mat4 promises Fraction entries whatever built it: integer letter
     # rows, the parser, the samplers, the certificate builders
@@ -430,12 +445,12 @@ def test_every_returned_mat4_has_fraction_entries():
     a = Mat2.of(2, 1, 1, 1)
     returned = [
         I4, Mat4.diagonal(1, 2, 3, 4), Mat4.from_rows([[7] * 4] * 4),
-        k * k, k.inv(), k ** 3, k ** -2, -k, k.transpose(), k - I4,
+        k * k, k.inv(), k ** 3, k ** -2,
         mat4_from_lists(mat4_to_lists(k)), j1_embed(a), j2_embed(a, p),
         j2_embed(a, p, tilde=True), kt, r_conjugate(kt, p, inverse=True),
         word.replay(), tilde_word.replay(), reduce_first_row(kt, p)[1],
         *(generator(name, p) for name in GENERATOR_NAMES if name != "P"),
-        *(w.letter_matrix(x) for w in (word, tilde_word) for x in w.letters),
+        *(GeneratorWord(p, w.tilde, (x,)).replay() for w in (word, tilde_word) for x in w.letters),
         *(sample(SampleSpec(g, p, 72, 8)) for g in (
             GroupLabel.GAMMA_1P, GroupLabel.GAMMA_TILDE_1P, GroupLabel.GAMMA_P2,
             GroupLabel.SP_LAMBDA_Z,

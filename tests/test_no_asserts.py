@@ -1,9 +1,9 @@
-"""No ``assert`` statement in the package outside a short allow-list.
+"""No ``assert`` statement in the package outside an allow-list.
 
 ``python -O`` strips asserts, so a check that guards a returned value
-must raise explicitly (``ShapeAssertionFailed``).  The asserts left are
-internal invariants whose failure an explicit check further on also
-reports; each is listed with its reason.
+must raise explicitly (``ShapeAssertionFailed``).  The allow-list is
+empty; an entry would name an internal invariant whose failure an
+explicit check further on also reports, with that reason.
 """
 
 import ast
@@ -14,10 +14,7 @@ import sp4cert
 PACKAGE = Path(sp4cert.__file__).resolve().parent
 
 # (file, innermost function, assert test as ast.unparse prints it) -> reason
-ALLOWED = {
-    ("sl2.py", "sl2_decompose", "x in (1, -1) and cur[1][1] == x"):
-        "Euclid ends on a diagonal +-1; the explicit replay check at return catches any slip",
-}
+ALLOWED: dict[tuple[str, str, str], str] = {}
 
 
 class _Asserts(ast.NodeVisitor):
