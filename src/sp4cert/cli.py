@@ -29,8 +29,11 @@ from .generators import verify_identities
 from .groups import (
     GroupLabel,
     TWO_BY_TWO_LABELS,
+    VectorClass,
     member,
+    r_conjugate,
     require_odd_prime,
+    vector_class,
 )
 from .matrices import load_json, mat2_from_lists, mat4_from_lists
 from .sampling import SampleSpec, sample
@@ -180,19 +183,16 @@ def _fuzz_trial(suite: str, p: int, spec: SampleSpec) -> bool:
         m = sample(spec)
         return certs.cert_verify(certs.normal_closure_witness(m, p)).passed
     if suite == "predicates":
-        from .groups import VectorClass, r_conjugate, vector_class
-
         m = sample(spec)
         if not member(m, GroupLabel.GAMMA_1P, p):
             return False
         tilde = r_conjugate(m, p)
         if not member(tilde, GroupLabel.GAMMA_TILDE_1P, p):
             return False
-        row1 = tuple(int(x) for x in tilde[0])
-        row2 = tuple(int(x) for x in tilde[1])
+        rows = tilde.scaled()[1]  # d = 1: members are integral
         return (
-            vector_class(row1, p) is VectorClass.SHORT
-            and vector_class(row2, p) is VectorClass.LONG
+            vector_class(rows[0], p) is VectorClass.SHORT
+            and vector_class(rows[1], p) is VectorClass.LONG
         )
     # identities: same exact replay for every trial; sampling is moot
     return verify_identities(p).passed

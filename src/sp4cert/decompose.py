@@ -19,11 +19,8 @@ and a j2 letter writes it into (2,4).  A plain letter is the
 R-conjugate of those rows, so a plain word is replayed in tilde
 coordinates and conjugated back once at the end, which keeps a plain
 j2 payload with p not dividing c exact.  Replay multiplies the integer
-rows from the identity; the reducer applies the same rows to its
-integer working rows.  Either way a letter is the identity plus at
-most four entries, so each step goes by column operations
-(:func:`_times_letter`): column j of ``acc * s`` sums only the columns
-of ``acc`` picked by the nonzero ``s[k][j]``.
+rows from the identity, and the reducer multiplies its integer working
+rows by the same letter rows, both with ``matrices.mul_rows``.
 
 :func:`decompose` reads a member's integer rows (``k.scaled()``, whose
 d is 1 for a member), R-conjugates a plain input on them and checks its
@@ -88,7 +85,7 @@ from .errors import (
 )
 from .generators import _ENTRIES
 from .groups import GroupLabel, _r_conjugate_rows, member, require_odd_prime
-from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
+from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists, mul_rows
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ class GeneratorWord:
         require_odd_prime(self.p)
         acc = _IDENTITY_ROWS
         for letter in self.letters:
-            acc = _times_letter(acc, _letter_rows(letter, self.p, self.tilde))
+            acc = mul_rows(acc, _letter_rows(letter, self.p, self.tilde))
         return acc if self.tilde else _r_conjugate_rows(acc, self.p, inverse=True)
 
     def to_json_obj(self) -> dict:
@@ -219,37 +216,6 @@ class GeneratorWord:
             else:
                 raise ParseError(f"letter {idx} has no recognised tag")
         return GeneratorWord(p=p, tilde=coords == "tilde", letters=tuple(letters))
-
-
-def _times_letter(acc: Rows, s: Rows) -> Rows:
-    """The rows of ``acc * s``, by column operations.
-
-    Column j of the product sums ``acc[i][k] * s[k][j]`` over the
-    nonzero ``s[k][j]`` only, taking ``acc[i][k]`` itself when the
-    factor is 1.  Exact for any ``s``; a letter costs a handful of
-    operations per row instead of a full 4x4 product.  Entries keep the
-    type of ``acc``'s: integer rows in replay and in the reducer.
-
-    ``Mat4.__mul__`` could skip zeros the same way for every product.
-    Once the benchmark's ``witness`` memory reading stops growing with
-    the number of rounds a faster run completes (see ROADMAP.md), fold
-    this into ``Mat4.__mul__`` and delete it."""
-    columns = [
-        tuple((k, None if x == 1 else x) for k, row in enumerate(s) if (x := row[j]))
-        for j in range(4)
-    ]
-    out = []
-    for row in acc:
-        new = []
-        for terms in columns:
-            total = None
-            for k, x in terms:
-                term = row[k] if x is None else row[k] * x
-                total = term if total is None else total + term
-            # a zero column of s gives the zero of acc's entry type
-            new.append(row[0] * 0 if total is None else total)
-        out.append(tuple(new))
-    return tuple(out)
 
 
 def _invert_letter(letter: Letter) -> Letter:
@@ -314,7 +280,7 @@ class _Reducer:
         identities are skipped."""
         if _is_identity(letter):
             return
-        self.cur = _times_letter(self.cur, _letter_rows(letter, self.p, True))
+        self.cur = mul_rows(self.cur, _letter_rows(letter, self.p, True))
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:

@@ -27,7 +27,9 @@ sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
 to zero only through cancellation.  Any other base falls back to
 binary powering, of the inverse when ``n < 0``.
 
-``Mat4.identity()`` returns one shared immutable constant.
+``Mat4.identity()`` returns one shared immutable constant.  One loop,
+:func:`mul_rows`, is every 4x4 product: of ``Mat4`` values and of the
+integer rows that decomposition works on.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -138,6 +140,21 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def mul_rows(a, b) -> tuple[tuple, ...]:
+    """The rows of the 4x4 product ``a b``, for rows of any exact
+    numbers; ``int`` rows give ``int`` entries."""
+    out = []
+    for i in range(4):
+        ai = a[i]
+        row = []
+        for j in range(4):
+            row.append(
+                ai[0] * b[0][j] + ai[1] * b[1][j] + ai[2] * b[2][j] + ai[3] * b[3][j]
+            )
+        out.append(tuple(row))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Mat4:
     """Immutable 4x4 matrix over exact rationals."""
@@ -165,17 +182,7 @@ class Mat4:
         return self.rows[i]
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        a, b = self.rows, other.rows
-        out = []
-        for i in range(4):
-            ai = a[i]
-            row = []
-            for j in range(4):
-                row.append(
-                    ai[0] * b[0][j] + ai[1] * b[1][j] + ai[2] * b[2][j] + ai[3] * b[3][j]
-                )
-            out.append(tuple(row))
-        return Mat4(tuple(out))
+        return Mat4(mul_rows(self.rows, other.rows))
 
     def inv(self) -> "Mat4":
         """Exact inverse via Gauss-Jordan elimination over the rationals."""
@@ -300,7 +307,7 @@ def scalar_from_str(s: str, where: str = "") -> Fraction:
     other spelling of the same number (``-0``, ``0/1``, ``n/1``,
     ``2/4``) is a :class:`ParseError`, so round-trips are bit-exact."""
     if not isinstance(s, str):
-        raise ParseError(f"entry {where or s!r} must be a string")
+        raise ParseError(f"entry {where or repr(s)} must be a string")
     m = _ENTRY_RE.match(s)
     if not m:
         raise ParseError(f"bad scalar {s!r} {where}".rstrip())

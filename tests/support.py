@@ -82,6 +82,14 @@ def fraction_entries(m) -> bool:
     return isinstance(m, Mat4) and all(type(x) is Fraction for row in m.rows for x in row)
 
 
+def reference_product(a, b) -> tuple[tuple, ...]:
+    """The rows of the 4x4 product ``a b`` as the plain triple sum:
+    entry (i, j) is ``sum(a[i][k] * b[k][j] for k)``."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
+    )
+
+
 def reference_replay(word: GeneratorWord) -> Mat4:
     """A word's replay as first written: the ``Fraction`` product of
     ``generator(name) ** e``, ``j1_embed`` and ``j2_embed`` in the word's

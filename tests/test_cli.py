@@ -9,6 +9,9 @@ from support import hostile_chain
 
 from sp4cert import cli
 from sp4cert.certificates import (
+    SEED_P2,
+    CertNode,
+    Certificate,
     build_generator_certs,
     certificate_to_json_obj,
     normal_closure_witness,
@@ -16,9 +19,9 @@ from sp4cert.certificates import (
 )
 from sp4cert.cli import main
 from sp4cert.decompose import GeneratorWord, Named
-from sp4cert.errors import BadPrime
+from sp4cert.errors import BadPrime, ShapeAssertionFailed
 from sp4cert.generators import generator
-from sp4cert.groups import GroupLabel
+from sp4cert.groups import GroupLabel, VectorClass
 from sp4cert.matrices import Mat4, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
@@ -75,6 +78,22 @@ def test_member_on_entry_past_the_digit_limit_is_a_parse_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and "4300 digits" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[int(i == j) for j in range(4)] for i in range(4)], "entry at (0,0) must be a string"),
+        ([["1", "0", "0", "0"], "0100", ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+         "row 1 must be a list of 4 entries"),
+    ],
+    ids=["number_entries", "row_not_a_list"],
+)
+def test_member_refusal_names_the_place(tmp_path, capsys, rows, message):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    code = main(["member", "--group", "gamma_1p", "--p", "3", "--in", str(path)])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
 
 def test_even_p_rejected_up_front(m0_file, capsys):
@@ -285,6 +304,37 @@ def test_fuzz_crash_prints_its_spec(monkeypatch, capsys, crash):
     spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 13, 7)
     out = capsys.readouterr().out
     assert out == f"FAIL at trial 2: {spec.describe()} ({type(crash).__name__}: {crash})\n"
+
+
+def test_fuzz_predicates_reports_a_failed_trial(monkeypatch, capsys):
+    # every tilde row classed long: trial 0's short first row fails
+    monkeypatch.setattr(cli, "vector_class", lambda v, p: VectorClass.LONG)
+    assert main(["fuzz", "--p", "3", "--n", "3", "--seed", "11", "--suite", "predicates"]) == 1
+    spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 11, 5)
+    assert capsys.readouterr().out == f"FAIL at trial 0: {spec.describe()}\n"
+
+
+def test_any_other_package_error_exits_one(monkeypatch, capsys):
+    def broken(p):
+        raise ShapeAssertionFailed("identity replay broke")
+
+    monkeypatch.setattr(cli, "verify_identities", broken)
+    assert main(["check-identities", "--p", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: identity replay broke\n")
+
+
+def test_verify_refuses_an_entry_too_long_to_read(tmp_path, capsys):
+    # serialize writes a 4,401-digit entry in pieces; the reader refuses it
+    seed = Mat4.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 9 * 10**4400], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(serialize(Certificate(3, (CertNode(SEED_P2, (), seed),), 0, seed)))
+    code = main(["verify", "--cert", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "too long" in err and "Traceback" not in err
 
 
 # each way a file can refuse to parse, as bytes; "5/1" spells the integer 5

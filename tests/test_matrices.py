@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import evaluate, fraction_entries, mat4_det, reference_power
+from support import evaluate, fraction_entries, mat4_det, reference_power, reference_product
 
 from sp4cert.certificates import expand_j1, expand_j2, normal_closure_witness
 from sp4cert.decompose import GeneratorWord, decompose, reduce_first_row
@@ -21,6 +21,7 @@ from sp4cert.matrices import (
     mat2_to_lists,
     mat4_from_lists,
     mat4_to_lists,
+    mul_rows,
     scalar_from_str,
     scalar_to_str,
 )
@@ -373,6 +374,44 @@ def test_power_of_near_miss_matches_reference(case, n):
     m, dot = case
     assert dot != 0
     assert _outcome(lambda: m ** n) == _outcome(lambda: reference_power(m, n))
+
+
+# --- the one 4x4 product against the triple sum -----------------------------
+
+ENTRIES = {
+    "int": st.one_of(st.sampled_from((0, 1, -1)), st.integers(-(10**30), 10**30)),
+    "fraction": st.fractions(-50, 50, max_denominator=12),
+}
+ENTRIES["mixed"] = st.one_of(ENTRIES["int"], ENTRIES["fraction"])
+
+
+@st.composite
+def rows4(draw):
+    """``(kind, rows)``: 4 rows of 4 int, Fraction or mixed entries, with
+    possibly one row and one column set to zero."""
+    kind = draw(st.sampled_from(sorted(ENTRIES)))
+    rows = [[draw(ENTRIES[kind]) for _ in range(4)] for _ in range(4)]
+    zero = Fraction(0) if kind == "fraction" else 0
+    i, j = draw(st.none() | st.integers(0, 3)), draw(st.none() | st.integers(0, 3))
+    for r in range(4):
+        for c in range(4):
+            if r == i or c == j:
+                rows[r][c] = zero
+    return kind, tuple(map(tuple, rows))
+
+
+@DIFF
+@given(rows4(), rows4())
+def test_mul_rows_matches_the_triple_sum(left, right):
+    (kind_a, a), (kind_b, b) = left, right
+    out = mul_rows(a, b)
+    assert type(out) is tuple and all(type(row) is tuple for row in out)
+    assert out == reference_product(a, b)
+    if kind_a == kind_b == "int":
+        # decompose's integer rows never turn into Fraction entries
+        assert all(type(x) is int for row in out for x in row)
+    product = Mat4.from_rows(a) * Mat4.from_rows(b)
+    assert product == Mat4.from_rows(out) and fraction_entries(product)
 
 
 def test_identity_is_one_shared_constant():
