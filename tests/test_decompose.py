@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
-from support import fraction_entries, reference_replay
+from support import fraction_entries, reference_product, reference_replay
 
 from sp4cert.decompose import (
     GeneratorWord,
     J1,
     J2,
     Named,
+    _letter_rows,
     _simplify_letters,
     decompose,
     reduce_first_row,
@@ -34,7 +35,7 @@ from sp4cert.groups import (
     r_conjugate,
     symplectic_check,
 )
-from sp4cert.matrices import Mat2, Mat4
+from sp4cert.matrices import Mat2, Mat4, mul_rows
 from sp4cert.sampling import SampleSpec, sample
 
 I4 = Mat4.identity()
@@ -283,6 +284,40 @@ def words(draw):
         tilde=tilde,
         letters=tuple(draw(st.lists(letters(tilde), max_size=6))),
     )
+
+
+# --- letters applied with the one 4x4 product --------------------------------
+
+DIFF = settings(max_examples=80, deadline=None)
+RATIONAL = st.fractions(-50, 50, max_denominator=12)
+
+
+@st.composite
+def dense(draw, entries=RATIONAL):
+    return Mat4.from_rows([[draw(entries) for _ in range(4)] for _ in range(4)])
+
+
+@DIFF
+@given(
+    st.one_of(dense(), dense(st.integers(-(10**12), 10**12))),
+    st.booleans().flatmap(lambda t: letters(t).map(lambda letter: (t, letter))),
+)
+def test_letter_product_matches_full_product(acc, tilde_and_letter):
+    # the reducer and replay right-multiply by a letter's integer rows
+    tilde, letter = tilde_and_letter
+    for p in (3, 11):
+        rows = _letter_rows(letter, p, tilde)
+        out = mul_rows(acc.rows, rows)
+        assert out == reference_product(acc.rows, rows)
+        assert Mat4.from_rows(out) == acc * Mat4.from_rows(rows)
+
+
+@DIFF
+@given(dense(), dense(st.one_of(st.just(0), st.just(1), RATIONAL)))
+def test_letter_product_matches_full_product_for_any_matrix(acc, s):
+    out = Mat4.from_rows(mul_rows(acc.rows, s.rows))
+    assert out == acc * s
+    assert fraction_entries(out)
 
 
 @settings(max_examples=300, deadline=None)
