@@ -34,6 +34,16 @@ Builders:
 * :func:`normal_closure_witness` -- full pipeline: decompose a
   gamma_1p element into a generator word, then splice the pieces.
 
+Every gamma_p2 element is a leaf at no cost, and :meth:`CertBuilder.power`
+uses that.  A unipotent base ``1 + N`` (``N N = 0``) raised to an
+exponent ``e = r + q p^2`` past ``p^2/2`` (``|r| <= p^2/2``) becomes
+``a^r`` times the seed ``S = 1 + q p^2 N``: S is a power of a
+symplectic matrix, hence symplectic, and for integral N it is
+congruent to 1 mod p^2, so it lies in gamma_p2.  The closed form is
+:func:`sp4cert.matrices.unipotent_power`; each literal S is tested for
+gamma_p2 once.  Such a power adds at most ``2 bit_length(p^2 // 2) + 3``
+nodes, however large e is.
+
 Serialisation is JSON with matrices in the interchange string format;
 round-trips are bit-exact.
 """
@@ -54,9 +64,17 @@ from .errors import (
 )
 from .generators import generator
 from .groups import GroupLabel, j1_embed, j2_embed, member, require_odd_prime
-from .matrices import Mat2, Mat4, ext_gcd, json_int, load_json, mat4_from_lists, mat4_to_lists
+from .matrices import (
+    Mat2,
+    Mat4,
+    ext_gcd,
+    json_int,
+    load_json,
+    mat4_from_lists,
+    mat4_to_lists,
+    unipotent_power,
+)
 from .sl2 import (
-    ConjugateBy,
     MultiplyLeftP,
     MultiplyLeftPrime,
     S,
@@ -229,27 +247,33 @@ class CertBuilder:
         self.nodes: list[CertNode] = []
         self.values: list[Mat4] = []
         self._memo: dict[tuple, int] = {}
+        self._in_p2: dict[Mat4, bool] = {}  # seed literal -> member of gamma_p2
         self._m0 = generator("M0", p)
 
     def _intern(self, node: CertNode) -> int:
-        # evaluated before the memo lookup, so a hit still pays its product;
-        # looking up first waits on the benchmark's round memory (ROADMAP)
-        value = _node_value(node, self.values, self._m0)
+        # equal keys have equal values, so a hit forms no product
         key = (node.op, node.args, node.value)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        self.values.append(_node_value(node, self.values, self._m0))
         self.nodes.append(node)
-        self.values.append(value)
         idx = len(self.nodes) - 1
         self._memo[key] = idx
         return idx
+
+    def _is_p2_seed(self, m: Mat4) -> bool:
+        """Whether ``m`` lies in gamma_p2; tested once per literal."""
+        verdict = self._in_p2.get(m)
+        if verdict is None:
+            verdict = self._in_p2[m] = member(m, GroupLabel.GAMMA_P2, self.p)
+        return verdict
 
     def seed_m0(self) -> int:
         return self._intern(CertNode(SEED_M0))
 
     def seed_p2(self, m: Mat4) -> int:
-        if not member(m, GroupLabel.GAMMA_P2, self.p):
+        if not self._is_p2_seed(m):
             raise NotInGroup("seed must lie in gamma_p2")
         return self._intern(CertNode(SEED_P2, value=m))
 
@@ -268,11 +292,33 @@ class CertBuilder:
         return self.seed_p2(Mat4.identity())
 
     def power(self, a: int, e: int) -> int:
+        """Node for the e-th power of node ``a``.
+
+        When a's value is ``1 + N`` with ``N N = 0`` and ``|e| > p^2/2``,
+        write ``e = r + q p^2`` with ``|r| <= p^2/2``: then
+        ``a^e = a^r S`` with ``S = 1 + q p^2 N``.  S is a power of a
+        group element, so it is symplectic; when N is integral it is also
+        congruent to 1 mod p^2, so it enters as one gamma_p2 seed and
+        only ``a^r`` is built by repeated squaring.  Any other base, an
+        S outside gamma_p2, and any ``|e| <= p^2/2`` take repeated
+        squaring over mul/inv nodes.
+        """
+        p2 = self.p * self.p
+        q, r = divmod(e + p2 // 2, p2)
+        r -= p2 // 2
+        if q:
+            s = unipotent_power(self.values[a], q * p2)
+            if s is not None and self._is_p2_seed(s):
+                seed = self.seed_p2(s)
+                return seed if r == 0 else self.mul(self._binary_power(a, r), seed)
+        return self._binary_power(a, e)
+
+    def _binary_power(self, a: int, e: int) -> int:
         """e-th power by repeated squaring over mul/inv nodes."""
         if e == 0:
             return self.identity()
         if e < 0:
-            return self.power(self.inv(a), -e)
+            return self._binary_power(self.inv(a), -e)
         result: int | None = None
         base = a
         while e:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .errors import BadPrime, NotUnimodular, ShapeAssertionFailed, ZeroVector
+from .errors import BadPrime, DomainError, NotUnimodular, ShapeAssertionFailed, ZeroVector
 from .matrices import Mat2, Mat4, _quotient, ext_gcd
 
 
@@ -289,15 +289,24 @@ def _r_conjugate_rows(rows: tuple[tuple, ...], p: int, inverse: bool = False) ->
     return (*((x, y, z, down(w)) for x, y, z, w in top), (up(a), up(b), up(c), d))
 
 
+def _integer_row(v) -> tuple[int, ...]:
+    """The entries of ``v`` as ints; a non-integer entry is a :class:`DomainError`."""
+    row = tuple(int(x) for x in v)
+    if row != tuple(v):
+        raise DomainError(f"vector ({', '.join(map(str, v))}) has a non-integer entry")
+    return row
+
+
 def vector_class(v: tuple[int, int, int, int], p: int) -> VectorClass:
-    """Classify a nonzero integer row 4-vector as short or long.
+    """Classify a nonzero integer row 4-vector as short or long; a
+    non-integer entry is a :class:`DomainError`.
 
     ``v Lambda = (-v3, -p*v4, v1, p*v2)``, and an integral functional
     takes the value 1 iff the gcd of its coefficients is 1, so the test
     is ``gcd(v1, p*v2, v3, p*v4) == 1``.
     """
     require_odd_prime(p)
-    v1, v2, v3, v4 = (int(x) for x in v)
+    v1, v2, v3, v4 = _integer_row(v)
     if v1 == v2 == v3 == v4 == 0:
         raise ZeroVector("cannot classify the zero vector")
     g = math.gcd(v1, p * v2, v3, p * v4)
@@ -308,10 +317,11 @@ def short_witness(v: tuple[int, int, int, int], p: int) -> tuple[int, int, int, 
     """Construct ``w`` with ``v Lambda w^T = 1`` for a short vector.
 
     Independent of :func:`vector_class`: builds w from extended gcds and
-    checks the defining identity, raising if v is long.
+    checks the defining identity, raising if v is long.  A non-integer
+    entry is a :class:`DomainError`.
     """
     require_odd_prime(p)
-    v1, v2, v3, v4 = (int(x) for x in v)
+    v1, v2, v3, v4 = _integer_row(v)
     # v Lambda w^T = -v3*w1 - p*v4*w2 + v1*w3 + p*v2*w4
     coeffs = (-v3, -p * v4, v1, p * v2)
     g, acc = 0, [0, 0, 0, 0]

@@ -20,7 +20,9 @@ Integer powers ``m ** n`` of both types go through one helper.  When
 ``N = m - 1`` squares to zero -- as for M0..M4, Mt1..Mt4, L1..L5 and
 the SL(2) letters T, U and P -- the power is the closed form
 ``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.
-The helper collects the nonzero entries of ``N``, tests ``N N = 0`` by
+That closed form is public as :func:`unipotent_power`, which returns
+``None`` when ``N N != 0``; ``CertBuilder.power`` uses it to split a
+large power.  The helper collects the nonzero entries of ``N``, tests ``N N = 0`` by
 summing products over those entries only, and builds ``1 + n N`` by
 touching only them, so a letter's power costs no matrix product.  The
 sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
@@ -237,14 +239,11 @@ def _quotient(x, n: int):
     return x // n if type(x) is int and not x % n else Fraction(x, n)
 
 
-def _power(m, n: int):
-    """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``.
-
-    If ``N = m - 1`` has ``N N = 0`` the result is ``1 + n N``;
-    otherwise binary powering, of ``m.inv()`` when ``n < 0``.  Both the
-    test and the closed form visit only the nonzero entries of ``N``."""
+def unipotent_power(m, n: int):
+    """``1 + n N`` for ``N = m - 1`` when ``N N = 0``, else ``None``;
+    ``m`` a ``Mat2`` or ``Mat4``.  Both the test and the closed form
+    visit only the nonzero entries of ``N``."""
     cls = type(m)
-    one = cls.identity()
     nil = []  # (i, j, N_ij) for the nonzero N_ij
     for i, row in enumerate(m.rows):
         for j, x in enumerate(row):
@@ -259,14 +258,24 @@ def _power(m, n: int):
         for k2, j, y in nil:
             if k == k2:
                 square[i, j] = square.get((i, j), 0) + x * y
-    if not any(square.values()):
-        rows = [list(r) for r in one.rows]
-        for i, j, x in nil:
-            rows[i][j] += n * x
-        return cls(tuple(tuple(r) for r in rows))
+    if any(square.values()):
+        return None
+    rows = [list(r) for r in cls.identity().rows]
+    for i, j, x in nil:
+        rows[i][j] += n * x
+    return cls(tuple(tuple(r) for r in rows))
+
+
+def _power(m, n: int):
+    """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``: the closed form of
+    :func:`unipotent_power` when it applies, otherwise binary powering,
+    of ``m.inv()`` when ``n < 0``."""
+    closed = unipotent_power(m, n)
+    if closed is not None:
+        return closed
     base = m if n >= 0 else m.inv()
     n = abs(n)
-    acc = one
+    acc = type(m).identity()
     while n:
         if n & 1:
             acc = acc * base

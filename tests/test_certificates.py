@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
@@ -21,6 +24,8 @@ from sp4cert.certificates import (
     CertBuilder,
     Certificate,
     CertNode,
+    _core_nodes,
+    _j1_chain,
     build_generator_certs,
     cert_verify,
     certificate_from_json_obj,
@@ -386,6 +391,130 @@ def test_single_node_tampers_rejected():
         for _ in range(10):
             tampered = random_tamper(cert, rng)
             assert not cert_verify(tampered).passed
+
+
+# --- split powers: a power past p^2/2 is a small power times one seed -------
+
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+
+
+def _load_oracle():
+    """The benchmark's independent verifier; it imports nothing from
+    sp4cert, so it is loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = _load_oracle()
+SPLIT_BASES = ("M0", "L4", "M3", "M0^-1", "L4^-1", "M3^-1")
+
+
+def _split_base(b: CertBuilder, name: str) -> int:
+    """Node for M0, L4 or M3, or the inverse of one (``"L4^-1"``)."""
+    core = _core_nodes(b)
+    nodes = {"M0": b.seed_m0(), "L4": core["L4"], "M3": core["M3"]}
+    idx = nodes[name.removesuffix("^-1")]
+    return b.inv(idx) if name.endswith("^-1") else idx
+
+
+def _seeds_p2(b: CertBuilder, start: int) -> list[Mat4]:
+    return [node.value for node in b.nodes[start:] if node.op == SEED_P2]
+
+
+def _both_verifiers(cert: Certificate) -> tuple[bool, tuple[bool, str]]:
+    return cert_verify(cert).passed, ORACLE.cert_verdict(serialize(cert), cert.p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.sampled_from(SPLIT_BASES),
+    st.one_of(st.integers(-(2 ** 256), 2 ** 256), st.integers(-100, 100)),
+)
+def test_split_power_is_exact_short_and_verifies(p, name, e):
+    b = CertBuilder(p)
+    a = _split_base(b, name)
+    before = len(b.nodes)
+    idx = b.power(a, e)
+    target = b.values[a] ** e
+    assert b.values[idx] == target
+    assert len(b.nodes) - before <= 2 * (p * p // 2).bit_length() + 3
+    cert = b.certificate(idx, target=target)
+    assert _both_verifiers(cert) == (True, (True, ""))
+    half = p * p // 2
+    if abs(e) > half:
+        # the p^2-multiple part of the power is one seed (perhaps shared)
+        r = (e + half) % (p * p) - half
+        seed = b.values[a] ** (e - r)
+        assert any(n.op == SEED_P2 and n.value == seed for n in cert.nodes)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_power_of_a_non_unipotent_base_is_binary(p):
+    b = CertBuilder(p)
+    a = _j1_chain(b, Mat2.of(2, 1, 1, 1))  # trace 3: no power of it is a seed
+    for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
+        before = len(b.nodes)
+        idx = b.power(a, e)
+        target = b.values[a] ** e
+        assert b.values[idx] == target
+        assert not _seeds_p2(b, before)
+        assert _both_verifiers(b.certificate(idx, target=target)) == (True, (True, ""))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_power_of_a_non_integral_unipotent_base(p):
+    # every value formed from the seeds is integral (gamma_1p is normal in
+    # gamma0_1p), so the plain j2 image of (1 0; 1 1), whose N has 1/p at
+    # entry (4,2), is planted as a leaf that both verifiers refuse
+    base = j2_embed(Mat2.of(1, 0, 1, 1), p)
+    assert base.scaled()[0] == p
+    b = CertBuilder(p)
+    a = b._intern(CertNode(SEED_P2, value=base))
+    refused = (False, (False, "seed node 0 not in gamma_p2"))
+    # q = 1, -1, 2: S = 1 + q p^2 N is off gamma_p2, so the power is binary
+    for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
+        before = len(b.nodes)
+        idx = b.power(a, e)
+        assert b.values[idx] == base ** e
+        assert not _seeds_p2(b, before)
+        cert = b.certificate(idx, target=base ** e)
+        assert evaluate(cert)[cert.root] == base ** e
+        assert _both_verifiers(cert) == refused
+    # q = p: S = 1 + p^3 N lies in gamma_p2, and the split takes it
+    before = len(b.nodes)
+    idx = b.power(a, p ** 3 + 1)
+    assert _seeds_p2(b, before) == [base ** p ** 3]
+    assert b.values[idx] == base ** (p ** 3 + 1)
+
+
+def test_each_split_literal_is_tested_once(monkeypatch):
+    certificates = importlib.import_module("sp4cert.certificates")
+    tested = []
+
+    def counting_member(m, label, p):
+        tested.append((m, label))
+        return member(m, label, p)
+
+    monkeypatch.setattr(certificates, "member", counting_member)
+    b = CertBuilder(5)
+    m0 = b.seed_m0()
+    for e in (100, 100, 101, -100, 1000, 3):
+        b.power(m0, e)
+    b.identity()
+    b.identity()
+    assert len(tested) == len(set(tested)) == len(_seeds_p2(b, 0)) == 4
+
+
+def test_witness_takes_a_large_named_exponent_as_a_seed():
+    # the M2^55 letter of this p = 7 word is M2^6 times one seed
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, 7, 3, 8))
+    cert = normal_closure_witness(k, 7)
+    assert _both_verifiers(cert) == (True, (True, ""))
+    assert any(node.op == SEED_P2 and node.value == generator("M2", 7) ** 49
+               for node in cert.nodes)
 
 
 # --- serialisation ---------------------------------------------------------

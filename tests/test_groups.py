@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4cert.errors import BadPrime, NotUnimodular, ZeroVector
+from sp4cert.errors import BadPrime, DomainError, NotUnimodular, ZeroVector
 from sp4cert.generators import generator
 from sp4cert.groups import (
     TWO_BY_TWO_LABELS,
@@ -290,6 +290,24 @@ def test_vector_class_examples():
 def test_vector_class_zero_vector():
     with pytest.raises(ZeroVector):
         vector_class((0, 0, 0, 0), 3)
+
+
+@pytest.mark.parametrize("v", [
+    (Fraction(3, 2), 0, 1, 0),
+    (Fraction(1, 2), Fraction(1, 3), 0, Fraction(1, 5)),
+])
+@pytest.mark.parametrize("fn", [vector_class, short_witness])
+def test_non_integer_vector_is_refused(fn, v):
+    # int() would truncate these to a short and to the zero vector
+    with pytest.raises(DomainError, match="non-integer"):
+        fn(v, 3)
+
+
+def test_integral_fraction_entries_are_accepted():
+    v = (Fraction(2), Fraction(0), Fraction(1), Fraction(0))
+    assert vector_class(v, 3) is VectorClass.SHORT
+    w = short_witness(v, 3)
+    assert all(type(x) is int for x in w)
 
 
 def test_short_witness_brute_force_cross_check():

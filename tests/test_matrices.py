@@ -24,6 +24,7 @@ from sp4cert.matrices import (
     mul_rows,
     scalar_from_str,
     scalar_to_str,
+    unipotent_power,
 )
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import S, T, U
@@ -374,6 +375,23 @@ def test_power_of_near_miss_matches_reference(case, n):
     m, dot = case
     assert dot != 0
     assert _outcome(lambda: m ** n) == _outcome(lambda: reference_power(m, n))
+
+
+@DIFF
+@given(rank_one(near_miss=False), st.integers(-(2**80), 2**80))
+def test_unipotent_power_is_the_closed_form(case, n):
+    m, _ = case
+    with _no_products(type(m)):
+        power = unipotent_power(m, n)
+    assert power == m ** n == reference_power(m, n)
+
+
+@DIFF
+@given(rank_one(near_miss=True), st.integers(-5, 5))
+def test_unipotent_power_is_none_unless_n_squares_to_zero(case, n):
+    m, dot = case
+    assert dot != 0
+    assert unipotent_power(m, n) is None
 
 
 # --- the one 4x4 product against the triple sum -----------------------------
