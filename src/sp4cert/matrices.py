@@ -4,11 +4,20 @@ Every group element in this package lives in one of two carriers:
 
 * ``Mat2`` -- 2x2 matrices over arbitrary-precision integers (all the
   SL(2) work is integer-only);
-* ``Mat4`` -- 4x4 matrices over exact rationals (``fractions.Fraction``,
-  which keeps every entry reduced with a positive denominator).
+* ``Mat4`` -- 4x4 matrices over exact rationals, stored as one pair
+  ``(d, e)``: d > 0 a common denominator and e the integer rows of
+  ``d * m``, reduced so that ``gcd(d, *e) = 1``.  Equal matrices have
+  equal pairs, so ``==`` and ``hash`` read the pair.
 
-Only this module knows the entries are ``Fraction`` objects; others
-read a matrix through ``scaled()`` and :meth:`Mat4.entry_bits`.
+Only this module knows how the entries are stored; others read a
+matrix through ``scaled()``, which returns the stored pair, and
+:meth:`Mat4.entry_bits`.  ``Mat4.rows`` is a read-only view that builds
+one ``fractions.Fraction`` per entry, for callers off the hot paths.
+
+A product is :func:`mul_rows` on the integer rows and one gcd when
+d > 1.  The inverse of a symplectic ``g`` (for J) is ``-J g^T J``; it
+is kept when one integer product confirms it, and any other matrix is
+inverted by Gauss-Jordan elimination.
 
 There is no floating point anywhere in this module: divisibility
 patterns such as ``p^2 | x`` or ``x in (1/p)Z`` are meaningless after
@@ -29,9 +38,9 @@ sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
 to zero only through cancellation.  Any other base falls back to
 binary powering, of the inverse when ``n < 0``.
 
-``Mat4.identity()`` returns one shared immutable constant.  One loop,
-:func:`mul_rows`, is every 4x4 product: of ``Mat4`` values and of the
-integer rows that decomposition works on.
+``Mat4.identity()`` returns one shared immutable constant.  One
+function, :func:`mul_rows`, is every 4x4 product: of the integer rows of
+``Mat4`` values and of the integer rows that decomposition works on.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -50,6 +59,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     BothZero,
@@ -145,30 +155,38 @@ def _frac(x: Scalar) -> Fraction:
 def mul_rows(a, b) -> tuple[tuple, ...]:
     """The rows of the 4x4 product ``a b``, for rows of any exact
     numbers; ``int`` rows give ``int`` entries."""
-    out = []
-    for i in range(4):
-        ai = a[i]
-        row = []
-        for j in range(4):
-            row.append(
-                ai[0] * b[0][j] + ai[1] * b[1][j] + ai[2] * b[2][j] + ai[3] * b[3][j]
-            )
-        out.append(tuple(row))
-    return tuple(out)
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    return tuple([
+        (
+            x0 * b00 + x1 * b10 + x2 * b20 + x3 * b30,
+            x0 * b01 + x1 * b11 + x2 * b21 + x3 * b31,
+            x0 * b02 + x1 * b12 + x2 * b22 + x3 * b32,
+            x0 * b03 + x1 * b13 + x2 * b23 + x3 * b33,
+        )
+        for x0, x1, x2, x3 in a
+    ])
 
 
-@dataclass(frozen=True)
 class Mat4:
-    """Immutable 4x4 matrix over exact rationals."""
+    """Immutable 4x4 matrix over exact rationals, stored as the reduced
+    pair ``(d, e)`` of the module docstring.  ``Mat4(rows)`` takes 4 rows
+    of 4 exact numbers (ints, ``Fraction`` objects or a mix)."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("_d", "_e")
+
+    def __init__(self, rows) -> None:
+        e = tuple(map(tuple, rows))
+        if len(e) != 4 or any(len(r) != 4 for r in e):
+            raise ValueError("Mat4 needs 4 rows of 4 entries")
+        flat = e[0] + e[1] + e[2] + e[3]
+        if set(map(type, flat)) == {int}:
+            self._d, self._e = 1, e
+        else:
+            self._d, self._e = _scale([_frac(x).as_integer_ratio() for x in flat])
 
     @staticmethod
     def from_rows(rows) -> "Mat4":
-        out = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if len(out) != 4 or any(len(r) != 4 for r in out):
-            raise ValueError("Mat4 needs 4 rows of 4 entries")
-        return Mat4(out)
+        return Mat4(rows)
 
     @staticmethod
     def identity() -> "Mat4":
@@ -176,59 +194,118 @@ class Mat4:
 
     @staticmethod
     def diagonal(d1, d2, d3, d4) -> "Mat4":
-        return Mat4.from_rows(
-            [[d1, 0, 0, 0], [0, d2, 0, 0], [0, 0, d3, 0], [0, 0, 0, d4]]
-        )
+        return Mat4([[d1, 0, 0, 0], [0, d2, 0, 0], [0, 0, d3, 0], [0, 0, 0, d4]])
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction`` objects, built on each read."""
+        d = self._d
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self._e)
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._e[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mat4):
+            return NotImplemented
+        return self._d == other._d and self._e == other._e
+
+    def __hash__(self) -> int:
+        return hash((self._d, self._e))
+
+    def __repr__(self) -> str:
+        return f"Mat4(rows={self.rows!r})"
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        return Mat4(mul_rows(self.rows, other.rows))
+        return _reduced(self._d * other._d, mul_rows(self._e, other._e))
 
     def inv(self) -> "Mat4":
-        """Exact inverse via Gauss-Jordan elimination over the rationals."""
-        m = [list(r) for r in self.rows]
-        inv = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        for col in range(4):
-            pivot = next((r for r in range(col, 4) if m[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrix("4x4 determinant is zero")
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-            scale = m[col][col]
-            m[col] = [x / scale for x in m[col]]
-            inv[col] = [x / scale for x in inv[col]]
-            for r in range(4):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return Mat4(tuple(tuple(row) for row in inv))
+        """Exact inverse: ``-J g^T J`` when one integer product shows it
+        is the inverse (g symplectic for J), otherwise Gauss-Jordan
+        elimination, which raises :class:`SingularMatrix` on det 0."""
+        d, e = self._d, self._e
+        (e00, e01, e02, e03), (e10, e11, e12, e13), (e20, e21, e22, e23), (e30, e31, e32, e33) = e
+        # -J e^T J: the blocks ((A, B), (C, D)) go to ((D^T, -B^T), (-C^T, A^T))
+        candidate = (
+            (e22, e32, -e02, -e12),
+            (e23, e33, -e03, -e13),
+            (-e20, -e30, e00, e10),
+            (-e21, -e31, e01, e11),
+        )
+        d2 = d * d
+        if mul_rows(e, candidate) == ((d2, 0, 0, 0), (0, d2, 0, 0), (0, 0, d2, 0), (0, 0, 0, d2)):
+            return _pair(d, candidate)  # gcd(d, *candidate) = gcd(d, *e) = 1
+        return _gauss_jordan(d, e)
 
     def __pow__(self, n: int) -> "Mat4":
         return _power(self, n)
 
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(d, rows)``: d > 0 the lcm of the denominators, ``rows`` the
-        integer entries of ``d * self``; worked out once per matrix."""
-        pair = getattr(self, "_scaled", None)
-        if pair is None:
-            ratios = [x.as_integer_ratio() for row in self.rows for x in row]
-            d = math.lcm(*[q for _, q in ratios])
-            e = [n * (d // q) for n, q in ratios]
-            pair = d, (tuple(e[:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:]))
-            object.__setattr__(self, "_scaled", pair)
-        return pair
+        """``(d, e)``: d > 0, e the integer rows of ``d * self``, and
+        ``gcd(d, *e) = 1``."""
+        return self._d, self._e
 
     def entry_bits(self) -> int:
         """Bits of the widest reduced numerator or denominator."""
+        d = self._d
+        if d == 1:
+            acc = 1
+            for x in chain(*self._e):
+                acc |= -x if x < 0 else x
+            return acc.bit_length()
         acc = 0
-        for row in self.rows:
-            for x in row:
-                acc |= abs(x.numerator) | x.denominator
+        for x in chain(*self._e):
+            g = math.gcd(x, d)
+            acc |= abs(x // g) | (d // g)
         return acc.bit_length()
+
+
+def _pair(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
+    """The ``Mat4`` of a pair that is already reduced."""
+    m = object.__new__(Mat4)
+    m._d, m._e = d, e
+    return m
+
+
+def _reduced(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
+    """The ``Mat4`` of ``e / d``, d > 0: the pair divided by ``gcd(d, *e)``."""
+    if d != 1:
+        g = math.gcd(d, *e[0], *e[1], *e[2], *e[3])
+        if g != 1:
+            d //= g
+            e = tuple([tuple([x // g for x in row]) for row in e])
+    return _pair(d, e)
+
+
+def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The pair of 16 row-major reduced ``(num, den)`` entries: d is the
+    lcm of the denominators, which leaves ``gcd(d, *e) = 1``."""
+    d = math.lcm(*[q for _, q in ratios])
+    e = [n * (d // q) for n, q in ratios]
+    return d, (tuple(e[:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:]))
+
+
+def _gauss_jordan(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
+    """``(e / d)^-1 = d e^-1`` by Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in e]
+    inv = [[Fraction(d if i == j else 0) for j in range(4)] for i in range(4)]
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if m[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("4x4 determinant is zero")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = m[col][col]
+        m[col] = [x / scale for x in m[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(4):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return Mat4(inv)
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
@@ -242,28 +319,30 @@ def _quotient(x, n: int):
 def unipotent_power(m, n: int):
     """``1 + n N`` for ``N = m - 1`` when ``N N = 0``, else ``None``;
     ``m`` a ``Mat2`` or ``Mat4``.  Both the test and the closed form
-    visit only the nonzero entries of ``N``."""
-    cls = type(m)
-    nil = []  # (i, j, N_ij) for the nonzero N_ij
-    for i, row in enumerate(m.rows):
+    read the pair ``(d, e)`` of ``m.scaled()``, ``d N = e - d``, and
+    visit only the nonzero entries of ``d N``."""
+    d, e = m.scaled()
+    nil = []  # (i, j, x) for the nonzero x = d N_ij
+    for i, row in enumerate(e):
         for j, x in enumerate(row):
             if i == j:
-                if x != 1:
-                    nil.append((i, j, x - 1))
-            elif x:
+                x -= d
+            if x:
                 nil.append((i, j, x))
     # (N N)_ij accumulates N_ik N_kj; its terms may cancel
-    square: dict[tuple[int, int], Scalar] = {}
+    square: dict[tuple[int, int], int] = {}
     for i, k, x in nil:
         for k2, j, y in nil:
             if k == k2:
                 square[i, j] = square.get((i, j), 0) + x * y
     if any(square.values()):
         return None
-    rows = [list(r) for r in cls.identity().rows]
+    size = len(e)
+    rows = [[d if i == j else 0 for j in range(size)] for i in range(size)]
     for i, j, x in nil:
         rows[i][j] += n * x
-    return cls(tuple(tuple(r) for r in rows))
+    rows = tuple(map(tuple, rows))
+    return _reduced(d, rows) if isinstance(m, Mat4) else Mat2(rows)
 
 
 def _power(m, n: int):
@@ -304,17 +383,27 @@ def _int_to_str(n: int) -> str:
     return _int_to_str(high) + _int_to_str(low).zfill(k)
 
 
+def _ratio_to_str(num: int, den: int) -> str:
+    """The entry string of the reduced ``num / den``, den > 0."""
+    if den == 1:
+        return _int_to_str(num)
+    return f"{_int_to_str(num)}/{_int_to_str(den)}"
+
+
 def scalar_to_str(x: Scalar) -> str:
-    x = _frac(x)
-    if x.denominator == 1:
-        return _int_to_str(x.numerator)
-    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
+    return _ratio_to_str(*_frac(x).as_integer_ratio())
 
 
 def scalar_from_str(s: str, where: str = "") -> Fraction:
     """Read an entry written as :func:`scalar_to_str` writes it; any
     other spelling of the same number (``-0``, ``0/1``, ``n/1``,
     ``2/4``) is a :class:`ParseError`, so round-trips are bit-exact."""
+    return Fraction(*_ratio_from_str(s, where))
+
+
+def _ratio_from_str(s: str, where: str = "") -> tuple[int, int]:
+    """The reduced ``(num, den)`` of an entry string, read as
+    :func:`scalar_from_str` reads it."""
     if not isinstance(s, str):
         raise ParseError(f"entry {where or repr(s)} must be a string")
     m = _ENTRY_RE.match(s)
@@ -327,7 +416,7 @@ def scalar_from_str(s: str, where: str = "") -> Fraction:
         raise ParseError(f"entry too long to read {where}".rstrip() + f": {exc}") from exc
     if m.group(2) and (den == 1 or math.gcd(num, den) != 1):
         raise ParseError(f"scalar {s!r} is not canonical {where}".rstrip())
-    return Fraction(num, den)
+    return num, den
 
 
 def load_json(text: str | bytes, where: str = ""):
@@ -352,31 +441,44 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def _entry_to_str(x: int, d: int) -> str:
+    g = math.gcd(x, d)
+    return _ratio_to_str(x // g, d // g)
+
+
 def mat4_to_lists(m: Mat4) -> list[list[str]]:
-    return [[scalar_to_str(x) for x in row] for row in m.rows]
+    d, e = m.scaled()
+    return [[_entry_to_str(x, d) for x in row] for row in e]
 
 
 def _read_rows(obj, n: int, read) -> tuple[tuple, ...]:
-    """An n x n list of entry strings, each read by ``read(entry, where)``."""
+    """An n x n list of entry strings, each read by ``read(entry, where)``.
+    The location ``at (i,j)`` is formatted only for a row that fails:
+    the row is read again with it, to raise the located error."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"matrix must be a list of {n} rows")
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"row {i} must be a list of {n} entries")
-        rows.append(tuple(read(x, f"at ({i},{j})") for j, x in enumerate(row)))
+        try:
+            rows.append(tuple([read(x) for x in row]))
+        except ParseError:
+            for j, x in enumerate(row):
+                read(x, f"at ({i},{j})")
+            raise
     return tuple(rows)
 
 
-def _int_from_str(s: str, where: str) -> int:
-    v = scalar_from_str(s, where)
-    if v.denominator != 1:
+def _int_from_str(s: str, where: str = "") -> int:
+    num, den = _ratio_from_str(s, where)
+    if den != 1:
         raise ParseError(f"entry {where} must be an integer")
-    return int(v)
+    return num
 
 
 def mat4_from_lists(obj) -> Mat4:
-    return Mat4(_read_rows(obj, 4, scalar_from_str))
+    return _pair(*_scale([x for row in _read_rows(obj, 4, _ratio_from_str) for x in row]))
 
 
 def mat2_to_lists(m: Mat2) -> list[list[str]]:

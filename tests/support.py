@@ -4,7 +4,9 @@ used by the mutation-soundness checks."""
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sp4cert.certificates import (
@@ -12,14 +14,17 @@ from sp4cert.certificates import (
     MUL,
     SEED_M0,
     SEED_P2,
+    _BUDGET_SCALE,
+    _BUDGET_SLACK,
     Certificate,
     CertNode,
     _node_value,
 )
 from sp4cert.decompose import J1, GeneratorWord, Named
+from sp4cert.errors import SingularMatrix
 from sp4cert.generators import generator
 from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed
-from sp4cert.matrices import Mat2, Mat4
+from sp4cert.matrices import Mat2, Mat4, scalar_from_str, scalar_to_str
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -30,6 +35,82 @@ def corpus(group: GroupLabel, p: int, count: int, seed: int, max_len: int = 20):
         spec = SampleSpec(group=group, p=p, seed=seed + i, word_length=i % (max_len + 1))
         out.append(sample(spec))
     return out
+
+
+@dataclass(frozen=True)
+class ReferenceMat4:
+    """``Mat4`` as first written: 16 ``Fraction`` entries, the triple-sum
+    product, Gauss-Jordan for every inverse and :func:`reference_power`
+    for powers.  The differential tests hold ``Mat4`` against it."""
+
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    @staticmethod
+    def of(m) -> "ReferenceMat4":
+        """The reference twin of a ``Mat4``, or of 4 rows of exact numbers."""
+        rows = m.rows if isinstance(m, Mat4) else m
+        return ReferenceMat4(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+    @staticmethod
+    def identity() -> "ReferenceMat4":
+        return ReferenceMat4.of([[int(i == j) for j in range(4)] for i in range(4)])
+
+    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+        return self.rows[i]
+
+    def __mul__(self, other: "ReferenceMat4") -> "ReferenceMat4":
+        return ReferenceMat4(reference_product(self.rows, other.rows))
+
+    def inv(self) -> "ReferenceMat4":
+        """Exact inverse via Gauss-Jordan elimination over the rationals."""
+        m = [list(r) for r in self.rows]
+        inv = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        for col in range(4):
+            pivot = next((r for r in range(col, 4) if m[r][col] != 0), None)
+            if pivot is None:
+                raise SingularMatrix("4x4 determinant is zero")
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                inv[col], inv[pivot] = inv[pivot], inv[col]
+            scale = m[col][col]
+            m[col] = [x / scale for x in m[col]]
+            inv[col] = [x / scale for x in inv[col]]
+            for r in range(4):
+                if r != col and m[r][col] != 0:
+                    f = m[r][col]
+                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+        return ReferenceMat4(tuple(tuple(row) for row in inv))
+
+    def __pow__(self, n: int) -> "ReferenceMat4":
+        return reference_power(self, n)
+
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(d, rows)``: d the lcm of the denominators, ``rows`` the
+        integer entries of ``d * self``."""
+        d = math.lcm(*(x.denominator for row in self.rows for x in row))
+        return d, tuple(tuple(int(x * d) for x in row) for row in self.rows)
+
+    def entry_bits(self) -> int:
+        """Bits of the widest reduced numerator or denominator."""
+        acc = 0
+        for row in self.rows:
+            for x in row:
+                acc |= abs(x.numerator) | x.denominator
+        return acc.bit_length()
+
+    def to_lists(self) -> list[list[str]]:
+        return [[scalar_to_str(x) for x in row] for row in self.rows]
+
+    @staticmethod
+    def from_lists(obj) -> "ReferenceMat4":
+        return ReferenceMat4(tuple(tuple(scalar_from_str(x) for x in row) for row in obj))
+
+
+def reference_bit_budget(cert: Certificate) -> int:
+    """``certificates._bit_budget`` read off the reference entries."""
+    literals = [cert.target, *(node.value for node in cert.nodes if node.value is not None)]
+    return _BUDGET_SCALE * max(ReferenceMat4.of(m).entry_bits() for m in literals) + _BUDGET_SLACK
 
 
 def mat4_add(a: Mat4, b: Mat4) -> Mat4:

@@ -1,11 +1,13 @@
 import importlib
 import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
-from support import evaluate, hostile_chain, is_integral, random_tamper
+from support import (
+    ReferenceMat4,
+    evaluate,
+    hostile_chain,
+    is_integral,
+    random_tamper,
+    reference_bit_budget,
+)
 
 from sp4cert.certificates import (
     CONJ,
@@ -24,6 +33,8 @@ from sp4cert.certificates import (
     CertBuilder,
     Certificate,
     CertNode,
+    CheckResult,
+    _bit_budget,
     _core_nodes,
     _j1_chain,
     build_generator_certs,
@@ -39,7 +50,7 @@ from sp4cert.certificates import (
 from sp4cert.errors import MalformedDag, NotInGroup, NotUnimodular, ParseError
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member
-from sp4cert.matrices import Mat2, Mat4, ext_gcd
+from sp4cert.matrices import Mat2, Mat4, ext_gcd, mat4_from_lists, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import S, T, U
 
@@ -152,9 +163,53 @@ def test_hostile_mul_chain_is_refused_quickly():
     assert time.perf_counter() - start < 0.1
     last = report.checks[-1]
     assert not report.passed and (last.kind, last.ok) == ("resource", False)
-    # the literal widest entry is 82 (7 bits), so the budget is 4 * 7 + 64
+    # the literal widest entry is 82 (7 bits), so the budget is 4 * 7 + 64;
+    # node 4 is the fifth squaring, whose entries first pass 92 bits
     assert last.detail == "value wider than the 92-bit budget"
-    assert report.failure_locus == f"resource node {last.node}"
+    assert report.failure_locus == f"resource node {last.node}" == "resource node 4"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("witness_*.json")), ids=lambda p: p.name)
+def test_bit_budget_of_golden_certificates_matches_the_reference(path):
+    cert = parse(path.read_text())
+    for m in (cert.target, *(node.value for node in cert.nodes if node.value is not None)):
+        assert m.entry_bits() == ReferenceMat4.of(m).entry_bits()
+    assert _bit_budget(cert) == reference_bit_budget(cert)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bit_budget_with_d_p_and_entries_sharing_p(p):
+    # the pair of the target has d = p, and its numerators p^2 and
+    # 2 p^3 share factors with p; the widest reduced entry is 2 p^2
+    target = Mat4([[1, 0, 0, 0], [0, 1, 0, 2 * p**2], [0, 0, 1, 0], [0, Fraction(1, p), 0, 1]])
+    conj = j2_embed(Mat2.of(1 + p, p, -p, 1 - p), p) * Mat4.diagonal(p, 1, 1, 1)
+    cert = Certificate(p, (CertNode(SEED_M0), CertNode(CONJ, (0,), conj)), 1, target)
+    assert target.scaled()[0] == p and conj.scaled()[0] in (1, p)
+    assert _bit_budget(cert) == reference_bit_budget(cert)
+    assert target.entry_bits() == ReferenceMat4.of(target).entry_bits() == (2 * p**2).bit_length()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verify_corpus_conj_tamper_fails_before_replay(monkeypatch, p):
+    # the verify workload's conj tamper, through the text: one conjugator
+    # times diag(2,1,1,1), which is not symplectic; no product may follow
+    for length in range(3, 9):
+        k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 40 + length, length))
+        obj = json.loads(serialize(normal_closure_witness(k, p)))
+        picks = [i for i, node in enumerate(obj["nodes"]) if node["op"] == CONJ]
+        i = picks[length % len(picks)]
+        value = mat4_from_lists(obj["nodes"][i]["value"]) * Mat4.diagonal(2, 1, 1, 1)
+        obj["nodes"][i]["value"] = mat4_to_lists(value)
+        tampered = parse(json.dumps(obj))
+        with monkeypatch.context() as patch:
+            for name in ("__mul__", "inv"):
+                patch.setattr(Mat4, name, lambda *a: pytest.fail("product after a failed check"))
+            report = cert_verify(tampered)
+        assert not report.passed and report.failure_locus == f"conjugator node {i}"
+        assert report.checks[-1] == CheckResult("conjugator", i, False, "conjugator not in gamma0_1p")
 
 
 def test_hostile_conj_chain_is_refused():

@@ -1,0 +1,298 @@
+"""``Mat4`` as a reduced pair ``(d, e)`` against the ``Fraction`` reference.
+
+``tests/support.ReferenceMat4`` is the matrix as first written: 16
+``Fraction`` entries, the triple-sum product and Gauss-Jordan for every
+inverse.  Each test here builds the same matrix both ways and compares
+values, errors, pairs, bit counts and interchange strings, on rational
+matrices with d = 1, d = p and other denominators and on group elements.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from support import ReferenceMat4
+
+from sp4cert import matrices
+from sp4cert.errors import NotUnimodular, ParseError, SingularMatrix
+from sp4cert.generators import GENERATOR_NAMES, generator
+from sp4cert.groups import GroupLabel, j1_embed, j2_embed, symplectic_check, SymplecticForm
+from sp4cert.matrices import (
+    Mat2,
+    Mat4,
+    mat2_from_lists,
+    mat4_from_lists,
+    mat4_to_lists,
+    scalar_from_str,
+)
+from sp4cert.sampling import SampleSpec, sample
+
+DIFF = settings(max_examples=60, deadline=None)
+PRIMES = (3, 5, 7)
+I4 = Mat4.identity()
+
+
+def _outcome(fn):
+    """A value as its reference twin, or the type of the error raised."""
+    try:
+        value = fn()
+    except (NotUnimodular, SingularMatrix) as exc:
+        return type(exc)
+    return value if isinstance(value, ReferenceMat4) else ReferenceMat4.of(value)
+
+
+@st.composite
+def rational(draw):
+    """A 4x4 matrix ``e / d`` with d = 1, an odd prime p, or another
+    denominator; numerators that share factors with d are common, so the
+    stored pair is often smaller than the drawn one."""
+    d = draw(st.sampled_from(("one", "p", "other")))
+    if d == "one":
+        d = 1
+    elif d == "p":
+        d = draw(st.sampled_from(PRIMES))
+    else:
+        d = draw(st.integers(2, 60))
+    entry = st.one_of(
+        st.sampled_from((0, 1, -1, d, -d)),
+        st.integers(-60, 60).map(lambda x: x * d // 3),
+        st.integers(-(10**20), 10**20),
+    )
+    rows = [[Fraction(draw(entry), d) for _ in range(4)] for _ in range(4)]
+    return Mat4(rows)
+
+
+@st.composite
+def group_element(draw):
+    """A sampled member of a 4x4 group, or a plain j2 image with d = p."""
+    p = draw(st.sampled_from(PRIMES))
+    seed, length = draw(st.integers(0, 10**6)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("gamma_1p", "gamma_tilde_1p", "gamma_p2", "sp_lambda_z", "j2")))
+    if kind == "j2":
+        return j2_embed(sample(SampleSpec(GroupLabel.SL2Z, p, seed, length)), p)
+    return sample(SampleSpec(GroupLabel(kind), p, seed, length))
+
+
+MATRICES = st.one_of(rational(), group_element())
+
+
+@DIFF
+@given(MATRICES, MATRICES)
+def test_product_matches_the_reference(a, b):
+    assert ReferenceMat4.of(a * b) == ReferenceMat4.of(a) * ReferenceMat4.of(b)
+
+
+@DIFF
+@given(MATRICES)
+def test_inverse_matches_the_reference(m):
+    assert _outcome(m.inv) == _outcome(ReferenceMat4.of(m).inv)
+
+
+@DIFF
+@given(MATRICES, st.integers(-4, 4))
+def test_general_powers_match_the_reference(m, n):
+    assert _outcome(lambda: m ** n) == _outcome(lambda: ReferenceMat4.of(m) ** n)
+
+
+@st.composite
+def unipotent(draw):
+    """A named unipotent generator, or a rational ``1 + u v^T`` with
+    ``v . u = 0``, so ``N N = 0``."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(PRIMES))
+        name = draw(st.sampled_from(sorted(set(GENERATOR_NAMES) - {"P", "R", "J", "Lambda"})))
+        return generator(name, p)
+    entry = st.fractions(-6, 6, max_denominator=draw(st.sampled_from((1, 3, 7, 12))))
+    u = draw(st.lists(entry, min_size=4, max_size=4))
+    w = draw(st.lists(entry, min_size=4, max_size=4))
+    uu, wu = sum(x * x for x in u), sum(x * y for x, y in zip(w, u))
+    v = [x * uu - y * wu for x, y in zip(w, u)]
+    return Mat4([[(i == j) + u[i] * v[j] for j in range(4)] for i in range(4)])
+
+
+@DIFF
+@given(unipotent(), st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70)))
+def test_unipotent_powers_match_the_reference(m, n):
+    power = m ** n
+    assert matrices.unipotent_power(m, n) == power
+    assert ReferenceMat4.of(power) == ReferenceMat4.of(m) ** n
+
+
+@DIFF
+@given(MATRICES)
+def test_pair_bits_and_strings_match_the_reference(m):
+    ref = ReferenceMat4.of(m)
+    assert m.scaled() == ref.scaled()
+    d, e = m.scaled()
+    assert d > 0 and math.gcd(d, *(x for row in e for x in row)) == 1
+    assert m.entry_bits() == ref.entry_bits()
+    lists = mat4_to_lists(m)
+    assert json.dumps(lists) == json.dumps(ref.to_lists())
+    assert mat4_from_lists(lists) == m
+    assert ReferenceMat4.from_lists(lists) == ref
+
+
+@DIFF
+@given(MATRICES, st.integers(2, 10**6))
+def test_one_matrix_one_pair(m, k):
+    """Rows scaled by k and divided back, a product with a scalar matrix
+    and its inverse, and the interchange strings all give one pair."""
+    scaled = Mat4([[Fraction(x * k, k) for x in row] for row in m.rows])
+    through_k = m * Mat4.diagonal(k, k, k, k) * Mat4.diagonal(*[Fraction(1, k)] * 4)
+    from_ints = Mat4(m.scaled()[1]) * Mat4.diagonal(*[Fraction(1, m.scaled()[0])] * 4)
+    for other in (scaled, through_k, from_ints, mat4_from_lists(mat4_to_lists(m))):
+        assert other == m and hash(other) == hash(m)
+        assert other.scaled() == m.scaled()
+    assert len({m, scaled, through_k, from_ints}) == 1
+
+
+def test_equal_matrices_from_int_and_fraction_rows():
+    rows = [[2, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [7, 0, 0, 1]]
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    assert Mat4(rows) == Mat4(as_fractions) == Mat4.from_rows(rows)
+    assert Mat4(rows).scaled() == (1, tuple(map(tuple, rows)))
+    assert Mat4.diagonal(Fraction(3, 6), 1, 1, 1).scaled() == (2, ((1, 0, 0, 0), (0, 2, 0, 0),
+                                                                 (0, 0, 2, 0), (0, 0, 0, 2)))
+
+
+def test_entry_bits_with_d_p_and_entries_sharing_p():
+    # d = 7 with entries 7, 14, 49 and 1: the reduced entries are 1, 2,
+    # 7 and 1/7, so the widest reduced numerator or denominator is 7
+    p = 7
+    m = Mat4([[Fraction(p), Fraction(2 * p, p), 0, 0], [0, 1, 0, 0],
+              [0, 0, Fraction(p * p, p), 0], [0, Fraction(1, p), 0, 1]])
+    assert m.scaled()[0] == p
+    assert m.entry_bits() == ReferenceMat4.of(m).entry_bits() == 3
+    zero = Mat4([[0] * 4] * 4)
+    assert zero.entry_bits() == ReferenceMat4.of(zero).entry_bits() == 1
+
+
+# --- the inverse: -J g^T J, else Gauss-Jordan --------------------------------
+
+
+@pytest.fixture
+def gauss_jordan_calls(monkeypatch):
+    calls = []
+    real = matrices._gauss_jordan
+
+    def spy(d, e):
+        calls.append(d)
+        return real(d, e)
+
+    monkeypatch.setattr(matrices, "_gauss_jordan", spy)
+    return calls
+
+
+def test_symplectic_inverses_skip_gauss_jordan(gauss_jordan_calls):
+    p = 5
+    elements = [
+        *(sample(SampleSpec(GroupLabel.GAMMA_1P, p, s, 6)) for s in range(5)),
+        *(generator(name, p) for name in ("M0", "M1", "L5", "J")),
+        j2_embed(Mat2.of(2, 1, 1, 1), p),  # d = p
+        j1_embed(Mat2.of(0, -1, 1, 0)),
+    ]
+    for g in elements:
+        assert symplectic_check(g, SymplecticForm.standard())
+        assert g * g.inv() == I4 and ReferenceMat4.of(g.inv()) == ReferenceMat4.of(g).inv()
+    assert gauss_jordan_calls == []
+
+
+def test_det_2_diagonal_inverts_through_gauss_jordan(gauss_jordan_calls):
+    m = Mat4.diagonal(2, 1, 1, 1)
+    assert m.inv() == Mat4.diagonal(Fraction(1, 2), 1, 1, 1)
+    assert gauss_jordan_calls == [1]
+
+
+def test_lambda_symplectic_inverse_goes_through_gauss_jordan(gauss_jordan_calls):
+    m = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, 7, 5, 6))
+    assert not symplectic_check(m, SymplecticForm.standard())
+    inverse = m.inv()
+    assert m * inverse == I4 and ReferenceMat4.of(inverse) == ReferenceMat4.of(m).inv()
+    assert gauss_jordan_calls == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational())
+def test_non_symplectic_rational_inverse_through_gauss_jordan(m):
+    calls = []
+    real = matrices._gauss_jordan
+    matrices._gauss_jordan = lambda d, e: calls.append(d) or real(d, e)
+    try:
+        outcome = _outcome(m.inv)
+    finally:
+        matrices._gauss_jordan = real
+    assert outcome == _outcome(ReferenceMat4.of(m).inv)
+    if not symplectic_check(m, SymplecticForm.standard()):
+        assert calls == [m.scaled()[0]]
+        if outcome is not SingularMatrix:
+            assert m * m.inv() == I4
+
+
+def test_singular_matrix_still_raises(gauss_jordan_calls):
+    # criterion 9: rank 3, with a rational row
+    bad = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [Fraction(1, 3), Fraction(2, 3), 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(SingularMatrix):
+        bad.inv()
+    assert gauss_jordan_calls == [3]
+
+
+# --- the parse: (num, den) integers, located errors only on failure ----------
+
+
+def test_parse_builds_no_fraction(monkeypatch):
+    k = j2_embed(Mat2.of(1, 0, 1, 1), 7)
+    lists, lists2 = mat4_to_lists(k), [["12", "-5"], ["7", "-3"]]
+    monkeypatch.setattr(Fraction, "__new__", lambda *a, **kw: pytest.fail("Fraction built"))
+    m, m2 = mat4_from_lists(lists), mat2_from_lists(lists2)
+    again = mat4_to_lists(m)
+    monkeypatch.undo()
+    assert m == k and again == lists
+    assert m2 == Mat2.of(12, -5, 7, -3)
+
+
+# the messages, byte for byte, with {where} the location of the entry
+BAD_ENTRIES = {
+    "x": "bad scalar 'x' {where}",
+    "-0": "bad scalar '-0' {where}",
+    "2/4": "scalar '2/4' is not canonical {where}",
+    "5/1": "scalar '5/1' is not canonical {where}",
+    7: "entry {where} must be a string",
+    None: "entry {where} must be a string",
+    "9" * 5001: "entry too long to read {where}: ",
+}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("bad", list(BAD_ENTRIES) + ["1/2"])
+def test_parse_errors_name_the_entry(bad, n):
+    reader = mat2_from_lists if n == 2 else mat4_from_lists
+    for i in range(n):
+        for j in range(n):
+            obj = [["1" if r == c else "0" for c in range(n)] for r in range(n)]
+            obj[i][j] = bad
+            if bad == "1/2" and n == 4:
+                assert reader(obj)[i][j] == Fraction(1, 2)
+                continue
+            where = f"at ({i},{j})"
+            expected = "entry {where} must be an integer" if bad == "1/2" else BAD_ENTRIES[bad]
+            with pytest.raises(ParseError) as exc:
+                reader(obj)
+            assert str(exc.value).startswith(expected.format(where=where))
+            if not expected.endswith(": "):
+                assert str(exc.value) == expected.format(where=where)
+
+
+def test_rows_that_parse_format_no_location():
+    seen = []
+
+    def read(s, where=""):
+        seen.append(where)
+        return int(s)
+
+    assert matrices._read_rows([["1", "2"], ["3", "4"]], 2, read) == ((1, 2), (3, 4))
+    assert seen == ["", "", "", ""]
