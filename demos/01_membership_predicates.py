@@ -45,14 +45,14 @@ print("it lies in gamma_tilde_1p:", member(mt2, GroupLabel.GAMMA_TILDE_1P, p))
 # accepts in its single (1/p)Z slot.
 w = Mat2.of(0, -1, 1, 0)
 img = j2_embed(w, p)
-print("\nj2 of a rotation has entry (4,2) =", img[3][1])
+print("\nj2 of a rotation has entry (4,2) =", img.rows[3][1])
 print("member of gamma0_1p:", member(img, GroupLabel.GAMMA0_1P, p))
 print("member of gamma_1p:", member(img, GroupLabel.GAMMA_1P, p))
 
 # A nonzero integer vector is short when gcd(v1, p*v2, v3, p*v4) = 1.
 # Rows of tilde members split cleanly: first row short, second row long.
 k = r_conjugate(generator("M1", p) * m2, p)
-row1 = tuple(int(x) for x in k[0])
-row2 = tuple(int(x) for x in k[1])
+row1 = tuple(int(x) for x in k.rows[0])
+row2 = tuple(int(x) for x in k.rows[1])
 print("\nfirst row", row1, "->", vector_class(row1, p).value)
 print("second row", row2, "->", vector_class(row2, p).value)

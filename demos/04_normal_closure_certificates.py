@@ -54,7 +54,7 @@ for i, node in enumerate(nodes):
     if node.op == SEED_P2:
         rows = [list(row) for row in node.value.rows]
         rows[0][1] += 1  # entry (1,2)
-        nodes[i] = CertNode(SEED_P2, (), Mat4.from_rows(rows))
+        nodes[i] = CertNode(SEED_P2, (), Mat4(rows))
         break
 tampered = Certificate(cert.p, tuple(nodes), cert.root, cert.target)
 print("\ntampered seed detected:", not cert_verify(tampered).passed)

@@ -11,23 +11,21 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
-Every letter is an integer matrix in tilde coordinates, read off one
-table (:func:`_letter_rows`): a named power is the identity plus e
+Every letter is an integer ``Mat4`` in tilde coordinates, read off one
+table (:func:`_letter_matrix`): a named power is the identity plus e
 times the entries of its tilde twin in ``generators._ENTRIES``
 (M_i -> Mt_i), a j1 letter writes its payload into coordinates (1,3)
 and a j2 letter writes it into (2,4).  A plain letter is the
-R-conjugate of those rows, so a plain word is replayed in tilde
-coordinates and conjugated back once at the end, which keeps a plain
-j2 payload with p not dividing c exact.  Replay multiplies the integer
-rows from the identity, and the reducer multiplies its integer working
-rows by the same letter rows, both with ``matrices.mul_rows``.
+R-conjugate of that matrix, so :meth:`GeneratorWord.replay` multiplies
+a plain word in tilde coordinates and conjugates the product back by
+R once at the end (``groups.r_conjugate``), so every product but the
+last stays integral (d = 1), a plain j2 payload with p not dividing c
+included.  The reducer right-multiplies its working matrix by the same
+letter matrices.
 
-:func:`decompose` reads a member's integer rows (``k.scaled()``, whose
-d is 1 for a member), R-conjugates a plain input on them and checks its
-replayed rows against them, in the input's coordinates;
-:func:`reduce_first_row` and :meth:`GeneratorWord.replay` are the
-``Mat4`` views of that row code, and a one-letter word's ``replay()`` is
-the matrix of that letter.
+:func:`decompose` tests its input's membership, R-conjugates a plain
+input, runs :func:`reduce_first_row` and the j2 clear on the tilde
+member, and compares the word's replay with the input itself.
 
 The pipeline works by right multiplication throughout:
 
@@ -84,8 +82,8 @@ from .errors import (
     UnknownName,
 )
 from .generators import _ENTRIES
-from .groups import GroupLabel, _r_conjugate_rows, member, require_odd_prime
-from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists, mul_rows
+from .groups import GroupLabel, member, r_conjugate, require_odd_prime
+from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
 @dataclass(frozen=True)
@@ -105,9 +103,6 @@ class J2:
 
 
 Letter = Union[Named, J1, J2]
-Rows = tuple[tuple, ...]
-
-_IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 # the named letters of each alphabet (keyed by ``tilde``), each mapped to
 # the tilde twin whose entries give its rows
@@ -117,8 +112,8 @@ _TWINS = {
 }
 
 
-def _letter_rows(letter: Letter, p: int, tilde: bool) -> Rows:
-    """A letter's integer rows in tilde coordinates.
+def _letter_matrix(letter: Letter, p: int, tilde: bool) -> Mat4:
+    """A letter's integer matrix in tilde coordinates.
 
     A named power ``e`` is ``1 + e N``, N the entries of the tilde twin
     (exact since N N = 0); j1 and j2 payloads go into coordinates (1,3)
@@ -130,16 +125,16 @@ def _letter_rows(letter: Letter, p: int, tilde: bool) -> Rows:
         if twin is None:
             coords = "tilde" if tilde else "untilded"
             raise UnknownName(f"no {coords} letter named {letter.name!r}")
-        rows = [list(r) for r in _IDENTITY_ROWS]
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         for (i, j), x in _ENTRIES[twin](p).items():
             rows[i - 1][j - 1] += letter.exp * x
-        return tuple(map(tuple, rows))
+        return Mat4.from_pair(1, tuple(map(tuple, rows)))
     (a, b), (c, d) = letter.payload.rows
     if a * d - b * c != 1:
         raise NotUnimodular("j1 and j2 payloads must have determinant 1")
     if isinstance(letter, J1):
-        return ((a, 0, b, 0), (0, 1, 0, 0), (c, 0, d, 0), (0, 0, 0, 1))
-    return ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d))
+        return Mat4.from_pair(1, ((a, 0, b, 0), (0, 1, 0, 0), (c, 0, d, 0), (0, 0, 0, 1)))
+    return Mat4.from_pair(1, ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d)))
 
 
 @dataclass(frozen=True)
@@ -154,18 +149,14 @@ class GeneratorWord:
     letters: tuple[Letter, ...]
 
     def replay(self) -> Mat4:
-        """The product of the letters; BadPrime for a bad p, whatever the letters."""
-        return Mat4.from_rows(self._replay_rows())
-
-    def _replay_rows(self) -> Rows:
-        """The rows of :meth:`replay`, multiplied on integer rows from
-        the identity; a non-integer enters only where a plain word's
-        conjugation back by R leaves one."""
+        """The product of the letters, multiplied in tilde coordinates
+        from the identity; a plain word's product is conjugated back by
+        R once at the end.  BadPrime for a bad p, whatever the letters."""
         require_odd_prime(self.p)
-        acc = _IDENTITY_ROWS
+        acc = Mat4.identity()
         for letter in self.letters:
-            acc = mul_rows(acc, _letter_rows(letter, self.p, self.tilde))
-        return acc if self.tilde else _r_conjugate_rows(acc, self.p, inverse=True)
+            acc = acc * _letter_matrix(letter, self.p, self.tilde)
+        return acc if self.tilde else r_conjugate(acc, self.p, inverse=True)
 
     def to_json_obj(self) -> dict:
         letters = []
@@ -268,36 +259,28 @@ def _gcd_step_matrix(v1: int, v3: int) -> Mat2:
 
 
 class _Reducer:
-    """Accumulates right multipliers applied to integer working rows."""
+    """Accumulates right multipliers applied to an integer working matrix."""
 
-    def __init__(self, rows: Rows, p: int):
-        self.cur = rows
+    def __init__(self, cur: Mat4, p: int, letters: Iterable[Letter] = ()):
+        self.cur = cur
         self.p = p
-        self.letters: list[Letter] = []
+        self.letters: list[Letter] = list(letters)
 
     def apply(self, letter: Letter) -> None:
-        """Right-multiply by a tilde letter's integer rows and log it;
+        """Right-multiply by a tilde letter's matrix and log it;
         identities are skipped."""
         if _is_identity(letter):
             return
-        self.cur = mul_rows(self.cur, _letter_rows(letter, self.p, True))
+        self.cur = self.cur * _letter_matrix(letter, self.p, True)
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
-        v = self.cur[0]
+        v = self.cur.scaled()[1][0]
         self.apply(J1(_gcd_step_matrix(v[0], v[2])))
-        v = self.cur[0]
+        v = self.cur.scaled()[1][0]
         if v[2] != 0 or v[0] <= 0:
             raise ShapeAssertionFailed("j1 gcd step did not clear v3 to a positive v1")
         return v[0]
-
-
-def _member_rows(k: Mat4, label: GroupLabel, p: int) -> Rows:
-    """k's entries as integer rows; :class:`NotInGroup` unless k lies in
-    the labelled group, whose members are integral."""
-    if not member(k, label, p):
-        raise NotInGroup(f"not in {label.value} at p={p}")
-    return k.scaled()[1]
 
 
 def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
@@ -305,23 +288,19 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
 
     Returns the multipliers, in application order, as a tilde word using
     only Mt1..Mt4 and j1 letters, together with the reduced matrix:
-    ``k * word.replay() == reduced``.
+    ``k * word.replay() == reduced``.  Members are integral, so every
+    working matrix has d = 1 and its first row is ``cur.scaled()[1][0]``.
     """
-    red = _reduce_rows(_member_rows(k, GroupLabel.GAMMA_TILDE_1P, p), p)
-    return GeneratorWord(p=p, tilde=True, letters=tuple(red.letters)), Mat4.from_rows(red.cur)
-
-
-def _reduce_rows(rows: Rows, p: int) -> _Reducer:
-    """First-row reduction of a gamma_tilde_1p member's integer rows (the
-    caller tests membership); the reducer holds the multipliers and rows."""
-    v = rows[0]
+    if not member(k, GroupLabel.GAMMA_TILDE_1P, p):
+        raise NotInGroup(f"not in gamma_tilde_1p at p={p}")
+    v = k.scaled()[1][0]
     if math.gcd(v[0], p * v[1], v[2], p * v[3]) != 1:
         # impossible for genuine members; loud signal of a predicate bug
         raise LongFirstRow(f"first row {v} is long at p={p}")
 
-    red = _Reducer(rows, p)
+    red = _Reducer(k, p)
     g = red.gcd_clear_v3()  # (a)
-    v = red.cur[0]
+    v = red.cur.scaled()[1][0]
     if (v[1], v[3]) != (0, 0):
         if g > 1 and v[1] != 0:  # (b)
             red.apply(Named("Mt2", 1))
@@ -331,19 +310,20 @@ def _reduce_rows(rows: Rows, p: int) -> _Reducer:
             g = red.gcd_clear_v3()
         if g != 1:
             raise LongFirstRow(f"gcd stalled at {g}; first row was not short")
-        v = red.cur[0]
+        v = red.cur.scaled()[1][0]
         red.apply(Named("Mt2", -v[3]))  # (d)
-        v = red.cur[0]
+        v = red.cur.scaled()[1][0]
         red.apply(Named("Mt3", -v[1]))
         red.gcd_clear_v3()
-    if red.cur[0] != (1, 0, 0, 0):
+    if red.cur.scaled()[1][0] != (1, 0, 0, 0):
         raise ShapeAssertionFailed("first row did not reduce to (1,0,0,0)")
-    return red
+    return GeneratorWord(p=p, tilde=True, letters=tuple(red.letters)), red.cur
 
 
-def _cleared_shape(rows: Rows, p: int) -> tuple[int, int] | None:
-    """If the rows are ((1,0,0,0),(-n p,1,0,0),(*,m,1,n),(m p,0,0,1)),
-    return (m, n); otherwise None."""
+def _cleared_shape(cur: Mat4, p: int) -> tuple[int, int] | None:
+    """If cur is ((1,0,0,0),(-n p,1,0,0),(*,m,1,n),(m p,0,0,1)), return
+    (m, n); otherwise None."""
+    rows = cur.scaled()[1]
     m, n = rows[2][1], rows[2][3]
     expect = ((1, 0, 0, 0), (-n * p, 1, 0, 0), (rows[2][0], m, 1, n), (m * p, 0, 0, 1))
     return (m, n) if rows == expect else None
@@ -357,46 +337,45 @@ def decompose(k: Mat4, p: int, tilde: bool = True) -> GeneratorWord:
     (Mt_i -> M_i with the same j1/j2 payloads, which is exactly
     letterwise R-conjugation).  So the plain word replays to k exactly
     when the tilde word replays to R k R^-1.  The returned word's
-    replayed rows are compared with k's own.
+    replay is compared with k itself.
     """
     if tilde:
-        rows = tilde_rows = _member_rows(k, GroupLabel.GAMMA_TILDE_1P, p)
+        word = _decompose_tilde(k, p)
     else:
-        rows = _member_rows(k, GroupLabel.GAMMA_1P, p)
-        tilde_rows = _member_rows(Mat4(_r_conjugate_rows(rows, p)), GroupLabel.GAMMA_TILDE_1P, p)
-    word = _decompose_tilde(tilde_rows, p)
-    if not tilde:
+        if not member(k, GroupLabel.GAMMA_1P, p):
+            raise NotInGroup(f"not in gamma_1p at p={p}")
         letters = tuple(
             Named("M" + letter.name[2:], letter.exp) if isinstance(letter, Named) else letter
-            for letter in word.letters
+            for letter in _decompose_tilde(r_conjugate(k, p), p).letters
         )
         word = GeneratorWord(p=p, tilde=False, letters=letters)
-    if word._replay_rows() != rows:
+    if word.replay() != k:
         raise ShapeAssertionFailed(f"word does not replay to its input at p={p}")
     return word
 
 
-def _decompose_tilde(rows: Rows, p: int) -> GeneratorWord:
-    """Tilde-coordinate word for a gamma_tilde_1p member's integer rows,
-    not replayed."""
-    work = _reduce_rows(rows, p)
-    red = work.cur
-    block = Mat2.of(red[1][1], red[1][3], red[3][1], red[3][3])
+def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
+    """Tilde-coordinate word for a gamma_tilde_1p member, not replayed:
+    :func:`reduce_first_row`, then the j2 clear and the residue."""
+    reduction, red = reduce_first_row(k, p)
+    work = _Reducer(red, p, reduction.letters)
+    rows = red.scaled()[1]
+    block = Mat2.of(rows[1][1], rows[1][3], rows[3][1], rows[3][3])
     shape = None
     if member(block, GroupLabel.GAMMA1_OF_P, p):
         work.apply(J2(block.inv()))
         shape = _cleared_shape(work.cur, p)
     if shape is None:
-        raise ShapeAssertionFailed(f"the j2 block does not clear rows 2 and 4 of {red}")
+        raise ShapeAssertionFailed(f"the j2 block does not clear rows 2 and 4 of {rows}")
 
     m, n = shape
     work.apply(Named("Mt4", -n))
     work.apply(Named("Mt1", -m))
 
     residue = work.cur
-    shear = J1(Mat2.of(1, 0, residue[2][0], 1))
-    if residue != _letter_rows(shear, p, True):
-        raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue}")
+    shear = J1(Mat2.of(1, 0, residue.scaled()[1][2][0], 1))
+    if residue != _letter_matrix(shear, p, True):
+        raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.scaled()[1]}")
 
     letters: list[Letter] = []
     if not _is_identity(shear):

@@ -105,7 +105,7 @@ def _build_generator(name: str, p: int) -> Mat4 | Mat2:
         rows = [[int(i == j) for j in range(4)] for i in range(4)]
         for (i, j), x in _ENTRIES[name](p).items():
             rows[i - 1][j - 1] = x
-        return Mat4.from_rows(rows)
+        return Mat4(rows)
     if name == "P":
         return Mat2.of(1, 0, p, 1)
     if name == "R":

@@ -13,7 +13,9 @@ congruence conditions relative to those forms.  Conventions:
   condition defines the same group; for Lambda it does not, and the row
   convention is the one under which ``G~ = R G R^{-1}`` holds with
   ``R = diag(1,1,1,p)`` and under which shortness of a row vector is
-  invariant under right multiplication.
+  invariant under right multiplication.  :func:`r_conjugate` forms
+  ``R m R^{-1}`` on the pair of ``m.scaled()``, and the plain
+  :func:`j2_embed` image is the R^-1-conjugate of the tilde one.
 
 * ``symplectic_check`` never forms the product ``g * form * g^T``.
   That product is antisymmetric like the form, so it equals the form
@@ -70,7 +72,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import BadPrime, DomainError, NotUnimodular, ShapeAssertionFailed, ZeroVector
-from .matrices import Mat2, Mat4, _quotient, ext_gcd
+from .matrices import Mat2, Mat4, ext_gcd
 
 
 class GroupLabel(str, Enum):
@@ -158,18 +160,14 @@ class SymplecticForm:
     @staticmethod
     def standard() -> "SymplecticForm":
         return SymplecticForm(
-            Mat4.from_rows(
-                [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-            )
+            Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
         )
 
     @staticmethod
     def polarised(p: int) -> "SymplecticForm":
         require_odd_prime(p)
         return SymplecticForm(
-            Mat4.from_rows(
-                [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
-            )
+            Mat4([[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]])
         )
 
 
@@ -251,9 +249,7 @@ def j1_embed(a: Mat2) -> Mat4:
     if a.det() != 1:
         raise NotUnimodular("j1 payload must have determinant 1")
     (x, y), (z, w) = a.rows
-    return Mat4.from_rows(
-        [[x, 0, y, 0], [0, 1, 0, 0], [z, 0, w, 0], [0, 0, 0, 1]]
-    )
+    return Mat4.from_pair(1, ((x, 0, y, 0), (0, 1, 0, 0), (z, 0, w, 0), (0, 0, 0, 1)))
 
 
 def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
@@ -269,24 +265,26 @@ def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
     if q.det() != 1:
         raise NotUnimodular("j2 payload must have determinant 1")
     (a, b), (c, d) = q.rows
-    rows = ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d))
-    return Mat4.from_rows(rows if tilde else _r_conjugate_rows(rows, p, inverse=True))
+    image = Mat4.from_pair(1, ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d)))
+    return image if tilde else r_conjugate(image, p, inverse=True)
 
 
 def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
-    """Return ``R m R^{-1}`` (or ``R^{-1} m R`` when ``inverse``)."""
+    """Return ``R m R^{-1}`` (or ``R^{-1} m R`` when ``inverse``).
+
+    Works on the pair ``(d, e)`` of ``m.scaled()``: ``p R m R^{-1}`` is
+    ``R e (p R^{-1}) / d``, so the new pair is ``p d`` over e with row 4
+    and columns 1..3 times p (rows 1..3 and column 4 when ``inverse``),
+    reduced by one gcd."""
     require_odd_prime(p)
-    return Mat4.from_rows(_r_conjugate_rows(m.rows, p, inverse))
-
-
-def _r_conjugate_rows(rows: tuple[tuple, ...], p: int, inverse: bool = False) -> tuple[tuple, ...]:
-    """The rows of :func:`r_conjugate`, p unchecked: row 4 times p and
-    column 4 over p (the other way round when ``inverse``), entry (4,4)
-    fixed.  An integer over p stays an integer when p divides it."""
-    times, over = (lambda x: x * p), (lambda x: _quotient(x, p))
-    up, down = (over, times) if inverse else (times, over)
-    *top, (a, b, c, d) = rows
-    return (*((x, y, z, down(w)) for x, y, z, w in top), (up(a), up(b), up(c), d))
+    d, e = m.scaled()
+    q = p * p
+    *top, (a, b, c, w) = e
+    if inverse:
+        rows = (*[(p * x, p * y, p * z, q * t) for x, y, z, t in top], (a, b, c, p * w))
+    else:
+        rows = (*[(p * x, p * y, p * z, t) for x, y, z, t in top], (q * a, q * b, q * c, p * w))
+    return Mat4.from_pair(p * d, rows)
 
 
 def _integer_row(v) -> tuple[int, ...]:

@@ -11,8 +11,11 @@ Every group element in this package lives in one of two carriers:
 
 Only this module knows how the entries are stored; others read a
 matrix through ``scaled()``, which returns the stored pair, and
-:meth:`Mat4.entry_bits`.  ``Mat4.rows`` is a read-only view that builds
-one ``fractions.Fraction`` per entry, for callers off the hot paths.
+:meth:`Mat4.entry_bits`, and build one from a pair of integers with
+:meth:`Mat4.from_pair`, the inverse of ``scaled()``.  ``Mat4(rows)``
+takes rows of any exact numbers, and ``Mat4.rows`` is a read-only view
+that builds one ``fractions.Fraction`` per entry; both are for callers
+off the hot paths.
 
 A product is :func:`mul_rows` on the integer rows and one gcd when
 d > 1.  The inverse of a symplectic ``g`` (for J) is ``-J g^T J``; it
@@ -39,8 +42,8 @@ to zero only through cancellation.  Any other base falls back to
 binary powering, of the inverse when ``n < 0``.
 
 ``Mat4.identity()`` returns one shared immutable constant.  One
-function, :func:`mul_rows`, is every 4x4 product: of the integer rows of
-``Mat4`` values and of the integer rows that decomposition works on.
+function, :func:`mul_rows`, is every 4x4 product, on the integer rows
+of the stored pairs.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -68,8 +71,6 @@ from .errors import (
     ShapeAssertionFailed,
     SingularMatrix,
 )
-
-Scalar = int | Fraction
 
 # decimal digits per str() call: below 640, the smallest int/str
 # conversion limit the interpreter accepts, so no setting of it trips
@@ -148,7 +149,7 @@ class Mat2:
         return 1, self.rows
 
 
-def _frac(x: Scalar) -> Fraction:
+def _frac(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -185,8 +186,15 @@ class Mat4:
             self._d, self._e = _scale([_frac(x).as_integer_ratio() for x in flat])
 
     @staticmethod
-    def from_rows(rows) -> "Mat4":
-        return Mat4(rows)
+    def from_pair(d: int, e: tuple[tuple[int, ...], ...]) -> "Mat4":
+        """The ``Mat4`` of ``e / d``, the inverse of :meth:`scaled`: d > 0
+        and e a tuple of 4 tuples of 4 ints, divided by ``gcd(d, *e)``."""
+        if d != 1:
+            g = math.gcd(d, *e[0], *e[1], *e[2], *e[3])
+            if g != 1:
+                d //= g
+                e = tuple([tuple([x // g for x in row]) for row in e])
+        return _pair(d, e)
 
     @staticmethod
     def identity() -> "Mat4":
@@ -202,10 +210,6 @@ class Mat4:
         d = self._d
         return tuple(tuple(Fraction(x, d) for x in row) for row in self._e)
 
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        d = self._d
-        return tuple(Fraction(x, d) for x in self._e[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat4):
             return NotImplemented
@@ -218,7 +222,7 @@ class Mat4:
         return f"Mat4(rows={self.rows!r})"
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        return _reduced(self._d * other._d, mul_rows(self._e, other._e))
+        return Mat4.from_pair(self._d * other._d, mul_rows(self._e, other._e))
 
     def inv(self) -> "Mat4":
         """Exact inverse: ``-J g^T J`` when one integer product shows it
@@ -268,16 +272,6 @@ def _pair(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
     return m
 
 
-def _reduced(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
-    """The ``Mat4`` of ``e / d``, d > 0: the pair divided by ``gcd(d, *e)``."""
-    if d != 1:
-        g = math.gcd(d, *e[0], *e[1], *e[2], *e[3])
-        if g != 1:
-            d //= g
-            e = tuple([tuple([x // g for x in row]) for row in e])
-    return _pair(d, e)
-
-
 def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The pair of 16 row-major reduced ``(num, den)`` entries: d is the
     lcm of the denominators, which leaves ``gcd(d, *e) = 1``."""
@@ -311,11 +305,6 @@ def _gauss_jordan(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
 
 
-def _quotient(x, n: int):
-    """``x / n``: an ``int`` when n divides the ``int`` x, else a ``Fraction``."""
-    return x // n if type(x) is int and not x % n else Fraction(x, n)
-
-
 def unipotent_power(m, n: int):
     """``1 + n N`` for ``N = m - 1`` when ``N N = 0``, else ``None``;
     ``m`` a ``Mat2`` or ``Mat4``.  Both the test and the closed form
@@ -342,7 +331,7 @@ def unipotent_power(m, n: int):
     for i, j, x in nil:
         rows[i][j] += n * x
     rows = tuple(map(tuple, rows))
-    return _reduced(d, rows) if isinstance(m, Mat4) else Mat2(rows)
+    return Mat4.from_pair(d, rows) if isinstance(m, Mat4) else Mat2(rows)
 
 
 def _power(m, n: int):
@@ -390,20 +379,11 @@ def _ratio_to_str(num: int, den: int) -> str:
     return f"{_int_to_str(num)}/{_int_to_str(den)}"
 
 
-def scalar_to_str(x: Scalar) -> str:
-    return _ratio_to_str(*_frac(x).as_integer_ratio())
-
-
-def scalar_from_str(s: str, where: str = "") -> Fraction:
-    """Read an entry written as :func:`scalar_to_str` writes it; any
-    other spelling of the same number (``-0``, ``0/1``, ``n/1``,
-    ``2/4``) is a :class:`ParseError`, so round-trips are bit-exact."""
-    return Fraction(*_ratio_from_str(s, where))
-
-
 def _ratio_from_str(s: str, where: str = "") -> tuple[int, int]:
-    """The reduced ``(num, den)`` of an entry string, read as
-    :func:`scalar_from_str` reads it."""
+    """The reduced ``(num, den)`` of an entry string written as
+    :func:`_ratio_to_str` writes it; any other spelling of the same
+    number (``-0``, ``0/1``, ``n/1``, ``2/4``) is a :class:`ParseError`,
+    so round-trips are bit-exact."""
     if not isinstance(s, str):
         raise ParseError(f"entry {where or repr(s)} must be a string")
     m = _ENTRY_RE.match(s)

@@ -126,24 +126,16 @@ def _sample_gamma_p2(rng: random.Random, p: int, length: int) -> Mat4:
         pick = rng.randrange(3)
         if pick == 0:
             b11, b12, b22 = _sym2(rng, p2)
-            m = Mat4.from_rows(
-                [[1, 0, b11, b12], [0, 1, b12, b22], [0, 0, 1, 0], [0, 0, 0, 1]]
-            )
+            m = Mat4([[1, 0, b11, b12], [0, 1, b12, b22], [0, 0, 1, 0], [0, 0, 0, 1]])
         elif pick == 1:
             c11, c12, c22 = _sym2(rng, p2)
-            m = Mat4.from_rows(
-                [[1, 0, 0, 0], [0, 1, 0, 0], [c11, c12, 1, 0], [c12, c22, 0, 1]]
-            )
+            m = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [c11, c12, 1, 0], [c12, c22, 0, 1]])
         else:
             k = p2 * rng.randint(-2, 2)
             if rng.random() < 0.5:
-                m = Mat4.from_rows(
-                    [[1, k, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -k, 1]]
-                )
+                m = Mat4([[1, k, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -k, 1]])
             else:
-                m = Mat4.from_rows(
-                    [[1, 0, 0, 0], [k, 1, 0, 0], [0, 0, 1, -k], [0, 0, 0, 1]]
-                )
+                m = Mat4([[1, 0, 0, 0], [k, 1, 0, 0], [0, 0, 1, -k], [0, 0, 0, 1]])
         acc = acc * m
     return acc
 

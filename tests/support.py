@@ -24,7 +24,7 @@ from sp4cert.decompose import J1, GeneratorWord, Named
 from sp4cert.errors import SingularMatrix
 from sp4cert.generators import generator
 from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed
-from sp4cert.matrices import Mat2, Mat4, scalar_from_str, scalar_to_str
+from sp4cert.matrices import Mat2, Mat4, _ratio_from_str, _ratio_to_str
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -100,11 +100,12 @@ class ReferenceMat4:
         return acc.bit_length()
 
     def to_lists(self) -> list[list[str]]:
-        return [[scalar_to_str(x) for x in row] for row in self.rows]
+        return [[_ratio_to_str(*x.as_integer_ratio()) for x in row] for row in self.rows]
 
     @staticmethod
     def from_lists(obj) -> "ReferenceMat4":
-        return ReferenceMat4(tuple(tuple(scalar_from_str(x) for x in row) for row in obj))
+        rows = tuple(tuple(Fraction(*_ratio_from_str(x)) for x in row) for row in obj)
+        return ReferenceMat4(rows)
 
 
 def reference_bit_budget(cert: Certificate) -> int:
@@ -137,10 +138,11 @@ def mat4_det(m: Mat4) -> Fraction:
             + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
         )
 
+    rows = m.rows
     total = Fraction(0)
     for j in range(4):
-        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        total += (-1) ** j * m[0][j] * det3(minor)
+        minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
+        total += (-1) ** j * rows[0][j] * det3(minor)
     return total
 
 
@@ -195,7 +197,7 @@ def reference_r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
     for i in range(4):
         row = []
         for j in range(4):
-            x = m[i][j]
+            x = m.rows[i][j]
             if i == 3:
                 x = x * s
             if j == 3:
@@ -264,7 +266,7 @@ def reference_member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
             return False
         for r in range(4):
             for c in range(4):
-                x = m[r][c]
+                x = m.rows[r][c]
                 if (r, c) == (3, 1):
                     if (p * x).denominator != 1:
                         return False
@@ -279,19 +281,19 @@ def reference_member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     if label is GroupLabel.GAMMA_TILDE_1P:
         if not reference_symplectic_check(m, lam):
             return False
-        r2 = tuple(x.numerator % p for x in m[1])
-        r4 = tuple(x.numerator % p for x in m[3])
+        r2 = tuple(x.numerator % p for x in m.rows[1])
+        r4 = tuple(x.numerator % p for x in m.rows[3])
         return r2 == (0, 1 % p, 0, 0) and r4 == (0, 0, 0, 1 % p)
     if not reference_symplectic_check(m, j):
         return False
-    d = mat4_sub(m, Mat4.identity())
+    d = mat4_sub(m, Mat4.identity()).rows
     if label is GroupLabel.GAMMA_P2:
         return all(_divisible(d[r][c], p * p) for r in range(4) for c in range(4))
     moduli = ((1, 1, 1, p), (p, p, p, p * p), (1, 1, 1, p), (1, 1, 1, p))
     return all(_divisible(d[r][c], moduli[r][c]) for r in range(4) for c in range(4))
 
 
-_E12 = Mat4.from_rows(
+_E12 = Mat4(
     [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 )
 _DET2 = Mat4.diagonal(2, 1, 1, 1)

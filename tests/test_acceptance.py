@@ -167,13 +167,13 @@ def test_criterion_5_predicate_coherence():
         v = tuple(rng.randint(-9, 9) for _ in range(4))
         if v == (0, 0, 0, 0):
             v = (0, 1, 0, 0)
-        moved = tuple(int(sum(v[k] * g[k][j] for k in range(4))) for j in range(4))
+        moved = tuple(int(sum(v[k] * g.rows[k][j] for k in range(4))) for j in range(4))
         ok = ok and vector_class(v, p) is vector_class(moved, p)
 
     # first-row-short / second-row-long dichotomy on 200 members
     for k in corpus(GroupLabel.GAMMA_TILDE_1P, p, 200, 63_000, max_len=14):
-        row1 = tuple(int(x) for x in k[0])
-        row2 = tuple(int(x) for x in k[1])
+        row1 = tuple(int(x) for x in k.rows[0])
+        row2 = tuple(int(x) for x in k.rows[1])
         ok = ok and vector_class(row1, p) is VectorClass.SHORT
         ok = ok and vector_class(row2, p) is VectorClass.LONG
 
@@ -244,7 +244,7 @@ def test_criterion_8_numeric_boundary():
 
 def test_criterion_9_erratum_detection():
     t0 = time.perf_counter()
-    singular_variant = Mat4.from_rows(
+    singular_variant = Mat4(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 0]]
     )
     flagged = False

@@ -81,7 +81,7 @@ def test_m2_chain_verifies():
 
 def test_tampered_target_fails_with_replay_locus():
     cert = build_generator_certs(3)["M2"]
-    bumped = Mat4.from_rows(
+    bumped = Mat4(
         [
             [x + (1 if (i, j) == (0, 1) else 0) for j, x in enumerate(row)]
             for i, row in enumerate(cert.target.rows)

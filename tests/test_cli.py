@@ -326,7 +326,7 @@ def test_any_other_package_error_exits_one(monkeypatch, capsys):
 
 def test_verify_refuses_an_entry_too_long_to_read(tmp_path, capsys):
     # serialize writes a 4,401-digit entry in pieces; the reader refuses it
-    seed = Mat4.from_rows(
+    seed = Mat4(
         [[1, 0, 0, 0], [0, 1, 0, 9 * 10**4400], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
     path = tmp_path / "wide.json"

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
-from support import fraction_entries, reference_product, reference_replay
+from support import ReferenceMat4, fraction_entries, reference_replay
 
 from sp4cert.decompose import (
     GeneratorWord,
     J1,
     J2,
     Named,
-    _letter_rows,
+    _letter_matrix,
     _simplify_letters,
     decompose,
     reduce_first_row,
@@ -30,12 +30,13 @@ from sp4cert.groups import (
     GroupLabel,
     SymplecticForm,
     _pattern,
+    j1_embed,
     j2_embed,
     member,
     r_conjugate,
     symplectic_check,
 )
-from sp4cert.matrices import Mat2, Mat4, mul_rows
+from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
 
 I4 = Mat4.identity()
@@ -64,7 +65,7 @@ def test_reduce_mt2():
     mt2 = generator("Mt2", p)
     word, red = reduce_first_row(mt2, p)
     assert word.letters == (Named("Mt2", -1),)
-    assert tuple(red[0]) == (1, 0, 0, 0)
+    assert red.rows[0] == (1, 0, 0, 0)
     assert mt2 * word.replay() == red
 
 
@@ -72,7 +73,7 @@ def test_reduce_contract_on_corpus():
     p = 3
     for i, k in enumerate(tilde_corpus(p, 100, 600)):
         word, red = reduce_first_row(k, p)
-        assert tuple(int(x) for x in red[0]) == (1, 0, 0, 0), i
+        assert red.rows[0] == (1, 0, 0, 0), i
         assert k * word.replay() == red
         for letter in word.letters:
             assert isinstance(letter, (Named, J1))
@@ -133,16 +134,17 @@ def test_decompose_rejects_non_members():
 
 @pytest.mark.parametrize("p", [3, 7])
 def test_plain_decompose_rejects_each_kind_of_non_member(p):
-    off_form = Mat4.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    off_form = Mat4([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     moduli = _pattern(GroupLabel.GAMMA_1P, p)[0]
-    assert all((off_form[i][j] - (i == j)) % moduli[i][j] == 0 for i in range(4) for j in range(4))
+    rows = off_form.rows
+    assert all((rows[i][j] - (i == j)) % moduli[i][j] == 0 for i in range(4) for j in range(4))
     assert not symplectic_check(off_form, SymplecticForm.standard())
     slot = j2_embed(Mat2.of(1, 0, 1, 1), p)
-    assert member(slot, GroupLabel.GAMMA0_1P, p) and slot[3][1] == Fraction(1, p)
+    assert member(slot, GroupLabel.GAMMA0_1P, p) and slot.rows[3][1] == Fraction(1, p)
     tilde_member = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, p, 11, 8))
     assert not member(tilde_member, GroupLabel.GAMMA_1P, p)
     cases = (
-        Mat4.from_rows([[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        Mat4([[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
         off_form,  # integral, on the congruence pattern, not symplectic
         slot,
         tilde_member,
@@ -173,6 +175,23 @@ def test_plain_decompose_tests_the_input_and_its_conjugate(monkeypatch):
         dec.decompose(conjugate, p, tilde=True)
         assert seen[0] == (GroupLabel.GAMMA_TILDE_1P, conjugate)
         assert GroupLabel.GAMMA_1P not in [label for label, _ in seen]
+
+
+@pytest.mark.parametrize("label", [GroupLabel.GAMMA_1P, GroupLabel.GAMMA_TILDE_1P])
+def test_decompose_reduces_and_replays_once(monkeypatch, label):
+    dec = importlib.import_module("sp4cert.decompose")
+    calls = []
+    reduce, replay = dec.reduce_first_row, dec.GeneratorWord.replay
+    monkeypatch.setattr(dec, "reduce_first_row", lambda *a: calls.append("reduce") or reduce(*a))
+    monkeypatch.setattr(
+        dec.GeneratorWord, "replay", lambda word: calls.append("replay") or replay(word)
+    )
+    p = 7
+    for i in range(8):
+        k = sample(SampleSpec(label, p, 8300 + i, 2 * i))
+        calls.clear()
+        dec.decompose(k, p, tilde=label is GroupLabel.GAMMA_TILDE_1P)
+        assert calls == ["reduce", "replay"]
 
 
 FRACTION_ARITHMETIC = (
@@ -294,7 +313,7 @@ RATIONAL = st.fractions(-50, 50, max_denominator=12)
 
 @st.composite
 def dense(draw, entries=RATIONAL):
-    return Mat4.from_rows([[draw(entries) for _ in range(4)] for _ in range(4)])
+    return Mat4([[draw(entries) for _ in range(4)] for _ in range(4)])
 
 
 @DIFF
@@ -303,20 +322,24 @@ def dense(draw, entries=RATIONAL):
     st.booleans().flatmap(lambda t: letters(t).map(lambda letter: (t, letter))),
 )
 def test_letter_product_matches_full_product(acc, tilde_and_letter):
-    # the reducer and replay right-multiply by a letter's integer rows
+    # the reducer and replay right-multiply by a letter's tilde matrix
     tilde, letter = tilde_and_letter
     for p in (3, 11):
-        rows = _letter_rows(letter, p, tilde)
-        out = mul_rows(acc.rows, rows)
-        assert out == reference_product(acc.rows, rows)
-        assert Mat4.from_rows(out) == acc * Mat4.from_rows(rows)
+        matrix = _letter_matrix(letter, p, tilde)
+        if isinstance(letter, Named):
+            assert matrix == generator("Mt" + letter.name[-1], p) ** letter.exp
+        elif isinstance(letter, J1):
+            assert matrix == j1_embed(letter.payload)
+        else:
+            assert matrix == j2_embed(letter.payload, p, tilde=True)
+        assert ReferenceMat4.of(acc * matrix) == ReferenceMat4.of(acc) * ReferenceMat4.of(matrix)
 
 
 @DIFF
 @given(dense(), dense(st.one_of(st.just(0), st.just(1), RATIONAL)))
 def test_letter_product_matches_full_product_for_any_matrix(acc, s):
-    out = Mat4.from_rows(mul_rows(acc.rows, s.rows))
-    assert out == acc * s
+    out = acc * s
+    assert ReferenceMat4.of(out) == ReferenceMat4.of(acc) * ReferenceMat4.of(s)
     assert fraction_entries(out)
 
 

@@ -6,6 +6,10 @@ Every other module reads a matrix through ``scaled()`` and
 importing ``fractions``, naming ``Fraction`` or reading ``.numerator``
 or ``.denominator`` anywhere else fails.  Docstrings and comments are
 not names, so prose about fractions is free.
+
+The same walk keeps ``Mat4`` the one 4x4 carrier: outside ``matrices``,
+no module names the integer-row product ``mul_rows`` or a row
+constructor ``from_rows``.
 """
 
 import ast
@@ -65,3 +69,42 @@ def test_guard_sees_each_kind_of_read():
         "import fractions", "from fractions import", "imports Fraction",
         ".Fraction", ".numerator", ".denominator", "Fraction",
     }
+
+
+ROW_LAYER_NAMES = {"mul_rows", "from_rows"}
+
+
+def _row_layer_refs(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each name, attribute or import of the row layer."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in ROW_LAYER_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in ROW_LAYER_NAMES:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names
+                      if a.name in ROW_LAYER_NAMES]
+    return sorted(found)
+
+
+def test_only_matrices_names_the_row_layer():
+    stray = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != OWNER
+        for line, what in _row_layer_refs(path.read_text())
+    ]
+    assert not stray, "multiply and build Mat4 values:\n" + "\n".join(stray)
+
+
+def test_row_guard_sees_each_kind_of_reference():
+    source = (
+        '"""mul_rows and from_rows in prose are fine."""\n'
+        "from .matrices import mul_rows as product\n"
+        "# Mat4.from_rows in a comment is fine\n"
+        "def f(a, b):\n"
+        "    return matrices.mul_rows(a, b), Mat4.from_rows(a), mul_rows\n"
+    )
+    assert _row_layer_refs(source) == [
+        (2, "imports mul_rows"), (5, ".from_rows"), (5, ".mul_rows"), (5, "mul_rows"),
+    ]

@@ -11,7 +11,6 @@ from sp4cert.generators import generator
 from sp4cert.groups import (
     TWO_BY_TWO_LABELS,
     GroupLabel,
-    _r_conjugate_rows,
     SymplecticForm,
     VectorClass,
     is_prime,
@@ -65,7 +64,7 @@ def test_symplectic_m2():
 
 
 def test_symplectic_rejects_non_member():
-    bad = Mat4.from_rows(
+    bad = Mat4(
         [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
     assert not symplectic_check(bad, J)
@@ -122,7 +121,7 @@ def test_member_rejects_congruence_violations():
     # symplectic but fails the p-divisibility at entry (2,1)
     bad = j1_embed(Mat2.of(1, 0, 1, 1))  # entry (3,1) = 1 is fine
     assert member(bad, GroupLabel.GAMMA_1P, p)
-    bad2 = Mat4.from_rows(
+    bad2 = Mat4(
         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
     )
     # symplectic (lower unipotent block) but (2,1) = 1 not divisible by p
@@ -135,7 +134,7 @@ def test_gamma0_accepts_rational_slot():
     from fractions import Fraction
 
     m = j2_embed(Mat2.of(0, -1, 1, 0), p)  # entry (4,2) = 1/3
-    assert m[3][1] == Fraction(1, 3)
+    assert m.rows[3][1] == Fraction(1, 3)
     assert member(m, GroupLabel.GAMMA0_1P, p)
     assert not member(m, GroupLabel.GAMMA_1P, p)  # not even integral
 
@@ -172,7 +171,7 @@ def test_j2_maps_p_shear_to_l4():
     p = 3
     l4 = j2_embed(Mat2.of(1, 0, p, 1), p)
     assert l4 == generator("L4", p)
-    assert l4[3][1] == 1
+    assert l4.rows[3][1] == 1
 
 
 def test_j2_identity():
@@ -182,7 +181,7 @@ def test_j2_identity():
 def test_j2_upper_shear_lands_in_level_p2():
     p = 3
     m = j2_embed(Mat2.of(1, p, 0, 1), p)
-    assert m[1][3] == 3 * p
+    assert m.rows[1][3] == 3 * p
     assert member(m, GroupLabel.GAMMA_P2, p)
 
 
@@ -349,7 +348,7 @@ def test_shortness_invariant_under_sp_lambda():
         if v == (0, 0, 0, 0):
             v = (1, 0, 0, 0)
         moved = tuple(
-            int(sum(v[k] * g[k][j] for k in range(4))) for j in range(4)
+            int(sum(v[k] * g.rows[k][j] for k in range(4))) for j in range(4)
         )
         assert vector_class(v, p) is vector_class(moved, p)
 
@@ -358,8 +357,8 @@ def test_row_dichotomy_for_tilde_members():
     p = 5
     for i in range(200):
         k = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, p, 8000 + i, i % 14))
-        row1 = tuple(int(x) for x in k[0])
-        row2 = tuple(int(x) for x in k[1])
+        row1 = tuple(int(x) for x in k.rows[0])
+        row2 = tuple(int(x) for x in k.rows[1])
         assert vector_class(row1, p) is VectorClass.SHORT
         assert vector_class(row2, p) is VectorClass.LONG
 
@@ -409,10 +408,10 @@ def _outside(p):
     pattern, off both forms, or off J alone."""
     return [
         j2_embed(T, p),
-        Mat4.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+        Mat4([[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
         j2_embed(T, p, tilde=True),
         generator("M0", p),
-        Mat4.from_rows([[1, p * p, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        Mat4([[1, p * p, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
         Mat4.diagonal(1, 1, 1, p),
     ]
 
@@ -441,7 +440,7 @@ def _agree(m, p):
 @DIFF
 @given(st.lists(st.integers(-4, 4), min_size=16, max_size=16), PRIMES)
 def test_pairing_matches_full_product_on_integer_matrices(entries, p):
-    _agree(Mat4.from_rows([entries[4 * i:4 * i + 4] for i in range(4)]), p)
+    _agree(Mat4([entries[4 * i:4 * i + 4] for i in range(4)]), p)
 
 
 @DIFF
@@ -462,7 +461,7 @@ def test_pairing_matches_full_product_with_a_one_over_p_entry(case, additions):
     rows = [list(r) for r in m.rows]
     for slot, k, (c, e) in additions:
         rows[slot // 4][slot % 4] += Fraction(k, c * p ** e)
-    _agree(Mat4.from_rows(rows), p)
+    _agree(Mat4(rows), p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -470,7 +469,7 @@ def test_gamma0_slot_takes_exactly_the_denominators_one_and_p(p):
     # 1 + x E(4,2) is symplectic for every rational x
     for x in (1, Fraction(1, p), Fraction(2, p), Fraction(1, p * p), Fraction(1, 2),
               Fraction(1, 2 * p)):
-        m = Mat4.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, x, 0, 1]])
+        m = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, x, 0, 1]])
         assert symplectic_check(m, J)
         verdict = member(m, GroupLabel.GAMMA0_1P, p)
         assert verdict == reference_member(m, GroupLabel.GAMMA0_1P, p)
@@ -492,7 +491,7 @@ def _same_conjugates(m, p):
 @DIFF
 @given(st.lists(RATIONAL, min_size=16, max_size=16), PRIMES)
 def test_r_conjugate_matches_the_fraction_version_on_rationals(entries, p):
-    _same_conjugates(Mat4.from_rows([entries[4 * i:4 * i + 4] for i in range(4)]), p)
+    _same_conjugates(Mat4([entries[4 * i:4 * i + 4] for i in range(4)]), p)
 
 
 @DIFF
@@ -502,23 +501,23 @@ def test_r_conjugate_matches_the_fraction_version_with_a_one_over_p_slot(case, k
     m, p = case
     rows = [list(r) for r in m.rows]
     rows[3][1] += Fraction(k, p)
-    _same_conjugates(Mat4.from_rows(rows), p)
+    _same_conjugates(Mat4(rows), p)
 
 
 def test_r_conjugate_rows_keep_integers_where_p_divides():
     p = 5
     for m in gamma1p_corpus(p, 20, 4100):
-        rows = tuple(tuple(int(x) for x in r) for r in m.rows)
-        tilde = _r_conjugate_rows(rows, p)
-        assert all(type(x) is int for r in tilde for x in r)
-        assert _r_conjugate_rows(tilde, p, inverse=True) == rows
-    # a tilde j2 image with p not dividing c: in plain coordinates one
-    # entry, c/p at (4,2), is a Fraction
-    j2_rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1))
-    plain = _r_conjugate_rows(j2_rows, p, inverse=True)
-    slots = [(i, j) for i, r in enumerate(plain) for j, x in enumerate(r) if type(x) is not int]
+        tilde = r_conjugate(m, p)
+        assert m.scaled()[0] == tilde.scaled()[0] == 1
+        assert r_conjugate(tilde, p, inverse=True) == m
+    # the plain j2 image of a payload with p not dividing c: d = p, and
+    # the one entry off the integers is c/p at (4,2)
+    plain = j2_embed(Mat2.of(1, 0, 1, 1), p)
+    d, rows = plain.scaled()
+    assert d == p
+    slots = [(i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x % p]
     assert slots == [(3, 1)]
-    assert plain[3][1] == Fraction(1, p)
+    assert plain.rows[3][1] == Fraction(1, p)
 
 
 def test_differential_cases_reach_every_verdict():
@@ -577,13 +576,13 @@ def test_form_must_be_antisymmetric():
     with pytest.raises(ValueError):
         SymplecticForm(I4)
     with pytest.raises(ValueError):
-        SymplecticForm(Mat4.from_rows(
+        SymplecticForm(Mat4(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
         ))
 
 
 def test_rational_form_scales_to_integers():
-    half = SymplecticForm(Mat4.from_rows(
+    half = SymplecticForm(Mat4(
         [[0, 0, Fraction(1, 2), 0], [0, 0, 0, Fraction(1, 2)],
          [Fraction(-1, 2), 0, 0, 0], [0, Fraction(-1, 2), 0, 0]]
     ))
@@ -599,7 +598,7 @@ def test_integral_predicates_reject_rational_input(label):
     for slot in range(16):
         rows = [list(r) for r in I4.rows]
         rows[slot // 4][slot % 4] += Fraction(1, 3)
-        assert member(Mat4.from_rows(rows), label, 3) is False
+        assert member(Mat4(rows), label, 3) is False
 
 
 # --- primes ------------------------------------------------------------------

@@ -28,7 +28,6 @@ from sp4cert.matrices import (
     mat2_from_lists,
     mat4_from_lists,
     mat4_to_lists,
-    scalar_from_str,
 )
 from sp4cert.sampling import SampleSpec, sample
 
@@ -79,6 +78,27 @@ def group_element(draw):
 
 
 MATRICES = st.one_of(rational(), group_element())
+
+
+@st.composite
+def raw_pair(draw):
+    """A pair ``(d, e)`` with d = 1, an odd prime p or another
+    denominator, and integer rows e that often share a factor with d."""
+    d = draw(st.one_of(st.just(1), st.sampled_from(PRIMES), st.integers(2, 60)))
+    k = draw(st.one_of(st.just(d), st.integers(1, 30)))
+    entry = st.one_of(st.integers(-60, 60).map(lambda x: x * k), st.integers(-(10**20), 10**20))
+    return d, tuple(tuple(draw(entry) for _ in range(4)) for _ in range(4))
+
+
+@DIFF
+@given(MATRICES, raw_pair())
+def test_from_pair_inverts_scaled_and_reduces_like_the_reference(m, pair):
+    assert Mat4.from_pair(*m.scaled()) == m
+    d, e = pair
+    built = Mat4.from_pair(d, e)
+    assert ReferenceMat4.of(built) == ReferenceMat4.of([[Fraction(x, d) for x in row] for row in e])
+    d2, e2 = built.scaled()
+    assert d2 > 0 and math.gcd(d2, *(x for row in e2 for x in row)) == 1
 
 
 @DIFF
@@ -154,7 +174,7 @@ def test_one_matrix_one_pair(m, k):
 def test_equal_matrices_from_int_and_fraction_rows():
     rows = [[2, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [7, 0, 0, 1]]
     as_fractions = [[Fraction(x) for x in row] for row in rows]
-    assert Mat4(rows) == Mat4(as_fractions) == Mat4.from_rows(rows)
+    assert Mat4(rows) == Mat4(as_fractions) == Mat4.from_pair(1, tuple(map(tuple, rows)))
     assert Mat4(rows).scaled() == (1, tuple(map(tuple, rows)))
     assert Mat4.diagonal(Fraction(3, 6), 1, 1, 1).scaled() == (2, ((1, 0, 0, 0), (0, 2, 0, 0),
                                                                  (0, 0, 2, 0), (0, 0, 0, 2)))
@@ -276,7 +296,7 @@ def test_parse_errors_name_the_entry(bad, n):
             obj = [["1" if r == c else "0" for c in range(n)] for r in range(n)]
             obj[i][j] = bad
             if bad == "1/2" and n == 4:
-                assert reader(obj)[i][j] == Fraction(1, 2)
+                assert reader(obj).rows[i][j] == Fraction(1, 2)
                 continue
             where = f"at ({i},{j})"
             expected = "entry {where} must be an integer" if bad == "1/2" else BAD_ENTRIES[bad]
