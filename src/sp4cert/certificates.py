@@ -100,10 +100,30 @@ class CertNode:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A DAG of :class:`CertNode`, well-formed or not built (:class:`MalformedDag`)."""
+
     p: int
     nodes: tuple[CertNode, ...]
     root: int
     target: Mat4
+
+    def __post_init__(self) -> None:
+        n = len(self.nodes)
+        if n == 0:
+            raise MalformedDag("certificate has no nodes")
+        if not 0 <= self.root < n:
+            raise MalformedDag(f"root {self.root} out of range")
+        for i, node in enumerate(self.nodes):
+            arity = _ARITY.get(node.op) if isinstance(node.op, str) else None
+            if arity is None:
+                raise MalformedDag(f"node {i}: unknown op {node.op!r}")
+            if len(node.args) != arity:
+                raise MalformedDag(f"node {i}: op {node.op} wants {arity} args")
+            if any(not 0 <= a < i for a in node.args):
+                raise MalformedDag(f"node {i}: args {node.args} not all earlier")
+            needs_value = node.op in (SEED_P2, CONJ)
+            if needs_value != (node.value is not None):
+                raise MalformedDag(f"node {i}: op {node.op} value mismatch")
 
     @property
     def node_count(self) -> int:
@@ -142,25 +162,6 @@ class VerificationReport:
         return out
 
 
-def _validate_structure(cert: Certificate) -> None:
-    n = len(cert.nodes)
-    if n == 0:
-        raise MalformedDag("certificate has no nodes")
-    if not 0 <= cert.root < n:
-        raise MalformedDag(f"root {cert.root} out of range")
-    for i, node in enumerate(cert.nodes):
-        arity = _ARITY.get(node.op) if isinstance(node.op, str) else None
-        if arity is None:
-            raise MalformedDag(f"node {i}: unknown op {node.op!r}")
-        if len(node.args) != arity:
-            raise MalformedDag(f"node {i}: op {node.op} wants {arity} args")
-        if any(not 0 <= a < i for a in node.args):
-            raise MalformedDag(f"node {i}: args {node.args} not all earlier")
-        needs_value = node.op in (SEED_P2, CONJ)
-        if needs_value != (node.value is not None):
-            raise MalformedDag(f"node {i}: op {node.op} value mismatch")
-
-
 def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
     """The value of ``node`` given the values of the nodes before it."""
     if node.op == SEED_M0:
@@ -192,15 +193,16 @@ def _bit_budget(cert: Certificate) -> int:
 def cert_verify(cert: Certificate) -> VerificationReport:
     """Check every seed and conjugator, then replay the DAG exactly.
 
-    Raises :class:`MalformedDag` for structural problems; mathematical
-    failures (bad seed, bad conjugator, replay mismatch) are reported,
-    not thrown.  The first failed seed or conjugator check ends
-    verification before any product is formed, and is the last check in
-    the report; once all have passed, every value is a group element.
+    Structure was checked when ``cert`` was built (a malformed DAG
+    raises :class:`MalformedDag` there); mathematical failures (bad
+    seed, bad conjugator, replay mismatch) are reported, not thrown.
+    The first failed seed or conjugator check ends verification before
+    any product is formed, and is the last check in the report; once
+    all have passed, every value is a group element, and each ``inv``
+    and ``conj`` inverts it by the integer adjugate of :meth:`Mat4.inv`.
     A mul or conj value over the bit budget ends replay as a failed
     ``resource`` check at that node.
     """
-    _validate_structure(cert)
     p = require_odd_prime(cert.p)
     checks: list[CheckResult] = []
     membership_cache: dict[tuple[Mat4, GroupLabel], bool] = {}
@@ -577,12 +579,10 @@ def certificate_from_json_obj(obj) -> Certificate:
         if "value" in item:
             value = mat4_from_lists(item["value"])
         nodes.append(CertNode(item.get("op"), args, value))
-    cert = Certificate(p=p, nodes=tuple(nodes), root=root, target=target)
     try:
-        _validate_structure(cert)
+        return Certificate(p=p, nodes=tuple(nodes), root=root, target=target)
     except MalformedDag as exc:
         raise ParseError(str(exc)) from exc
-    return cert
 
 
 def serialize(cert: Certificate) -> str:

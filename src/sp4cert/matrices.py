@@ -13,14 +13,15 @@ Only this module knows how the entries are stored; others read a
 matrix through ``scaled()``, which returns the stored pair, and
 :meth:`Mat4.entry_bits`, and build one from a pair of integers with
 :meth:`Mat4.from_pair`, the inverse of ``scaled()``.  ``Mat4(rows)``
-takes rows of any exact numbers, and ``Mat4.rows`` is a read-only view
-that builds one ``fractions.Fraction`` per entry; both are for callers
-off the hot paths.
+takes rows of exact rationals (a ``str`` or ``float`` is a
+``TypeError``), and ``Mat4.rows`` is a read-only view that builds one
+``fractions.Fraction`` per entry, the only ``Fraction`` in the package;
+both are for callers off the hot paths.
 
-A product is :func:`mul_rows` on the integer rows and one gcd when
-d > 1.  The inverse of a symplectic ``g`` (for J) is ``-J g^T J``; it
-is kept when one integer product confirms it, and any other matrix is
-inverted by Gauss-Jordan elimination.
+Every 4x4 product is :func:`mul_rows` on the integer rows, and one gcd
+when d > 1.  Every inverse is one integer formula on the pair,
+``(e / d)^-1 = d adj(e) / det(e)``, with no division and no branch on
+the kind of matrix.  ``Mat4.identity()`` is one shared constant.
 
 There is no floating point anywhere in this module: divisibility
 patterns such as ``p^2 | x`` or ``x in (1/p)Z`` are meaningless after
@@ -41,10 +42,6 @@ sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
 to zero only through cancellation.  Any other base falls back to
 binary powering, of the inverse when ``n < 0``.
 
-``Mat4.identity()`` returns one shared immutable constant.  One
-function, :func:`mul_rows`, is every 4x4 product, on the integer rows
-of the stored pairs.
-
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
 fraction with denominator at least 2.  Only this canonical spelling is
@@ -59,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,10 +147,6 @@ class Mat2:
         return 1, self.rows
 
 
-def _frac(x: int | Fraction) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def mul_rows(a, b) -> tuple[tuple, ...]:
     """The rows of the 4x4 product ``a b``, for rows of any exact
     numbers; ``int`` rows give ``int`` entries."""
@@ -171,7 +165,8 @@ def mul_rows(a, b) -> tuple[tuple, ...]:
 class Mat4:
     """Immutable 4x4 matrix over exact rationals, stored as the reduced
     pair ``(d, e)`` of the module docstring.  ``Mat4(rows)`` takes 4 rows
-    of 4 exact numbers (ints, ``Fraction`` objects or a mix)."""
+    of 4 ``numbers.Rational`` (``int``, ``Fraction``); a ``str``,
+    ``float`` or ``Decimal`` entry is a ``TypeError``."""
 
     __slots__ = ("_d", "_e")
 
@@ -183,7 +178,10 @@ class Mat4:
         if set(map(type, flat)) == {int}:
             self._d, self._e = 1, e
         else:
-            self._d, self._e = _scale([_frac(x).as_integer_ratio() for x in flat])
+            for x in flat:
+                if not isinstance(x, numbers.Rational):
+                    raise TypeError(f"Mat4 entries must be exact rationals, not {type(x).__name__}")
+            self._d, self._e = _scale([(x.numerator, x.denominator) for x in flat])
 
     @staticmethod
     def from_pair(d: int, e: tuple[tuple[int, ...], ...]) -> "Mat4":
@@ -225,22 +223,34 @@ class Mat4:
         return Mat4.from_pair(self._d * other._d, mul_rows(self._e, other._e))
 
     def inv(self) -> "Mat4":
-        """Exact inverse: ``-J g^T J`` when one integer product shows it
-        is the inverse (g symplectic for J), otherwise Gauss-Jordan
-        elimination, which raises :class:`SingularMatrix` on det 0."""
+        """``(e / d)^-1 = d adj(e) / det(e)``, both expanded by Laplace on
+        the 2x2 minors of rows 1-2 and of rows 3-4; det 0 raises
+        :class:`SingularMatrix`."""
         d, e = self._d, self._e
-        (e00, e01, e02, e03), (e10, e11, e12, e13), (e20, e21, e22, e23), (e30, e31, e32, e33) = e
-        # -J e^T J: the blocks ((A, B), (C, D)) go to ((D^T, -B^T), (-C^T, A^T))
-        candidate = (
-            (e22, e32, -e02, -e12),
-            (e23, e33, -e03, -e13),
-            (-e20, -e30, e00, e10),
-            (-e21, -e31, e01, e11),
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = e
+        # s: minors of rows 1-2, c: of rows 3-4, on the column pairs
+        # 01, 02, 03, 12, 13, 23 and 23, 13, 12, 03, 02, 01
+        s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
+        s3, s4, s5 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+        c5, c4, c3 = a22 * a33 - a32 * a23, a21 * a33 - a31 * a23, a21 * a32 - a31 * a22
+        c2, c1, c0 = a20 * a33 - a30 * a23, a20 * a32 - a30 * a22, a20 * a31 - a30 * a21
+        det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+        if det == 0:
+            raise SingularMatrix("4x4 determinant is zero")
+        adj = (
+            (a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3,
+             a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3),
+            (a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+             a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1),
+            (a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0,
+             a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0),
+            (a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+             a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0),
         )
-        d2 = d * d
-        if mul_rows(e, candidate) == ((d2, 0, 0, 0), (0, d2, 0, 0), (0, 0, d2, 0), (0, 0, 0, d2)):
-            return _pair(d, candidate)  # gcd(d, *candidate) = gcd(d, *e) = 1
-        return _gauss_jordan(d, e)
+        scale = d if det > 0 else -d
+        if scale != 1:
+            adj = tuple([tuple([scale * x for x in row]) for row in adj])
+        return Mat4.from_pair(abs(det), adj)
 
     def __pow__(self, n: int) -> "Mat4":
         return _power(self, n)
@@ -278,28 +288,6 @@ def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[tuple[int, ...], .
     d = math.lcm(*[q for _, q in ratios])
     e = [n * (d // q) for n, q in ratios]
     return d, (tuple(e[:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:]))
-
-
-def _gauss_jordan(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
-    """``(e / d)^-1 = d e^-1`` by Gauss-Jordan elimination over the rationals."""
-    m = [[Fraction(x) for x in row] for row in e]
-    inv = [[Fraction(d if i == j else 0) for j in range(4)] for i in range(4)]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("4x4 determinant is zero")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = m[col][col]
-        m[col] = [x / scale for x in m[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(4):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Mat4(inv)
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)

@@ -256,6 +256,25 @@ def test_malformed_dag_rejected():
         )
 
 
+def test_structure_is_checked_once_when_a_certificate_is_built(monkeypatch):
+    # a library caller gets MalformedDag from the constructor, and parse
+    # turns the same message into a ParseError
+    one = mat4_to_lists(Mat4.identity())
+    bad = {"p": 3, "nodes": [{"id": 0, "op": "seed_m0", "args": []},
+                             {"id": 1, "op": "inv", "args": [1]}], "root": 1, "target": one}
+    with pytest.raises(MalformedDag) as built:
+        Certificate(3, (CertNode(SEED_M0), CertNode(INV, (1,))), 1, Mat4.identity())
+    with pytest.raises(ParseError) as parsed:
+        parse(json.dumps(bad))
+    assert str(parsed.value) == str(built.value) == "node 1: args (1,) not all earlier"
+    cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, 3, 7, 4)), 3)
+    calls = []
+    real = Certificate.__post_init__
+    monkeypatch.setattr(Certificate, "__post_init__", lambda self: calls.append(1) or real(self))
+    assert cert_verify(parse(serialize(cert))).passed
+    assert calls == [1]
+
+
 def test_builder_refuses_a_seed_outside_gamma_p2():
     builder = CertBuilder(3)
     with pytest.raises(NotInGroup, match="seed must lie in gamma_p2"):

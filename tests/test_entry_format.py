@@ -5,7 +5,9 @@ Every other module reads a matrix through ``scaled()`` and
 ``matrices.py`` alone.  The guard walks each module's syntax tree:
 importing ``fractions``, naming ``Fraction`` or reading ``.numerator``
 or ``.denominator`` anywhere else fails.  Docstrings and comments are
-not names, so prose about fractions is free.
+not names, so prose about fractions is free.  Inside ``matrices`` the
+walk allows ``fractions`` and ``Fraction`` only in the import and in
+the ``Mat4.rows`` view, so no ``Fraction`` arithmetic comes back.
 
 The same walk keeps ``Mat4`` the one 4x4 carrier: outside ``matrices``,
 no module names the integer-row product ``mul_rows`` or a row
@@ -23,22 +25,47 @@ FORMAT_NAMES = {"Fraction"}
 FORMAT_ATTRIBUTES = {"numerator", "denominator"}
 
 
-def _format_reads(source: str) -> list[tuple[int, str]]:
-    """(line, what) for each place the source touches the entry format."""
+def _format_nodes(tree: ast.AST) -> list[tuple[ast.AST, int, str]]:
+    """(node, line, what) for each place the tree touches the entry format."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [(node.lineno, f"import {a.name}") for a in node.names
+            found += [(node, node.lineno, f"import {a.name}") for a in node.names
                       if a.name.split(".")[0] == "fractions"]
         elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
-            found.append((node.lineno, "from fractions import"))
+            found.append((node, node.lineno, "from fractions import"))
         elif isinstance(node, ast.alias) and node.name in FORMAT_NAMES:
-            found.append((getattr(node, "lineno", 0), f"imports {node.name}"))
+            found.append((node, getattr(node, "lineno", 0), f"imports {node.name}"))
         elif isinstance(node, ast.Name) and node.id in FORMAT_NAMES:
-            found.append((node.lineno, node.id))
+            found.append((node, node.lineno, node.id))
         elif isinstance(node, ast.Attribute) and node.attr in FORMAT_NAMES | FORMAT_ATTRIBUTES:
-            found.append((node.lineno, f".{node.attr}"))
-    return sorted(found)
+            found.append((node, node.lineno, f".{node.attr}"))
+    return found
+
+
+def _format_reads(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each place the source touches the entry format."""
+    return sorted((line, what) for _, line, what in _format_nodes(ast.parse(source)))
+
+
+def _stray_fractions(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each use of ``fractions`` or ``Fraction`` other
+    than ``from fractions import Fraction`` and the body of the
+    ``Mat4.rows`` view: the owner does no ``Fraction`` arithmetic."""
+    tree = ast.parse(source)
+    allowed: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Mat4":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "rows":
+                    allowed |= {id(n) for n in ast.walk(item)}
+        elif (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+              and [(a.name, a.asname) for a in node.names] == [("Fraction", None)]):
+            allowed |= {id(n) for n in ast.walk(node)}
+    return sorted(
+        (line, what) for node, line, what in _format_nodes(tree)
+        if id(node) not in allowed and what not in (".numerator", ".denominator")
+    )
 
 
 def test_only_matrices_touches_the_entry_format():
@@ -52,6 +79,36 @@ def test_only_matrices_touches_the_entry_format():
 
 def test_the_owner_is_the_module_that_uses_the_format():
     assert _format_reads((PACKAGE / OWNER).read_text())
+
+
+def test_the_owner_names_fraction_only_in_its_import_and_the_rows_view():
+    stray = _stray_fractions((PACKAGE / OWNER).read_text())
+    assert not stray, "matrices does integer arithmetic on the pair:\n" + "\n".join(
+        f"{OWNER}:{line}: {what}" for line, what in stray
+    )
+
+
+def test_fraction_guard_catches_a_stray_use():
+    source = (
+        '"""Fraction in prose is fine."""\n'
+        "from fractions import Fraction\n"
+        "class Mat4:\n"
+        "    @property\n"
+        "    def rows(self) -> tuple[Fraction, ...]:\n"
+        "        return tuple(Fraction(x, self.d) for x in self.e)\n"
+        "    def inv(self):\n"
+        "        return [Fraction(x) for x in self.e]\n"
+        "def rows(x):\n"
+        "    import fractions\n"
+        "    return fractions.Fraction(x.numerator, x.denominator)\n"
+    )
+    assert _stray_fractions(source) == [
+        (8, "Fraction"), (10, "import fractions"), (11, ".Fraction"),
+    ]
+    assert _stray_fractions(source.replace("import Fraction", "import Fraction as F")) == [
+        (2, "from fractions import"), (2, "imports Fraction"),
+        (8, "Fraction"), (10, "import fractions"), (11, ".Fraction"),
+    ]
 
 
 def test_guard_sees_each_kind_of_read():

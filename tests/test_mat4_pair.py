@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import ReferenceMat4
+from support import ReferenceMat4, mat4_det
 
 from sp4cert import matrices
 from sp4cert.errors import NotUnimodular, ParseError, SingularMatrix
@@ -192,73 +193,83 @@ def test_entry_bits_with_d_p_and_entries_sharing_p():
     assert zero.entry_bits() == ReferenceMat4.of(zero).entry_bits() == 1
 
 
-# --- the inverse: -J g^T J, else Gauss-Jordan --------------------------------
+# --- the inverse: d adj(e) / det(e), one path for every matrix ------------
 
 
-@pytest.fixture
-def gauss_jordan_calls(monkeypatch):
-    calls = []
-    real = matrices._gauss_jordan
-
-    def spy(d, e):
-        calls.append(d)
-        return real(d, e)
-
-    monkeypatch.setattr(matrices, "_gauss_jordan", spy)
-    return calls
+def _inverse_matches_the_reference(m: Mat4) -> Mat4:
+    inverse = m.inv()
+    assert ReferenceMat4.of(inverse) == ReferenceMat4.of(m).inv()
+    assert m * inverse == I4 and inverse * m == I4
+    d, e = inverse.scaled()
+    assert d > 0 and math.gcd(d, *(x for row in e for x in row)) == 1
+    return inverse
 
 
-def test_symplectic_inverses_skip_gauss_jordan(gauss_jordan_calls):
+def test_symplectic_inverses_match_the_reference():
     p = 5
     elements = [
         *(sample(SampleSpec(GroupLabel.GAMMA_1P, p, s, 6)) for s in range(5)),
         *(generator(name, p) for name in ("M0", "M1", "L5", "J")),
-        j2_embed(Mat2.of(2, 1, 1, 1), p),  # d = p
         j1_embed(Mat2.of(0, -1, 1, 0)),
     ]
-    for g in elements:
+    with_p = j2_embed(Mat2.of(2, 1, 1, 1), p)
+    assert with_p.scaled()[0] == p
+    for g in [*elements, with_p]:
         assert symplectic_check(g, SymplecticForm.standard())
-        assert g * g.inv() == I4 and ReferenceMat4.of(g.inv()) == ReferenceMat4.of(g).inv()
-    assert gauss_jordan_calls == []
+        _inverse_matches_the_reference(g)
+    assert {g.scaled()[0] for g in elements} == {1}
 
 
-def test_det_2_diagonal_inverts_through_gauss_jordan(gauss_jordan_calls):
+def test_det_2_diagonal_inverse_matches_the_reference():
     m = Mat4.diagonal(2, 1, 1, 1)
-    assert m.inv() == Mat4.diagonal(Fraction(1, 2), 1, 1, 1)
-    assert gauss_jordan_calls == [1]
+    assert _inverse_matches_the_reference(m) == Mat4.diagonal(Fraction(1, 2), 1, 1, 1)
 
 
-def test_lambda_symplectic_inverse_goes_through_gauss_jordan(gauss_jordan_calls):
+def test_lambda_symplectic_inverse_matches_the_reference():
     m = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, 7, 5, 6))
     assert not symplectic_check(m, SymplecticForm.standard())
-    inverse = m.inv()
-    assert m * inverse == I4 and ReferenceMat4.of(inverse) == ReferenceMat4.of(m).inv()
-    assert gauss_jordan_calls == [1]
+    _inverse_matches_the_reference(m)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rational())
-def test_non_symplectic_rational_inverse_through_gauss_jordan(m):
-    calls = []
-    real = matrices._gauss_jordan
-    matrices._gauss_jordan = lambda d, e: calls.append(d) or real(d, e)
-    try:
-        outcome = _outcome(m.inv)
-    finally:
-        matrices._gauss_jordan = real
+def test_rational_inverse_matches_the_reference(m):
+    outcome = _outcome(m.inv)
     assert outcome == _outcome(ReferenceMat4.of(m).inv)
-    if not symplectic_check(m, SymplecticForm.standard()):
-        assert calls == [m.scaled()[0]]
-        if outcome is not SingularMatrix:
-            assert m * m.inv() == I4
+    if outcome is not SingularMatrix:
+        _inverse_matches_the_reference(m)
 
 
-def test_singular_matrix_still_raises(gauss_jordan_calls):
+def test_negative_determinant_inverse_matches_the_reference():
+    third = Fraction(1, 3)
+    cases = {
+        Mat4.diagonal(-1, 1, 1, 1): Mat4.diagonal(-1, 1, 1, 1),
+        Mat4.diagonal(Fraction(-2, 3), 1, 1, 1): Mat4.diagonal(Fraction(-3, 2), 1, 1, 1),
+        Mat4([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, third, 0], [0, 0, 1, 1]]): None,
+    }
+    for m, expected in cases.items():
+        assert mat4_det(m) < 0
+        inverse = _inverse_matches_the_reference(m)
+        assert expected is None or inverse == expected
+
+
+def test_singular_matrix_still_raises():
     # criterion 9: rank 3, with a rational row
     bad = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [Fraction(1, 3), Fraction(2, 3), 0, 0], [0, 0, 0, 1]])
-    with pytest.raises(SingularMatrix):
-        bad.inv()
-    assert gauss_jordan_calls == [3]
+    for invert in (bad.inv, ReferenceMat4.of(bad).inv):
+        with pytest.raises(SingularMatrix) as exc:
+            invert()
+        assert str(exc.value) == "4x4 determinant is zero"
+
+
+def test_rows_refuse_inexact_entries():
+    for bad in ("1", 0.5, Decimal("0.1")):
+        rows = [[int(i == j) for j in range(4)] for i in range(4)]
+        rows[2][1] = bad
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            Mat4(rows)
+        with pytest.raises(TypeError):
+            Mat4.diagonal(1, 1, bad, 1)
 
 
 # --- the parse: (num, den) integers, located errors only on failure ----------
