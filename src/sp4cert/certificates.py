@@ -10,7 +10,9 @@ and whose internal nodes are
 
 so a passing certificate witnesses that its target lies in the normal
 closure of {M0} + gamma_p2 inside gamma0_1p; :func:`_node_value` is the
-one place these meanings are written.  Verification (:func:`cert_verify`)
+one place these meanings are written.  A node is a :class:`CertNode`,
+the immutable named tuple ``(op, args, value)``; the structure check
+runs once, when a :class:`Certificate` is built.  Verification (:func:`cert_verify`)
 checks every seed (in gamma_p2) and conjugator (in gamma0_1p) first, in
 node order, and stops at the first failure; only then does it replay
 the DAG once, exactly, and compare the root with the target.  Nothing
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .decompose import J1, Named, decompose
 from .errors import (
@@ -91,8 +93,9 @@ CONJ = "conj"
 _ARITY = {SEED_M0: 0, SEED_P2: 0, MUL: 2, INV: 1, CONJ: 1}
 
 
-@dataclass(frozen=True)
-class CertNode:
+class CertNode(NamedTuple):
+    """One node: an immutable named tuple, so equal nodes are equal keys."""
+
     op: str
     args: tuple[int, ...] = ()
     value: Mat4 | None = None  # seed matrix or conjugator
@@ -113,17 +116,18 @@ class Certificate:
             raise MalformedDag("certificate has no nodes")
         if not 0 <= self.root < n:
             raise MalformedDag(f"root {self.root} out of range")
-        for i, node in enumerate(self.nodes):
-            arity = _ARITY.get(node.op) if isinstance(node.op, str) else None
+        for i, (op, args, value) in enumerate(self.nodes):
+            arity = _ARITY.get(op) if isinstance(op, str) else None
             if arity is None:
-                raise MalformedDag(f"node {i}: unknown op {node.op!r}")
-            if len(node.args) != arity:
-                raise MalformedDag(f"node {i}: op {node.op} wants {arity} args")
-            if any(not 0 <= a < i for a in node.args):
-                raise MalformedDag(f"node {i}: args {node.args} not all earlier")
-            needs_value = node.op in (SEED_P2, CONJ)
-            if needs_value != (node.value is not None):
-                raise MalformedDag(f"node {i}: op {node.op} value mismatch")
+                raise MalformedDag(f"node {i}: unknown op {op!r}")
+            if len(args) != arity:
+                raise MalformedDag(f"node {i}: op {op} wants {arity} args")
+            for a in args:
+                if not 0 <= a < i:
+                    raise MalformedDag(f"node {i}: args {args} not all earlier")
+            needs_value = op in (SEED_P2, CONJ)
+            if needs_value != (value is not None):
+                raise MalformedDag(f"node {i}: op {op} value mismatch")
 
     @property
     def node_count(self) -> int:
@@ -248,20 +252,19 @@ class CertBuilder:
         self.p = require_odd_prime(p)
         self.nodes: list[CertNode] = []
         self.values: list[Mat4] = []
-        self._memo: dict[tuple, int] = {}
+        self._memo: dict[CertNode, int] = {}
         self._in_p2: dict[Mat4, bool] = {}  # seed literal -> member of gamma_p2
         self._m0 = generator("M0", p)
 
     def _intern(self, node: CertNode) -> int:
-        # equal keys have equal values, so a hit forms no product
-        key = (node.op, node.args, node.value)
-        hit = self._memo.get(key)
+        # equal nodes have equal values, so a hit forms no product
+        hit = self._memo.get(node)
         if hit is not None:
             return hit
         self.values.append(_node_value(node, self.values, self._m0))
         self.nodes.append(node)
         idx = len(self.nodes) - 1
-        self._memo[key] = idx
+        self._memo[node] = idx
         return idx
 
     def _is_p2_seed(self, m: Mat4) -> bool:
@@ -569,16 +572,19 @@ def certificate_from_json_obj(obj) -> Certificate:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ParseError(f"node {i} malformed")
-        if json_int(item.get("id"), f"node {i} id") != i:
-            raise ParseError(f"node {i} has id {item['id']!r}; ids must be 0..n-1 in order")
+        node_id = item.get("id")
+        if type(node_id) is not int or node_id != i:
+            json_int(node_id, f"node {i} id")
+            raise ParseError(f"node {i} has id {node_id!r}; ids must be 0..n-1 in order")
         args = item.get("args", [])
         if not isinstance(args, list):
             raise ParseError(f"node {i}: args must be a list of ints")
-        args = tuple(json_int(a, f"node {i} arg") for a in args)
-        value = None
-        if "value" in item:
-            value = mat4_from_lists(item["value"])
-        nodes.append(CertNode(item.get("op"), args, value))
+        for a in args:
+            if type(a) is not int:
+                json_int(a, f"node {i} arg")
+        value = item.get("value", ...)  # JSON has no Ellipsis: no value given
+        value = None if value is ... else mat4_from_lists(value)
+        nodes.append(CertNode(item.get("op"), tuple(args), value))
     try:
         return Certificate(p=p, nodes=tuple(nodes), root=root, target=target)
     except MalformedDag as exc:

@@ -45,8 +45,15 @@ binary powering, of the inverse when ``n < 0``.
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
 fraction with denominator at least 2.  Only this canonical spelling is
-read (``-0``, ``0/1`` and ``5/1`` are refused), so round-trips are
-bit-exact.
+read (``-0``, ``0/1``, ``5/1`` and a trailing newline are refused), so
+round-trips are bit-exact.
+A matrix is read in one pass when it can be: after its shape is
+checked, its entries are joined (``,`` within a row, ``;`` between
+rows) and the text is matched once against n x n canonical integers,
+so a separator inside an entry fails the match.  Any other matrix --
+one with a fraction, a non-canonical or non-string entry, or an entry
+past the digit limit -- is read entry by entry, and that reader is the
+one source of fractions and of every :class:`ParseError` text.
 Integers past the interpreter's int/str conversion limit (4,300 digits
 by default) are written in pieces below it; reading such an entry is a
 :class:`ParseError`.
@@ -282,12 +289,12 @@ def _pair(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
     return m
 
 
-def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The pair of 16 row-major reduced ``(num, den)`` entries: d is the
-    lcm of the denominators, which leaves ``gcd(d, *e) = 1``."""
+def _scale(ratios: list[tuple[int, int]], n: int = 4) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The pair of n x n row-major reduced ``(num, den)`` entries: d is
+    the lcm of the denominators, which leaves ``gcd(d, *e) = 1``."""
     d = math.lcm(*[q for _, q in ratios])
-    e = [n * (d // q) for n, q in ratios]
-    return d, (tuple(e[:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:]))
+    e = [num * (d // q) for num, q in ratios]
+    return d, tuple([tuple(e[i:i + n]) for i in range(0, n * n, n)])
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
@@ -345,7 +352,10 @@ def _power(m, n: int):
 # ---------------------------------------------------------------------------
 
 # canonical only: no "-0", no leading zeros; a denominator of 1 is refused below
-_ENTRY_RE = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
+_INT = "(?:0|-?[1-9][0-9]*)"
+_ENTRY_RE = re.compile(rf"({_INT})(?:/([1-9][0-9]*))?")
+# n x n canonical integers, "," between entries and ";" between rows
+_INT_ROWS_RE = {n: re.compile(";".join([",".join([_INT] * n)] * n)) for n in (2, 4)}
 
 
 def _int_to_str(n: int) -> str:
@@ -367,14 +377,15 @@ def _ratio_to_str(num: int, den: int) -> str:
     return f"{_int_to_str(num)}/{_int_to_str(den)}"
 
 
-def _ratio_from_str(s: str, where: str = "") -> tuple[int, int]:
+def _ratio_from_str(s: str, where: str = "", integral: bool = False) -> tuple[int, int]:
     """The reduced ``(num, den)`` of an entry string written as
     :func:`_ratio_to_str` writes it; any other spelling of the same
     number (``-0``, ``0/1``, ``n/1``, ``2/4``) is a :class:`ParseError`,
-    so round-trips are bit-exact."""
+    so round-trips are bit-exact.  With ``integral`` a fraction is a
+    :class:`ParseError` too."""
     if not isinstance(s, str):
         raise ParseError(f"entry {where or repr(s)} must be a string")
-    m = _ENTRY_RE.match(s)
+    m = _ENTRY_RE.fullmatch(s)
     if not m:
         raise ParseError(f"bad scalar {s!r} {where}".rstrip())
     try:
@@ -384,6 +395,8 @@ def _ratio_from_str(s: str, where: str = "") -> tuple[int, int]:
         raise ParseError(f"entry too long to read {where}".rstrip() + f": {exc}") from exc
     if m.group(2) and (den == 1 or math.gcd(num, den) != 1):
         raise ParseError(f"scalar {s!r} is not canonical {where}".rstrip())
+    if integral and den != 1:
+        raise ParseError(f"entry {where} must be an integer")
     return num, den
 
 
@@ -419,34 +432,35 @@ def mat4_to_lists(m: Mat4) -> list[list[str]]:
     return [[_entry_to_str(x, d) for x in row] for row in e]
 
 
-def _read_rows(obj, n: int, read) -> tuple[tuple, ...]:
-    """An n x n list of entry strings, each read by ``read(entry, where)``.
-    The location ``at (i,j)`` is formatted only for a row that fails:
-    the row is read again with it, to raise the located error."""
+def _read_rows(obj, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The pair ``(d, e)`` of an n x n list of entry strings, read as
+    the module docstring says; n = 2 reads integers only.  Entry by
+    entry, the location ``at (i,j)`` is formatted only for a row that
+    fails: the row is read again with it, to raise the located error."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"matrix must be a list of {n} rows")
-    rows = []
+    if all(isinstance(row, list) and len(row) == n for row in obj):
+        try:
+            if _INT_ROWS_RE[n].fullmatch(";".join([",".join(row) for row in obj])):
+                return 1, tuple([tuple(map(int, row)) for row in obj])
+        except (TypeError, ValueError):  # a non-str entry; past the digit limit
+            pass
+    integral = n == 2
+    ratios = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"row {i} must be a list of {n} entries")
         try:
-            rows.append(tuple([read(x) for x in row]))
+            ratios += [_ratio_from_str(x, "", integral) for x in row]
         except ParseError:
             for j, x in enumerate(row):
-                read(x, f"at ({i},{j})")
+                _ratio_from_str(x, f"at ({i},{j})", integral)
             raise
-    return tuple(rows)
-
-
-def _int_from_str(s: str, where: str = "") -> int:
-    num, den = _ratio_from_str(s, where)
-    if den != 1:
-        raise ParseError(f"entry {where} must be an integer")
-    return num
+    return _scale(ratios, n)
 
 
 def mat4_from_lists(obj) -> Mat4:
-    return _pair(*_scale([x for row in _read_rows(obj, 4, _ratio_from_str) for x in row]))
+    return _pair(*_read_rows(obj, 4))
 
 
 def mat2_to_lists(m: Mat2) -> list[list[str]]:
@@ -454,4 +468,4 @@ def mat2_to_lists(m: Mat2) -> list[list[str]]:
 
 
 def mat2_from_lists(obj) -> Mat2:
-    return Mat2(_read_rows(obj, 2, _int_from_str))
+    return Mat2(_read_rows(obj, 2)[1])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from sp4cert.decompose import J1, GeneratorWord, Named
 from sp4cert.errors import SingularMatrix
 from sp4cert.generators import generator
 from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed
-from sp4cert.matrices import Mat2, Mat4, _ratio_from_str, _ratio_to_str
+from sp4cert.matrices import Mat2, Mat4, _ratio_to_str
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -104,8 +105,50 @@ class ReferenceMat4:
 
     @staticmethod
     def from_lists(obj) -> "ReferenceMat4":
-        rows = tuple(tuple(Fraction(*_ratio_from_str(x)) for x in row) for row in obj)
+        kind, rows = reference_read_matrix(obj, 4)
+        if kind != "rows":
+            raise ValueError(rows)
         return ReferenceMat4(rows)
+
+
+# entry syntax from the matrices docstring: no "-0", no leading zeros,
+# nothing around the digits; "5/1" and "2/4" pass here and fail the
+# str(Fraction(s)) == s test below
+_REFERENCE_ENTRY = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?")
+
+
+def reference_read_matrix(obj, n: int):
+    """``("rows", rows)``, the entries of an n x n interchange matrix as
+    ``Fraction`` (n = 2: integers only), or ``("error", text)``, the
+    ``ParseError`` text the program must raise.  The checks run one
+    entry at a time in row-major order: the shape of the matrix, then
+    of each row, then each of its entries is a string, spelled
+    canonically (``str(Fraction(s)) == s``), readable under the int/str
+    digit limit and, for n = 2, an integer."""
+    if not isinstance(obj, list) or len(obj) != n:
+        return "error", f"matrix must be a list of {n} rows"
+    rows = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != n:
+            return "error", f"row {i} must be a list of {n} entries"
+        out = []
+        for j, s in enumerate(row):
+            where = f"at ({i},{j})"
+            if not isinstance(s, str):
+                return "error", f"entry {where} must be a string"
+            if not _REFERENCE_ENTRY.fullmatch(s):
+                return "error", f"bad scalar {s!r} {where}"
+            try:
+                x = Fraction(s)
+            except ValueError as exc:
+                return "error", f"entry too long to read {where}: {exc}"
+            if str(x) != s:
+                return "error", f"scalar {s!r} is not canonical {where}"
+            if n == 2 and x.denominator != 1:
+                return "error", f"entry {where} must be an integer"
+            out.append(x)
+        rows.append(tuple(out))
+    return "rows", tuple(rows)
 
 
 def reference_bit_budget(cert: Certificate) -> int:

@@ -219,6 +219,46 @@ def test_verify_refuses_a_malformed_certificate(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def _edited(path, value):
+    return lambda: _malformed(_set(path, value))
+
+
+# hostile certificates, each with the one line that `verify --cert` prints for it
+HOSTILE_CERTS = {
+    "op_list": (_edited(["nodes", 1, "op"], ["inv"]), "node 1: unknown op ['inv']"),
+    "op_dict": (_edited(["nodes", 1, "op"], {"inv": 0}), "node 1: unknown op {'inv': 0}"),
+    "args_string": (_edited(["nodes", 1, "args"], "0"), "node 1: args must be a list of ints"),
+    "args_dict": (_edited(["nodes", 1, "args"], {"0": 0}), "node 1: args must be a list of ints"),
+    "value_null": (_edited(["nodes", 2, "value"], None), "matrix must be a list of 4 rows"),
+    "value_on_seed_m0": (_edited(["nodes", 0, "value"], mat4_to_lists(Mat4.identity())),
+                         "node 0: op seed_m0 value mismatch"),
+    "target_row_string": (_edited(["target", 1], "0100"), "row 1 must be a list of 4 entries"),
+    "p_float": (_edited(["p"], 3.0), "certificate p must be an integer, not float"),
+    "p_two": (_edited(["p"], 2), "p must be an odd prime, got 2"),
+    "p_negative": (_edited(["p"], -3), "p must be an odd prime, got -3"),
+    "p_huge": (_edited(["p"], 10**40), "primality is proven only below "
+               f"3317044064679887385961981, got {10**40}"),
+    "root_true": (_edited(["root"], True), "certificate root must be an integer, not bool"),
+    "nodes_empty": (_edited(["nodes"], []), "certificate has no nodes"),
+    "top_level_list": (lambda: [_malformed(lambda obj: None)],
+                       "certificate must be a JSON object"),
+    "value_2x2": (_edited(["nodes", 2, "value"], [["1", "0"], ["0", "1"]]),
+                  "matrix must be a list of 4 rows"),
+    "unicode_digit": (_edited(["nodes", 2, "value", 0, 0], "\u0661"),
+                      "bad scalar '\u0661' at (0,0)"),
+    "trailing_newline": (_edited(["target", 0, 0], "1\n"), "bad scalar '1\\n' at (0,0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CERTS))
+def test_verify_prints_one_line_for_a_hostile_certificate(tmp_path, capsys, case):
+    make, line = HOSTILE_CERTS[case]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(make()))
+    code = main(["verify", "--cert", str(path)])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {line}\n")
+
+
 def test_witness_non_member_exits_one(tmp_path, capsys):
     path = tmp_path / "mt2.json"
     path.write_text(json.dumps(mat4_to_lists(generator("Mt2", 3))))

@@ -5,6 +5,9 @@
 inverse.  Each test here builds the same matrix both ways and compares
 values, errors, pairs, bit counts and interchange strings, on rational
 matrices with d = 1, d = p and other denominators and on group elements.
+The interchange readers are held the same way against
+``support.reference_read_matrix``, which reads one entry at a time:
+equal rows, or byte-identical ``ParseError`` texts.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import ReferenceMat4, mat4_det
+from support import ReferenceMat4, mat4_det, reference_read_matrix
 
 from sp4cert import matrices
+from sp4cert.certificates import Certificate, parse, serialize
 from sp4cert.errors import NotUnimodular, ParseError, SingularMatrix
 from sp4cert.generators import GENERATOR_NAMES, generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, symplectic_check, SymplecticForm
@@ -318,12 +323,141 @@ def test_parse_errors_name_the_entry(bad, n):
                 assert str(exc.value) == expected.format(where=where)
 
 
-def test_rows_that_parse_format_no_location():
+def test_rows_that_parse_format_no_location(monkeypatch):
+    # a fraction takes the per-entry reader; rows that parse pass no location
     seen = []
+    read = matrices._ratio_from_str
 
-    def read(s, where=""):
+    def spy(s, where="", integral=False):
         seen.append(where)
-        return int(s)
+        return read(s, where, integral)
 
-    assert matrices._read_rows([["1", "2"], ["3", "4"]], 2, read) == ((1, 2), (3, 4))
-    assert seen == ["", "", "", ""]
+    monkeypatch.setattr(matrices, "_ratio_from_str", spy)
+    obj = [["1/2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "3"]]
+    assert matrices._read_rows(obj, 4) == (
+        2, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 6))
+    )
+    assert seen == [""] * 16
+
+
+# --- one reader against the reference: the one-match path and the fallback ---
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _count_entry_reads(monkeypatch) -> list[str]:
+    """Record each call of the per-entry reader; returns the record."""
+    seen = []
+    read = matrices._ratio_from_str
+
+    def spy(s, where="", integral=False):
+        seen.append(s)
+        return read(s, where, integral)
+
+    monkeypatch.setattr(matrices, "_ratio_from_str", spy)
+    return seen
+
+
+def test_golden_witnesses_read_integer_matrices_in_one_match(monkeypatch):
+    # three golden conjugators hold a fraction; only their entries are read one by one
+    texts = [path.read_text() for path in sorted(GOLDEN.glob("witness_*.json"))]
+    assert len(texts) == 12
+    fractions = []
+    for text in texts:
+        obj = json.loads(text)
+        mats = [obj["target"]] + [node["value"] for node in obj["nodes"] if "value" in node]
+        fractions += [x for m in mats if any("/" in x for row in m for x in row)
+                      for row in m for x in row]
+    assert len(fractions) == 3 * 16
+    seen = _count_entry_reads(monkeypatch)
+    certs = [parse(text) for text in texts]
+    assert seen == fractions
+    assert [serialize(cert) for cert in certs] == [text.rstrip("\n") for text in texts]
+
+
+def test_a_fraction_entry_still_takes_the_entry_reader(monkeypatch):
+    cert = parse((GOLDEN / "witness_p5_len3.json").read_text())
+    target = Mat4.diagonal(Fraction(1, 5), 1, 1, 5)
+    text = serialize(Certificate(cert.p, cert.nodes, cert.root, target))
+    assert '"1/5"' in text
+    seen = _count_entry_reads(monkeypatch)
+    again = parse(text)
+    assert seen == ["1/5"] + ["0"] * 4 + ["1"] + ["0"] * 4 + ["1"] + ["0"] * 4 + ["5"]
+    assert again == Certificate(cert.p, cert.nodes, cert.root, target)
+
+
+def _read_like_the_reference(obj, n: int) -> None:
+    reader = mat2_from_lists if n == 2 else mat4_from_lists
+    try:
+        got = "rows", reader(obj).rows
+    except ParseError as exc:
+        got = "error", str(exc)
+    assert got == reference_read_matrix(obj, n)
+
+
+TOO_LONG = "9" * 4301
+HOSTILE_ENTRIES = [
+    "-0", "007", "+1", " 1", "1 ", "1\n", "1_000", "\u0661", "1\u0661", "3/1\u0660",
+    "5/1", "2/4", "0/5", "-0/3", "1/0", "1/-2", "", "-", "1.0", "1e3",
+    "1,2", "3;4", ",", ";", "1/2,3",
+    7, True, None, 1.0, ["1"], TOO_LONG, "-" + TOO_LONG, "1/" + TOO_LONG, "1" * 4300,
+]
+
+
+@st.composite
+def entry_matrices(draw):
+    """``(obj, n)``: an n x n interchange matrix of canonical integers,
+    with up to three entries made fractions or hostile, then maybe one
+    hostile row, then maybe a hostile shape."""
+    n = draw(st.sampled_from((2, 4)))
+    index = st.integers(0, n - 1)
+    ints = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)).map(str)
+    entries = st.one_of(
+        st.fractions(max_denominator=10**9).map(str), st.sampled_from(HOSTILE_ENTRIES)
+    )
+    obj = [[draw(ints) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        obj[draw(index)][draw(index)] = draw(entries)
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(index)
+        obj[i] = draw(st.sampled_from((
+            "".join(map(str, range(n))), obj[i][:-1], obj[i] + ["0"], [], None, tuple(obj[i]),
+        )))
+    if draw(st.integers(0, 9)) == 0:
+        obj = draw(st.sampled_from((obj[:-1], obj + [obj[0]], "", None, {"0": obj})))
+    return obj, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry_matrices())
+def test_matrix_reader_matches_the_reference(case):
+    _read_like_the_reference(*case)
+
+
+def _identity_lists(n: int) -> list[list[str]]:
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("bad", HOSTILE_ENTRIES)
+def test_each_hostile_entry_reads_like_the_reference(bad, n):
+    for i, j in ((0, 0), (n - 1, 1), (1, n - 1)):
+        obj = _identity_lists(n)
+        obj[i][j] = bad
+        _read_like_the_reference(obj, n)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_hostile_row_reads_like_the_reference(n):
+    digits = "".join(map(str, range(1, n + 1)))
+    rows = [digits, ",".join(digits), ["1"] * (n - 1), ["1"] * (n + 1), [], None,
+            ["1,0"] + ["0"] * (n - 1), ["0"] * (n - 1) + ["1;0"], ["1,0", "0;1"] + ["0"] * (n - 2)]
+    for row in rows:
+        for i in range(n):
+            obj = _identity_lists(n)
+            obj[i] = row
+            _read_like_the_reference(obj, n)
+        _read_like_the_reference([row] * n, n)
+    for obj in ([], _identity_lists(n)[:-1], _identity_lists(n) + [["0"] * n],
+                ";".join(",".join(r) for r in _identity_lists(n)), None):
+        _read_like_the_reference(obj, n)
