@@ -46,13 +46,26 @@ congruent to 1 mod p^2, so it lies in gamma_p2.  The closed form is
 gamma_p2 once.  Such a power adds at most ``2 bit_length(p^2 // 2) + 3``
 nodes, however large e is.
 
-Serialisation is JSON with matrices in the interchange string format;
-round-trips are bit-exact.
+The core chain (M2, L2, L4, M3, M4, M1 and L5 from the seeds) depends
+only on p: it is built and checked once per p, kept for the last
+``_CORE_TEMPLATES`` primes, and interned into each builder that needs
+it with its values known, in the node order building it there gives.
+
+Serialisation (:func:`serialize`) is one direct writer of what
+``json.dumps(obj, indent=1)`` makes of ``{"p", "nodes", "root",
+"target"}``, each node ``{"id", "op", "args"}`` plus ``"value"`` for a
+seed or conjugator: one-space indents, ``,`` at line ends, ``": "``
+after keys, ``"args": []`` when empty, each matrix rows of entry
+strings from :func:`sp4cert.matrices.mat4_to_lists`.  Entries hold only
+digits, ``-`` and ``/`` and ops are the five names of ``_SHAPE``, so
+nothing is escaped.  Nested one level deeper (``sp4cert
+certify-generators``), the text gains one space after each newline.
+Round-trips through :func:`parse` are bit-exact.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -90,7 +103,9 @@ MUL = "mul"
 INV = "inv"
 CONJ = "conj"
 
-_ARITY = {SEED_M0: 0, SEED_P2: 0, MUL: 2, INV: 1, CONJ: 1}
+_SHAPE = {  # op -> (arity, whether the node holds a matrix)
+    SEED_M0: (0, False), SEED_P2: (0, True), MUL: (2, False), INV: (1, False), CONJ: (1, True),
+}
 
 
 class CertNode(NamedTuple):
@@ -114,18 +129,23 @@ class Certificate:
         n = len(self.nodes)
         if n == 0:
             raise MalformedDag("certificate has no nodes")
+        for name, x in (("p", self.p), ("root", self.root)):
+            if type(x) is not int:  # exactly int, as for args: serialize writes str(x)
+                raise MalformedDag(f"{name} {x!r} is not an int")
         if not 0 <= self.root < n:
             raise MalformedDag(f"root {self.root} out of range")
         for i, (op, args, value) in enumerate(self.nodes):
-            arity = _ARITY.get(op) if isinstance(op, str) else None
-            if arity is None:
+            shape = _SHAPE.get(op) if isinstance(op, str) else None
+            if shape is None:
                 raise MalformedDag(f"node {i}: unknown op {op!r}")
+            arity, needs_value = shape
             if len(args) != arity:
                 raise MalformedDag(f"node {i}: op {op} wants {arity} args")
             for a in args:
+                if type(a) is not int:
+                    raise MalformedDag(f"node {i}: args {args} not all ints")
                 if not 0 <= a < i:
                     raise MalformedDag(f"node {i}: args {args} not all earlier")
-            needs_value = op in (SEED_P2, CONJ)
             if needs_value != (value is not None):
                 raise MalformedDag(f"node {i}: op {op} value mismatch")
 
@@ -253,32 +273,34 @@ class CertBuilder:
         self.nodes: list[CertNode] = []
         self.values: list[Mat4] = []
         self._memo: dict[CertNode, int] = {}
-        self._in_p2: dict[Mat4, bool] = {}  # seed literal -> member of gamma_p2
+        self._verdicts: dict[tuple[Mat4, GroupLabel], bool] = {}  # literal checks
         self._m0 = generator("M0", p)
 
-    def _intern(self, node: CertNode) -> int:
-        # equal nodes have equal values, so a hit forms no product
+    def _intern(self, node: CertNode, known: Mat4 | None = None) -> int:
+        # equal nodes have equal values, so a hit forms no product; a
+        # node copied from a core template brings its value as ``known``
         hit = self._memo.get(node)
         if hit is not None:
             return hit
-        self.values.append(_node_value(node, self.values, self._m0))
+        self.values.append(_node_value(node, self.values, self._m0) if known is None else known)
         self.nodes.append(node)
         idx = len(self.nodes) - 1
         self._memo[node] = idx
         return idx
 
-    def _is_p2_seed(self, m: Mat4) -> bool:
-        """Whether ``m`` lies in gamma_p2; tested once per literal."""
-        verdict = self._in_p2.get(m)
+    def _is_member(self, m: Mat4, label: GroupLabel) -> bool:
+        """Whether the literal ``m`` lies in ``label``; tested once per pair."""
+        key = (m, label)
+        verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._in_p2[m] = member(m, GroupLabel.GAMMA_P2, self.p)
+            verdict = self._verdicts[key] = member(m, label, self.p)
         return verdict
 
     def seed_m0(self) -> int:
         return self._intern(CertNode(SEED_M0))
 
     def seed_p2(self, m: Mat4) -> int:
-        if not self._is_p2_seed(m):
+        if not self._is_member(m, GroupLabel.GAMMA_P2):
             raise NotInGroup("seed must lie in gamma_p2")
         return self._intern(CertNode(SEED_P2, value=m))
 
@@ -289,7 +311,7 @@ class CertBuilder:
         return self._intern(CertNode(INV, (a,)))
 
     def conj(self, a: int, g: Mat4) -> int:
-        if not member(g, GroupLabel.GAMMA0_1P, self.p):
+        if not self._is_member(g, GroupLabel.GAMMA0_1P):
             raise NotInGroup("conjugator must lie in gamma0_1p")
         return self._intern(CertNode(CONJ, (a,), value=g))
 
@@ -313,7 +335,7 @@ class CertBuilder:
         r -= p2 // 2
         if q:
             s = unipotent_power(self.values[a], q * p2)
-            if s is not None and self._is_p2_seed(s):
+            if s is not None and self._is_member(s, GroupLabel.GAMMA_P2):
                 seed = self.seed_p2(s)
                 return seed if r == 0 else self.mul(self._binary_power(a, r), seed)
         return self._binary_power(a, e)
@@ -380,8 +402,9 @@ def _require_value(b: CertBuilder, idx: int, expected: Mat4, what: str) -> None:
         raise ShapeAssertionFailed(f"the {what} chain does not evaluate to its target at p={b.p}")
 
 
-def _core_nodes(b: CertBuilder) -> dict[str, int]:
-    """Nodes for M2, L2, L4, M3, M4, M1 (plus L5) from seeds only."""
+def _core_chain(b: CertBuilder) -> dict[str, int]:
+    """Build the nodes for M2, L2, L4, M3, M4, M1 (plus L5) from seeds
+    only, checking each against its generator."""
     p = b.p
     g = {name: generator(name, p) for name in
          ("M0", "M1", "M2", "M3", "M4", "L1", "L2", "L3", "L4", "L5")}
@@ -431,6 +454,31 @@ def _core_nodes(b: CertBuilder) -> dict[str, int]:
         "M1": n_m1, "M2": n_m2, "M3": n_m3, "M4": n_m4,
         "L2": n_l2, "L4": n_l4, "L5": n_l5,
     }
+
+
+_CORE_TEMPLATES = 8  # primes whose core chain is kept; p may be as large as 3.3e24
+
+
+@functools.lru_cache(maxsize=_CORE_TEMPLATES)
+def _core_template(p: int) -> tuple[tuple[tuple[CertNode, Mat4], ...], tuple[tuple[str, int], ...]]:
+    """The ``(node, value)`` pairs and named ids of the core chain of p,
+    built and checked in a fresh builder; a failed check caches nothing."""
+    b = CertBuilder(p)
+    names = _core_chain(b)
+    return tuple(zip(b.nodes, b.values)), tuple(names.items())
+
+
+def _core_nodes(b: CertBuilder) -> dict[str, int]:
+    """Nodes for M2, L2, L4, M3, M4, M1 (plus L5) in ``b``: the template
+    interned in order, args renumbered through ``b``'s memo, so nodes
+    first appear in the order that building the chain in ``b`` gives."""
+    template, names = _core_template(b.p)
+    ids: list[int] = []
+    for node, value in template:
+        if node.args:
+            node = node._replace(args=tuple([ids[a] for a in node.args]))
+        ids.append(b._intern(node, value))
+    return {name: ids[i] for name, i in names}
 
 
 def build_generator_certs(p: int) -> dict[str, Certificate]:
@@ -541,21 +589,6 @@ def normal_closure_witness(k: Mat4, p: int) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def certificate_to_json_obj(cert: Certificate) -> dict:
-    nodes = []
-    for i, node in enumerate(cert.nodes):
-        item: dict = {"id": i, "op": node.op, "args": list(node.args)}
-        if node.value is not None:
-            item["value"] = mat4_to_lists(node.value)
-        nodes.append(item)
-    return {
-        "p": cert.p,
-        "nodes": nodes,
-        "root": cert.root,
-        "target": mat4_to_lists(cert.target),
-    }
-
-
 def certificate_from_json_obj(obj) -> Certificate:
     if not isinstance(obj, dict):
         raise ParseError("certificate must be a JSON object")
@@ -591,8 +624,28 @@ def certificate_from_json_obj(obj) -> Certificate:
         raise ParseError(str(exc)) from exc
 
 
+def _matrix_text(m: Mat4, pad: str) -> str:
+    """``m`` as a JSON list of rows laid out with one-space indents,
+    opening on a line indented by ``pad``."""
+    row_open, entry_sep = f"\n{pad} [\n{pad}  \"", f"\",\n{pad}  \""
+    rows = [row_open + entry_sep.join(row) + f"\"\n{pad} ]" for row in mat4_to_lists(m)]
+    return "[" + ",".join(rows) + f"\n{pad}]"
+
+
 def serialize(cert: Certificate) -> str:
-    return json.dumps(certificate_to_json_obj(cert), indent=1)
+    """The certificate as ``json.dumps(obj, indent=1)`` lays out its
+    JSON object, written directly; see the module docstring."""
+    nodes = []
+    for i, (op, args, value) in enumerate(cert.nodes):
+        arg_text = "[\n    " + ",\n    ".join(map(str, args)) + "\n   ]" if args else "[]"
+        text = f'  {{\n   "id": {i},\n   "op": "{op}",\n   "args": {arg_text}'
+        if value is not None:
+            text += ',\n   "value": ' + _matrix_text(value, "   ")
+        nodes.append(text + "\n  }")
+    return (
+        f'{{\n "p": {cert.p},\n "nodes": [\n' + ",\n".join(nodes)
+        + f'\n ],\n "root": {cert.root},\n "target": {_matrix_text(cert.target, " ")}\n}}'
+    )
 
 
 def parse(text: str | bytes) -> Certificate:

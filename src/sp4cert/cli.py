@@ -117,10 +117,12 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_certify_generators(args) -> int:
     table = certs.build_generator_certs(args.p)
-    payload = {
-        name: certs.certificate_to_json_obj(cert) for name, cert in table.items()
-    }
-    _write_text(args.out, json.dumps(payload, indent=1))
+    # {name: certificate} with indent=1: each certificate one space deeper
+    entries = [
+        f' "{name}": ' + certs.serialize(cert).replace("\n", "\n ")
+        for name, cert in table.items()
+    ]
+    _write_text(args.out, "{\n" + ",\n".join(entries) + "\n}")
     all_ok = True
     for name, cert in table.items():
         report = certs.cert_verify(cert)

@@ -429,6 +429,8 @@ def _entry_to_str(x: int, d: int) -> str:
 
 def mat4_to_lists(m: Mat4) -> list[list[str]]:
     d, e = m.scaled()
+    if d == 1:  # integer entries, nothing to reduce
+        return [[_int_to_str(x) for x in row] for row in e]
     return [[_entry_to_str(x, d) for x in row] for row in e]
 
 

@@ -4,6 +4,7 @@ used by the mutation-soundness checks."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -25,7 +26,7 @@ from sp4cert.decompose import J1, GeneratorWord, Named
 from sp4cert.errors import SingularMatrix
 from sp4cert.generators import generator
 from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed
-from sp4cert.matrices import Mat2, Mat4, _ratio_to_str
+from sp4cert.matrices import Mat2, Mat4, _ratio_to_str, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
 
@@ -187,6 +188,29 @@ def mat4_det(m: Mat4) -> Fraction:
         minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
         total += (-1) ** j * rows[0][j] * det3(minor)
     return total
+
+
+def certificate_to_json_obj(cert: Certificate) -> dict:
+    """The JSON object of a certificate, as the program first built it
+    before handing it to ``json.dumps``."""
+    nodes = []
+    for i, node in enumerate(cert.nodes):
+        item: dict = {"id": i, "op": node.op, "args": list(node.args)}
+        if node.value is not None:
+            item["value"] = mat4_to_lists(node.value)
+        nodes.append(item)
+    return {
+        "p": cert.p,
+        "nodes": nodes,
+        "root": cert.root,
+        "target": mat4_to_lists(cert.target),
+    }
+
+
+def reference_certificate_text(cert: Certificate) -> str:
+    """What ``certificates.serialize`` must write: the standard library's
+    encoder on :func:`certificate_to_json_obj`."""
+    return json.dumps(certificate_to_json_obj(cert), indent=1)
 
 
 def evaluate(cert: Certificate) -> list[Mat4]:

@@ -34,20 +34,28 @@ from sp4cert.certificates import (
     Certificate,
     CertNode,
     CheckResult,
+    _CORE_TEMPLATES,
     _bit_budget,
+    _core_chain,
     _core_nodes,
+    _core_template,
     _j1_chain,
     build_generator_certs,
     cert_verify,
     certificate_from_json_obj,
-    certificate_to_json_obj,
     expand_j1,
     expand_j2,
     normal_closure_witness,
     parse,
     serialize,
 )
-from sp4cert.errors import MalformedDag, NotInGroup, NotUnimodular, ParseError
+from sp4cert.errors import (
+    MalformedDag,
+    NotInGroup,
+    NotUnimodular,
+    ParseError,
+    ShapeAssertionFailed,
+)
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member
 from sp4cert.matrices import Mat2, Mat4, ext_gcd, mat4_from_lists, mat4_to_lists
@@ -273,6 +281,23 @@ def test_structure_is_checked_once_when_a_certificate_is_built(monkeypatch):
     monkeypatch.setattr(Certificate, "__post_init__", lambda self: calls.append(1) or real(self))
     assert cert_verify(parse(serialize(cert))).passed
     assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "p, nodes, root, message",
+    [
+        (3, (CertNode(SEED_M0), CertNode(INV, (True,))), 1, "node 1: args (True,) not all ints"),
+        (3, (CertNode(SEED_M0), CertNode(MUL, (0, 0.0))), 1, "node 1: args (0, 0.0) not all ints"),
+        (3, (CertNode(SEED_M0), CertNode(INV, (0,))), True, "root True is not an int"),
+        (3, (CertNode(SEED_M0),), "0", "root '0' is not an int"),
+        (True, (CertNode(SEED_M0),), 0, "p True is not an int"),
+    ],
+)
+def test_a_certificate_holds_only_ints(p, nodes, root, message):
+    # parse refuses the same values first (test_parse_accepts_only_json_integers)
+    with pytest.raises(MalformedDag) as built:
+        Certificate(p, nodes, root, Mat4.identity())
+    assert str(built.value) == message
 
 
 def test_builder_refuses_a_seed_outside_gamma_p2():
@@ -579,7 +604,28 @@ def test_each_split_literal_is_tested_once(monkeypatch):
         b.power(m0, e)
     b.identity()
     b.identity()
-    assert len(tested) == len(set(tested)) == len(_seeds_p2(b, 0)) == 4
+    # conjugators share the memo: j1(S), as each U-letter uses it, and M1
+    for e in (1, 2, 1, -3):
+        b.conj(b.power(m0, e), j1_embed(S))
+    for a in (m0, m0, b.inv(m0)):
+        b.conj(a, generator("M1", 5))
+    assert len(tested) == len(set(tested)) == 6
+    assert [m for m, label in tested if label is GroupLabel.GAMMA_P2] == _seeds_p2(b, 0)
+    assert len(_seeds_p2(b, 0)) == 4
+    conjugators = [m for m, label in tested if label is GroupLabel.GAMMA0_1P]
+    assert conjugators == [j1_embed(S), generator("M1", 5)]
+
+
+def test_a_witness_tests_each_literal_once(monkeypatch):
+    certificates = importlib.import_module("sp4cert.certificates")
+    p, k = 5, sample(SampleSpec(GroupLabel.GAMMA_1P, 5, 2, 10))
+    _core_template(p)  # built already, so the witness's builder is the only one
+    tested = []
+    monkeypatch.setattr(certificates, "member", lambda m, label, q: tested.append((m, label)) or member(m, label, q))
+    cert = normal_closure_witness(k, p)
+    assert sum(node.op == CONJ and node.value == j1_embed(S) for node in cert.nodes) == 5
+    assert tested.count((j1_embed(S), GroupLabel.GAMMA0_1P)) == 1
+    assert len(tested) == len(set(tested))
 
 
 def test_witness_takes_a_large_named_exponent_as_a_seed():
@@ -589,6 +635,71 @@ def test_witness_takes_a_large_named_exponent_as_a_seed():
     assert _both_verifiers(cert) == (True, (True, ""))
     assert any(node.op == SEED_P2 and node.value == generator("M2", 7) ** 49
                for node in cert.nodes)
+
+
+# --- the core template: built and checked once per p ----------------------
+
+CORE_NAMES = ("M2", "L2", "L4", "M3", "M4", "L5", "M1")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_core_template_interns_as_building_it_in_place(p):
+    # the j1 chain and M0^-2 already hold seed_m0, M0^-1, M0^-2 and L5
+    def prefixed() -> CertBuilder:
+        b = CertBuilder(p)
+        _j1_chain(b, Mat2.of(-7, 3, 2, -1))
+        b.power(b.seed_m0(), -2)
+        return b
+
+    built, interned = prefixed(), prefixed()
+    before = len(built.nodes)
+    names = _core_chain(built)
+    assert _core_nodes(interned) == names
+    assert interned.nodes == built.nodes and interned.values == built.values
+    assert len(built.nodes) - before < len(_core_template(p)[0])
+
+
+def test_core_chain_is_checked_once_per_p(monkeypatch):
+    certificates = importlib.import_module("sp4cert.certificates")
+    real = certificates._require_value
+    checked = []
+
+    def spy(b, idx, expected, what):
+        checked.append((b.p, what))
+        real(b, idx, expected, what)
+
+    _core_template.cache_clear()
+    monkeypatch.setattr(certificates, "_require_value", spy)
+    for p in (3, 5):
+        for i in range(5):
+            normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 900 + i, 8)), p)
+        build_generator_certs(p)
+        expand_j2(Mat2.of(1, 0, p, 1), p)
+    assert [c for c in checked if c[1] in CORE_NAMES] == [(p, name) for p in (3, 5) for name in CORE_NAMES]
+    assert checked.count((3, "witness")) == checked.count((5, "witness")) == 5
+
+
+def test_core_template_cache_is_bounded_by_its_constant():
+    _core_template.cache_clear()
+    assert _core_template.cache_info().maxsize == _CORE_TEMPLATES
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in primes:
+        assert cert_verify(build_generator_certs(p)["M1"]).passed
+    assert _core_template.cache_info().currsize == _CORE_TEMPLATES < len(primes)
+
+
+def test_a_failed_core_check_caches_nothing(monkeypatch):
+    # the "core" fault of the python -O test: M2 is checked against M3
+    certificates = importlib.import_module("sp4cert.certificates")
+    real = certificates.generator
+    k = generator("M2", 3)  # its word is the one letter M2, so it needs the core
+    _core_template.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(certificates, "generator", lambda name, q: real("M3" if name == "M2" else name, q))
+        with pytest.raises(ShapeAssertionFailed, match="the M2 chain"):
+            normal_closure_witness(k, 3)
+    assert _core_template.cache_info().currsize == 0
+    assert cert_verify(normal_closure_witness(k, 3)).passed
 
 
 # --- serialisation ---------------------------------------------------------
@@ -624,7 +735,7 @@ def test_parse_rejects_missing_fields():
 
 
 def test_parse_rejects_forward_reference():
-    obj = certificate_to_json_obj(build_generator_certs(3)["M2"])
+    obj = json.loads(serialize(build_generator_certs(3)["M2"]))
     obj["nodes"][0] = {"id": 0, "op": "mul", "args": [1, 2]}
     with pytest.raises(ParseError):
         certificate_from_json_obj(obj)
@@ -633,7 +744,7 @@ def test_parse_rejects_forward_reference():
 @pytest.mark.parametrize("bad", [lambda x: x + 0.9, lambda x: True, str])
 @pytest.mark.parametrize("path", [["p"], ["root"], ["nodes", 1, "id"], ["nodes", 1, "args", 0]])
 def test_parse_accepts_only_json_integers(path, bad):
-    obj = certificate_to_json_obj(build_generator_certs(3)["M2"])
+    obj = json.loads(serialize(build_generator_certs(3)["M2"]))
     holder = obj
     for key in path[:-1]:
         holder = holder[key]
@@ -651,7 +762,7 @@ def test_parse_maps_every_json_refusal_to_a_parse_error(text):
 
 
 def test_parse_rejects_unreduced_entries():
-    obj = certificate_to_json_obj(seed_only_cert())
+    obj = json.loads(serialize(seed_only_cert()))
     obj["target"][0][0] = "2/4"
     with pytest.raises(ParseError):
         certificate_from_json_obj(obj)

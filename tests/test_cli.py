@@ -13,7 +13,6 @@ from sp4cert.certificates import (
     CertNode,
     Certificate,
     build_generator_certs,
-    certificate_to_json_obj,
     normal_closure_witness,
     serialize,
 )
@@ -177,7 +176,7 @@ def test_verify_unhashable_op_exits_two(tmp_path, capsys, op):
 def _malformed(edit):
     """The M2 generator certificate at p = 3 (nodes seed_m0, inv,
     seed_p2, conj, mul, inv, mul) after ``edit`` has changed its JSON."""
-    obj = certificate_to_json_obj(build_generator_certs(3)["M2"])
+    obj = json.loads(serialize(build_generator_certs(3)["M2"]))
     edit(obj)
     return obj
 
