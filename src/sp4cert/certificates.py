@@ -11,13 +11,18 @@ and whose internal nodes are
 so a passing certificate witnesses that its target lies in the normal
 closure of {M0} + gamma_p2 inside gamma0_1p; :func:`_node_value` is the
 one place these meanings are written.  A node is a :class:`CertNode`,
-the immutable named tuple ``(op, args, value)``; the structure check
-runs once, when a :class:`Certificate` is built.  Verification (:func:`cert_verify`)
-checks every seed (in gamma_p2) and conjugator (in gamma0_1p) first, in
-node order, and stops at the first failure; only then does it replay
-the DAG once, exactly, and compare the root with the target.  Nothing
-about a certificate is trusted; the builders in this module only ever
-hand out objects that the verifier then re-checks from scratch.
+the immutable named tuple ``(op, args, value)``.  ``_SHAPE`` gives each
+op its arity and, for a seed or conjugator, the check kind and the group
+its literal must lie in (gamma_p2, gamma0_1p); the structure check (run
+once, when a :class:`Certificate` is built), the verifier and the
+builder all read it, and one memo, :func:`_verdict`, tests each
+(literal, group) pair once for either.  Verification (:func:`cert_verify`)
+checks every literal first, in node order, and stops at the first
+failure; only then does it replay the DAG once, exactly, and compare the
+root with the target.  Nothing about a certificate is trusted; the
+builders in this module only ever hand out objects that the verifier
+then re-checks from scratch, each extracted from a builder's nodes by
+one backward liveness pass and one forward renumbering pass.
 
 Builders:
 
@@ -90,8 +95,8 @@ from .matrices import (
     unipotent_power,
 )
 from .sl2 import (
+    ConjugateBy,
     MultiplyLeftP,
-    MultiplyLeftPrime,
     S,
     gamma1p_generate,
     sl2_decompose,
@@ -103,8 +108,9 @@ MUL = "mul"
 INV = "inv"
 CONJ = "conj"
 
-_SHAPE = {  # op -> (arity, whether the node holds a matrix)
-    SEED_M0: (0, False), SEED_P2: (0, True), MUL: (2, False), INV: (1, False), CONJ: (1, True),
+_SHAPE = {  # op -> (arity, literal): (check kind, group) for the matrix of a seed or conjugator
+    SEED_M0: (0, None), SEED_P2: (0, ("seed", GroupLabel.GAMMA_P2)), MUL: (2, None), INV: (1, None),
+    CONJ: (1, ("conjugator", GroupLabel.GAMMA0_1P)),
 }
 
 
@@ -138,7 +144,7 @@ class Certificate:
             shape = _SHAPE.get(op) if isinstance(op, str) else None
             if shape is None:
                 raise MalformedDag(f"node {i}: unknown op {op!r}")
-            arity, needs_value = shape
+            arity, literal = shape
             if len(args) != arity:
                 raise MalformedDag(f"node {i}: op {op} wants {arity} args")
             for a in args:
@@ -146,7 +152,7 @@ class Certificate:
                     raise MalformedDag(f"node {i}: args {args} not all ints")
                 if not 0 <= a < i:
                     raise MalformedDag(f"node {i}: args {args} not all earlier")
-            if needs_value != (value is not None):
+            if (literal is None) != (value is None):
                 raise MalformedDag(f"node {i}: op {op} value mismatch")
 
     @property
@@ -184,6 +190,16 @@ class VerificationReport:
         )
         out.append("PASS" if self.passed else f"FAIL ({self.failure_locus})")
         return out
+
+
+def _verdict(memo: dict[tuple[Mat4, GroupLabel], bool], m: Mat4, label: GroupLabel, p: int) -> bool:
+    """Whether the literal ``m`` lies in ``label``; ``memo`` keeps each
+    pair's verdict, so each is tested once."""
+    key = (m, label)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = member(m, label, p)
+    return verdict
 
 
 def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
@@ -229,20 +245,13 @@ def cert_verify(cert: Certificate) -> VerificationReport:
     """
     p = require_odd_prime(cert.p)
     checks: list[CheckResult] = []
-    membership_cache: dict[tuple[Mat4, GroupLabel], bool] = {}
+    memo: dict[tuple[Mat4, GroupLabel], bool] = {}
     for i, node in enumerate(cert.nodes):
-        if node.op == SEED_P2:
-            kind, label, detail = "seed", GroupLabel.GAMMA_P2, "seed not in gamma_p2"
-        elif node.op == CONJ:
-            kind, label = "conjugator", GroupLabel.GAMMA0_1P
-            detail = "conjugator not in gamma0_1p"
-        else:
+        if node.value is None:  # not a literal (the structure check pairs the two)
             continue
-        key = (node.value, label)
-        if key not in membership_cache:
-            membership_cache[key] = member(node.value, label, p)
-        good = membership_cache[key]
-        checks.append(CheckResult(kind, i, good, "" if good else detail))
+        kind, label = _SHAPE[node.op][1]
+        good = _verdict(memo, node.value, label, p)
+        checks.append(CheckResult(kind, i, good, "" if good else f"{kind} not in {label.value}"))
         if not good:
             return VerificationReport(False, tuple(checks), len(cert.nodes), f"{kind} node {i}")
 
@@ -288,21 +297,18 @@ class CertBuilder:
         self._memo[node] = idx
         return idx
 
-    def _is_member(self, m: Mat4, label: GroupLabel) -> bool:
-        """Whether the literal ``m`` lies in ``label``; tested once per pair."""
-        key = (m, label)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = member(m, label, self.p)
-        return verdict
+    def _literal(self, op: str, args: tuple[int, ...], m: Mat4) -> int:
+        """Intern an ``op`` node holding ``m``, which must lie in the op's ``_SHAPE`` group."""
+        kind, label = _SHAPE[op][1]
+        if not _verdict(self._verdicts, m, label, self.p):
+            raise NotInGroup(f"{kind} must lie in {label.value}")
+        return self._intern(CertNode(op, args, m))
 
     def seed_m0(self) -> int:
         return self._intern(CertNode(SEED_M0))
 
     def seed_p2(self, m: Mat4) -> int:
-        if not self._is_member(m, GroupLabel.GAMMA_P2):
-            raise NotInGroup("seed must lie in gamma_p2")
-        return self._intern(CertNode(SEED_P2, value=m))
+        return self._literal(SEED_P2, (), m)
 
     def mul(self, a: int, b: int) -> int:
         return self._intern(CertNode(MUL, (a, b)))
@@ -311,9 +317,7 @@ class CertBuilder:
         return self._intern(CertNode(INV, (a,)))
 
     def conj(self, a: int, g: Mat4) -> int:
-        if not self._is_member(g, GroupLabel.GAMMA0_1P):
-            raise NotInGroup("conjugator must lie in gamma0_1p")
-        return self._intern(CertNode(CONJ, (a,), value=g))
+        return self._literal(CONJ, (a,), g)
 
     def identity(self) -> int:
         return self.seed_p2(Mat4.identity())
@@ -335,7 +339,8 @@ class CertBuilder:
         r -= p2 // 2
         if q:
             s = unipotent_power(self.values[a], q * p2)
-            if s is not None and self._is_member(s, GroupLabel.GAMMA_P2):
+            _, seed_group = _SHAPE[SEED_P2][1]
+            if s is not None and _verdict(self._verdicts, s, seed_group, self.p):
                 seed = self.seed_p2(s)
                 return seed if r == 0 else self.mul(self._binary_power(a, r), seed)
         return self._binary_power(a, e)
@@ -362,32 +367,22 @@ class CertBuilder:
             result = idx if result is None else self.mul(result, idx)
         return self.identity() if result is None else result
 
-    def certificate(self, root: int, target: Mat4 | None = None) -> Certificate:
-        """Extract the sub-DAG reachable from ``root``, renumbered."""
-        reachable: set[int] = set()
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            if i in reachable:
-                continue
-            reachable.add(i)
-            stack.extend(self.nodes[i].args)
-        order = sorted(reachable)
-        renumber = {old: new for new, old in enumerate(order)}
-        nodes = tuple(
-            CertNode(
-                self.nodes[i].op,
-                tuple(renumber[a] for a in self.nodes[i].args),
-                self.nodes[i].value,
-            )
-            for i in order
-        )
-        return Certificate(
-            p=self.p,
-            nodes=nodes,
-            root=renumber[root],
-            target=self.values[root] if target is None else target,
-        )
+    def certificate(self, root: int) -> Certificate:
+        """The sub-DAG reachable from ``root``, renumbered, with the
+        value of ``root`` as target: a backward liveness pass, then a
+        forward renumbering pass (see the module docstring)."""
+        live = [False] * root + [True]
+        for i in range(root, -1, -1):
+            if live[i]:
+                for a in self.nodes[i].args:
+                    live[a] = True
+        new_id = [0] * (root + 1)
+        nodes: list[CertNode] = []
+        for i, node in enumerate(self.nodes[: root + 1]):
+            if live[i]:
+                new_id[i] = len(nodes)
+                nodes.append(CertNode(node.op, tuple([new_id[a] for a in node.args]), node.value))
+        return Certificate(self.p, tuple(nodes), len(nodes) - 1, self.values[root])
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +526,14 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
     steps = gamma1p_generate(q, p)
     idx: int | None = None
     for step in steps.steps:
+        if isinstance(step, ConjugateBy):
+            idx = b.conj(b.identity() if idx is None else idx, j2_embed(step.conjugator, p))
+            continue
         if isinstance(step, MultiplyLeftP):
             part = b.power(core["L4"], step.exponent)
-            idx = part if idx is None else b.mul(part, idx)
-        elif isinstance(step, MultiplyLeftPrime):
+        else:  # MultiplyLeftPrime
             part = b.seed_p2(j2_embed(step.element, p))
-            idx = part if idx is None else b.mul(part, idx)
-        else:  # ConjugateBy
-            base = b.identity() if idx is None else idx
-            idx = b.conj(base, j2_embed(step.conjugator, p))
+        idx = part if idx is None else b.mul(part, idx)
     if idx is None:
         idx = b.identity()
     _require_value(b, idx, j2_embed(q, p), "j2")
@@ -569,19 +563,18 @@ def normal_closure_witness(k: Mat4, p: int) -> Certificate:
     core: dict[str, int] | None = None
     parts: list[int] = []
     for letter in word.letters:
-        if isinstance(letter, Named):
-            if core is None:
-                core = _core_nodes(b)
-            parts.append(b.power(core[letter.name], letter.exp))
-        elif isinstance(letter, J1):
+        if isinstance(letter, J1):
             parts.append(_j1_chain(b, letter.payload))
+            continue
+        if core is None:
+            core = _core_nodes(b)
+        if isinstance(letter, Named):
+            parts.append(b.power(core[letter.name], letter.exp))
         else:
-            if core is None:
-                core = _core_nodes(b)
             parts.append(_j2_chain(b, core, letter.payload))
     root = b.product(parts)
     _require_value(b, root, k, "witness")
-    return b.certificate(root, target=k)
+    return b.certificate(root)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
-Every letter is an integer ``Mat4`` in tilde coordinates, read off one
-table (:func:`_letter_matrix`): a named power is the identity plus e
-times the entries of its tilde twin in ``generators._ENTRIES``
-(M_i -> Mt_i), a j1 letter writes its payload into coordinates (1,3)
-and a j2 letter writes it into (2,4).  A plain letter is the
+Every letter is an integer ``Mat4`` in tilde coordinates, built by
+:func:`_letter_matrix` from the functions that define it: a named power
+e is ``generators.generator_power`` of its tilde twin (M_i -> Mt_i),
+the identity plus e times the twin's entries, and a j1 or j2 letter is
+``groups.j1_embed`` of its payload or ``groups.j2_embed`` with
+``tilde=True``.  A plain letter is the
 R-conjugate of that matrix, so :meth:`GeneratorWord.replay` multiplies
 a plain word in tilde coordinates and conjugates the product back by
 R once at the end (``groups.r_conjugate``), so every product but the
@@ -76,13 +77,12 @@ from typing import Iterable, Union
 from .errors import (
     LongFirstRow,
     NotInGroup,
-    NotUnimodular,
     ParseError,
     ShapeAssertionFailed,
     UnknownName,
 )
-from .generators import _ENTRIES
-from .groups import GroupLabel, member, r_conjugate, require_odd_prime
+from .generators import generator_power
+from .groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate, require_odd_prime
 from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
@@ -113,28 +113,20 @@ _TWINS = {
 
 
 def _letter_matrix(letter: Letter, p: int, tilde: bool) -> Mat4:
-    """A letter's integer matrix in tilde coordinates.
-
-    A named power ``e`` is ``1 + e N``, N the entries of the tilde twin
-    (exact since N N = 0); j1 and j2 payloads go into coordinates (1,3)
-    and (2,4).  A name outside the ``tilde`` alphabet raises
-    :class:`UnknownName`, a payload of determinant other than 1
-    :class:`NotUnimodular`."""
+    """A letter's integer matrix in tilde coordinates: ``generator_power``
+    of a named letter's tilde twin, ``j1_embed`` of a j1 payload, or
+    ``j2_embed(payload, p, tilde=True)``.  A name outside the ``tilde``
+    alphabet raises :class:`UnknownName`; a payload of determinant other
+    than 1, the :class:`NotUnimodular` of its embedding."""
     if isinstance(letter, Named):
         twin = _TWINS[tilde].get(letter.name)
         if twin is None:
             coords = "tilde" if tilde else "untilded"
             raise UnknownName(f"no {coords} letter named {letter.name!r}")
-        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        for (i, j), x in _ENTRIES[twin](p).items():
-            rows[i - 1][j - 1] += letter.exp * x
-        return Mat4.from_pair(1, tuple(map(tuple, rows)))
-    (a, b), (c, d) = letter.payload.rows
-    if a * d - b * c != 1:
-        raise NotUnimodular("j1 and j2 payloads must have determinant 1")
+        return generator_power(twin, p, letter.exp)
     if isinstance(letter, J1):
-        return Mat4.from_pair(1, ((a, 0, b, 0), (0, 1, 0, 0), (c, 0, d, 0), (0, 0, 0, 1)))
-    return Mat4.from_pair(1, ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d)))
+        return j1_embed(letter.payload)
+    return j2_embed(letter.payload, p, tilde=True)
 
 
 @dataclass(frozen=True)

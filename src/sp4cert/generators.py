@@ -24,11 +24,11 @@ R     diag(1,1,1,p)
 ====  =======================================  ==============
 
 Rows M0..L5 are kept as data in ``_ENTRIES``, the identity plus the
-listed entries, and built by writing those entries in; no matrix
-product is formed.  That is exact: in each row, the product of two
-listed units E(i,j) E(k,l) is zero because j != k.  The Mt rows are
-also the letter table of ``decompose``, which writes a power e of M_i
-or Mt_i as the identity plus e times the Mt_i entries.
+listed entries N, and :func:`generator_power` writes ``1 + e N`` entry
+by entry, with no matrix product.  That is the power e exactly: in each
+row, the product of two listed units E(i,j) E(k,l) is zero because
+j != k, so N N = 0.  It builds each generator (e = 1) and each named
+letter of ``decompose`` (a power e of M_i or Mt_i is that of Mt_i).
 
 A widely reproduced variant of M1 has row 4 equal to (1,0,0,0); that
 matrix is singular (rows 1 and 4 coincide), and conjugation by R then
@@ -99,13 +99,19 @@ def generator(name: str, p: int) -> Mat4 | Mat2:
     return _build_generator(name, p)
 
 
+def generator_power(name: str, p: int, e: int) -> Mat4:
+    """``1 + e N``, the e-th power of the generator ``name`` = ``1 + N`` of
+    ``_ENTRIES``, written entry by entry; name and p are not checked."""
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for (i, j), x in _ENTRIES[name](p).items():
+        rows[i - 1][j - 1] += e * x
+    return Mat4.from_pair(1, tuple(map(tuple, rows)))
+
+
 @lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
 def _build_generator(name: str, p: int) -> Mat4 | Mat2:
     if name in _ENTRIES:
-        rows = [[int(i == j) for j in range(4)] for i in range(4)]
-        for (i, j), x in _ENTRIES[name](p).items():
-            rows[i - 1][j - 1] = x
-        return Mat4(rows)
+        return generator_power(name, p, 1)
     if name == "P":
         return Mat2.of(1, 0, p, 1)
     if name == "R":

@@ -18,6 +18,7 @@ from sp4cert.certificates import (
     SEED_P2,
     _BUDGET_SCALE,
     _BUDGET_SLACK,
+    CertBuilder,
     Certificate,
     CertNode,
     _node_value,
@@ -220,6 +221,27 @@ def evaluate(cert: Certificate) -> list[Mat4]:
     for node in cert.nodes:
         values.append(_node_value(node, values, m0))
     return values
+
+
+def reference_certificate(b: CertBuilder, root: int) -> Certificate:
+    """``CertBuilder.certificate`` as first written: the nodes reachable
+    from ``root`` found with a stack and a set, sorted, and renumbered
+    through a dict."""
+    reachable: set[int] = set()
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        if i in reachable:
+            continue
+        reachable.add(i)
+        stack.extend(b.nodes[i].args)
+    order = sorted(reachable)
+    renumber = {old: new for new, old in enumerate(order)}
+    nodes = tuple(
+        CertNode(b.nodes[i].op, tuple(renumber[a] for a in b.nodes[i].args), b.nodes[i].value)
+        for i in order
+    )
+    return Certificate(p=b.p, nodes=nodes, root=renumber[root], target=b.values[root])
 
 
 def is_integral(m: Mat4) -> bool:

@@ -22,6 +22,7 @@ from support import (
     is_integral,
     random_tamper,
     reference_bit_budget,
+    reference_certificate,
 )
 
 from sp4cert.certificates import (
@@ -35,6 +36,7 @@ from sp4cert.certificates import (
     CertNode,
     CheckResult,
     _CORE_TEMPLATES,
+    _SHAPE,
     _bit_budget,
     _core_chain,
     _core_nodes,
@@ -363,6 +365,65 @@ def test_conjugator_discipline():
                 assert member(node.value, GroupLabel.GAMMA0_1P, p)
 
 
+# --- extraction: one liveness pass, one renumbering pass -----------------
+
+# builder calls: (op, node pick, extra); a node pick is reduced mod the
+# number of nodes so far, the extra names a seed (in gamma_p2), a
+# conjugator (in gamma0_1p) or a power's exponent
+DAG_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("seed_m0"), st.just(0), st.just(None)),
+        st.tuples(st.just("seed_p2"), st.just(0), st.sampled_from(("L1", "L3"))),
+        st.tuples(st.just("mul"), st.integers(0, 99), st.integers(0, 99)),
+        st.tuples(st.just("inv"), st.integers(0, 99), st.just(None)),
+        st.tuples(st.just("conj"), st.integers(0, 99), st.sampled_from(("M1", "M3", "L5"))),
+        st.tuples(st.just("power"), st.integers(0, 99), st.integers(-60, 60)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 5, 7)), DAG_CALLS)
+def test_extraction_matches_the_reference_for_every_root(p, calls):
+    b = CertBuilder(p)
+    for op, pick, extra in calls:
+        a = pick % len(b.nodes) if b.nodes else b.seed_m0()
+        if op == "seed_m0":
+            b.seed_m0()
+        elif op == "seed_p2":
+            b.seed_p2(generator(extra, p))
+        elif op == "mul":
+            b.mul(a, extra % len(b.nodes))
+        elif op == "inv":
+            b.inv(a)
+        elif op == "conj":
+            b.conj(a, generator(extra, p))
+        elif b.values[a].entry_bits() <= 64:  # a power of a wide value is slow to form
+            b.power(a, extra)
+    for root in range(len(b.nodes)):
+        assert b.certificate(root) == reference_certificate(b, root)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_builders_extract_as_the_reference(monkeypatch, p):
+    q = sample(SampleSpec(GroupLabel.GAMMA1_OF_P, p, 6200 + p, 5))
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 6300 + p, 6))
+
+    def outputs():
+        return (
+            build_generator_certs(p),
+            expand_j1(Mat2.of(5, 2, 2, 1), p),
+            expand_j2(q, p),
+            normal_closure_witness(k, p),
+        )
+
+    extracted = outputs()
+    monkeypatch.setattr(CertBuilder, "certificate", reference_certificate)
+    assert outputs() == extracted
+
+
 # --- expand_j1 -------------------------------------------------------------
 
 
@@ -540,7 +601,7 @@ def test_split_power_is_exact_short_and_verifies(p, name, e):
     target = b.values[a] ** e
     assert b.values[idx] == target
     assert len(b.nodes) - before <= 2 * (p * p // 2).bit_length() + 3
-    cert = b.certificate(idx, target=target)
+    cert = b.certificate(idx)
     assert _both_verifiers(cert) == (True, (True, ""))
     half = p * p // 2
     if abs(e) > half:
@@ -560,7 +621,7 @@ def test_power_of_a_non_unipotent_base_is_binary(p):
         target = b.values[a] ** e
         assert b.values[idx] == target
         assert not _seeds_p2(b, before)
-        assert _both_verifiers(b.certificate(idx, target=target)) == (True, (True, ""))
+        assert _both_verifiers(b.certificate(idx)) == (True, (True, ""))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -579,7 +640,7 @@ def test_power_of_a_non_integral_unipotent_base(p):
         idx = b.power(a, e)
         assert b.values[idx] == base ** e
         assert not _seeds_p2(b, before)
-        cert = b.certificate(idx, target=base ** e)
+        cert = b.certificate(idx)
         assert evaluate(cert)[cert.root] == base ** e
         assert _both_verifiers(cert) == refused
     # q = p: S = 1 + p^3 N lies in gamma_p2, and the split takes it
@@ -635,6 +696,78 @@ def test_witness_takes_a_large_named_exponent_as_a_seed():
     assert _both_verifiers(cert) == (True, (True, ""))
     assert any(node.op == SEED_P2 and node.value == generator("M2", 7) ** 49
                for node in cert.nodes)
+
+
+# --- differential: cert_verify against the benchmark's oracle -------------
+
+
+def _program_verdict(text: str) -> tuple[bool, str]:
+    """``(passed, failure locus)`` of ``parse`` + ``cert_verify``; a
+    :class:`ParseError` is a refusal with the locus ``"parse"``."""
+    try:
+        report = cert_verify(parse(text))
+    except ParseError:
+        return False, "parse"
+    return report.passed, report.failure_locus
+
+
+def _bump(rows: list[list[str]], data) -> None:
+    """Add +-1 to one entry of an interchange matrix, in place."""
+    i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    rows[i][j] = str(Fraction(rows[i][j]) + data.draw(st.sampled_from((-1, 1))))
+
+
+def _mutate(obj: dict, kind: str, data) -> None:
+    """One single-node mutation of the certificate JSON ``obj``, in place.
+    An op swap keeps the node's args and literal where the new op has
+    room for them, pads args with the previous node and gives a new
+    literal the identity; without a node of the kind asked for, ``obj``
+    stays genuine."""
+    nodes = obj["nodes"]
+    if kind == "op":
+        i = data.draw(st.integers(0, len(nodes) - 1))
+        node = nodes[i]
+        op = data.draw(st.sampled_from([op for op in _SHAPE if op != node["op"]]))
+        arity, literal = _SHAPE[op]
+        node["op"], node["args"] = op, (node["args"] + [i - 1, i - 1])[:arity]
+        if literal is None:
+            node.pop("value", None)
+        else:
+            node.setdefault("value", mat4_to_lists(Mat4.identity()))
+    elif kind == "arg":
+        picks = [i for i, node in enumerate(nodes) if node["args"]]
+        if picks:
+            i = data.draw(st.sampled_from(picks))
+            slot = data.draw(st.integers(0, len(nodes[i]["args"]) - 1))
+            nodes[i]["args"][slot] = data.draw(st.integers(0, i - 1))
+    elif kind == "literal":
+        picks = [i for i, node in enumerate(nodes) if "value" in node]
+        if picks:
+            _bump(nodes[data.draw(st.sampled_from(picks))]["value"], data)
+    elif kind == "root":
+        obj["root"] = data.draw(st.integers(0, len(nodes) - 1))
+    else:  # target
+        _bump(obj["target"], data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(0, 10**6),
+    st.integers(0, 4),
+    st.sampled_from(("op", "arg", "literal", "root", "target")),
+    st.data(),
+)
+def test_cert_verify_agrees_with_the_oracle(p, seed, length, kind, data):
+    text = serialize(normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, seed, length)), p))
+    assert _program_verdict(text) == ORACLE.cert_verdict(text, p) == (True, "")
+    obj = json.loads(text)
+    _mutate(obj, kind, data)
+    mutant = json.dumps(obj)
+    (passed, locus), (oracle_passed, why) = _program_verdict(mutant), ORACLE.cert_verdict(mutant, p)
+    assert passed == oracle_passed, (locus, why)
+    if " not in " in why and locus != "parse":  # the same first failed literal
+        assert locus == why.split(" not in ")[0]
 
 
 # --- the core template: built and checked once per p ----------------------
