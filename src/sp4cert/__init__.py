@@ -8,6 +8,7 @@ machine-checkable normal-closure certificates over the seeds
 from .certificates import (
     Certificate,
     CertNode,
+    IdentityReport,
     VerificationReport,
     build_generator_certs,
     cert_verify,
@@ -16,6 +17,7 @@ from .certificates import (
     normal_closure_witness,
     parse,
     serialize,
+    verify_identities,
 )
 from .decompose import (
     GeneratorWord,
@@ -25,12 +27,7 @@ from .decompose import (
     decompose,
     reduce_first_row,
 )
-from .generators import (
-    GENERATOR_NAMES,
-    IdentityReport,
-    generator,
-    verify_identities,
-)
+from .generators import GENERATOR_NAMES, generator
 from .groups import (
     GroupLabel,
     SymplecticForm,
@@ -66,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "CertNode",
+    "IdentityReport",
     "VerificationReport",
     "build_generator_certs",
     "cert_verify",
@@ -74,6 +72,7 @@ __all__ = [
     "normal_closure_witness",
     "parse",
     "serialize",
+    "verify_identities",
     "GeneratorWord",
     "J1",
     "J2",
@@ -81,9 +80,7 @@ __all__ = [
     "decompose",
     "reduce_first_row",
     "GENERATOR_NAMES",
-    "IdentityReport",
     "generator",
-    "verify_identities",
     "GroupLabel",
     "SymplecticForm",
     "VectorClass",

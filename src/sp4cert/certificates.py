@@ -27,11 +27,10 @@ one backward liveness pass and one forward renumbering pass.
 Builders:
 
 * :func:`build_generator_certs` -- certificates for M2, L2, L4, M3, M4
-  and M1, following the product identities of
-  :func:`sp4cert.generators.verify_identities`.  Conjugators (M4^-1,
-  M1, M3, L5^-1, j1-images) are stored as literal matrices; they are
-  legal conjugators by predicate even where the chain has not yet
-  derived them from seeds.
+  and M1, following the product identities of the core chain (below).
+  Conjugators (M4^-1, M1, M3, L5^-1, j1-images) are stored as literal
+  matrices; they are legal conjugators by predicate even where the
+  chain has not yet derived them from seeds.
 * :func:`expand_j1` -- any j1(SL(2,Z)) element from the seed M0 alone,
   through the T/U word of the payload (U-letters conjugate by j1(S)).
 * :func:`expand_j2` -- any j2(gamma1_of_p) element from M0 and
@@ -51,10 +50,22 @@ congruent to 1 mod p^2, so it lies in gamma_p2.  The closed form is
 gamma_p2 once.  Such a power adds at most ``2 bit_length(p^2 // 2) + 3``
 nodes, however large e is.
 
-The core chain (M2, L2, L4, M3, M4, M1 and L5 from the seeds) depends
-only on p: it is built and checked once per p, kept for the last
-``_CORE_TEMPLATES`` primes, and interned into each builder that needs
-it with its values known, in the node order building it there gives.
+The core chain (M2, L2, L4, M3, M4, L5 and M1 from the seeds) is the
+one place the six product identities that generate M1..M4 from M0 and
+level-p^2 elements are written.  It depends only on p: it is built and
+checked once per p, kept for the last ``_CORE_TEMPLATES`` primes, and
+interned into each builder that needs it with its values known, in the
+node order building it there gives.  :func:`verify_identities` builds it
+in a fresh builder and reports, with exact arithmetic, whether each
+identity lands on its generator.  Identity ``m4-from-l5-commutator``
+requires the *positive* power of L1: the exact computation gives
+
+    L5^-1 M2^-1 L5 M2      =  M4 L1^-1,
+
+so multiplying by L1 (not L1^-1) on the right yields M4; the -1
+variant leaves the product at M4 L1^-2.  That residual, L4 = j2(P) and
+L5 from the seeds are checked, not reported: each failure raises
+:class:`ShapeAssertionFailed`, also under ``python -O``.
 
 Serialisation (:func:`serialize`) is one direct writer of what
 ``json.dumps(obj, indent=1)`` makes of ``{"p", "nodes", "root",
@@ -71,7 +82,7 @@ Round-trips through :func:`parse` are bit-exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .decompose import J1, Named, decompose
@@ -398,11 +409,10 @@ def _require_value(b: CertBuilder, idx: int, expected: Mat4, what: str) -> None:
 
 
 def _core_chain(b: CertBuilder) -> dict[str, int]:
-    """Build the nodes for M2, L2, L4, M3, M4, M1 (plus L5) from seeds
-    only, checking each against its generator."""
+    """Build the nodes for M2, L2, L4, M3, M4, L5 and M1 from seeds only,
+    in that order, and check none of them."""
     p = b.p
-    g = {name: generator(name, p) for name in
-         ("M0", "M1", "M2", "M3", "M4", "L1", "L2", "L3", "L4", "L5")}
+    g = {name: generator(name, p) for name in ("M1", "M3", "M4", "L1", "L3", "L5")}
 
     n_m0 = b.seed_m0()
     n_m0_inv = b.inv(n_m0)
@@ -412,42 +422,35 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     n_m2 = b.mul(
         b.mul(b.conj(n_m0, g["M4"].inv()), n_m0_inv), b.inv(n_l1)
     )
-    _require_value(b, n_m2, g["M2"], "M2")
 
     # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1)); the j1 image is M0^-2
     n_l2 = b.mul(
         b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].inv())),
         b.mul(n_m0_inv, n_m0_inv),
     )
-    _require_value(b, n_l2, g["L2"], "L2")
 
     # L4 = L2^lam L3^mu with -2*lam + p^2*mu = 1
     _, lam, mu = ext_gcd(-2, p * p)
     n_l3 = b.seed_p2(g["L3"])
     n_l4 = b.mul(b.power(n_l2, lam), b.power(n_l3, mu))
-    _require_value(b, n_l4, g["L4"], "L4")
 
     # M3 = (L4 (M1 M0 M1^-1) M0^-1)^-1
     n_m3 = b.inv(b.mul(b.mul(n_l4, b.conj(n_m0, g["M1"])), n_m0_inv))
-    _require_value(b, n_m3, g["M3"], "M3")
 
-    # M4 = (L5^-1 M2^-1 L5) M2 L1
+    # M4 = (L5^-1 M2^-1 L5 M2) L1: the commutator, then the +1 power of L1
     n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].inv()), n_m2), n_l1)
-    _require_value(b, n_m4, g["M4"], "M4")
 
     # L5 = j1(U) = j1(S) M0^-1 j1(S)^-1
     n_l5 = b.conj(n_m0_inv, j1_embed(S))
-    _require_value(b, n_l5, g["L5"], "L5")
 
     # M1 = ((M3 (L5 L4) M3^-1) L5^-1 L2)^-1
     n_m1 = b.inv(
         b.mul(b.mul(b.conj(b.mul(n_l5, n_l4), g["M3"]), b.inv(n_l5)), n_l2)
     )
-    _require_value(b, n_m1, g["M1"], "M1")
 
     return {
-        "M1": n_m1, "M2": n_m2, "M3": n_m3, "M4": n_m4,
-        "L2": n_l2, "L4": n_l4, "L5": n_l5,
+        "M2": n_m2, "L2": n_l2, "L4": n_l4, "M3": n_m3,
+        "M4": n_m4, "L5": n_l5, "M1": n_m1,
     }
 
 
@@ -457,9 +460,12 @@ _CORE_TEMPLATES = 8  # primes whose core chain is kept; p may be as large as 3.3
 @functools.lru_cache(maxsize=_CORE_TEMPLATES)
 def _core_template(p: int) -> tuple[tuple[tuple[CertNode, Mat4], ...], tuple[tuple[str, int], ...]]:
     """The ``(node, value)`` pairs and named ids of the core chain of p,
-    built and checked in a fresh builder; a failed check caches nothing."""
+    built and checked, node by node, in a fresh builder; a failed check
+    caches nothing."""
     b = CertBuilder(p)
     names = _core_chain(b)
+    for name, idx in names.items():
+        _require_value(b, idx, generator(name, p), name)
     return tuple(zip(b.nodes, b.values)), tuple(names.items())
 
 
@@ -485,6 +491,62 @@ def build_generator_certs(p: int) -> dict[str, Certificate]:
         name: b.certificate(nodes[name])
         for name in ("M2", "L2", "L4", "M3", "M4", "M1")
     }
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    name: str
+    holds: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    p: int
+    checks: tuple[IdentityCheck, ...] = field(default_factory=tuple)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.holds for c in self.checks)
+
+    def lines(self) -> list[str]:
+        out = [f"identity checks at p = {self.p}"]
+        for c in self.checks:
+            status = "pass" if c.holds else "FAIL"
+            line = f"  {status}  {c.name}"
+            if c.note:
+                line += f"  [{c.note}]"
+            out.append(line)
+        out.append(f"{'PASS' if self.passed else 'FAIL'}")
+        return out
+
+
+def verify_identities(p: int) -> IdentityReport:
+    """Replay the core chain in a fresh builder and report, identity by
+    identity, whether its node equals the generator; nothing is assumed.
+    L5, L4 = j2(P) and the L1^-1 residual are checked, not reported."""
+    b = CertBuilder(p)
+    nodes = _core_chain(b)
+    _require_value(b, nodes["L5"], generator("L5", p), "L5")  # the M4 link conjugates by L5^-1
+    if generator("L4", p) != j2_embed(Mat2.of(1, 0, p, 1), p):
+        raise ShapeAssertionFailed(f"L4 is not j2(P) at p={p}")
+    m4, l1 = generator("M4", p), generator("L1", p)
+    commutator = b.values[b.nodes[nodes["M4"]].args[0]]  # M4 = mul(commutator, L1)
+    if commutator * l1.inv() != m4 * l1 ** -2:
+        raise ShapeAssertionFailed(f"the l1^-1 variant is not m4*l1^-2 at p={p}")
+    _, lam, mu = ext_gcd(-2, p * p)
+    identities = (  # the core node each identity builds, its name and note
+        ("M2", "m2-from-m0-commutator", ""),
+        ("L2", "l2-from-m1-chain", ""),
+        ("L4", "l4-power-combination", f"lam={lam} mu={mu} from ext_gcd(-2, {p * p})"),
+        ("M3", "m3-from-l4-chain", ""),
+        ("M4", "m4-from-l5-commutator", "uses l1^+1; the l1^-1 variant equals m4*l1^-2"),
+        ("M1", "m1-from-m3-chain", ""),
+    )
+    return IdentityReport(p, tuple(
+        IdentityCheck(name, b.values[nodes[key]] == generator(key, p), note)
+        for key, name, note in identities
+    ))
 
 
 def _j1_chain(b: CertBuilder, a: Mat2) -> int:

@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     Sp4CertError,
 )
-from .generators import verify_identities
 from .groups import (
     GroupLabel,
     TWO_BY_TWO_LABELS,
@@ -57,16 +56,14 @@ def _read_json(path: str):
 
 
 def _write_text(path: str | None, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -158,14 +155,15 @@ def _cmd_verify(args) -> int:
         expected = mat4_from_lists(_read_json(args.target))
         match = expected == cert.target
         lines.insert(-1, f"  {'pass' if match else 'FAIL'}  target matches --target file")
+        if ok and not match:  # a failed report keeps its failure locus
+            lines[-1] = "FAIL"
         ok = ok and match
-        lines[-1] = "PASS" if ok else "FAIL"
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_MATH
 
 
 def _cmd_check_identities(args) -> int:
-    report = verify_identities(args.p)
+    report = certs.verify_identities(args.p)
     print("\n".join(report.lines()))
     return EXIT_OK if report.passed else EXIT_MATH
 
@@ -197,7 +195,7 @@ def _fuzz_trial(suite: str, p: int, spec: SampleSpec) -> bool:
             and vector_class(rows[1], p) is VectorClass.LONG
         )
     # identities: same exact replay for every trial; sampling is moot
-    return verify_identities(p).passed
+    return certs.verify_identities(p).passed
 
 
 def _cmd_fuzz(args) -> int:

@@ -38,10 +38,11 @@ from sp4cert.certificates import (
     build_generator_certs,
     cert_verify,
     normal_closure_witness,
+    verify_identities,
 )
 from sp4cert.decompose import decompose
 from sp4cert.errors import SingularMatrix
-from sp4cert.generators import generator, verify_identities
+from sp4cert.generators import generator
 from sp4cert.groups import (
     GroupLabel,
     VectorClass,

@@ -157,6 +157,29 @@ def test_verify_with_wrong_target(member_file, m0_file, tmp_path):
     assert main(["verify", "--cert", str(cert_path), "--target", m0_file]) == 1
 
 
+@pytest.mark.parametrize("target", ["M2", "M0"])
+def test_verify_with_target_keeps_the_failure_locus(tmp_path, capsys, target):
+    # M2's witness with its L1 seed moved off level p^2
+    cert = normal_closure_witness(generator("M2", 3), 3)
+    i = next(i for i, node in enumerate(cert.nodes) if node.op == SEED_P2)
+    d, e = cert.nodes[i].value.scaled()
+    rows = [list(row) for row in e]
+    rows[1][3] += 1
+    nodes = list(cert.nodes)
+    nodes[i] = nodes[i]._replace(value=Mat4.from_pair(d, tuple(map(tuple, rows))))
+    cert_path, target_path = tmp_path / "bad.json", tmp_path / "target.json"
+    cert_path.write_text(serialize(Certificate(cert.p, tuple(nodes), cert.root, cert.target)))
+    target_path.write_text(json.dumps(mat4_to_lists(generator(target, 3))))
+    assert main(["verify", "--cert", str(cert_path)]) == 1
+    alone = capsys.readouterr().out.splitlines()
+    assert alone[-1] == f"FAIL (seed node {i})"
+    assert main(["verify", "--cert", str(cert_path), "--target", str(target_path)]) == 1
+    status = "pass" if target == "M2" else "FAIL"
+    assert capsys.readouterr().out.splitlines() == [
+        *alone[:-1], f"  {status}  target matches --target file", alone[-1]
+    ]
+
+
 def test_verify_garbage_exits_two(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("]]]")
@@ -291,6 +314,16 @@ def test_check_identities(capsys):
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
+def test_check_identities_at_a_large_prime(capsys):
+    # L2^lam with lam = (p^2 - 1)/2 is built as node-level binary powers
+    p = 2**61 - 1
+    assert main(["check-identities", "--p", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"identity checks at p = {p}" and lines[-1] == "PASS"
+    assert [line.split()[0] for line in lines[1:-1]] == ["pass"] * 6
+    assert lines[3].endswith(f"[lam={(p * p - 1) // 2} mu=1 from ext_gcd(-2, {p * p})]")
+
+
 def test_section4(capsys):
     assert main(["section4", "--c", "2", "--samples", "300", "--tol", "1e-10"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
@@ -357,7 +390,7 @@ def test_any_other_package_error_exits_one(monkeypatch, capsys):
     def broken(p):
         raise ShapeAssertionFailed("identity replay broke")
 
-    monkeypatch.setattr(cli, "verify_identities", broken)
+    monkeypatch.setattr(cli.certs, "verify_identities", broken)
     assert main(["check-identities", "--p", "3"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: identity replay broke\n")

@@ -9,8 +9,9 @@ import pytest
 import sp4cert
 from support import mat4_det, mat4_sub
 
-from sp4cert.errors import BadPrime, UnknownName
-from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, generator, verify_identities
+from sp4cert.certificates import verify_identities
+from sp4cert.errors import BadPrime, NotInGroup, ShapeAssertionFailed, UnknownName
+from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, _build_generator, generator
 from sp4cert.groups import GroupLabel, member, r_conjugate
 from sp4cert.matrices import Mat2, Mat4
 
@@ -162,6 +163,38 @@ def test_identity_report_lines_end_with_verdict():
     assert lines[-1] == "PASS"
 
 
+@pytest.fixture()
+def table(monkeypatch):
+    """Set one row of ``_ENTRIES``; the table and its cache are restored."""
+    def corrupt(name, entries):
+        monkeypatch.setitem(_ENTRIES, name, lambda p: entries)
+        _build_generator.cache_clear()
+
+    yield corrupt
+    monkeypatch.undo()
+    _build_generator.cache_clear()
+
+
+def test_a_bad_generator_is_blamed_at_its_own_link(table):
+    # the M4 link conjugates the chain's M2 node, not the table's M2
+    table("M2", {(1, 4): 3, (2, 3): 6})
+    report = verify_identities(3)
+    assert [c.name for c in report.checks if not c.holds] == ["m2-from-m0-commutator"]
+    assert report.lines()[-1] == "FAIL"
+
+
+def test_l5_from_the_seeds_is_checked_not_reported(table):
+    table("L5", {(3, 1): 2})
+    with pytest.raises(ShapeAssertionFailed, match="the L5 chain does not evaluate to its target at p=3"):
+        verify_identities(3)
+
+
+def test_a_conjugator_outside_gamma0_1p_is_refused(table):
+    table("M1", {(1, 1): 1, (3, 2): 1, (4, 1): 1})
+    with pytest.raises(NotInGroup, match="conjugator must lie in gamma0_1p"):
+        verify_identities(3)
+
+
 def test_table_checks_survive_python_optimise_flag():
     # L4 = j2(P) and the wrong-L1-exponent residual are checked, not
     # reported; breaking L4, then L1, must raise under -O too
@@ -172,12 +205,13 @@ def test_table_checks_survive_python_optimise_flag():
 
         assert False, "python -O was expected to strip this"
         gens = importlib.import_module("sp4cert.generators")
+        certs = importlib.import_module("sp4cert.certificates")
         for name, entries in (("L4", {(4, 2): 2}), ("L1", {(2, 4): 18})):
             saved = gens._ENTRIES[name]
             gens._ENTRIES[name] = lambda p, entries=entries: entries
             gens._build_generator.cache_clear()
             try:
-                gens.verify_identities(3)
+                certs.verify_identities(3)
             except ShapeAssertionFailed as exc:
                 print(f"rejected {name}: {exc}")
             gens._ENTRIES[name] = saved

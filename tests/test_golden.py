@@ -11,7 +11,11 @@
 * ``verify_p<p>.txt`` -- the ``sp4cert verify`` output and exit code for
   each of those witness files, for ``VERIFY_TAMPERS`` ``random_tamper``
   draws of each (one seeded generator per p), and for one malformed
-  file, which exits 2.
+  file, which exits 2;
+
+and ``identities_p<p>.txt`` (p in {3, 5, 7, 11}), the stdout of
+``sp4cert check-identities``, and ``generators_p<p>.json`` (p in
+{3, 7}), the file ``sp4cert certify-generators --out`` writes.
 
 A change that is meant to keep behaviour must leave every file as it
 is.  A change that alters words or certificates on purpose regenerates
@@ -29,6 +33,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable
 from unittest import mock
@@ -51,6 +56,8 @@ WITNESS_LENGTHS = (1, 2, 3)
 SPLIT_LENGTH = {3: 7, 5: 8, 7: 8}  # the first with a named exponent past p^2/2
 VERIFY_SEED = 1919
 VERIFY_TAMPERS = 3
+IDENTITY_PRIMES = (3, 5, 7, 11)
+GENERATOR_PRIMES = (3, 7)
 
 
 def _sample(p: int, seed: int, length: int):
@@ -69,18 +76,24 @@ def witness_text(p: int, length: int) -> str:
     return serialize(normal_closure_witness(_sample(p, WITNESS_SEED, length), p)) + "\n"
 
 
+def _cli(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """``sp4cert`` run in process: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(sys, "stdin", io.StringIO(stdin)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _verify_run(name: str, cert_text: str) -> str:
     """``sp4cert verify --cert -`` on ``cert_text``: a header naming the
     case, then what the command writes to stdout and stderr, then its
     exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with (
-        mock.patch.object(sys, "stdin", io.StringIO(cert_text)),
-        contextlib.redirect_stdout(out),
-        contextlib.redirect_stderr(err),
-    ):
-        code = main(["verify", "--cert", "-"])
-    return f"== {name}\n{out.getvalue()}{err.getvalue()}exit {code}\n"
+    code, out, err = _cli(["verify", "--cert", "-"], cert_text)
+    return f"== {name}\n{out}{err}exit {code}\n"
 
 
 def verify_text(p: int) -> str:
@@ -100,6 +113,20 @@ def verify_text(p: int) -> str:
     return "".join(runs)
 
 
+def identities_text(p: int) -> str:
+    code, out, err = _cli(["check-identities", "--p", str(p)])
+    assert (code, err) == (0, ""), err
+    return out
+
+
+def generators_text(p: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generators.json"
+        code, _, err = _cli(["certify-generators", "--p", str(p), "--out", str(path)])
+        assert (code, err) == (0, ""), err
+        return path.read_text()
+
+
 def corpus() -> dict[str, Callable[[], str]]:
     """File name -> function producing its expected text; each verify
     transcript comes after the witness files it reads."""
@@ -109,6 +136,10 @@ def corpus() -> dict[str, Callable[[], str]]:
             out[f"witness_p{p}_len{n}.json"] = lambda p=p, n=n: witness_text(p, n)
     for p in PRIMES:
         out[f"verify_p{p}.txt"] = lambda p=p: verify_text(p)
+    for p in IDENTITY_PRIMES:
+        out[f"identities_p{p}.txt"] = lambda p=p: identities_text(p)
+    for p in GENERATOR_PRIMES:
+        out[f"generators_p{p}.json"] = lambda p=p: generators_text(p)
     return out
 
 
