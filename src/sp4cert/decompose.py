@@ -64,8 +64,10 @@ The pipeline works by right multiplication throughout:
 3.  *Residue.*  Right multiplication by Mt4^-n Mt1^-m leaves exactly
     j1((1,0),(x,1)), the final letter.
 
-The emitted word is the reversed, inverted multiplier log, so replay is
-a plain left-to-right product equal to the input.
+The emitted word is the residue shear followed by the reversed,
+inverted multiplier log.  The log holds no identity letter and no two
+adjacent letters of one kind (each stage alternates kinds), so the one
+merge a word needs is of the shear with a leading j1 letter.
 """
 
 from __future__ import annotations
@@ -215,35 +217,6 @@ def _is_identity(letter: Letter) -> bool:
     return letter.payload.is_identity()
 
 
-def _simplify_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Merge adjacent letters of the same kind; exact because j1 and j2
-    are homomorphisms.  Identity letters are dropped."""
-    out: list[Letter] = []
-    for letter in letters:
-        if _is_identity(letter):
-            continue
-        if out:
-            prev = out[-1]
-            if (
-                isinstance(letter, Named)
-                and isinstance(prev, Named)
-                and prev.name == letter.name
-            ):
-                out.pop()
-                merged = Named(letter.name, prev.exp + letter.exp)
-                if merged.exp:
-                    out.append(merged)
-                continue
-            if isinstance(letter, (J1, J2)) and type(prev) is type(letter):
-                out.pop()
-                product = prev.payload * letter.payload
-                if not product.is_identity():
-                    out.append(type(letter)(product))
-                continue
-        out.append(letter)
-    return tuple(out)
-
-
 def _gcd_step_matrix(v1: int, v3: int) -> Mat2:
     """A in SL(2,Z) with (v1, v3) A = (gcd, 0), gcd > 0."""
     g, x, y = ext_gcd(v1, v3)
@@ -369,8 +342,11 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
     if residue != _letter_matrix(shear, p, True):
         raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.scaled()[1]}")
 
-    letters: list[Letter] = []
+    # the log holds no identity letter and no two adjacent letters of one
+    # kind (module docstring): the one merge is the shear with a leading j1
+    letters = [_invert_letter(letter) for letter in reversed(work.letters)]
+    if letters and isinstance(letters[0], J1):
+        shear = J1(shear.payload * letters.pop(0).payload)
     if not _is_identity(shear):
-        letters.append(shear)
-    letters.extend(_invert_letter(letter) for letter in reversed(work.letters))
-    return GeneratorWord(p=p, tilde=True, letters=_simplify_letters(letters))
+        letters.insert(0, shear)
+    return GeneratorWord(p=p, tilde=True, letters=tuple(letters))

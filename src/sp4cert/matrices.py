@@ -224,7 +224,7 @@ class Mat4:
         return hash((self._d, self._e))
 
     def __repr__(self) -> str:
-        return f"Mat4(rows={self.rows!r})"
+        return f"Mat4.from_pair({self._d!r}, {self._e!r})"
 
     def __mul__(self, other: "Mat4") -> "Mat4":
         return Mat4.from_pair(self._d * other._d, mul_rows(self._e, other._e))

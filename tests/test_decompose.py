@@ -20,7 +20,6 @@ from sp4cert.decompose import (
     J2,
     Named,
     _letter_matrix,
-    _simplify_letters,
     decompose,
     reduce_first_row,
 )
@@ -391,28 +390,40 @@ def test_bad_prime_and_bad_payload_raise_at_replay():
                 GeneratorWord(3, tilde, (kind(Mat2.of(2, 0, 0, 1)),)).replay()
 
 
-# --- merging adjacent letters ----------------------------------------------
-
-SHEAR = Mat2.of(1, 1, 0, 1)
+# --- the normal form of a word -------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "letters, merged",
-    [
-        ((Named("Mt2", 2), Named("Mt2", -2)), ()),
-        ((Named("Mt3", 1), Named("Mt3", 2)), (Named("Mt3", 3),)),
-        ((Named("Mt1", 0), J1(Mat2.identity()), J2(Mat2.identity()), Named("Mt4", 5)),
-         (Named("Mt4", 5),)),
-        ((J1(SHEAR), J1(SHEAR.inv())), ()),
-        ((Named("Mt1", 1), J1(SHEAR), J1(SHEAR.inv()), Named("Mt1", 1)), (Named("Mt1", 2),)),
-        ((J1(SHEAR), J2(SHEAR), Named("Mt1", 1), Named("Mt2", 1)),
-         (J1(SHEAR), J2(SHEAR), Named("Mt1", 1), Named("Mt2", 1))),
-    ],
-)
-def test_simplify_merges_adjacent_letters_of_one_kind(letters, merged):
-    assert _simplify_letters(letters) == merged
-    before = GeneratorWord(5, True, letters).replay()
-    assert GeneratorWord(5, True, merged).replay() == before
+def _kind(letter):
+    """Letters of one kind merge: a named letter by name, j1 and j2 by type."""
+    return letter.name if isinstance(letter, Named) else type(letter)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_words_hold_no_identity_and_no_adjacent_letters_of_one_kind(p):
+    # decompose merges only its residue shear; this is the invariant that
+    # leaves no other merge to make
+    for group, tilde in ((GroupLabel.GAMMA_1P, False), (GroupLabel.GAMMA_TILDE_1P, True)):
+        for i in range(310):
+            k = sample(SampleSpec(group, p, 7000 + 1000 * p + i, i % 31))
+            letters = decompose(k, p, tilde=tilde).letters
+            assert not any(
+                letter.exp == 0 if isinstance(letter, Named) else letter.payload.is_identity()
+                for letter in letters
+            ), (p, tilde, i)
+            kinds = [_kind(letter) for letter in letters]
+            assert all(a != b for a, b in zip(kinds, kinds[1:])), (p, tilde, i)
+
+
+def test_the_residue_shear_merges_with_a_leading_j1_letter():
+    # the reducer logs one j1 gcd step and leaves a shear, so the word is
+    # the shear times that step's inverse: one letter, not two
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, 3, 10033, 2))
+    step, shear = Mat2.of(-1, 2, -1, 1), Mat2.of(1, 0, -5, 1)
+    log, reduced = reduce_first_row(r_conjugate(k, 3), 3)
+    assert (log.letters, reduced) == ((J1(step),), j1_embed(shear))
+    word = decompose(k, 3, tilde=False)
+    assert word == GeneratorWord(3, False, (J1(shear * step.inv()),))
+    assert word.letters == (J1(Mat2.of(1, -2, -4, 9)),)
 
 
 # --- serialisation ---------------------------------------------------------
@@ -460,7 +471,7 @@ def test_word_json_bad_exponent_is_a_parse_error(exp):
 
 
 def test_replay_check_survives_python_optimise_flag():
-    # one emitted letter is corrupted; the replay check alone can see it
+    # each inverted named letter is off by one; the replay check alone can see it
     script = textwrap.dedent("""
         import importlib
 
@@ -469,13 +480,15 @@ def test_replay_check_survives_python_optimise_flag():
 
         assert False, "python -O was expected to strip this"
         dec = importlib.import_module("sp4cert.decompose")
-        simplify = dec._simplify_letters
+        invert = dec._invert_letter
 
-        def corrupt(letters):
-            first, *rest = simplify(letters)
-            return (dec.Named(first.name, first.exp + 1), *rest)
+        def corrupt(letter):
+            inverse = invert(letter)
+            if isinstance(inverse, dec.Named):
+                return dec.Named(inverse.name, inverse.exp + 1)
+            return inverse
 
-        dec._simplify_letters = corrupt
+        dec._invert_letter = corrupt
         for tilde, name in ((True, "Mt2"), (False, "M2")):
             try:
                 dec.decompose(generator(name, 3), 3, tilde=tilde)

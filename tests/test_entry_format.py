@@ -9,6 +9,9 @@ not names, so prose about fractions is free.  Inside ``matrices`` the
 walk allows ``fractions`` and ``Fraction`` only in the import and in
 the ``Mat4.rows`` view, so no ``Fraction`` arithmetic comes back.
 
+Inside ``Mat4`` only the ``rows`` property itself reads ``.rows``, so
+no method of the class goes through the ``Fraction`` view.
+
 The same walk keeps ``Mat4`` the one 4x4 carrier: outside ``matrices``,
 no module names the integer-row product ``mul_rows`` or a row
 constructor ``from_rows``.
@@ -126,6 +129,39 @@ def test_guard_sees_each_kind_of_read():
         "import fractions", "from fractions import", "imports Fraction",
         ".Fraction", ".numerator", ".denominator", "Fraction",
     }
+
+
+def _mat4_rows_reads(source: str) -> list[int]:
+    """Lines where class ``Mat4`` reads ``.rows`` outside its ``rows`` property."""
+    allowed: set[int] = set()
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "Mat4":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "rows":
+                    allowed |= {id(n) for n in ast.walk(item)}
+            reads += [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "rows"]
+    return sorted(n.lineno for n in reads if id(n) not in allowed)
+
+
+def test_mat4_reads_rows_only_in_the_rows_view():
+    stray = _mat4_rows_reads((PACKAGE / OWNER).read_text())
+    assert not stray, "Mat4 reads the pair, not the Fraction view: lines " + ", ".join(map(str, stray))
+
+
+def test_rows_guard_catches_a_read_in_another_method():
+    source = (
+        "class Mat2:\n"
+        "    def f(self):\n"
+        "        return self.rows\n"
+        "class Mat4:\n"
+        "    @property\n"
+        "    def rows(self):\n"
+        "        return self.rows_of(self._d)\n"
+        "    def __repr__(self):\n"
+        "        return f'Mat4({self.rows!r})'\n"
+    )
+    assert _mat4_rows_reads(source) == [9]
 
 
 ROW_LAYER_NAMES = {"mul_rows", "from_rows"}

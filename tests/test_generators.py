@@ -10,6 +10,7 @@ import sp4cert
 from support import mat4_det, mat4_sub
 
 from sp4cert.certificates import verify_identities
+from sp4cert.cli import main
 from sp4cert.errors import BadPrime, NotInGroup, ShapeAssertionFailed, UnknownName
 from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, _build_generator, generator
 from sp4cert.groups import GroupLabel, member, r_conjugate
@@ -196,8 +197,8 @@ def test_a_conjugator_outside_gamma0_1p_is_refused(table):
 
 
 def test_table_checks_survive_python_optimise_flag():
-    # L4 = j2(P) and the wrong-L1-exponent residual are checked, not
-    # reported; breaking L4, then L1, must raise under -O too
+    # L4 = j2(P) is checked, not reported: breaking it must raise under -O
+    # too; a broken L1 must read FAIL at both identities that use it
     script = textwrap.dedent("""
         import importlib
 
@@ -211,7 +212,8 @@ def test_table_checks_survive_python_optimise_flag():
             gens._ENTRIES[name] = lambda p, entries=entries: entries
             gens._build_generator.cache_clear()
             try:
-                certs.verify_identities(3)
+                for line in certs.verify_identities(3).lines():
+                    print(line)
             except ShapeAssertionFailed as exc:
                 print(f"rejected {name}: {exc}")
             gens._ENTRIES[name] = saved
@@ -229,7 +231,25 @@ def test_table_checks_survive_python_optimise_flag():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "rejected L4: L4 is not j2(P) at p=3",
-        "rejected L1: the l1^-1 variant is not m4*l1^-2 at p=3",
+        "identity checks at p = 3",
+        "  FAIL  m2-from-m0-commutator",
+        "  pass  l2-from-m1-chain",
+        "  pass  l4-power-combination  [lam=4 mu=1 from ext_gcd(-2, 9)]",
+        "  pass  m3-from-l4-chain",
+        "  FAIL  m4-from-l5-commutator  [uses l1^+1; the l1^-1 variant equals m4*l1^-2]",
+        "  pass  m1-from-m3-chain",
+        "FAIL",
+    ]
+
+
+def test_check_identities_exits_one_on_a_broken_l1(table, capsys):
+    table("L1", {(2, 4): 18})
+    assert main(["check-identities", "--p", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == [
+        "  FAIL  m2-from-m0-commutator",
+        "  FAIL  m4-from-l5-commutator  [uses l1^+1; the l1^-1 variant equals m4*l1^-2]",
+        "FAIL",
     ]
 
 

@@ -461,3 +461,13 @@ def test_each_hostile_row_reads_like_the_reference(n):
     for obj in ([], _identity_lists(n)[:-1], _identity_lists(n) + [["0"] * n],
                 ";".join(",".join(r) for r in _identity_lists(n)), None):
         _read_like_the_reference(obj, n)
+
+
+@pytest.mark.parametrize("m", [
+    generator("M2", 7),
+    Mat4([[Fraction(1, 3), 0, 0, 0], [0, 3, 0, 0], [0, 0, Fraction(-5, 6), 2], [0, 0, 0, 1]]),
+])
+def test_repr_is_the_pair_and_evaluates_back(m):
+    d, e = m.scaled()
+    assert repr(m) == f"Mat4.from_pair({d!r}, {e!r})"
+    assert eval(repr(m), {"Mat4": Mat4}) == m
