@@ -22,7 +22,7 @@ failure; only then does it replay the DAG once, exactly, and compare the
 root with the target.  Nothing about a certificate is trusted; the
 builders in this module only ever hand out objects that the verifier
 then re-checks from scratch, each extracted from a builder's nodes by
-one backward liveness pass and one forward renumbering pass.
+a liveness pass and, unless every node is live, a renumbering pass.
 
 Builders:
 
@@ -381,12 +381,14 @@ class CertBuilder:
     def certificate(self, root: int) -> Certificate:
         """The sub-DAG reachable from ``root``, renumbered, with the
         value of ``root`` as target: a backward liveness pass, then a
-        forward renumbering pass (see the module docstring)."""
+        forward renumbering pass unless that is the identity."""
         live = [False] * root + [True]
         for i in range(root, -1, -1):
             if live[i]:
                 for a in self.nodes[i].args:
                     live[a] = True
+        if root == len(self.nodes) - 1 and all(live):  # the renumbering is the identity
+            return Certificate(self.p, tuple(self.nodes), root, self.values[root])
         new_id = [0] * (root + 1)
         nodes: list[CertNode] = []
         for i, node in enumerate(self.nodes[: root + 1]):
@@ -477,7 +479,7 @@ def _core_nodes(b: CertBuilder) -> dict[str, int]:
     ids: list[int] = []
     for node, value in template:
         if node.args:
-            node = node._replace(args=tuple([ids[a] for a in node.args]))
+            node = CertNode(node.op, tuple([ids[a] for a in node.args]), node.value)
         ids.append(b._intern(node, value))
     return {name: ids[i] for name, i in names}
 

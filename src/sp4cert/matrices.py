@@ -30,14 +30,14 @@ return fresh objects, so certificate replay is deterministic and the
 types are safe to share between threads.
 
 Integer powers ``m ** n`` of both types go through one helper.  When
-``N = m - 1`` squares to zero -- as for M0..M4, Mt1..Mt4, L1..L5 and
-the SL(2) letters T, U and P -- the power is the closed form
+``N = m - 1`` squares to zero -- as for the sampler's level-p shears,
+the only ``**`` callers in the package -- the power is the closed form
 ``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.
 That closed form is public as :func:`unipotent_power`, which returns
 ``None`` when ``N N != 0``; ``CertBuilder.power`` uses it to split a
 large power.  The helper collects the nonzero entries of ``N``, tests ``N N = 0`` by
 summing products over those entries only, and builds ``1 + n N`` by
-touching only them, so a letter's power costs no matrix product.  The
+touching only them, so such a power costs no matrix product.  The
 sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
 to zero only through cancellation.  Any other base falls back to
 binary powering, of the inverse when ``n < 0``.

@@ -30,6 +30,11 @@ exactly):
   case 2 whenever lam is prime to p (left multiplication by the shear
   keeps lam mod p), then case 1.  The gamma1prime_p2 payload of case 1
   is rechecked by predicate, and the step list is replayed at return.
+
+No letter is built as a matrix power: T^k, U^k and P^k = U^(kp) act
+as integer row operations on the left (the Euclidean loop, the P-steps)
+and as column operations on the right (an Sl2Word's replay from the
+identity), so that replay checks the Euclidean loop independently.
 """
 
 from __future__ import annotations
@@ -45,21 +50,22 @@ T = Mat2.of(1, 1, 0, 1)
 U = Mat2.of(1, 0, 1, 1)
 S = Mat2.of(0, -1, 1, 0)
 
-_LETTERS = {"T": T, "U": U}
-
 
 @dataclass(frozen=True)
 class Sl2Word:
     """Word over {T, U} with nonzero integer exponents; replay is the
-    ordered left-to-right product."""
+    ordered product, built from the identity by one column operation a letter."""
 
     letters: tuple[tuple[str, int], ...]
 
     def replay(self) -> Mat2:
-        acc = Mat2.identity()
+        (a, b), (c, d) = (1, 0), (0, 1)
         for name, exp in self.letters:
-            acc = acc * _LETTERS[name] ** exp
-        return acc
+            if name == "T":  # column 2 += exp column 1
+                b, d = b + exp * a, d + exp * c
+            else:  # U: column 1 += exp column 2
+                a, c = a + exp * b, c + exp * d
+        return Mat2.of(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class ConjugateFactor:
 
     def value(self) -> Mat2:
         w = self.conjugator
-        return w * T ** self.sign * w.inv()
+        return w * Mat2.of(1, self.sign, 0, 1) * w.inv()
 
 
 @dataclass(frozen=True)
@@ -109,41 +115,36 @@ _MINUS_ONE = ((("T", -1), ("U", 1), ("T", -2), ("U", 1), ("T", -1)))
 def sl2_decompose(a: Mat2) -> Sl2Word:
     """Euclidean decomposition over {T, U}; replay equals the input.
 
-    Left multiplication by T^k adds k times row 2 to row 1, by U^k adds
-    k times row 1 to row 2; the loop runs the Euclidean algorithm on
-    the first column.  Ties (equal absolute value) reduce the
-    lower-left entry, so the output is deterministic.  The sign is
-    cleaned up through (T^-1 U T^-1)^2 = -1.
+    The letters act on the rows ((x, y), (c, w)) of the input: left
+    multiplication by T^k adds k times row 2 to row 1, by U^k adds k
+    times row 1 to row 2; the loop runs the Euclidean algorithm on the
+    first column.  Ties (equal absolute value) reduce the lower-left
+    entry, so the output is deterministic.  The sign is cleaned up
+    through (T^-1 U T^-1)^2 = -1.
     """
     _require_unimodular(a)
     letters: list[tuple[str, int]] = []
-    cur = a
-    while True:
-        x, c = cur[0][0], cur[1][0]
-        if c == 0:
-            break
+    (x, y), (c, w) = a.rows
+    while c:
         if x == 0:
-            # make the corner nonzero: cur = T^{-1} (T cur)
-            cur = T * cur
+            # make the corner nonzero: the input is T^-1 (T input)
+            x, y = c, y + w
             _push(letters, "T", -1)
-            continue
-        if abs(x) > abs(c):
+        elif abs(x) > abs(c):
             q = x // c
-            cur = T ** (-q) * cur
+            x, y = x - q * c, y - q * w
             _push(letters, "T", q)
         else:
             q = c // x
-            cur = U ** (-q) * cur
+            c, w = c - q * x, w - q * y
             _push(letters, "U", q)
-    x = cur[0][0]
-    if x not in (1, -1) or cur[1][1] != x:
-        raise ShapeAssertionFailed(f"Euclid did not end on a diagonal +-1: {cur.rows}")
+    if x not in (1, -1) or w != x:
+        raise ShapeAssertionFailed(f"Euclid did not end on a diagonal +-1: {((x, y), (c, w))}")
     if x == -1:
         for name, exp in _MINUS_ONE:
             _push(letters, name, exp)
-        cur = -cur
-    b = cur[0][1]
-    _push(letters, "T", b)
+        y = -y
+    _push(letters, "T", y)
     word = Sl2Word(tuple(letters))
     if word.replay() != a:
         raise ShapeAssertionFailed(f"SL(2) word does not replay to {a.rows}")
@@ -198,15 +199,21 @@ class ConjugateBy:
 Step = Union[MultiplyLeftP, MultiplyLeftPrime, ConjugateBy]
 
 
+def _times_p_power(m: Mat2, e: int, p: int) -> Mat2:
+    """P^e * m: add e p times row 1 to row 2."""
+    (a, b), (c, d) = m.rows
+    return Mat2.of(a, b, c + e * p * a, d + e * p * b)
+
+
 @dataclass(frozen=True)
 class Gamma1pSteps:
     """Replayable reconstruction of a gamma1_of_p element.
 
     Replay folds the steps over the identity: ``MultiplyLeftP(e)`` maps
-    acc to P^e * acc, ``MultiplyLeftPrime(q)`` to q * acc, and
-    ``ConjugateBy(w)`` to w * acc * w^{-1}; the result must equal
-    ``target``.  ``cases_applied`` lists the congruence cases fired, in
-    replay order (innermost first).
+    acc to P^e * acc by a row operation, ``MultiplyLeftPrime(q)`` to
+    q * acc, and ``ConjugateBy(w)`` to w * acc * w^{-1}; the result
+    must equal ``target``.  ``cases_applied`` lists the congruence
+    cases fired, in replay order (innermost first).
     """
 
     p: int
@@ -215,11 +222,10 @@ class Gamma1pSteps:
     cases_applied: tuple[int, ...]
 
     def replay(self) -> Mat2:
-        pp = Mat2.of(1, 0, self.p, 1)
         acc = Mat2.identity()
         for step in self.steps:
             if isinstance(step, MultiplyLeftP):
-                acc = pp ** step.exponent * acc
+                acc = _times_p_power(acc, step.exponent, self.p)
             elif isinstance(step, MultiplyLeftPrime):
                 acc = step.element * acc
             else:
@@ -252,7 +258,7 @@ def gamma1p_generate(q: Mat2, p: int) -> Gamma1pSteps:
         undo.insert(0, ConjugateBy(conj.inv()))
         cases.insert(0, 2)
     bet = m[1][0] // p  # case 1
-    prime = Mat2.of(1, 0, p, 1) ** (-bet) * m
+    prime = _times_p_power(m, -bet, p)
     if not member(prime, GroupLabel.GAMMA1PRIME_P2, p):
         raise ShapeAssertionFailed(f"P^-bet q is not in gamma1prime_p2: {prime.rows}")
     steps: list[Step] = [] if prime.is_identity() else [MultiplyLeftPrime(prime)]

@@ -14,8 +14,13 @@
   file, which exits 2;
 
 and ``identities_p<p>.txt`` (p in {3, 5, 7, 11}), the stdout of
-``sp4cert check-identities``, and ``generators_p<p>.json`` (p in
-{3, 7}), the file ``sp4cert certify-generators --out`` writes.
+``sp4cert check-identities``, ``generators_p<p>.json`` (p in
+{3, 7}), the file ``sp4cert certify-generators --out`` writes, and
+``sl2_words.json``, one record a line: the ``sl2_decompose`` word of
+seeded SL(2,Z) samples and of the j1 payloads (up to 133 bits) of
+seeded gamma_1p samples, then the ``gamma1p_generate`` cases and steps
+of those samples' j2 payloads and of seeded gamma1_of_p samples, at
+p = 3, 5, 7.
 
 A change that is meant to keep behaviour must leave every file as it
 is.  A change that alters words or certificates on purpose regenerates
@@ -43,9 +48,11 @@ from support import random_tamper
 
 from sp4cert.certificates import normal_closure_witness, parse, serialize
 from sp4cert.cli import main
-from sp4cert.decompose import Named, decompose
+from sp4cert.decompose import J1, J2, Named, decompose
 from sp4cert.groups import GroupLabel
+from sp4cert.matrices import mat2_to_lists
 from sp4cert.sampling import SampleSpec, sample
+from sp4cert.sl2 import ConjugateBy, MultiplyLeftP, gamma1p_generate, sl2_decompose
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PRIMES = (3, 5, 7)
@@ -58,6 +65,9 @@ VERIFY_SEED = 1919
 VERIFY_TAMPERS = 3
 IDENTITY_PRIMES = (3, 5, 7, 11)
 GENERATOR_PRIMES = (3, 7)
+SL2_SEED = 1100  # length n samples at seed SL2_SEED + n; j1 payloads reach 133 bits
+SL2_SAMPLES = 150
+GAMMA1P_SAMPLES = 30
 
 
 def _sample(p: int, seed: int, length: int):
@@ -127,6 +137,43 @@ def generators_text(p: int) -> str:
         return path.read_text()
 
 
+def _step_obj(step) -> list:
+    if isinstance(step, MultiplyLeftP):
+        return ["P", step.exponent]
+    if isinstance(step, ConjugateBy):
+        return ["conj", mat2_to_lists(step.conjugator)]
+    return ["prime", mat2_to_lists(step.element)]
+
+
+def sl2_words_text() -> str:
+    """One JSON record a line: ``sl2_decompose`` words, then
+    ``gamma1p_generate`` step lists."""
+    sl2 = [sample(SampleSpec(GroupLabel.SL2Z, 3, seed, seed % 31)) for seed in range(SL2_SAMPLES)]
+    gamma1p = []
+    for p in PRIMES:
+        for n in WORD_LENGTHS:
+            for letter in decompose(_sample(p, SL2_SEED + n, n), p, tilde=False).letters:
+                if isinstance(letter, J1):
+                    sl2.append(letter.payload)
+                elif isinstance(letter, J2):
+                    gamma1p.append((p, letter.payload))
+        gamma1p += [
+            (p, sample(SampleSpec(GroupLabel.GAMMA1_OF_P, p, seed, seed % 9)))
+            for seed in range(GAMMA1P_SAMPLES)
+        ]
+    records = [
+        {"sl2": mat2_to_lists(a), "letters": [list(x) for x in sl2_decompose(a).letters]}
+        for a in sl2
+    ]
+    for p, q in gamma1p:
+        steps = gamma1p_generate(q, p)
+        records.append({
+            "p": p, "gamma1p": mat2_to_lists(q), "cases": list(steps.cases_applied),
+            "steps": [_step_obj(step) for step in steps.steps],
+        })
+    return "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
+
+
 def corpus() -> dict[str, Callable[[], str]]:
     """File name -> function producing its expected text; each verify
     transcript comes after the witness files it reads."""
@@ -140,6 +187,7 @@ def corpus() -> dict[str, Callable[[], str]]:
         out[f"identities_p{p}.txt"] = lambda p=p: identities_text(p)
     for p in GENERATOR_PRIMES:
         out[f"generators_p{p}.json"] = lambda p=p: generators_text(p)
+    out["sl2_words.json"] = sl2_words_text
     return out
 
 

@@ -1,9 +1,15 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sp4cert
 from sp4cert import sl2
 from sp4cert.errors import NotInGroup, NotUnimodular, ShapeAssertionFailed
 from sp4cert.groups import GroupLabel, member
@@ -11,9 +17,11 @@ from sp4cert.matrices import Mat2
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import (
     ConjugateBy,
+    Gamma1pSteps,
     MultiplyLeftP,
     MultiplyLeftPrime,
     S,
+    Sl2Word,
     T,
     U,
     gamma1p_generate,
@@ -194,3 +202,96 @@ def test_gamma1p_case_one_payload_is_checked_explicitly(monkeypatch):
     monkeypatch.setattr(sl2, "member", no_prime_members)
     with pytest.raises(ShapeAssertionFailed, match="gamma1prime_p2"):
         gamma1p_generate(Mat2.of(6, 25, 5, 21), 5)
+
+
+# --- the closed forms against the Mat2 powers they replace ------------------
+
+EXPONENTS = st.integers(-(2 ** 130), 2 ** 130)
+WORDS = st.lists(st.tuples(st.sampled_from("TU"), EXPONENTS), max_size=8)
+
+
+def _mat2_product(letters) -> Mat2:
+    acc = Mat2.identity()
+    for name, e in letters:
+        acc = acc * (T if name == "T" else U) ** e
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(WORDS)
+def test_word_replay_is_the_product_of_mat2_powers(letters):
+    expected = _mat2_product(letters)
+    assert Sl2Word(tuple(letters)).replay() == expected
+    assert sl2_decompose(expected).replay() == expected
+
+
+UNIMODULAR = st.lists(st.tuples(st.sampled_from("TU"), st.integers(-9, 9)), max_size=4).map(_mat2_product)
+STEPS = st.lists(
+    st.one_of(
+        EXPONENTS.map(MultiplyLeftP),
+        UNIMODULAR.map(MultiplyLeftPrime),
+        UNIMODULAR.map(ConjugateBy),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 5, 7, 2 ** 61 - 1]), STEPS)
+def test_step_replay_is_the_product_of_mat2_powers(p, steps):
+    expected = Mat2.identity()
+    for step in steps:
+        if isinstance(step, MultiplyLeftP):
+            expected = Mat2.of(1, 0, p, 1) ** step.exponent * expected
+        elif isinstance(step, MultiplyLeftPrime):
+            expected = step.element * expected
+        else:
+            expected = step.conjugator * expected * step.conjugator.inv()
+    assert Gamma1pSteps(p, expected, tuple(steps), ()).replay() == expected
+
+
+def test_replay_checks_survive_python_optimise_flag():
+    # a dropped Euclid letter and a dropped step: only the replay checks can see them
+    script = textwrap.dedent("""
+        import dataclasses
+
+        from sp4cert import sl2
+        from sp4cert.errors import ShapeAssertionFailed
+        from sp4cert.matrices import Mat2
+
+        assert False, "python -O was expected to strip this"
+        push, replay = sl2._push, sl2.Gamma1pSteps.replay
+
+        def drop_u(letters, name, exp):
+            if name != "U":
+                push(letters, name, exp)
+
+        def drop_first(steps):
+            return replay(dataclasses.replace(steps, steps=steps.steps[1:]))
+
+        sl2._push = drop_u
+        try:
+            sl2.sl2_decompose(Mat2.of(2, 1, 1, 1))
+        except ShapeAssertionFailed as exc:
+            print("rejected:", exc)
+        sl2._push = push
+        sl2.Gamma1pSteps.replay = drop_first
+        try:
+            sl2.gamma1p_generate(Mat2.of(6, 25, 5, 21), 5)
+        except ShapeAssertionFailed as exc:
+            print("rejected:", exc)
+        """)
+    src = str(Path(sp4cert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: SL(2) word does not replay to ((2, 1), (1, 1))",
+        "rejected: gamma1_of_p steps do not replay to ((6, 25), (5, 21))",
+    ]
