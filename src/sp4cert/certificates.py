@@ -151,6 +151,8 @@ class Certificate:
                 raise MalformedDag(f"{name} {x!r} is not an int")
         if not 0 <= self.root < n:
             raise MalformedDag(f"root {self.root} out of range")
+        if not isinstance(self.target, Mat4):
+            raise MalformedDag(f"target is a {type(self.target).__name__}, not a Mat4")
         for i, (op, args, value) in enumerate(self.nodes):
             shape = _SHAPE.get(op) if isinstance(op, str) else None
             if shape is None:
@@ -165,6 +167,8 @@ class Certificate:
                     raise MalformedDag(f"node {i}: args {args} not all earlier")
             if (literal is None) != (value is None):
                 raise MalformedDag(f"node {i}: op {op} value mismatch")
+            if value is not None and not isinstance(value, Mat4):
+                raise MalformedDag(f"node {i}: value is a {type(value).__name__}, not a Mat4")
 
     @property
     def node_count(self) -> int:
@@ -530,7 +534,7 @@ def verify_identities(p: int) -> IdentityReport:
     b = CertBuilder(p)
     nodes = _core_chain(b)
     _require_value(b, nodes["L5"], generator("L5", p), "L5")  # the M4 link conjugates by L5^-1
-    if generator("L4", p) != j2_embed(Mat2.of(1, 0, p, 1), p):
+    if generator("L4", p) != j2_embed(generator("P", p), p):
         raise ShapeAssertionFailed(f"L4 is not j2(P) at p={p}")
     _, lam, mu = ext_gcd(-2, p * p)
     identities = (  # the core node each identity builds, its name and note

@@ -38,19 +38,9 @@ here is forced by both constraints; the tests pin this correction.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import UnknownName
 from .groups import SymplecticForm, require_odd_prime
 from .matrices import Mat2, Mat4
-
-GENERATOR_NAMES = (
-    "M0", "M1", "M2", "M3", "M4",
-    "Mt1", "Mt2", "Mt3", "Mt4",
-    "L1", "L2", "L3", "L4", "L5",
-    "P", "R", "J", "Lambda",
-)
-
 
 # M0..L5 as the identity plus these (1-based) entries, row for row as in
 # the module table
@@ -71,32 +61,15 @@ _ENTRIES = {
     "L5": lambda p: {(3, 1): 1},
 }
 
-# (name, p) pairs kept built; p can come from user input, so the cache is bounded
-_GENERATOR_CACHE_SIZE = 256
+GENERATOR_NAMES = (*_ENTRIES, "P", "R", "J", "Lambda")
 
 
 def generator(name: str, p: int) -> Mat4 | Mat2:
-    """The named generator at the odd prime p (P is the only 2x2).
-
-    Each ``(name, p)`` is built once and the immutable matrix shared;
-    ``BadPrime`` and ``UnknownName`` are raised on every call."""
+    """The named generator at the odd prime p (P is the only 2x2), built
+    on each call; ``BadPrime`` is checked before ``UnknownName``."""
     require_odd_prime(p)
     if name not in GENERATOR_NAMES:
         raise UnknownName(f"no generator named {name!r}")
-    return _build_generator(name, p)
-
-
-def generator_power(name: str, p: int, e: int) -> Mat4:
-    """``1 + e N``, the e-th power of the generator ``name`` = ``1 + N`` of
-    ``_ENTRIES``, written entry by entry; name and p are not checked."""
-    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    for (i, j), x in _ENTRIES[name](p).items():
-        rows[i - 1][j - 1] += e * x
-    return Mat4.from_pair(1, tuple(map(tuple, rows)))
-
-
-@lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
-def _build_generator(name: str, p: int) -> Mat4 | Mat2:
     if name in _ENTRIES:
         return generator_power(name, p, 1)
     if name == "P":
@@ -106,3 +79,12 @@ def _build_generator(name: str, p: int) -> Mat4 | Mat2:
     if name == "J":
         return SymplecticForm.standard().matrix
     return SymplecticForm.polarised(p).matrix  # Lambda
+
+
+def generator_power(name: str, p: int, e: int) -> Mat4:
+    """``1 + e N``, the e-th power of the generator ``name`` = ``1 + N`` of
+    ``_ENTRIES``, written entry by entry; name and p are not checked."""
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for (i, j), x in _ENTRIES[name](p).items():
+        rows[i - 1][j - 1] += e * x
+    return Mat4.from_pair(1, tuple(map(tuple, rows)))

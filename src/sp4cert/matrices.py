@@ -68,6 +68,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import index
 
 from .errors import (
     BothZero,
@@ -105,13 +106,13 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Mat2:
-    """Immutable 2x2 integer matrix."""
+    """Immutable 2x2 integer matrix; :meth:`of` refuses any other entry (``TypeError``)."""
 
     rows: tuple[tuple[int, int], tuple[int, int]]
 
     @staticmethod
     def of(a: int, b: int, c: int, d: int) -> "Mat2":
-        return Mat2(((int(a), int(b)), (int(c), int(d))))
+        return Mat2(((index(a), index(b)), (index(c), index(d))))
 
     @staticmethod
     def identity() -> "Mat2":

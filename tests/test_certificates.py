@@ -302,6 +302,23 @@ def test_a_certificate_holds_only_ints(p, nodes, root, message):
     assert str(built.value) == message
 
 
+@pytest.mark.parametrize(
+    "nodes, target, message",
+    [
+        ((CertNode(SEED_M0),), None, "target is a NoneType, not a Mat4"),
+        ((CertNode(SEED_M0),), [[1, 0, 0, 0]] * 4, "target is a list, not a Mat4"),
+        ((CertNode(SEED_P2, (), [[1, 0, 0, 0]] * 4),), Mat4.identity(), "node 0: value is a list, not a Mat4"),
+        ((CertNode(SEED_M0), CertNode(CONJ, (0,), Mat2.of(1, 0, 0, 1))), Mat4.identity(),
+         "node 1: value is a Mat2, not a Mat4"),
+    ],
+)
+def test_a_certificate_holds_only_mat4_literals(nodes, target, message):
+    # cert_verify reads entry_bits() of each literal and hashes it, so only a Mat4 may build
+    with pytest.raises(MalformedDag) as built:
+        Certificate(3, nodes, len(nodes) - 1, target)
+    assert str(built.value) == message
+
+
 def test_builder_refuses_a_seed_outside_gamma_p2():
     builder = CertBuilder(3)
     with pytest.raises(NotInGroup, match="seed must lie in gamma_p2"):

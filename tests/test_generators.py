@@ -12,7 +12,7 @@ from support import mat4_det, mat4_sub
 from sp4cert.certificates import verify_identities
 from sp4cert.cli import main
 from sp4cert.errors import BadPrime, NotInGroup, ShapeAssertionFailed, UnknownName
-from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, _build_generator, generator
+from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, generator
 from sp4cert.groups import GroupLabel, member, r_conjugate
 from sp4cert.matrices import Mat2, Mat4
 
@@ -112,9 +112,7 @@ def test_bad_prime():
         generator("M0", 4)
 
 
-def test_generators_are_built_once_and_errors_repeat():
-    assert generator("Mt3", 11) is generator("Mt3", 11)
-    assert generator("Mt3", 11) is not generator("Mt3", 13)
+def test_errors_repeat_on_every_call():
     for _ in range(2):
         with pytest.raises(BadPrime):
             generator("Mt3", 9)
@@ -166,14 +164,21 @@ def test_identity_report_lines_end_with_verdict():
 
 @pytest.fixture()
 def table(monkeypatch):
-    """Set one row of ``_ENTRIES``; the table and its cache are restored."""
+    """Set one row of ``_ENTRIES``; the table is restored after the test."""
     def corrupt(name, entries):
         monkeypatch.setitem(_ENTRIES, name, lambda p: entries)
-        _build_generator.cache_clear()
 
-    yield corrupt
-    monkeypatch.undo()
-    _build_generator.cache_clear()
+    return corrupt
+
+
+def test_generator_reads_its_table_on_every_call(table):
+    assert generator("Mt3", 11) == Mat4(
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -11, 1]]
+    )
+    table("Mt3", {(1, 2): 2})
+    assert generator("Mt3", 11) == Mat4(
+        [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
 
 
 def test_a_bad_generator_is_blamed_at_its_own_link(table):
@@ -210,14 +215,12 @@ def test_table_checks_survive_python_optimise_flag():
         for name, entries in (("L4", {(4, 2): 2}), ("L1", {(2, 4): 18})):
             saved = gens._ENTRIES[name]
             gens._ENTRIES[name] = lambda p, entries=entries: entries
-            gens._build_generator.cache_clear()
             try:
                 for line in certs.verify_identities(3).lines():
                     print(line)
             except ShapeAssertionFailed as exc:
                 print(f"rejected {name}: {exc}")
             gens._ENTRIES[name] = saved
-            gens._build_generator.cache_clear()
         """)
     src = str(Path(sp4cert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

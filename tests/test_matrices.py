@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,20 @@ def test_mat2_arithmetic():
     assert (t * u).det() == 1
     assert t ** -3 == Mat2.of(1, -3, 0, 1)
     assert t.inv() * t == Mat2.identity()
+
+
+@pytest.mark.parametrize("bad", [1.5, "7", Fraction(3, 2), Fraction(2), Decimal(1)])
+def test_mat2_refuses_a_non_integer_entry(bad):
+    # a type error, not a silent conversion: int() reads 1.5 and 3/2 as 1, "7" as 7
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        Mat2.of(bad, 0, 0, 1)
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        Mat2.of(1, 0, 0, bad)
+
+
+def test_mat2_takes_int_and_bool_entries():
+    m = Mat2.of(True, 0, 3, False)
+    assert m.rows == ((1, 0), (3, 0)) and type(m.rows[0][0]) is int
 
 
 def test_mat2_inverse_errors():
