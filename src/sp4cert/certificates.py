@@ -31,8 +31,8 @@ Builders:
   Conjugators (M4^-1, M1, M3, L5^-1, j1-images) are stored as literal
   matrices; they are legal conjugators by predicate even where the
   chain has not yet derived them from seeds.
-* :func:`expand_j1` -- any j1(SL(2,Z)) element from the seed M0 alone,
-  through the T/U word of the payload (U-letters conjugate by j1(S)).
+* :func:`expand_j1` -- any j1(SL(2,Z)) element from the seed M0 alone:
+  the j1 image of the :func:`sp4cert.sl2.conjugates_of_t` list of the payload.
 * :func:`expand_j2` -- any j2(gamma1_of_p) element from M0 and
   j2(gamma1prime_p2) seeds, through the three-case step list of
   :func:`sp4cert.sl2.gamma1p_generate`; P-powers reuse the embedded L4
@@ -108,7 +108,8 @@ from .matrices import (
 from .sl2 import (
     ConjugateBy,
     MultiplyLeftP,
-    S,
+    U,
+    conjugates_of_t,
     gamma1p_generate,
     sl2_decompose,
 )
@@ -429,10 +430,10 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
         b.mul(b.conj(n_m0, g["M4"].inv()), n_m0_inv), b.inv(n_l1)
     )
 
-    # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1)); the j1 image is M0^-2
+    # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1))
     n_l2 = b.mul(
         b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].inv())),
-        b.mul(n_m0_inv, n_m0_inv),
+        _j1_chain(b, Mat2.of(1, -2, 0, 1)),
     )
 
     # L4 = L2^lam L3^mu with -2*lam + p^2*mu = 1
@@ -446,8 +447,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     # M4 = (L5^-1 M2^-1 L5 M2) L1: the commutator, then the +1 power of L1
     n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].inv()), n_m2), n_l1)
 
-    # L5 = j1(U) = j1(S) M0^-1 j1(S)^-1
-    n_l5 = b.conj(n_m0_inv, j1_embed(S))
+    n_l5 = _j1_chain(b, U)  # L5 = j1(U)
 
     # M1 = ((M3 (L5 L4) M3^-1) L5^-1 L2)^-1
     n_m1 = b.inv(
@@ -552,28 +552,23 @@ def verify_identities(p: int) -> IdentityReport:
 
 
 def _j1_chain(b: CertBuilder, a: Mat2) -> int:
-    """Node evaluating to j1(a), using only the M0 seed.
-
-    T-letters are powers of the seed; U-letters conjugate the inverse
-    power by j1(S), since U = S T^-1 S^-1.
-    """
-    word = sl2_decompose(a)
+    """Node for j1(a), using only the M0 seed: the j1 image of the
+    :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
+    w T^e w^-1 a power of M0, conjugated by j1(w) unless w is the identity."""
     n_m0 = b.seed_m0()
     parts = []
-    for name, exp in word.letters:
-        if name == "T":
-            parts.append(b.power(n_m0, exp))
-        else:
-            parts.append(b.conj(b.power(n_m0, -exp), j1_embed(S)))
-    idx = b.product(parts)
-    _require_value(b, idx, j1_embed(a), "j1")
-    return idx
+    for w, e in conjugates_of_t(sl2_decompose(a)):
+        part = b.power(n_m0, e)
+        parts.append(part if w.is_identity() else b.conj(part, j1_embed(w)))
+    return b.product(parts)
 
 
 def expand_j1(a: Mat2, p: int) -> Certificate:
     """Certificate for j1(a) with SeedM0 as the only leaf."""
     b = CertBuilder(p)
-    return b.certificate(_j1_chain(b, a))
+    idx = _j1_chain(b, a)
+    _require_value(b, idx, j1_embed(a), "j1")
+    return b.certificate(idx)
 
 
 def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
@@ -596,18 +591,16 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
         else:  # MultiplyLeftPrime
             part = b.seed_p2(j2_embed(step.element, p))
         idx = part if idx is None else b.mul(part, idx)
-    if idx is None:
-        idx = b.identity()
-    _require_value(b, idx, j2_embed(q, p), "j2")
-    return idx
+    return b.identity() if idx is None else idx
 
 
 def expand_j2(q: Mat2, p: int) -> Certificate:
     """Certificate for j2(q), q in gamma1_of_p; seeds are M0 (through
     the embedded L4 chain) and j2 images of gamma1prime_p2 elements."""
     b = CertBuilder(p)
-    core = _core_nodes(b)
-    return b.certificate(_j2_chain(b, core, q))
+    idx = _j2_chain(b, _core_nodes(b), q)
+    _require_value(b, idx, j2_embed(q, p), "j2")
+    return b.certificate(idx)
 
 
 def normal_closure_witness(k: Mat4, p: int) -> Certificate:

@@ -208,7 +208,7 @@ def _cmd_fuzz(args) -> int:
         )
         try:
             ok = _fuzz_trial(args.suite, args.p, spec)
-        except (Sp4CertError, ArithmeticError) as exc:
+        except Exception as exc:  # a crash is a failure too, reported with its spec
             print(f"FAIL at trial {i}: {spec.describe()} ({type(exc).__name__}: {exc})")
             return EXIT_MATH
         if not ok:

@@ -106,13 +106,17 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Mat2:
-    """Immutable 2x2 integer matrix; :meth:`of` refuses any other entry (``TypeError``)."""
+    """Immutable 2x2 integer matrix; any other entry is a ``TypeError``."""
 
     rows: tuple[tuple[int, int], tuple[int, int]]
 
+    def __init__(self, rows) -> None:  # dataclass keeps an __init__ the class defines
+        (a, b), (c, d) = rows
+        object.__setattr__(self, "rows", ((index(a), index(b)), (index(c), index(d))))
+
     @staticmethod
     def of(a: int, b: int, c: int, d: int) -> "Mat2":
-        return Mat2(((index(a), index(b)), (index(c), index(d))))
+        return Mat2(((a, b), (c, d)))
 
     @staticmethod
     def identity() -> "Mat2":

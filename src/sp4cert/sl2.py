@@ -9,8 +9,9 @@ exactly):
   exponents, by the Euclidean algorithm on the first column.
 
 * ``normal_closure_decompose`` -- rewrite such a word as an ordered
-  product of conjugates w T^{+-1} w^{-1}.  Since U = S T^{-1} S^{-1}
-  with S = ((0,-1),(1,0)), every U-letter becomes an S-conjugate;
+  product of conjugates w Tᵉ w^{-1}, one per letter
+  (:func:`conjugates_of_t`).  Since U = S T^{-1} S^{-1} with
+  S = ((0,-1),(1,0)), every U-letter becomes an S-conjugate;
   conjugators are opaque (they are never themselves expanded), so S may
   appear as a conjugator without circularity.
 
@@ -40,7 +41,7 @@ identity), so that replay checks the Euclidean loop independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import NotInGroup, NotUnimodular, ShapeAssertionFailed
 from .groups import GroupLabel, member
@@ -49,6 +50,7 @@ from .matrices import Mat2
 T = Mat2.of(1, 1, 0, 1)
 U = Mat2.of(1, 0, 1, 1)
 S = Mat2.of(0, -1, 1, 0)
+_ONE = Mat2.identity()  # the conjugator of a T-letter
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,20 @@ class Sl2Word:
         return Mat2.of(a, b, c, d)
 
 
-@dataclass(frozen=True)
-class ConjugateFactor:
+class ConjugateFactor(NamedTuple):
+    """The factor w T^exp w^{-1}, exp nonzero."""
+
     conjugator: Mat2
-    sign: int  # +1 or -1
+    exp: int
 
     def value(self) -> Mat2:
         w = self.conjugator
-        return w * Mat2.of(1, self.sign, 0, 1) * w.inv()
+        return w * Mat2.of(1, self.exp, 0, 1) * w.inv()
 
 
 @dataclass(frozen=True)
 class ConjugateList:
-    """Ordered product of conjugates w T^{+-1} w^{-1}."""
+    """Ordered product of conjugates w T^e w^{-1}."""
 
     factors: tuple[ConjugateFactor, ...]
 
@@ -151,26 +154,17 @@ def sl2_decompose(a: Mat2) -> Sl2Word:
     return word
 
 
-def normal_closure_decompose(a: Mat2) -> ConjugateList:
-    """Express the input as an ordered product of factors w T^{+-1} w^{-1}.
+def conjugates_of_t(word: Sl2Word) -> tuple[ConjugateFactor, ...]:
+    """One conjugate of a T-power per letter of ``word``, in order:
+    T^e is itself, U^e = S T^-e S^-1."""
+    return tuple(ConjugateFactor(_ONE, e) if name == "T" else ConjugateFactor(S, -e)
+                 for name, e in word.letters)
 
-    T-letters keep the identity conjugator; each U-letter expands
-    through U = S T^{-1} S^{-1}.  Factor count equals the total
-    exponent size of the underlying word.
-    """
-    word = sl2_decompose(a)
-    factors: list[ConjugateFactor] = []
-    for name, exp in word.letters:
-        sign = 1 if exp > 0 else -1
-        if name == "T":
-            factors.extend(
-                ConjugateFactor(Mat2.identity(), sign) for _ in range(abs(exp))
-            )
-        else:
-            factors.extend(
-                ConjugateFactor(S, -sign) for _ in range(abs(exp))
-            )
-    result = ConjugateList(tuple(factors))
+
+def normal_closure_decompose(a: Mat2) -> ConjugateList:
+    """Express the input as an ordered product of factors w T^e w^{-1},
+    one per letter of its :func:`sl2_decompose` word."""
+    result = ConjugateList(conjugates_of_t(sl2_decompose(a)))
     if result.replay() != a:
         raise ShapeAssertionFailed(f"conjugate list does not replay to {a.rows}")
     return result

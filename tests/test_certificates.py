@@ -938,13 +938,17 @@ def test_chain_checks_survive_python_optimise_flag():
         P = Mat2.of(1, 0, p, 1)
         real = {name: getattr(mod, name) for mod, name in (
             (certs, "generator"), (certs, "sl2_decompose"), (certs, "gamma1p_generate"),
-            (certs, "_j1_chain"), (sl2, "_push"), (sl2, "sl2_decompose"),
-            (sl2, "MultiplyLeftP"), (groups, "ext_gcd"),
+            (certs, "_j1_chain"), (certs, "conjugates_of_t"), (sl2, "_push"),
+            (sl2, "sl2_decompose"), (sl2, "MultiplyLeftP"), (groups, "ext_gcd"),
         )}
 
         def ext_gcd_off(x, y):
             g, s, t = real["ext_gcd"](x, y)
             return g, s + 1, t
+
+        def negate_first(word):
+            first, *rest = real["conjugates_of_t"](word)
+            return (first._replace(exp=-first.exp), *rest)
 
         @dataclasses.dataclass(frozen=True)
         class PowerOffByOne(real["MultiplyLeftP"]):
@@ -961,6 +965,8 @@ def test_chain_checks_survive_python_optimise_flag():
                    lambda: certs.expand_j2(P, p)),
             "witness": (certs, "_j1_chain", lambda b, m: real["_j1_chain"](b, m * sl2.T),
                         lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
+            "lift": (certs, "conjugates_of_t", negate_first, lambda: certs.expand_j1(a, p),
+                     lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
             "sl2": (sl2, "_push", lambda letters, name, exp: real["_push"](letters, name, exp + 1),
                     lambda: sl2.sl2_decompose(a)),
             "conjugates": (sl2, "sl2_decompose", lambda m: real["sl2_decompose"](m * sl2.T),
@@ -969,14 +975,14 @@ def test_chain_checks_survive_python_optimise_flag():
             "short": (groups, "ext_gcd", ext_gcd_off,
                       lambda: groups.short_witness((2, 0, 3, 0), p)),
         }
-        for label, (mod, name, wrong, call) in cases.items():
+        for label, (mod, name, wrong, *calls) in cases.items():
             setattr(mod, name, wrong)
-            try:
-                call()
-            except ShapeAssertionFailed:
-                print("rejected", label)
-            finally:
-                setattr(mod, name, real[name])
+            for call in calls:
+                try:
+                    call()
+                except ShapeAssertionFailed:
+                    print("rejected", label)
+            setattr(mod, name, real[name])
         """)
     src = str(Path(sp4cert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -988,5 +994,6 @@ def test_chain_checks_survive_python_optimise_flag():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    labels = ["core", "j1", "j2", "witness", "sl2", "conjugates", "gamma1p", "short"]
+    # "lift" runs two calls: expand_j1 and a witness
+    labels = ["core", "j1", "j2", "witness", "lift", "lift", "sl2", "conjugates", "gamma1p", "short"]
     assert done.stdout.split() == [w for label in labels for w in ("rejected", label)]

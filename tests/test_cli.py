@@ -364,7 +364,9 @@ def test_fuzz_decompose_reports_a_replay_mismatch(monkeypatch, capsys):
     assert out.startswith(f"FAIL at trial 0: {spec.describe()} (ShapeAssertionFailed: ")
 
 
-@pytest.mark.parametrize("crash", [ZeroDivisionError("boom"), BadPrime("bad p")])
+@pytest.mark.parametrize(
+    "crash", [ZeroDivisionError("boom"), BadPrime("bad p"), TypeError("not a spec")]
+)
 def test_fuzz_crash_prints_its_spec(monkeypatch, capsys, crash):
     def trial(suite, p, spec):
         if spec.seed == 13:

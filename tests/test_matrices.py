@@ -13,7 +13,7 @@ from sp4cert.certificates import expand_j1, expand_j2, normal_closure_witness
 from sp4cert.decompose import GeneratorWord, decompose, reduce_first_row
 from sp4cert.errors import BothZero, NotUnimodular, ParseError, SingularMatrix
 from sp4cert.generators import GENERATOR_NAMES, generator
-from sp4cert.groups import GroupLabel, j1_embed, j2_embed, r_conjugate
+from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate
 from sp4cert.matrices import (
     Mat2,
     Mat4,
@@ -29,7 +29,7 @@ from sp4cert.matrices import (
     unipotent_power,
 )
 from sp4cert.sampling import SampleSpec, sample
-from sp4cert.sl2 import S, T, U
+from sp4cert.sl2 import S, T, U, sl2_decompose
 
 I4 = Mat4.identity()
 
@@ -173,11 +173,21 @@ def test_mat2_refuses_a_non_integer_entry(bad):
         Mat2.of(bad, 0, 0, 1)
     with pytest.raises(TypeError, match=type(bad).__name__):
         Mat2.of(1, 0, 0, bad)
+    with pytest.raises(TypeError, match=type(bad).__name__):  # the constructor checks too
+        Mat2(((1, 0), (bad, 1)))
+
+
+def test_float_rows_reach_no_predicate_or_decomposition():
+    # built directly, these rows were a gamma1_of_p member and a determinant-1.5 refusal
+    with pytest.raises(TypeError, match="float"):
+        member(Mat2(((1.0, 0), (3.0, 1))), GroupLabel.GAMMA1_OF_P, 3)
+    with pytest.raises(TypeError, match="float"):
+        sl2_decompose(Mat2(((2.5, 1), (1, 1))))
 
 
 def test_mat2_takes_int_and_bool_entries():
-    m = Mat2.of(True, 0, 3, False)
-    assert m.rows == ((1, 0), (3, 0)) and type(m.rows[0][0]) is int
+    for m in (Mat2.of(True, 0, 3, False), Mat2(((True, 0), (3, False)))):
+        assert m.rows == ((1, 0), (3, 0)) and type(m.rows[0][0]) is int
 
 
 def test_mat2_inverse_errors():

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -73,32 +74,47 @@ def test_decompose_replay_hypothesis(spec):
 def test_normal_closure_t():
     factors = normal_closure_decompose(T).factors
     assert len(factors) == 1
-    assert factors[0].conjugator == Mat2.identity() and factors[0].sign == 1
+    assert factors[0].conjugator == Mat2.identity() and factors[0].exp == 1
 
 
 def test_normal_closure_u():
     factors = normal_closure_decompose(U).factors
     assert len(factors) == 1
-    assert factors[0].conjugator == S and factors[0].sign == -1
+    assert factors[0].conjugator == S and factors[0].exp == -1
     assert S * T ** -1 * S.inv() == U
 
 
 def test_normal_closure_tu():
     factors = normal_closure_decompose(Mat2.of(2, 1, 1, 1)).factors
-    assert [(f.conjugator, f.sign) for f in factors] == [
+    assert [(f.conjugator, f.exp) for f in factors] == [
         (Mat2.identity(), 1),
         (S, -1),
     ]
 
 
+def _one_factor_per_letter(a: Mat2) -> sl2.ConjugateList:
+    """The conjugate list of ``a``, checked to replay, to hold one factor
+    per letter of a's word and to take under 10 ms."""
+    start = time.perf_counter()
+    cl = normal_closure_decompose(a)
+    elapsed = time.perf_counter() - start
+    assert len(cl.factors) == len(sl2_decompose(a).letters)
+    assert cl.replay() == a
+    assert elapsed < 0.010, f"{elapsed * 1e3:.1f} ms"
+    return cl
+
+
 def test_normal_closure_replay_seeded():
     for i in range(200):
         a = sample(SampleSpec(GroupLabel.SL2Z, 3, 2000 + i, i % 17))
-        cl = normal_closure_decompose(a)
-        assert cl.replay() == a
-        for f in cl.factors:
+        for f in _one_factor_per_letter(a).factors:
             assert f.conjugator.det() == 1
-            assert f.sign in (1, -1)
+            assert f.exp != 0
+
+
+def test_a_t_power_is_one_factor():
+    factors = normal_closure_decompose(Mat2.of(1, 50, 0, 1)).factors
+    assert factors == (sl2.ConjugateFactor(Mat2.identity(), 50),)
 
 
 def test_gamma1p_base_generator():
@@ -223,6 +239,12 @@ def test_word_replay_is_the_product_of_mat2_powers(letters):
     expected = _mat2_product(letters)
     assert Sl2Word(tuple(letters)).replay() == expected
     assert sl2_decompose(expected).replay() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("TU"), st.integers(-(2 ** 200), 2 ** 200)), max_size=8))
+def test_one_factor_per_letter_of_wide_exponents(letters):
+    _one_factor_per_letter(_mat2_product(letters))
 
 
 UNIMODULAR = st.lists(st.tuples(st.sampled_from("TU"), st.integers(-9, 9)), max_size=4).map(_mat2_product)
