@@ -11,18 +11,17 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
-Every letter is an integer ``Mat4`` in tilde coordinates, built by
-:func:`_letter_matrix` from the functions that define it: a named power
-e is ``generators.generator_power`` of its tilde twin (M_i -> Mt_i),
-the identity plus e times the twin's entries, and a j1 or j2 letter is
-``groups.j1_embed`` of its payload or ``groups.j2_embed`` with
-``tilde=True``.  A plain letter is the
-R-conjugate of that matrix, so :meth:`GeneratorWord.replay` multiplies
-a plain word in tilde coordinates and conjugates the product back by
-R once at the end (``groups.r_conjugate``), so every product but the
-last stays integral (d = 1), a plain j2 payload with p not dividing c
-included.  The reducer right-multiplies its working matrix by the same
-letter matrices.
+A letter acts on the matrix it right-multiplies as column operations
+in tilde coordinates (:func:`_times_letter`), the ones that build it
+from the identity: a named power e of M_i or Mt_i is
+``generators.times_power`` of its tilde twin Mt_i, and a j1 or j2
+letter is ``groups.times_embedding`` of its payload.  No letter product
+is dense.  A plain letter is the R-conjugate of its tilde twin, so
+:meth:`GeneratorWord.replay` multiplies a plain word in tilde
+coordinates and conjugates the result back by R once at the end
+(``groups.r_conjugate``): every matrix but the last stays integral
+(d = 1), a plain j2 payload with p not dividing c included.  The
+reducer right-multiplies its working matrix the same way.
 
 :func:`decompose` tests its input's membership, R-conjugates a plain
 input, runs :func:`reduce_first_row` and the j2 clear on the tilde
@@ -83,8 +82,8 @@ from .errors import (
     ShapeAssertionFailed,
     UnknownName,
 )
-from .generators import generator_power
-from .groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate, require_odd_prime
+from .generators import times_power
+from .groups import GroupLabel, member, r_conjugate, require_odd_prime, times_embedding
 from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
@@ -107,17 +106,17 @@ class J2:
 Letter = Union[Named, J1, J2]
 
 # the named letters of each alphabet (keyed by ``tilde``), each mapped to
-# the tilde twin whose entries give its rows
+# the tilde twin whose entries give its column operations
 _TWINS = {
     True: {f"Mt{i}": f"Mt{i}" for i in range(1, 5)},
     False: {f"M{i}": f"Mt{i}" for i in range(1, 5)},
 }
 
 
-def _letter_matrix(letter: Letter, p: int, tilde: bool) -> Mat4:
-    """A letter's integer matrix in tilde coordinates: ``generator_power``
-    of a named letter's tilde twin, ``j1_embed`` of a j1 payload, or
-    ``j2_embed(payload, p, tilde=True)``.  A name outside the ``tilde``
+def _times_letter(m: Mat4, letter: Letter, p: int, tilde: bool) -> Mat4:
+    """``m`` times a letter's matrix in tilde coordinates, as column
+    operations: ``times_power`` of a named letter's tilde twin, or
+    ``times_embedding`` of a payload.  A name outside the ``tilde``
     alphabet raises :class:`UnknownName`; a payload of determinant other
     than 1, the :class:`NotUnimodular` of its embedding."""
     if isinstance(letter, Named):
@@ -125,10 +124,8 @@ def _letter_matrix(letter: Letter, p: int, tilde: bool) -> Mat4:
         if twin is None:
             coords = "tilde" if tilde else "untilded"
             raise UnknownName(f"no {coords} letter named {letter.name!r}")
-        return generator_power(twin, p, letter.exp)
-    if isinstance(letter, J1):
-        return j1_embed(letter.payload)
-    return j2_embed(letter.payload, p, tilde=True)
+        return times_power(m, twin, p, letter.exp)
+    return times_embedding(m, letter.payload, 1 if isinstance(letter, J1) else 2)
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,7 @@ class GeneratorWord:
         require_odd_prime(self.p)
         acc = Mat4.identity()
         for letter in self.letters:
-            acc = acc * _letter_matrix(letter, self.p, self.tilde)
+            acc = _times_letter(acc, letter, self.p, self.tilde)
         return acc if self.tilde else r_conjugate(acc, self.p, inverse=True)
 
     def to_json_obj(self) -> dict:
@@ -157,10 +154,9 @@ class GeneratorWord:
         for letter in self.letters:
             if isinstance(letter, Named):
                 letters.append({"gen": letter.name, "exp": letter.exp})
-            elif isinstance(letter, J1):
-                letters.append({"j1": mat2_to_lists(letter.payload)})
             else:
-                letters.append({"j2": mat2_to_lists(letter.payload)})
+                tag = "j1" if isinstance(letter, J1) else "j2"
+                letters.append({tag: mat2_to_lists(letter.payload)})
         return {
             "p": self.p,
             "coords": "tilde" if self.tilde else "untilded",
@@ -206,9 +202,7 @@ class GeneratorWord:
 def _invert_letter(letter: Letter) -> Letter:
     if isinstance(letter, Named):
         return Named(letter.name, -letter.exp)
-    if isinstance(letter, J1):
-        return J1(letter.payload.inv())
-    return J2(letter.payload.inv())
+    return type(letter)(letter.payload.inv())
 
 
 def _is_identity(letter: Letter) -> bool:
@@ -232,11 +226,10 @@ class _Reducer:
         self.letters: list[Letter] = list(letters)
 
     def apply(self, letter: Letter) -> None:
-        """Right-multiply by a tilde letter's matrix and log it;
-        identities are skipped."""
+        """Right-multiply by a tilde letter and log it; skip an identity."""
         if _is_identity(letter):
             return
-        self.cur = self.cur * _letter_matrix(letter, self.p, True)
+        self.cur = _times_letter(self.cur, letter, self.p, True)
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
@@ -339,7 +332,7 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
 
     residue = work.cur
     shear = J1(Mat2.of(1, 0, residue.scaled()[1][2][0], 1))
-    if residue != _letter_matrix(shear, p, True):
+    if residue != _times_letter(Mat4.identity(), shear, p, True):
         raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.scaled()[1]}")
 
     # the log holds no identity letter and no two adjacent letters of one

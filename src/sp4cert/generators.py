@@ -24,11 +24,12 @@ R     diag(1,1,1,p)
 ====  =======================================  ==============
 
 Rows M0..L5 are kept as data in ``_ENTRIES``, the identity plus the
-listed entries N, and :func:`generator_power` writes ``1 + e N`` entry
-by entry, with no matrix product.  That is the power e exactly: in each
-row, the product of two listed units E(i,j) E(k,l) is zero because
-j != k, so N N = 0.  It builds each generator (e = 1) and each named
-letter of ``decompose`` (a power e of M_i or Mt_i is that of Mt_i).
+listed entries N.  :func:`times_power` right-multiplies by ``1 + e N``,
+the power e exactly, as one shear ``col_j += e x col_i`` per entry x at
+(i, j): in each row, the product of two listed units E(i,j) E(k,l) is
+zero because j != k, so N N = 0 and no target column is a source
+column.  It builds each generator from the identity (e = 1) and applies
+each named letter of ``decompose`` (that of M_i or Mt_i is Mt_i's).
 
 A widely reproduced variant of M1 has row 4 equal to (1,0,0,0); that
 matrix is singular (rows 1 and 4 coincide), and conjugation by R then
@@ -71,7 +72,7 @@ def generator(name: str, p: int) -> Mat4 | Mat2:
     if name not in GENERATOR_NAMES:
         raise UnknownName(f"no generator named {name!r}")
     if name in _ENTRIES:
-        return generator_power(name, p, 1)
+        return times_power(Mat4.identity(), name, p, 1)
     if name == "P":
         return Mat2.of(1, 0, p, 1)
     if name == "R":
@@ -81,10 +82,9 @@ def generator(name: str, p: int) -> Mat4 | Mat2:
     return SymplecticForm.polarised(p).matrix  # Lambda
 
 
-def generator_power(name: str, p: int, e: int) -> Mat4:
-    """``1 + e N``, the e-th power of the generator ``name`` = ``1 + N`` of
-    ``_ENTRIES``, written entry by entry; name and p are not checked."""
-    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+def times_power(m: Mat4, name: str, p: int, e: int) -> Mat4:
+    """``m (1 + e N)``, m times the e-th power of the generator ``name`` =
+    ``1 + N`` of ``_ENTRIES``; name and p are not checked."""
     for (i, j), x in _ENTRIES[name](p).items():
-        rows[i - 1][j - 1] += e * x
-    return Mat4.from_pair(1, tuple(map(tuple, rows)))
+        m = m.times_block(i - 1, j - 1, 1, e * x, 0, 1)
+    return m

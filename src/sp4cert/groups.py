@@ -243,13 +243,17 @@ def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     return m.det() == 1 if form is None else symplectic_check(m, form)
 
 
+def times_embedding(m: Mat4, q: Mat2, which: int) -> Mat4:
+    """``m j_which(q)`` in tilde coordinates: columns (1,3) or (2,4) of m times q."""
+    if q.det() != 1:
+        raise NotUnimodular(f"j{which} payload must have determinant 1")
+    return m.times_block(which - 1, which + 1, *q.rows[0], *q.rows[1])
+
+
 def j1_embed(a: Mat2) -> Mat4:
     """Embed SL(2,Z) along coordinates (1,3); the tilde and plain
     embeddings coincide entrywise."""
-    if a.det() != 1:
-        raise NotUnimodular("j1 payload must have determinant 1")
-    (x, y), (z, w) = a.rows
-    return Mat4.from_pair(1, ((x, 0, y, 0), (0, 1, 0, 0), (z, 0, w, 0), (0, 0, 0, 1)))
+    return times_embedding(Mat4.identity(), a, 1)
 
 
 def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
@@ -262,10 +266,7 @@ def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
     gamma0_1p.
     """
     require_odd_prime(p)
-    if q.det() != 1:
-        raise NotUnimodular("j2 payload must have determinant 1")
-    (a, b), (c, d) = q.rows
-    image = Mat4.from_pair(1, ((1, 0, 0, 0), (0, a, 0, b), (0, 0, 1, 0), (0, c, 0, d)))
+    image = times_embedding(Mat4.identity(), q, 2)
     return image if tilde else r_conjugate(image, p, inverse=True)
 
 

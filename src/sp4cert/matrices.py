@@ -18,10 +18,13 @@ takes rows of exact rationals (a ``str`` or ``float`` is a
 ``fractions.Fraction`` per entry, the only ``Fraction`` in the package;
 both are for callers off the hot paths.
 
-Every 4x4 product is :func:`mul_rows` on the integer rows, and one gcd
-when d > 1.  Every inverse is one integer formula on the pair,
-``(e / d)^-1 = d adj(e) / det(e)``, with no division and no branch on
-the kind of matrix.  ``Mat4.identity()`` is one shared constant.
+Every general 4x4 product is :func:`mul_rows` on the integer rows, and
+one gcd when d > 1; a unimodular 2x2 block on two coordinates, such as
+a shear ``1 + x E(i,j)``, acts by column operations with no gcd
+(:meth:`Mat4.times_block`).  Every inverse is one integer formula on
+the pair, ``(e / d)^-1 = d adj(e) / det(e)``, with no division and no
+branch on the kind of matrix.  ``Mat4.identity()`` is one shared
+constant.
 
 There is no floating point anywhere in this module: divisibility
 patterns such as ``p^2 | x`` or ``x in (1/p)Z`` are meaningless after
@@ -233,6 +236,18 @@ class Mat4:
 
     def __mul__(self, other: "Mat4") -> "Mat4":
         return Mat4.from_pair(self._d * other._d, mul_rows(self._e, other._e))
+
+    def times_block(self, i: int, j: int, a: int, b: int, c: int, d: int) -> "Mat4":
+        """``self`` times the identity with the block ``((a, b), (c, d))``,
+        ``a d - b c = 1``, at rows and columns i != j: columns i and j turn
+        into ``a col_i + c col_j`` and ``b col_i + d col_j``.  The block is
+        invertible over Z, so the pair stays reduced with no gcd."""
+        rows = []
+        for r in map(list, self._e):
+            x, y = r[i], r[j]
+            r[i], r[j] = a * x + c * y, b * x + d * y
+            rows.append(tuple(r))
+        return _pair(self._d, tuple(rows))
 
     def inv(self) -> "Mat4":
         """``(e / d)^-1 = d adj(e) / det(e)``, both expanded by Laplace on

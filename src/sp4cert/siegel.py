@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+MAX_SAMPLES = 10**6  # the samples are held in lists of floats built up front
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,8 @@ def section4_check(c: float, samples: int = 1000, tol: float = 1e-10) -> Section
         exp(-2 pi c), and that radius is attained (at s=1).
     """
     _check_scale(c)
-    if samples < 2:
-        raise DomainError(f"samples must be at least 2, got {samples}")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise DomainError(f"samples must be from 2 to {MAX_SAMPLES}, got {samples}")
     if not tol >= 0.0:
         raise DomainError(f"tol must be nonnegative, got {tol}")
 

@@ -23,6 +23,7 @@ from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, VectorClass
 from sp4cert.matrices import Mat4, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
+from sp4cert.siegel import MAX_SAMPLES
 
 
 @pytest.fixture()
@@ -327,6 +328,16 @@ def test_check_identities_at_a_large_prime(capsys):
 def test_section4(capsys):
     assert main(["section4", "--c", "2", "--samples", "300", "--tol", "1e-10"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**20])
+def test_section4_refuses_too_many_samples_at_once(capsys, samples):
+    # refused before any list of samples is built
+    start = time.perf_counter()
+    assert main(["section4", "--c", "1", "--samples", str(samples)]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: samples must be from 2 to 1000000, got {samples}\n"
 
 
 def test_section4_zero_tol_fails(capsys):

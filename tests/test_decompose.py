@@ -12,19 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 import sp4cert
 
-from support import ReferenceMat4, fraction_entries, reference_replay
+from support import ReferenceMat4, fraction_entries, reference_product, reference_replay
 
 from sp4cert.decompose import (
     GeneratorWord,
     J1,
     J2,
     Named,
-    _letter_matrix,
+    _times_letter,
     decompose,
     reduce_first_row,
 )
 from sp4cert.errors import BadPrime, NotInGroup, NotUnimodular, ParseError, UnknownName
-from sp4cert.generators import generator
+from sp4cert.generators import _ENTRIES, generator
 from sp4cert.groups import (
     GroupLabel,
     SymplecticForm,
@@ -193,6 +193,18 @@ def test_decompose_reduces_and_replays_once(monkeypatch, label):
         assert calls == ["reduce", "replay"]
 
 
+@pytest.mark.parametrize("label", [GroupLabel.GAMMA_1P, GroupLabel.GAMMA_TILDE_1P])
+def test_decompose_forms_no_dense_product(monkeypatch, label):
+    # the reducer, the residue check and replay apply each letter as column
+    # operations on the matrix it multiplies
+    p = 7
+    corpus = [sample(SampleSpec(label, p, 8400 + i, i)) for i in range(21)]
+    monkeypatch.setattr(Mat4, "__mul__", lambda *a: pytest.fail("Mat4 product"))
+    monkeypatch.setattr(Mat4, "__pow__", lambda *a: pytest.fail("Mat4 power"))
+    for k in corpus:
+        decompose(k, p, tilde=label is GroupLabel.GAMMA_TILDE_1P)
+
+
 FRACTION_ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
@@ -304,10 +316,13 @@ def words(draw):
     )
 
 
-# --- letters applied with the one 4x4 product --------------------------------
+# --- letters applied as column operations ------------------------------------
 
 DIFF = settings(max_examples=80, deadline=None)
 RATIONAL = st.fractions(-50, 50, max_denominator=12)
+WIDE_EXPONENTS = st.one_of(
+    st.sampled_from((0, 1, -1, 2**130, -(2**130))), st.integers(-(2**130), 2**130)
+)
 
 
 @st.composite
@@ -315,23 +330,41 @@ def dense(draw, entries=RATIONAL):
     return Mat4([[draw(entries) for _ in range(4)] for _ in range(4)])
 
 
+def dense_letter(letter, p, tilde):
+    """A letter's tilde matrix as 4x4 rows, written here from the module
+    table of ``generators`` (the identity plus e times the twin's
+    entries) and the j1 (1,3) and j2 (2,4) coordinates."""
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    if isinstance(letter, Named):
+        twin = "Mt" + letter.name[2 if tilde else 1:]
+        for (i, j), x in _ENTRIES[twin](p).items():
+            rows[i - 1][j - 1] += letter.exp * x
+        return rows
+    first, second = (0, 2) if isinstance(letter, J1) else (1, 3)
+    (a, b), (c, d) = letter.payload.rows
+    rows[first][first], rows[first][second] = a, b
+    rows[second][first], rows[second][second] = c, d
+    return rows
+
+
 @DIFF
 @given(
     st.one_of(dense(), dense(st.integers(-(10**12), 10**12))),
-    st.booleans().flatmap(lambda t: letters(t).map(lambda letter: (t, letter))),
+    WIDE_EXPONENTS,
+    sl2_payload(),
 )
-def test_letter_product_matches_full_product(acc, tilde_and_letter):
-    # the reducer and replay right-multiply by a letter's tilde matrix
-    tilde, letter = tilde_and_letter
-    for p in (3, 11):
-        matrix = _letter_matrix(letter, p, tilde)
-        if isinstance(letter, Named):
-            assert matrix == generator("Mt" + letter.name[-1], p) ** letter.exp
-        elif isinstance(letter, J1):
-            assert matrix == j1_embed(letter.payload)
-        else:
-            assert matrix == j2_embed(letter.payload, p, tilde=True)
-        assert ReferenceMat4.of(acc * matrix) == ReferenceMat4.of(acc) * ReferenceMat4.of(matrix)
+def test_letter_product_matches_full_product(acc, exp, payload):
+    # the reducer, replay and the residue check right-multiply by a letter
+    # as column operations; every letter of both alphabets, on integer
+    # (d = 1) and rational (d > 1) matrices, against the dense triple sum
+    for tilde in (False, True):
+        letters = [Named(name, exp) for name in ALPHABET[tilde]] + [J1(payload), J2(payload)]
+        for letter in letters:
+            for p in (3, 11):
+                # Mat4 of Fraction rows reduces its pair: equal pairs also
+                # show that the column action keeps its pair reduced
+                expect = Mat4(reference_product(acc.rows, dense_letter(letter, p, tilde)))
+                assert _times_letter(acc, letter, p, tilde) == expect
 
 
 @DIFF

@@ -452,10 +452,36 @@ def test_mul_rows_matches_the_triple_sum(left, right):
     assert type(out) is tuple and all(type(row) is tuple for row in out)
     assert out == reference_product(a, b)
     if kind_a == kind_b == "int":
-        # decompose's integer rows never turn into Fraction entries
+        # integer rows never turn into Fraction entries
         assert all(type(x) is int for row in out for x in row)
     product = Mat4(a) * Mat4(b)
     assert product == Mat4(out) and fraction_entries(product)
+
+
+@st.composite
+def unimodular_blocks(draw):
+    """``(a, b, c, d)`` with ``a d - b c = 1``: a product of wide shears."""
+    acc = Mat2.identity()
+    for _ in range(draw(st.integers(0, 4))):
+        x = draw(st.integers(-(2**70), 2**70))
+        acc = acc * (Mat2.of(1, x, 0, 1) if draw(st.booleans()) else Mat2.of(1, 0, x, 1))
+    (a, b), (c, d) = acc.rows
+    return a, b, c, d
+
+
+@DIFF
+@given(rows4(), st.permutations(range(4)), unimodular_blocks())
+def test_times_block_matches_the_triple_sum(rows, columns, block):
+    # column operations by a unimodular block on any two columns, in either
+    # order; the block is invertible over Z, so d is kept and no gcd is taken
+    (_, e), (i, j, *_) = rows, columns
+    a, b, c, d = block
+    dense = [[int(r == s) for s in range(4)] for r in range(4)]
+    dense[i][i], dense[i][j], dense[j][i], dense[j][j] = a, b, c, d
+    m = Mat4(e)
+    out = m.times_block(i, j, a, b, c, d)
+    assert out == Mat4(reference_product(e, dense))
+    assert out.scaled()[0] == m.scaled()[0]
 
 
 def test_identity_is_one_shared_constant():

@@ -5,6 +5,7 @@ import pytest
 
 from sp4cert.errors import DomainError
 from sp4cert.siegel import (
+    MAX_SAMPLES,
     SiegelPoint,
     boundary_map,
     homotopy_h,
@@ -130,6 +131,8 @@ def test_section_check_domain_errors():
         section4_check(0.0)
     with pytest.raises(DomainError):
         section4_check(1.0, samples=1)
+    with pytest.raises(DomainError, match="from 2 to"):
+        section4_check(1.0, samples=MAX_SAMPLES + 1)
     with pytest.raises(DomainError):
         section4_check(1.0, tol=-1e-3)
 
