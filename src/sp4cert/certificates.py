@@ -19,10 +19,13 @@ builder all read it, and one memo, :func:`_verdict`, tests each
 (literal, group) pair once for either.  Verification (:func:`cert_verify`)
 checks every literal first, in node order, and stops at the first
 failure; only then does it replay the DAG once, exactly, and compare the
-root with the target.  Nothing about a certificate is trusted; the
-builders in this module only ever hand out objects that the verifier
-then re-checks from scratch, each extracted from a builder's nodes by
-a liveness pass and, unless every node is live, a renumbering pass.
+root with the target.  Both groups preserve J, as M0 does, and the
+builder checks each literal before it interns it, so every value
+preserves J and ``inv`` and ``conj`` invert by the block transpose
+:meth:`Mat4.symplectic_inv`.  Nothing about a certificate is trusted;
+the builders only ever hand out objects that the verifier then
+re-checks from scratch, each extracted from a builder's nodes by a
+liveness pass and, unless every node is live, a renumbering pass.
 
 Builders:
 
@@ -219,7 +222,9 @@ def _verdict(memo: dict[tuple[Mat4, GroupLabel], bool], m: Mat4, label: GroupLab
 
 
 def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
-    """The value of ``node`` given the values of the nodes before it."""
+    """The value of ``node`` given the values of the nodes before it.
+    Precondition: every literal has passed its ``_SHAPE`` check, so every
+    value preserves J and :meth:`Mat4.symplectic_inv` inverts it."""
     if node.op == SEED_M0:
         return m0
     if node.op == SEED_P2:
@@ -227,9 +232,9 @@ def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
     if node.op == MUL:
         return values[node.args[0]] * values[node.args[1]]
     if node.op == INV:
-        return values[node.args[0]].inv()
+        return values[node.args[0]].symplectic_inv()
     g = node.value  # CONJ
-    return g * values[node.args[0]] * g.inv()
+    return g * values[node.args[0]] * g.symplectic_inv()
 
 
 # replay refuses a mul or conj value with an entry wider than
@@ -254,8 +259,8 @@ def cert_verify(cert: Certificate) -> VerificationReport:
     seed, bad conjugator, replay mismatch) are reported, not thrown.
     The first failed seed or conjugator check ends verification before
     any product is formed, and is the last check in the report; once
-    all have passed, every value is a group element, and each ``inv``
-    and ``conj`` inverts it by the integer adjugate of :meth:`Mat4.inv`.
+    all have passed, every value preserves J, and each ``inv`` and
+    ``conj`` inverts it by the block transpose of :meth:`Mat4.symplectic_inv`.
     A mul or conj value over the bit budget ends replay as a failed
     ``resource`` check at that node.
     """

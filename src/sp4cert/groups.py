@@ -20,22 +20,19 @@ congruence conditions relative to those forms.  Conventions:
 * ``symplectic_check`` never forms the product ``g * form * g^T``.
   That product is antisymmetric like the form, so it equals the form
   iff its six entries above the diagonal do, and entry (i, j) is the
-  form's pairing of rows i and j: ``sum f_ab (u_a v_b - u_b v_a)`` over
-  the nonzero ``f_ab`` with a < b (two terms for J and for Lambda).
-  The pairings run on the integer rows e of ``g.scaled() = (d, e)``,
-  ``e = d * g`` for d the lcm of g's denominators, against
+  pairing of rows i and j, ``f1 (u0 v2 - u2 v0) + f2 (u1 v3 - u3 v1)``
+  for a form ``((0, F), (-F, 0))`` with ``F = diag(f1, f2)``, the only
+  shape :class:`SymplecticForm` admits.  The pairings run on the
+  integer rows e of ``g.scaled() = (d, e)``, ``e = d * g``, against
   ``d^2 * form``.
-  :class:`SymplecticForm` refuses a matrix that is not antisymmetric,
-  so this is always the whole condition.
 
-* Every group is written down once, as data: :func:`_pattern` maps a
-  label and p to ``(moduli, form)``, the table below, and
-  :func:`member` reads it on one path, on the same rows e.  It refuses
-  d outside {1, p}, tests each congruence as a remainder of
-  ``e_ij - d delta_ij`` modulo ``d n_ij`` (which also demands an
-  integral entry), and runs det 1 or the pairings only on matrices that
-  pass.  The verdict is the same conjunction in either order; a
-  non-member usually fails on a remainder, cheaper than the pairings.
+* Every group is written down once, as data: :func:`_pattern` lays the
+  table below out flat for each denominator d in {1, p}, and
+  :func:`member` reads it in one pass on the same rows e.  It refuses
+  any other d, compares the remainders of e modulo ``d n_ij`` with
+  ``d delta_ij mod d n_ij`` (which also demands an integral entry; the
+  (1/p)Z slot has modulus 1), and runs det 1 or the pairings only on
+  matrices that pass; a non-member usually fails on a remainder.
 
 * ``p`` must be an odd prime below 3317044064679887385961981, the
   smallest strong pseudoprime to the bases 2..41 of :func:`is_prime`.
@@ -70,6 +67,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import mod
 
 from .errors import BadPrime, DomainError, NotUnimodular, ShapeAssertionFailed, ZeroVector
 from .matrices import Mat2, Mat4, ext_gcd
@@ -138,24 +136,20 @@ def require_odd_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """An antisymmetric 4x4 form, either J (det 1) or Lambda (det p^2).
-
-    Construction rejects a matrix that is not antisymmetric, which is
-    what makes :func:`symplectic_check`'s six row pairings the whole
-    symplectic condition."""
+    """A form ``((0, F), (-F, 0))``, F diagonal: J (F = 1) or Lambda
+    (F = diag(1, p)).  Construction rejects any other matrix, which is
+    what makes :func:`symplectic_check`'s six pairings the whole condition."""
 
     matrix: Mat4
-    # the nonzero (a, b, F_ab) above the diagonal of matrix.scaled()
-    _terms: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    # (f1, f2): the diagonal of F in matrix.scaled()
+    _f: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _, scaled = self.matrix.scaled()
-        if any(scaled[a][b] != -scaled[b][a] for a in range(4) for b in range(a, 4)):
-            raise ValueError("a symplectic form must be antisymmetric")
-        terms = tuple(
-            (a, b, scaled[a][b]) for a in range(4) for b in range(a + 1, 4) if scaled[a][b]
-        )
-        object.__setattr__(self, "_terms", terms)
+        _, s = self.matrix.scaled()
+        f1, f2 = s[0][2], s[1][3]
+        if s != ((0, 0, f1, 0), (0, 0, 0, f2), (-f1, 0, 0, 0), (0, -f2, 0, 0)):
+            raise ValueError("a symplectic form must be ((0, F), (-F, 0)) with F diagonal")
+        object.__setattr__(self, "_f", (f1, f2))
 
     @staticmethod
     def standard() -> "SymplecticForm":
@@ -172,23 +166,19 @@ class SymplecticForm:
 
 
 def symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
-    """True iff ``m`` preserves the form under the row convention.
-
-    Compares the form's pairings of the six row pairs (i < j) of
-    ``(d, rows) = m.scaled()`` with ``d^2 f_ij``, as the module
-    docstring explains; f enters scaled to integers on both sides."""
-    d, rows = m.scaled()
-    d2, terms, scaled = d * d, form._terms, form.matrix.scaled()[1]
-    for i in range(3):
-        u = rows[i]
-        for j in range(i + 1, 4):
-            v = rows[j]
-            pairing = 0
-            for a, b, f in terms:
-                pairing += f * (u[a] * v[b] - u[b] * v[a])
-            if pairing != d2 * scaled[i][j]:
-                return False
-    return True
+    """True iff ``m`` preserves the form under the row convention: the six
+    row pairings of ``m.scaled()`` against ``d^2`` times the form's entries."""
+    d, ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3)) = m.scaled()
+    f1, f2 = form._f
+    d2 = d * d
+    return (
+        f1 * (a0 * b2 - a2 * b0) + f2 * (a1 * b3 - a3 * b1) == 0
+        and f1 * (a0 * c2 - a2 * c0) + f2 * (a1 * c3 - a3 * c1) == d2 * f1
+        and f1 * (a0 * e2 - a2 * e0) + f2 * (a1 * e3 - a3 * e1) == 0
+        and f1 * (b0 * c2 - b2 * c0) + f2 * (b1 * c3 - b3 * c1) == 0
+        and f1 * (b0 * e2 - b2 * e0) + f2 * (b1 * e3 - b3 * e1) == d2 * f2
+        and f1 * (c0 * e2 - c2 * e0) + f2 * (c1 * e3 - c3 * e1) == 0
+    )
 
 
 _J = SymplecticForm.standard()
@@ -199,14 +189,14 @@ _PATTERN_CACHE_SIZE = 256
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern(label: GroupLabel, p: int):
-    """``(moduli, form)`` for the labelled group, row for row as in the
-    module table: ``moduli[i][j]`` divides ``g_ij - delta_ij`` (None
-    marks the (1/p)Z slot of gamma0_1p), and ``form`` is J, Lambda, or
-    None for the 2x2 groups, whose condition is det 1."""
+    """``(tables, form)``: ``tables[d]`` for d in {1, p} is the flat
+    ``(moduli, residues)`` of the module table for the rows of ``d g``,
+    ``d n_ij`` (1 in the (1/p)Z slot) and ``d delta_ij mod d n_ij``;
+    ``form`` is J, Lambda, or None for the 2x2 groups (det 1)."""
     p2 = p * p
     z, zp = (1, 1, 1, 1), (p, p, p, p)
     lam = SymplecticForm.polarised(p)
-    return {
+    moduli, form = {
         GroupLabel.GAMMA_1P: (((1, 1, 1, p), (p, p, p, p2), (1, 1, 1, p), (1, 1, 1, p)), _J),
         GroupLabel.GAMMA0_1P: (((1, 1, 1, p), (p, 1, p, p), (1, 1, 1, p), (1, None, 1, 1)), _J),
         GroupLabel.GAMMA_TILDE_1P: ((z, zp, z, zp), lam),
@@ -216,30 +206,33 @@ def _pattern(label: GroupLabel, p: int):
         GroupLabel.SL2Z: (((1, 1), (1, 1)), None),
         GroupLabel.GAMMA1_OF_P: (((p, p), (p, p)), None),
         GroupLabel.GAMMA1PRIME_P2: (((p2, p), (p2 * p, p2)), None),
-    }[label]
+    }[GroupLabel(label)]
+    step = len(moduli) + 1  # the diagonal is every step-th flat entry
+    tables = {}
+    for d in (1, p):
+        flat = tuple(1 if n is None else d * n for row in moduli for n in row)
+        tables[d] = flat, tuple(0 if k % step else d % n for k, n in enumerate(flat))
+    return tables, form
 
 
 def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     """Exact membership test for the labelled group at the odd prime p.
 
-    Reads the group's row of :func:`_pattern` against ``m.scaled()``:
-    d in {1, p}, the congruences, then det 1 or the symplectic
-    condition; malformed input simply fails the predicate.
+    Reads :func:`_pattern` against ``(d, rows) = m.scaled()`` in one
+    pass: d in {1, p}, the remainders of the flat rows, then det 1 or
+    the symplectic condition; malformed input fails the predicate.
     """
-    label = GroupLabel(label)
     require_odd_prime(p)
-    moduli, form = _pattern(label, p)
-    size = len(moduli)
-    if not isinstance(m, Mat2 if size == 2 else Mat4):
-        raise TypeError(f"{label.value} is a {size}x{size} predicate")
+    tables, form = _pattern(label, p)
+    if not isinstance(m, Mat2 if form is None else Mat4):
+        raise TypeError(f"{GroupLabel(label).value} is a {'2x2' if form is None else '4x4'} predicate")
     d, rows = m.scaled()
-    if d != 1 and d != p:
+    table = tables.get(d)
+    if table is None:
         return False
-    # a modulus d*n refuses e_ij/d off the integers; None is the (1/p)Z slot
-    for i, (row, mods) in enumerate(zip(rows, moduli)):
-        for j, (x, n) in enumerate(zip(row, mods)):
-            if n is not None and (x - d * (i == j)) % (d * n):
-                return False
+    moduli, residues = table
+    if tuple(map(mod, sum(rows, ()), moduli)) != residues:
+        return False
     return m.det() == 1 if form is None else symplectic_check(m, form)
 
 

@@ -21,10 +21,12 @@ both are for callers off the hot paths.
 Every general 4x4 product is :func:`mul_rows` on the integer rows, and
 one gcd when d > 1; a unimodular 2x2 block on two coordinates, such as
 a shear ``1 + x E(i,j)``, acts by column operations with no gcd
-(:meth:`Mat4.times_block`).  Every inverse is one integer formula on
-the pair, ``(e / d)^-1 = d adj(e) / det(e)``, with no division and no
-branch on the kind of matrix.  ``Mat4.identity()`` is one shared
-constant.
+(:meth:`Mat4.times_block`).  :meth:`Mat4.inv` is one integer formula
+on the pair for every invertible matrix, ``(e / d)^-1 = d adj(e) /
+det(e)``, with no division.  :meth:`Mat4.symplectic_inv`, the signed
+block transpose ``-J m^T J``, costs no arithmetic and is the inverse
+only of an m with ``m J m^T = J``, which its callers must vouch for.
+``Mat4.identity()`` is one shared constant.
 
 There is no floating point anywhere in this module: divisibility
 patterns such as ``p^2 | x`` or ``x in (1/p)Z`` are meaningless after
@@ -278,6 +280,13 @@ class Mat4:
         if scale != 1:
             adj = tuple([tuple([scale * x for x in row]) for row in adj])
         return Mat4.from_pair(abs(det), adj)
+
+    def symplectic_inv(self) -> "Mat4":
+        """``-J m^T J = ((D^T, -B^T), (-C^T, A^T))`` for ``m = ((A, B), (C, D))``,
+        d unchanged: the inverse iff ``m J m^T = J``, which is not checked."""
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = self._e
+        return _pair(self._d, ((a22, a32, -a02, -a12), (a23, a33, -a03, -a13),
+                               (-a20, -a30, a00, a10), (-a21, -a31, a01, a11)))
 
     def __pow__(self, n: int) -> "Mat4":
         return _power(self, n)

@@ -215,7 +215,8 @@ def reference_certificate_text(cert: Certificate) -> str:
 
 
 def evaluate(cert: Certificate) -> list[Mat4]:
-    """The value of every node, in order; no side condition is checked."""
+    """The value of every node, in order; no side condition is checked,
+    so the literals must preserve J, as ``_node_value`` requires."""
     m0 = generator("M0", cert.p)
     values: list[Mat4] = []
     for node in cert.nodes:

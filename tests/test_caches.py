@@ -2,8 +2,8 @@
 
 A cache trades memory and a second source of truth for speed, so each
 one must pay for itself.  Measured on Python 3.11.7 (2 cores):
-``groups._pattern`` builds a pattern in 9.2 µs and looks one up in
-0.2 µs, where a whole ``member(M1, gamma_1p, 7)`` takes 6.6 µs; without
+``groups._pattern`` builds a pattern in 12.4 µs and looks one up in
+0.1 µs, where a whole ``member(M1, gamma_1p, 7)`` takes about 2.2 µs; without
 ``certificates._core_template``, building the core chain in every
 witness builder made a seed-1 ``witness`` round 28% slower (best of
 7).  ``generator()`` is not cached: it runs about once per ``witness``

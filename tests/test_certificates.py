@@ -31,6 +31,8 @@ from sp4cert.certificates import (
     MUL,
     SEED_M0,
     SEED_P2,
+    _BUDGET_SCALE,
+    _BUDGET_SLACK,
     CertBuilder,
     Certificate,
     CertNode,
@@ -60,7 +62,7 @@ from sp4cert.errors import (
 )
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member
-from sp4cert.matrices import Mat2, Mat4, ext_gcd, mat4_from_lists, mat4_to_lists
+from sp4cert.matrices import Mat2, Mat4, ext_gcd, load_json, mat4_from_lists, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import S, T, U
 
@@ -151,18 +153,24 @@ def test_verification_stops_at_first_failed_conjugator():
     assert report.lines()[-1] == f"FAIL (conjugator node {i})"
 
 
-@pytest.mark.parametrize("op", [SEED_P2, CONJ])
+@pytest.mark.parametrize("op", [SEED_P2, CONJ, SEED_M0])
 def test_failed_check_replays_nothing(monkeypatch, op):
+    # a seed_p2 or conjugator times diag(2,1,1,1), or a seed_m0 made a
+    # seed_p2 holding M0; replay, which inverts by the transpose, never starts
     p = 7
     cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 3, 3)), p)
     nodes = list(cert.nodes)
     i = max(j for j, node in enumerate(nodes) if node.op == op)
-    assert any(node.op in (MUL, INV) for node in nodes[:i])  # a replay to i would multiply
-    nodes[i] = CertNode(op, nodes[i].args, nodes[i].value * Mat4.diagonal(2, 1, 1, 1))
-    for name in ("__mul__", "inv"):
+    if op == SEED_M0:
+        assert i == 0 and nodes[1].op == INV  # a replay would invert next
+        nodes[i] = CertNode(SEED_P2, (), generator("M0", p))
+    else:
+        assert any(node.op in (MUL, INV) for node in nodes[:i])  # a replay to i would multiply
+        nodes[i] = CertNode(op, nodes[i].args, nodes[i].value * Mat4.diagonal(2, 1, 1, 1))
+    for name in ("__mul__", "inv", "symplectic_inv", "times_block"):
         monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("product after a failed check"))
     report = cert_verify(Certificate(p, tuple(nodes), cert.root, cert.target))
-    kind = "seed" if op == SEED_P2 else "conjugator"
+    kind = "conjugator" if op == CONJ else "seed"
     assert report.failure_locus == f"{kind} node {i}"
     assert not report.checks[-1].ok and report.checks[-1].node == i
 
@@ -179,7 +187,63 @@ def test_hostile_mul_chain_is_refused_quickly():
     assert report.failure_locus == f"resource node {last.node}" == "resource node 4"
 
 
+@pytest.mark.parametrize("c, over", [(3, 0), (7, 1)])
+def test_a_value_at_the_bit_budget_passes_and_one_bit_more_fails(c, over):
+    # X = j1 of ((1, x), (0, 1)) and Y = j1 of ((1, 0), (c x, 1)), both in
+    # gamma_p2; node 4 is (XY)^4, 176 bits for c = 3 and 181 for c = 7.
+    # A filler seed of L bits sets the budget to 4 L + 64: exactly the
+    # width of node 4, or one bit less
+    x = 9 * 2**18
+    X, Y = j1_embed(Mat2.of(1, x, 0, 1)), j1_embed(Mat2.of(1, 0, c * x, 1))
+    widest = ((X * Y) * (X * Y) * (X * Y) * (X * Y)).entry_bits()
+    assert (widest - over - _BUDGET_SLACK) % _BUDGET_SCALE == 0
+    filler = j1_embed(Mat2.of(1, 9 * 2 ** ((widest - over - _BUDGET_SLACK) // _BUDGET_SCALE - 4), 0, 1))
+    nodes = (CertNode(SEED_P2, (), X), CertNode(SEED_P2, (), Y), CertNode(MUL, (0, 1)),
+             CertNode(MUL, (2, 2)), CertNode(MUL, (3, 3)), CertNode(SEED_P2, (), filler))
+    cert = Certificate(3, nodes, 5, filler)
+    assert _bit_budget(cert) == widest - over
+    report = cert_verify(cert)
+    assert report.passed == (not over)
+    if over:
+        assert report.failure_locus == "resource node 4"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_target_tamper_replays_with_exact_transpose_inverses(monkeypatch, p):
+    # the target times M0: every literal passes, so replay runs to the root,
+    # and each transpose inverse it takes equals the adjugate
+    cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 5, 6)), p)
+    transpose, calls = Mat4.symplectic_inv, []
+
+    def checked(m):
+        inverse = transpose(m)
+        assert inverse == m.inv()
+        calls.append(m)
+        return inverse
+
+    monkeypatch.setattr(Mat4, "symplectic_inv", checked)
+    report = cert_verify(Certificate(p, cert.nodes, cert.root, cert.target * generator("M0", p)))
+    assert not report.passed and report.failure_locus == f"replay mismatch at root {cert.root}"
+    assert calls
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_transpose_inverse_is_the_adjugate_on_every_golden_value():
+    # every literal and every replayed value of the golden certificates,
+    # among them the j2 conjugators with d = p at p = 3, 5 and 7
+    with_d_p = set()
+    for path in sorted(GOLDEN.glob("witness_*.json")) + sorted(GOLDEN.glob("generators_p*.json")):
+        obj = json.loads(path.read_text())
+        for cert in map(certificate_from_json_obj, obj.values() if "M2" in obj else [obj]):
+            values = evaluate(cert)
+            assert values[cert.root] == cert.target
+            for m in (*values, *(node.value for node in cert.nodes if node.value is not None)):
+                assert m.symplectic_inv() == m.inv(), path.name
+                if m.scaled()[0] == cert.p:
+                    with_d_p.add(cert.p)
+    assert with_d_p == {3, 5, 7}
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("witness_*.json")), ids=lambda p: p.name)
@@ -215,7 +279,7 @@ def test_verify_corpus_conj_tamper_fails_before_replay(monkeypatch, p):
         obj["nodes"][i]["value"] = mat4_to_lists(value)
         tampered = parse(json.dumps(obj))
         with monkeypatch.context() as patch:
-            for name in ("__mul__", "inv"):
+            for name in ("__mul__", "inv", "symplectic_inv"):
                 patch.setattr(Mat4, name, lambda *a: pytest.fail("product after a failed check"))
             report = cert_verify(tampered)
         assert not report.passed and report.failure_locus == f"conjugator node {i}"
@@ -909,6 +973,16 @@ def test_parse_accepts_only_json_integers(path, bad):
 def test_parse_maps_every_json_refusal_to_a_parse_error(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "where: bad JSON at offset 1: Expecting property name enclosed in double quotes"),
+    ("[" * 200_000, "where: JSON nested too deeply"),
+])
+def test_load_json_names_the_refusal(text, message):
+    with pytest.raises(ParseError) as caught:
+        load_json(text, "where")
+    assert str(caught.value) == message
 
 
 def test_parse_rejects_unreduced_entries():

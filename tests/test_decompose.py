@@ -134,9 +134,8 @@ def test_decompose_rejects_non_members():
 @pytest.mark.parametrize("p", [3, 7])
 def test_plain_decompose_rejects_each_kind_of_non_member(p):
     off_form = Mat4([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    moduli = _pattern(GroupLabel.GAMMA_1P, p)[0]
-    rows = off_form.rows
-    assert all((rows[i][j] - (i == j)) % moduli[i][j] == 0 for i in range(4) for j in range(4))
+    moduli, residues = _pattern(GroupLabel.GAMMA_1P, p)[0][1]
+    assert tuple(x % n for x, n in zip(sum(off_form.scaled()[1], ()), moduli)) == residues
     assert not symplectic_check(off_form, SymplecticForm.standard())
     slot = j2_embed(Mat2.of(1, 0, 1, 1), p)
     assert member(slot, GroupLabel.GAMMA0_1P, p) and slot.rows[3][1] == Fraction(1, p)

@@ -109,6 +109,13 @@ def test_member_bad_prime():
             member(I4, GroupLabel.GAMMA_1P, p)
 
 
+def test_require_odd_prime_refuses_non_int_p_after_an_int_p():
+    assert require_odd_prime(3) == 3
+    for p in (3.0, True, [3]):
+        with pytest.raises(BadPrime):
+            require_odd_prime(p)
+
+
 def test_member_arity_mismatch():
     with pytest.raises(TypeError):
         member(I4, GroupLabel.SL2Z, 3)
@@ -417,7 +424,11 @@ def _outside(p):
 
 
 @st.composite
-def products(draw):
+def products(draw, wide=False):
+    """A word over one pool at a drawn p, then maybe a factor from
+    :func:`_outside`.  With ``wide``, one more letter of the pool (each
+    is unipotent) is spliced in at a power past 2^4096, so some entry
+    passes 4,096 bits."""
     p = draw(PRIMES)
     letters = draw(st.sampled_from(_pools(p)))
     m = I4
@@ -425,6 +436,10 @@ def products(draw):
         m = m * letters[draw(st.integers(0, len(letters) - 1))] ** draw(
             st.integers(-3, 3)
         )
+    if wide:
+        e = draw(st.sampled_from((1, -1))) * 2**4100 + draw(st.integers(-3, 3))
+        big = letters[draw(st.integers(0, len(letters) - 1))] ** e
+        m = big * m if draw(st.booleans()) else m * big
     if draw(st.booleans()):
         m = m * draw(st.sampled_from(_outside(p)))
     return m, p
@@ -449,8 +464,8 @@ def test_pairing_matches_full_product_on_generator_products(case):
     _agree(*case)
 
 
-# a denominator c * p**e; two of them can give d = 2p or p^2 as well
-DENOMINATORS = st.sampled_from(((2, 0), (1, 1), (1, 2), (2, 1)))
+# a denominator c * p**e: 1, 2, p, p^2 or 2p; two of them can give others
+DENOMINATORS = st.sampled_from(((1, 0), (2, 0), (1, 1), (1, 2), (2, 1)))
 
 
 @DIFF
@@ -462,6 +477,29 @@ def test_pairing_matches_full_product_with_a_one_over_p_entry(case, additions):
     for slot, k, (c, e) in additions:
         rows[slot // 4][slot % 4] += Fraction(k, c * p ** e)
     _agree(Mat4(rows), p)
+
+
+@st.composite
+def wide_products(draw):
+    """``products(wide=True)``, then maybe one entry moved by +-1/d for
+    d in {1, p, p^2, 2}: the entries pass 4,096 bits, and the pair's
+    denominator is 1, 2, p, p^2 or 2p."""
+    m, p = draw(products(wide=True))
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, 15))
+        rows = [list(r) for r in m.rows]
+        rows[slot // 4][slot % 4] += Fraction(draw(st.sampled_from((1, -1))),
+                                              draw(st.sampled_from((1, p, p * p, 2))))
+        m = Mat4(rows)
+    return m, p
+
+
+@DIFF
+@given(wide_products())
+def test_member_matches_the_reference_past_4096_bits(case):
+    m, p = case
+    assert m.entry_bits() > 4096
+    _agree(m, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -562,6 +600,18 @@ def test_two_by_two_predicates_match_the_docstring_on_samples(p, label, seed, le
     _agree2(q, p)
 
 
+@DIFF
+@given(PRIMES, st.sampled_from(TWO_BY_TWO), st.integers(0, 10**6), st.integers(0, 8),
+       st.integers(-1, 7), st.sampled_from((1, -1)))
+def test_two_by_two_predicates_match_the_docstring_past_4096_bits(p, label, seed, length, k, sign):
+    # T^(p 2^4100) lies in gamma1prime_p2, so q keeps each group it lies in
+    q = sample(SampleSpec(label, p, seed, length)) * T ** (sign * p * 2**4100)
+    if k >= 0:
+        q = q * _outside2(p)[k]
+    assert max(abs(x) for row in q.rows for x in row).bit_length() > 4096
+    _agree2(q, p)
+
+
 def test_two_by_two_cases_reach_every_verdict():
     seen = {label: set() for label in TWO_BY_TWO}
     for p in (3, 5, 7):
@@ -578,6 +628,14 @@ def test_form_must_be_antisymmetric():
     with pytest.raises(ValueError):
         SymplecticForm(Mat4(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+        ))
+
+
+def test_form_must_have_a_diagonal_f():
+    # antisymmetric, but with a (0, 1) term that the pairings would not read
+    with pytest.raises(ValueError, match="F diagonal"):
+        SymplecticForm(Mat4(
+            [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
         ))
 
 

@@ -198,6 +198,13 @@ def test_entry_bits_with_d_p_and_entries_sharing_p():
     assert zero.entry_bits() == ReferenceMat4.of(zero).entry_bits() == 1
 
 
+def test_entry_bits_at_d_2():
+    # the pair is (2, e) with e_01 = 14: the entry itself is 7, 3 bits
+    m = Mat4([[Fraction(1, 2), 7, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert m.scaled()[0] == 2 and m.scaled()[1][0][1] == 14
+    assert m.entry_bits() == ReferenceMat4.of(m).entry_bits() == 3
+
+
 # --- the inverse: d adj(e) / det(e), one path for every matrix ------------
 
 
@@ -221,8 +228,26 @@ def test_symplectic_inverses_match_the_reference():
     assert with_p.scaled()[0] == p
     for g in [*elements, with_p]:
         assert symplectic_check(g, SymplecticForm.standard())
-        _inverse_matches_the_reference(g)
+        assert _inverse_matches_the_reference(g) == g.symplectic_inv()
     assert {g.scaled()[0] for g in elements} == {1}
+
+
+def test_symplectic_inverse_needs_its_precondition():
+    # off J the signed block transpose is not the inverse: for diag(2,1,1,1)
+    # it is diag(1,1,2,1), and for a Lambda element it misses too
+    m = Mat4.diagonal(2, 1, 1, 1)
+    assert m.symplectic_inv() == Mat4.diagonal(1, 1, 2, 1) != m.inv()
+    tilde = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, 7, 5, 6))
+    assert tilde * tilde.symplectic_inv() != I4
+
+
+def test_inverse_at_d_2_with_a_positive_determinant():
+    # e = d m has det 8 > 0 and d = 2, so the adjugate is scaled by d = 2
+    m = Mat4([[Fraction(1, 2), 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    d, e = m.scaled()
+    assert d == 2 and mat4_det(Mat4(e)) == 8
+    inverse = _inverse_matches_the_reference(m)
+    assert inverse == Mat4([[2, -2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def test_det_2_diagonal_inverse_matches_the_reference():

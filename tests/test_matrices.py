@@ -197,6 +197,14 @@ def test_mat2_inverse_errors():
         Mat2.of(2, 0, 0, 1).inv()
 
 
+def test_mat2_inverse_at_determinant_minus_one():
+    for m, inverse in ((Mat2.of(0, 1, 1, 0), Mat2.of(0, 1, 1, 0)),
+                       (Mat2.of(2, 1, 1, 0), Mat2.of(0, 1, 1, -2))):
+        assert m.det() == -1
+        assert m.inv() == inverse
+        assert (m * inverse).is_identity() and (inverse * m).is_identity()
+
+
 def test_scalar_strings_round_trip():
     for text in ("0", "7", "-7", "1/2", "-3/7", "123456789012345678901234567890"):
         assert _ratio_to_str(*_ratio_from_str(text)) == text
