@@ -75,17 +75,19 @@ Serialisation (:func:`serialize`) is one direct writer of what
 ``json.dumps(obj, indent=1)`` makes of ``{"p", "nodes", "root",
 "target"}``, each node ``{"id", "op", "args"}`` plus ``"value"`` for a
 seed or conjugator: one-space indents, ``,`` at line ends, ``": "``
-after keys, ``"args": []`` when empty, each matrix rows of entry
-strings from :func:`sp4cert.matrices.mat4_to_lists`.  Entries hold only
-digits, ``-`` and ``/`` and ops are the five names of ``_SHAPE``, so
-nothing is escaped.  Nested one level deeper (``sp4cert
-certify-generators``), the text gains one space after each newline.
-Round-trips through :func:`parse` are bit-exact.
+after keys, ``"args": []`` when empty.  Each node fills its op's ``%``
+template and the target its own, built at import, with ints and the
+strings of the one entry writer, :func:`sp4cert.matrices.entry_strings`
+(``str``, or ``_int_to_str``'s pieces past the int/str limit).  Entries
+hold only digits, ``-`` and ``/``, and ops are the names of ``_SHAPE``,
+so nothing is escaped.  Nested one level deeper (``certify-generators``),
+the text gains one space after each newline; :func:`parse` reads it back.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -101,11 +103,11 @@ from .groups import GroupLabel, j1_embed, j2_embed, member, require_odd_prime
 from .matrices import (
     Mat2,
     Mat4,
+    entry_strings,
     ext_gcd,
     json_int,
     load_json,
     mat4_from_lists,
-    mat4_to_lists,
     unipotent_power,
 )
 from .sl2 import (
@@ -200,13 +202,8 @@ class VerificationReport:
             if not c.ok:
                 where = f" node {c.node}" if c.node is not None else ""
                 out.append(f"  FAIL {c.kind}{where}: {c.detail}")
-        counts: dict[str, int] = {}
-        for c in self.checks:
-            counts[c.kind] = counts.get(c.kind, 0) + 1
-        out.append(
-            "  checks: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        )
+        counts = Counter(c.kind for c in self.checks)
+        out.append("  checks: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
         out.append("PASS" if self.passed else f"FAIL ({self.failure_locus})")
         return out
 
@@ -225,14 +222,14 @@ def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
     """The value of ``node`` given the values of the nodes before it.
     Precondition: every literal has passed its ``_SHAPE`` check, so every
     value preserves J and :meth:`Mat4.symplectic_inv` inverts it."""
-    if node.op == SEED_M0:
-        return m0
+    if node.op == MUL:  # the most common op
+        return values[node.args[0]] * values[node.args[1]]
     if node.op == SEED_P2:
         return node.value
-    if node.op == MUL:
-        return values[node.args[0]] * values[node.args[1]]
     if node.op == INV:
         return values[node.args[0]].symplectic_inv()
+    if node.op == SEED_M0:
+        return m0
     g = node.value  # CONJ
     return g * values[node.args[0]] * g.symplectic_inv()
 
@@ -383,10 +380,8 @@ class CertBuilder:
         return result
 
     def product(self, ids: Iterable[int]) -> int:
-        result: int | None = None
-        for idx in ids:
-            result = idx if result is None else self.mul(result, idx)
-        return self.identity() if result is None else result
+        ids = list(ids)
+        return functools.reduce(self.mul, ids) if ids else self.identity()
 
     def certificate(self, root: int) -> Certificate:
         """The sub-DAG reachable from ``root``, renumbered, with the
@@ -523,12 +518,9 @@ class IdentityReport:
     def lines(self) -> list[str]:
         out = [f"identity checks at p = {self.p}"]
         for c in self.checks:
-            status = "pass" if c.holds else "FAIL"
-            line = f"  {status}  {c.name}"
-            if c.note:
-                line += f"  [{c.note}]"
-            out.append(line)
-        out.append(f"{'PASS' if self.passed else 'FAIL'}")
+            note = f"  [{c.note}]" if c.note else ""
+            out.append(f"  {'pass' if c.holds else 'FAIL'}  {c.name}{note}")
+        out.append("PASS" if self.passed else "FAIL")
         return out
 
 
@@ -675,27 +667,31 @@ def certificate_from_json_obj(obj) -> Certificate:
         raise ParseError(str(exc)) from exc
 
 
-def _matrix_text(m: Mat4, pad: str) -> str:
-    """``m`` as a JSON list of rows laid out with one-space indents,
-    opening on a line indented by ``pad``."""
-    row_open, entry_sep = f"\n{pad} [\n{pad}  \"", f"\",\n{pad}  \""
-    rows = [row_open + entry_sep.join(row) + f"\"\n{pad} ]" for row in mat4_to_lists(m)]
-    return "[" + ",".join(rows) + f"\n{pad}]"
+def _matrix_layout(pad: str) -> str:
+    """A ``%`` template of a matrix's 16 entry strings, its rows opening at indent ``pad``."""
+    row = f'\n{pad} [\n{pad}  "' + f'",\n{pad}  "'.join(["%s"] * 4) + f'"\n{pad} ]'
+    return "[" + ",".join([row] * 4) + f"\n{pad}]"
+
+
+def _node_layout(op: str) -> str:
+    """A ``%`` template of the id, args and entry strings of an ``op`` node."""
+    arity, literal = _SHAPE[op]
+    args = "[" + ",".join(["\n    %d"] * arity) + "\n   ]" if arity else "[]"
+    value = ',\n   "value": ' + _matrix_layout("   ") if literal else ""
+    return '  {\n   "id": %d,\n   "op": "' + op + '",\n   "args": ' + args + value + "\n  }"
+
+
+_NODE_TEXT, _TARGET_TEXT = {op: _node_layout(op) for op in _SHAPE}, _matrix_layout(" ")
 
 
 def serialize(cert: Certificate) -> str:
     """The certificate as ``json.dumps(obj, indent=1)`` lays out its
     JSON object, written directly; see the module docstring."""
-    nodes = []
-    for i, (op, args, value) in enumerate(cert.nodes):
-        arg_text = "[\n    " + ",\n    ".join(map(str, args)) + "\n   ]" if args else "[]"
-        text = f'  {{\n   "id": {i},\n   "op": "{op}",\n   "args": {arg_text}'
-        if value is not None:
-            text += ',\n   "value": ' + _matrix_text(value, "   ")
-        nodes.append(text + "\n  }")
+    nodes = [_NODE_TEXT[op] % (i, *args, *(() if value is None else entry_strings(value)))
+             for i, (op, args, value) in enumerate(cert.nodes)]
     return (
         f'{{\n "p": {cert.p},\n "nodes": [\n' + ",\n".join(nodes)
-        + f'\n ],\n "root": {cert.root},\n "target": {_matrix_text(cert.target, " ")}\n}}'
+        + f'\n ],\n "root": {cert.root},\n "target": ' + _TARGET_TEXT % entry_strings(cert.target) + "\n}"
     )
 
 

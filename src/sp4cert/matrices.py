@@ -51,17 +51,18 @@ The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
 fraction with denominator at least 2.  Only this canonical spelling is
 read (``-0``, ``0/1``, ``5/1`` and a trailing newline are refused), so
-round-trips are bit-exact.
-A matrix is read in one pass when it can be: after its shape is
-checked, its entries are joined (``,`` within a row, ``;`` between
-rows) and the text is matched once against n x n canonical integers,
-so a separator inside an entry fails the match.  Any other matrix --
-one with a fraction, a non-canonical or non-string entry, or an entry
-past the digit limit -- is read entry by entry, and that reader is the
-one source of fractions and of every :class:`ParseError` text.
-Integers past the interpreter's int/str conversion limit (4,300 digits
-by default) are written in pieces below it; reading such an entry is a
-:class:`ParseError`.
+round-trips are bit-exact.  :func:`entry_strings` is the one writer
+(``mat4_to_lists`` and ``mat2_to_lists`` reshape it): an integer matrix
+is one C-level ``map(str, ...)``, a fraction entry is reduced by its
+own gcd and written by ``str``, and if ``str`` refuses an entry past
+the int/str conversion limit (4,300 digits by default), every entry
+goes through ``_int_to_str``, the same digits written in pieces.  A
+matrix is read in one pass when it can be: its entries are joined
+(``,`` in a row, ``;`` between rows) and matched once against n x n
+canonical integers, so a separator inside an entry fails.  Any other
+matrix -- with a fraction, a non-canonical or non-string entry, or an
+entry past the limit -- is read entry by entry, the one source of
+fractions and of every :class:`ParseError` text.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ class Mat4:
         return f"Mat4.from_pair({self._d!r}, {self._e!r})"
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        return Mat4.from_pair(self._d * other._d, mul_rows(self._e, other._e))
+        d, e = self._d * other._d, mul_rows(self._e, other._e)
+        return _pair(1, e) if d == 1 else Mat4.from_pair(d, e)
 
     def times_block(self, i: int, j: int, a: int, b: int, c: int, d: int) -> "Mat4":
         """``self`` times the identity with the block ``((a, b), (c, d))``,
@@ -399,11 +401,10 @@ def _int_to_str(n: int) -> str:
     return _int_to_str(high) + _int_to_str(low).zfill(k)
 
 
-def _ratio_to_str(num: int, den: int) -> str:
-    """The entry string of the reduced ``num / den``, den > 0."""
-    if den == 1:
-        return _int_to_str(num)
-    return f"{_int_to_str(num)}/{_int_to_str(den)}"
+def _ratio_to_str(num: int, den: int, write=_int_to_str) -> str:
+    """The entry string of ``num / den`` in lowest terms, den > 0; ``write`` writes each integer."""
+    g = math.gcd(num, den)
+    return write(num // g) if den == g else f"{write(num // g)}/{write(den // g)}"
 
 
 def _ratio_from_str(s: str, where: str = "", integral: bool = False) -> tuple[int, int]:
@@ -451,16 +452,19 @@ def json_int(x, what: str) -> int:
     return x
 
 
-def _entry_to_str(x: int, d: int) -> str:
-    g = math.gcd(x, d)
-    return _ratio_to_str(x // g, d // g)
+def entry_strings(m) -> tuple[str, ...]:
+    """The row-major entry strings of a ``Mat4`` or ``Mat2`` (module docstring)."""
+    d, e = m.scaled()
+    flat = sum(e, ())
+    try:
+        return tuple(map(str, flat)) if d == 1 else tuple([_ratio_to_str(x, d, str) for x in flat])
+    except ValueError:  # past the int/str conversion limit
+        return tuple([_ratio_to_str(x, d, _int_to_str) for x in flat])
 
 
 def mat4_to_lists(m: Mat4) -> list[list[str]]:
-    d, e = m.scaled()
-    if d == 1:  # integer entries, nothing to reduce
-        return [[_int_to_str(x) for x in row] for row in e]
-    return [[_entry_to_str(x, d) for x in row] for row in e]
+    s = entry_strings(m)
+    return [list(s[0:4]), list(s[4:8]), list(s[8:12]), list(s[12:16])]
 
 
 def _read_rows(obj, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -495,7 +499,8 @@ def mat4_from_lists(obj) -> Mat4:
 
 
 def mat2_to_lists(m: Mat2) -> list[list[str]]:
-    return [[_int_to_str(x) for x in row] for row in m.rows]
+    s = entry_strings(m)
+    return [list(s[:2]), list(s[2:])]
 
 
 def mat2_from_lists(obj) -> Mat2:

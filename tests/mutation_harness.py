@@ -1,0 +1,259 @@
+"""Mutation harness for the trusted base of sp4cert.
+
+    python3 tests/mutation_harness.py [--target NAME ...] [--list] [--timeout S]
+
+Run from the root of a checkout.  The file is not named ``test_*.py``, so
+pytest does not collect it.
+
+Each mutant changes one syntax node of one function in ``TARGETS``, by
+one operator of the fixed set ``OPERATORS``:
+
+* ``cmp``   the first operator of a comparison swapped (``<`` and
+  ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and ``is not``,
+  ``in`` and ``not in``);
+* ``bool``  ``and`` and ``or`` swapped;
+* ``not``   a ``not`` dropped;
+* ``const`` an int constant plus one, or a bool flipped;
+* ``arith`` ``+`` to ``-``, ``-`` to ``+``, ``*`` to ``+``;
+* ``stmt``  a ``raise`` or ``continue`` replaced by ``pass``.
+
+The function's source lines are replaced by the mutated function, so the
+rest of the module keeps its text.  Each mutant runs in a scratch copy of
+``src/``, ``tests/``, ``bench/``, ``demos/`` and ``pyproject.toml`` (no
+byte code is written, so no stale cache hides a mutant), with
+``pytest -x`` over the target's test files.  The mutant is killed when
+pytest fails or times out.  A survivor listed in ``EQUIVALENT``, with the
+reason it cannot change behaviour, is not counted against the score;
+any other survivor makes the exit code 1.
+
+A mutant is named ``module:qualname:line:col:end:operator``: the line of
+the mutated node counted from the ``def`` (0), and its first and last
+columns.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "demos", "pyproject.toml")
+
+KERNEL = ("tests/test_matrices.py", "tests/test_mat4_pair.py", "tests/test_entry_format.py")
+WRITER = ("tests/test_writer.py", "tests/test_matrices.py", "tests/test_golden.py")
+VERIFIER = ("tests/test_certificates.py", "tests/test_writer.py", "tests/test_cli.py",
+            "tests/test_golden.py", "tests/test_acceptance.py")
+PREDICATES = ("tests/test_groups.py", "tests/test_certificates.py")
+READER = ("tests/test_matrices.py", "tests/test_mat4_pair.py", "tests/test_cli.py",
+          "tests/test_cli_robustness.py")
+REDUCER = ("tests/test_decompose.py", "tests/test_golden.py")
+SL2 = ("tests/test_sl2.py", "tests/test_golden.py")
+
+# (module, qualified function name, test files run against its mutants):
+# the verifier and predicates, the reader and kernel, the writer, then
+# decompose's reducer and sl2
+TARGETS = (
+    ("certificates", "Certificate.__post_init__", VERIFIER),
+    ("certificates", "_verdict", VERIFIER),
+    ("certificates", "_node_value", VERIFIER),
+    ("certificates", "_bit_budget", VERIFIER),
+    ("certificates", "cert_verify", VERIFIER),
+    ("certificates", "certificate_from_json_obj", VERIFIER),
+    ("certificates", "VerificationReport.lines", VERIFIER),
+    ("certificates", "IdentityReport.lines", VERIFIER),
+    ("certificates", "CertBuilder.product", VERIFIER),
+    ("groups", "member", PREDICATES),
+    ("groups", "symplectic_check", PREDICATES),
+    ("matrices", "Mat4.from_pair", KERNEL),
+    ("matrices", "Mat2.inv", KERNEL),
+    ("matrices", "Mat4.inv", KERNEL),
+    ("matrices", "Mat4.symplectic_inv", KERNEL),
+    ("matrices", "Mat4.__mul__", KERNEL + ("tests/test_certificates.py",)),
+    ("matrices", "Mat4.__eq__", KERNEL),
+    ("matrices", "Mat4.entry_bits", KERNEL),
+    ("matrices", "mul_rows", KERNEL),
+    ("matrices", "_scale", KERNEL),
+    ("matrices", "unipotent_power", KERNEL),
+    ("matrices", "_ratio_from_str", READER),
+    ("matrices", "load_json", READER),
+    ("matrices", "json_int", READER),
+    ("matrices", "_read_rows", READER),
+    ("matrices", "_int_to_str", WRITER),
+    ("matrices", "_ratio_to_str", WRITER),
+    ("matrices", "entry_strings", WRITER),
+    ("matrices", "mat4_to_lists", WRITER),
+    ("matrices", "mat2_to_lists", WRITER),
+    ("certificates", "_matrix_layout", WRITER),
+    ("certificates", "_node_layout", WRITER),
+    ("certificates", "serialize", WRITER),
+    ("decompose", "_Reducer.apply", REDUCER),
+    ("decompose", "_Reducer.gcd_clear_v3", REDUCER),
+    ("decompose", "reduce_first_row", REDUCER),
+    ("decompose", "_decompose_tilde", REDUCER),
+    ("sl2", "sl2_decompose", SL2),
+    ("sl2", "gamma1p_generate", SL2),
+)
+
+# mutant name -> why no input can tell it from the original
+EQUIVALENT = {
+    "matrices:_int_to_str:2:7:41:cmp": "n = -10**600 then goes to str(n), 601 digits, below every limit",
+    "matrices:_int_to_str:4:7:12:cmp": "n here has at least 601 digits, so n != 0",
+    "matrices:_int_to_str:4:11:12:const": "n here has at least 601 digits, so n < 1 iff n < 0",
+    "matrices:_int_to_str:7:8:26:arith": "k = (bits + 3) // 20 is still in 1..digits-1: another split, same digits",
+    "matrices:_int_to_str:7:25:26:const": "k = bits * 4 // 20 is still in 1..digits-1: another split, same digits",
+    "matrices:_int_to_str:7:30:32:const": "k = bits * 3 // 21 is still in 1..digits-1: another split, same digits",
+    "matrices:mat4_to_lists:2:65:67:const": "s[12:17] of a 16-tuple is s[12:16]",
+}
+
+_CMP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
+        ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
+_ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add}
+OPERATORS = ("cmp", "bool", "not", "const", "arith", "stmt")
+
+
+def _sites(func: ast.AST) -> list[tuple[ast.AST, str]]:
+    """(node, operator) for each place in ``func`` one operator applies;
+    the docstring is not a site."""
+    out = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Compare):
+            out += [(node, "cmp")] if any(type(op) in _CMP for op in node.ops) else []
+        elif isinstance(node, ast.BoolOp):
+            out.append((node, "bool"))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            out.append((node, "not"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, bool):
+            out.append((node, "const"))
+        elif isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+            out.append((node, "arith"))
+        elif isinstance(node, (ast.Raise, ast.Continue)):
+            out.append((node, "stmt"))
+    return sorted(out, key=lambda s: (s[0].lineno, s[0].col_offset, s[0].end_col_offset, s[1]))
+
+
+class _Apply(ast.NodeTransformer):
+    """Mutate the one node ``target`` by ``operator``."""
+
+    def __init__(self, target: ast.AST, operator: str):
+        self.target, self.operator = target, operator
+
+    def visit(self, node):
+        if node is not self.target:
+            return self.generic_visit(node)
+        op = self.operator
+        if op == "cmp":
+            node.ops = [(_CMP[type(node.ops[0])] if i == 0 and type(o) in _CMP else type(o))()
+                        for i, o in enumerate(node.ops)]
+        elif op == "bool":
+            node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
+        elif op == "not":
+            return node.operand
+        elif op == "const":
+            node.value = (not node.value) if type(node.value) is bool else node.value + 1
+        elif op == "arith":
+            node.op = _ARITH[type(node.op)]()
+        else:
+            return ast.copy_location(ast.Pass(), node)
+        return node
+
+
+def _find(tree: ast.Module, qualname: str) -> ast.AST:
+    scope: ast.AST = tree
+    for part in qualname.split("."):
+        scope = next(n for n in scope.body
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+    return scope
+
+
+def mutants(module: str, qualname: str) -> list[tuple[str, str]]:
+    """(name, mutated module source) for each mutant of one target."""
+    path = ROOT / "src" / "sp4cert" / f"{module}.py"
+    source = path.read_text()
+    lines = source.splitlines(keepends=True)
+    out = []
+    for k, (site, op) in enumerate(_sites(_find(ast.parse(source), qualname))):
+        tree = ast.parse(source)  # a fresh tree: find the k-th site again
+        func = _find(tree, qualname)
+        node, _ = _sites(func)[k]
+        _Apply(node, op).visit(func)
+        first = min([d.lineno for d in func.decorator_list] + [func.lineno])  # unparse writes both
+        indent = " " * func.col_offset
+        body = "".join(indent + line + "\n" for line in ast.unparse(func).splitlines())
+        text = "".join(lines[:first - 1]) + body + "".join(lines[func.end_lineno:])
+        where = f"{site.lineno - func.lineno}:{site.col_offset}:{site.end_col_offset}"
+        name = f"{module}:{qualname}:{where}:{op}"
+        out.append((name, text))
+    return out
+
+
+def _run(work: Path, tests: tuple[str, ...], timeout: float) -> str:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        res = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "survived", 1: "killed", 2: "killed"}.get(res.returncode, f"error {res.returncode}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--target", action="append", default=[],
+                    help="run only targets whose 'module:qualname' contains this text")
+    ap.add_argument("--list", action="store_true", help="list the mutants, run nothing")
+    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
+    args = ap.parse_args(argv)
+    chosen = [t for t in TARGETS if not args.target or any(s in f"{t[0]}:{t[1]}" for s in args.target)]
+    if args.list:
+        for module, qualname, _ in chosen:
+            for name, _ in mutants(module, qualname):
+                print(name + (" (equivalent)" if name in EQUIVALENT else ""))
+        return 0
+
+    work = Path(tempfile.mkdtemp(prefix="sp4cert-mutants-"))
+    try:
+        for item in COPIED:
+            src = ROOT / item
+            if src.is_dir():
+                shutil.copytree(src, work / item, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, work / item)
+        survivors, killed, equivalent, total = [], 0, 0, 0
+        for module, qualname, tests in chosen:
+            path = work / "src" / "sp4cert" / f"{module}.py"
+            original = path.read_text()
+            for name, text in mutants(module, qualname):
+                t0 = time.perf_counter()
+                path.write_text(text)
+                try:
+                    verdict = _run(work, tests, args.timeout)
+                finally:
+                    path.write_text(original)
+                total += 1
+                if verdict in ("killed", "timeout"):
+                    killed += 1
+                elif verdict == "survived" and name in EQUIVALENT:
+                    equivalent += 1
+                    verdict = "equivalent"
+                else:
+                    survivors.append(name)
+                print(f"{verdict:10} {time.perf_counter() - t0:6.1f}s  {name}", flush=True)
+        counted = total - equivalent
+        print(f"mutants {total}, killed {killed}, equivalent {equivalent}, "
+              f"score {killed}/{counted}" + (f" = {killed / counted:.1%}" if counted else ""))
+        for name in survivors:
+            print("SURVIVOR", name)
+        return 1 if survivors else 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,11 +33,13 @@ from sp4cert.certificates import (
     parse,
     serialize,
 )
+import sp4cert.matrices as matrices
 from sp4cert.cli import main
+from sp4cert.decompose import J1, GeneratorWord, Named
 from sp4cert.errors import ParseError
 from sp4cert.generators import generator
 from sp4cert.groups import GroupLabel, j1_embed
-from sp4cert.matrices import Mat2, Mat4
+from sp4cert.matrices import Mat2, Mat4, mat4_from_lists, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -119,3 +122,62 @@ def test_certify_generators_writes_the_reference_payload(tmp_path, capsys):
     certs = build_generator_certs(3)
     payload = {name: certificate_to_json_obj(cert) for name, cert in certs.items()}
     assert out.read_text() == json.dumps(payload, indent=1) + "\n"
+
+
+# --- the entry writer: str at C speed, _int_to_str only past the limit ------
+
+
+@pytest.fixture
+def no_pieces(monkeypatch):
+    """``matrices._int_to_str`` raising: an entry below the int/str
+    limit must never reach it."""
+    def refuse(n):
+        raise AssertionError(f"_int_to_str called on a {len(str(n))}-digit entry")
+
+    monkeypatch.setattr(matrices, "_int_to_str", refuse)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("witness_*.json")), ids=lambda p: p.name)
+def test_golden_witnesses_write_with_no_call_per_entry(no_pieces, path):
+    text = path.read_text()
+    assert serialize(parse(text)) == text.rstrip("\n")
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_golden_generator_certificates_write_with_no_call_per_entry(no_pieces, tmp_path, capsys, p):
+    out = tmp_path / "generators.json"
+    assert main(["certify-generators", "--p", str(p), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == (GOLDEN / f"generators_p{p}.json").read_text()
+
+
+def test_a_matrix_over_two_writes_each_entry_in_lowest_terms():
+    # a common denominator of 2 must not take the integer path
+    m = Mat4.diagonal(Fraction(1, 2), Fraction(-3, 2), 1, 2)
+    lists = [["1/2", "0", "0", "0"], ["0", "-3/2", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "2"]]
+    assert m.scaled()[0] == 2
+    assert mat4_to_lists(m) == lists and mat4_from_lists(lists) == m
+
+
+def _long_entry_texts() -> tuple[str, str]:
+    """A certificate with 641- and 1,300-digit entries, one of them over
+    3, and a word whose j1 payload has a 700-digit entry, as text."""
+    n641, n1300 = 10 ** 640 + 3, -(10 ** 1299 + 10)
+    big = Mat4([[1, n641, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -n641, 1]])
+    frac = Mat4.diagonal(Fraction(n1300, 3), 1, 1, 1)
+    cert = Certificate(3, (CertNode(SEED_P2, value=big), CertNode(CONJ, (0,), frac)), 1, frac)
+    payload = Mat2.of(1, 10 ** 699 + 7, 0, 1)
+    word = GeneratorWord(5, False, (Named("M1", 2), J1(payload), Named("M3", -1)))
+    return serialize(cert), json.dumps(word.to_json_obj(), indent=1)
+
+
+def test_entries_past_a_lowered_digit_limit_write_as_at_the_default():
+    # 640 is the smallest limit the interpreter accepts; _DIGITS stays below it
+    expected = _long_entry_texts()
+    assert {641, 700, 1300} <= set(map(len, re.findall("[0-9]+", "".join(expected))))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _long_entry_texts() == expected
+    finally:
+        sys.set_int_max_str_digits(old)
