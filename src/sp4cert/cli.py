@@ -189,10 +189,10 @@ def _fuzz_trial(suite: str, p: int, spec: SampleSpec) -> bool:
         tilde = r_conjugate(m, p)
         if not member(tilde, GroupLabel.GAMMA_TILDE_1P, p):
             return False
-        rows = tilde.scaled()[1]  # d = 1: members are integral
+        e = tilde.scaled()[1]  # d = 1: members are integral
         return (
-            vector_class(rows[0], p) is VectorClass.SHORT
-            and vector_class(rows[1], p) is VectorClass.LONG
+            vector_class(e[:4], p) is VectorClass.SHORT
+            and vector_class(e[4:8], p) is VectorClass.LONG
         )
     # identities: same exact replay for every trial; sampling is moot
     return certs.verify_identities(p).passed

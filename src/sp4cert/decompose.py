@@ -233,9 +233,9 @@ class _Reducer:
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
-        v = self.cur.scaled()[1][0]
+        v = self.cur.scaled()[1][:4]
         self.apply(J1(_gcd_step_matrix(v[0], v[2])))
-        v = self.cur.scaled()[1][0]
+        v = self.cur.scaled()[1][:4]
         if v[2] != 0 or v[0] <= 0:
             raise ShapeAssertionFailed("j1 gcd step did not clear v3 to a positive v1")
         return v[0]
@@ -247,18 +247,18 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
     Returns the multipliers, in application order, as a tilde word using
     only Mt1..Mt4 and j1 letters, together with the reduced matrix:
     ``k * word.replay() == reduced``.  Members are integral, so every
-    working matrix has d = 1 and its first row is ``cur.scaled()[1][0]``.
+    working matrix has d = 1 and its first row is ``cur.scaled()[1][:4]``.
     """
     if not member(k, GroupLabel.GAMMA_TILDE_1P, p):
         raise NotInGroup(f"not in gamma_tilde_1p at p={p}")
-    v = k.scaled()[1][0]
+    v = k.scaled()[1][:4]
     if math.gcd(v[0], p * v[1], v[2], p * v[3]) != 1:
         # impossible for genuine members; loud signal of a predicate bug
         raise LongFirstRow(f"first row {v} is long at p={p}")
 
     red = _Reducer(k, p)
     g = red.gcd_clear_v3()  # (a)
-    v = red.cur.scaled()[1][0]
+    v = red.cur.scaled()[1][:4]
     if (v[1], v[3]) != (0, 0):
         if g > 1 and v[1] != 0:  # (b)
             red.apply(Named("Mt2", 1))
@@ -268,12 +268,12 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
             g = red.gcd_clear_v3()
         if g != 1:
             raise LongFirstRow(f"gcd stalled at {g}; first row was not short")
-        v = red.cur.scaled()[1][0]
+        v = red.cur.scaled()[1][:4]
         red.apply(Named("Mt2", -v[3]))  # (d)
-        v = red.cur.scaled()[1][0]
+        v = red.cur.scaled()[1][:4]
         red.apply(Named("Mt3", -v[1]))
         red.gcd_clear_v3()
-    if red.cur.scaled()[1][0] != (1, 0, 0, 0):
+    if red.cur.scaled()[1][:4] != (1, 0, 0, 0):
         raise ShapeAssertionFailed("first row did not reduce to (1,0,0,0)")
     return GeneratorWord(p=p, tilde=True, letters=tuple(red.letters)), red.cur
 
@@ -281,10 +281,10 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
 def _cleared_shape(cur: Mat4, p: int) -> tuple[int, int] | None:
     """If cur is ((1,0,0,0),(-n p,1,0,0),(*,m,1,n),(m p,0,0,1)), return
     (m, n); otherwise None."""
-    rows = cur.scaled()[1]
-    m, n = rows[2][1], rows[2][3]
-    expect = ((1, 0, 0, 0), (-n * p, 1, 0, 0), (rows[2][0], m, 1, n), (m * p, 0, 0, 1))
-    return (m, n) if rows == expect else None
+    e = cur.scaled()[1]
+    m, n = e[9], e[11]
+    expect = (1, 0, 0, 0, -n * p, 1, 0, 0, e[8], m, 1, n, m * p, 0, 0, 1)
+    return (m, n) if e == expect else None
 
 
 def decompose(k: Mat4, p: int, tilde: bool = True) -> GeneratorWord:
@@ -317,23 +317,23 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
     :func:`reduce_first_row`, then the j2 clear and the residue."""
     reduction, red = reduce_first_row(k, p)
     work = _Reducer(red, p, reduction.letters)
-    rows = red.scaled()[1]
-    block = Mat2.of(rows[1][1], rows[1][3], rows[3][1], rows[3][3])
+    e = red.scaled()[1]
+    block = Mat2.of(e[5], e[7], e[13], e[15])
     shape = None
     if member(block, GroupLabel.GAMMA1_OF_P, p):
         work.apply(J2(block.inv()))
         shape = _cleared_shape(work.cur, p)
     if shape is None:
-        raise ShapeAssertionFailed(f"the j2 block does not clear rows 2 and 4 of {rows}")
+        raise ShapeAssertionFailed(f"the j2 block does not clear rows 2 and 4 of {red!r}")
 
     m, n = shape
     work.apply(Named("Mt4", -n))
     work.apply(Named("Mt1", -m))
 
     residue = work.cur
-    shear = J1(Mat2.of(1, 0, residue.scaled()[1][2][0], 1))
+    shear = J1(Mat2.of(1, 0, residue.scaled()[1][8], 1))
     if residue != _times_letter(Mat4.identity(), shear, p, True):
-        raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue.scaled()[1]}")
+        raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue!r}")
 
     # the log holds no identity letter and no two adjacent letters of one
     # kind (module docstring): the one merge is the shear with a leading j1

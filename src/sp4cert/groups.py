@@ -23,16 +23,17 @@ congruence conditions relative to those forms.  Conventions:
   pairing of rows i and j, ``f1 (u0 v2 - u2 v0) + f2 (u1 v3 - u3 v1)``
   for a form ``((0, F), (-F, 0))`` with ``F = diag(f1, f2)``, the only
   shape :class:`SymplecticForm` admits.  The pairings run on the
-  integer rows e of ``g.scaled() = (d, e)``, ``e = d * g``, against
-  ``d^2 * form``.
+  rows of ``g.scaled() = (d, e)``, e the 16 integer entries of
+  ``d * g`` in one flat row-major tuple, against ``d^2 * form``.
 
 * Every group is written down once, as data: :func:`_pattern` lays the
   table below out flat for each denominator d in {1, p}, and
-  :func:`member` reads it in one pass on the same rows e.  It refuses
-  any other d, compares the remainders of e modulo ``d n_ij`` with
-  ``d delta_ij mod d n_ij`` (which also demands an integral entry; the
-  (1/p)Z slot has modulus 1), and runs det 1 or the pairings only on
-  matrices that pass; a non-member usually fails on a remainder.
+  :func:`member` maps ``mod`` over the same flat e against it in one
+  pass.  It refuses any other d, compares the remainders of e modulo
+  ``d n_ij`` with ``d delta_ij mod d n_ij`` (which also demands an
+  integral entry; the (1/p)Z slot has modulus 1), and runs det 1 or the
+  pairings only on matrices that pass; a non-member usually fails on a
+  remainder.
 
 * ``p`` must be an odd prime below 3317044064679887385961981, the
   smallest strong pseudoprime to the bases 2..41 of :func:`is_prime`.
@@ -67,7 +68,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import mod
+from operator import mod, mul
 
 from .errors import BadPrime, DomainError, NotUnimodular, ShapeAssertionFailed, ZeroVector
 from .matrices import Mat2, Mat4, ext_gcd
@@ -146,8 +147,8 @@ class SymplecticForm:
 
     def __post_init__(self) -> None:
         _, s = self.matrix.scaled()
-        f1, f2 = s[0][2], s[1][3]
-        if s != ((0, 0, f1, 0), (0, 0, 0, f2), (-f1, 0, 0, 0), (0, -f2, 0, 0)):
+        f1, f2 = s[2], s[7]
+        if s != (0, 0, f1, 0, 0, 0, 0, f2, -f1, 0, 0, 0, 0, -f2, 0, 0):
             raise ValueError("a symplectic form must be ((0, F), (-F, 0)) with F diagonal")
         object.__setattr__(self, "_f", (f1, f2))
 
@@ -168,7 +169,7 @@ class SymplecticForm:
 def symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
     """True iff ``m`` preserves the form under the row convention: the six
     row pairings of ``m.scaled()`` against ``d^2`` times the form's entries."""
-    d, ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3)) = m.scaled()
+    d, (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, e0, e1, e2, e3) = m.scaled()
     f1, f2 = form._f
     d2 = d * d
     return (
@@ -218,20 +219,20 @@ def _pattern(label: GroupLabel, p: int):
 def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
     """Exact membership test for the labelled group at the odd prime p.
 
-    Reads :func:`_pattern` against ``(d, rows) = m.scaled()`` in one
-    pass: d in {1, p}, the remainders of the flat rows, then det 1 or
+    Reads :func:`_pattern` against ``(d, e) = m.scaled()`` in one
+    pass: d in {1, p}, the remainders of the flat entries e, then det 1 or
     the symplectic condition; malformed input fails the predicate.
     """
     require_odd_prime(p)
     tables, form = _pattern(label, p)
     if not isinstance(m, Mat2 if form is None else Mat4):
         raise TypeError(f"{GroupLabel(label).value} is a {'2x2' if form is None else '4x4'} predicate")
-    d, rows = m.scaled()
+    d, e = m.scaled()
     table = tables.get(d)
     if table is None:
         return False
     moduli, residues = table
-    if tuple(map(mod, sum(rows, ()), moduli)) != residues:
+    if tuple(map(mod, e, moduli)) != residues:
         return False
     return m.det() == 1 if form is None else symplectic_check(m, form)
 
@@ -273,12 +274,8 @@ def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:
     require_odd_prime(p)
     d, e = m.scaled()
     q = p * p
-    *top, (a, b, c, w) = e
-    if inverse:
-        rows = (*[(p * x, p * y, p * z, q * t) for x, y, z, t in top], (a, b, c, p * w))
-    else:
-        rows = (*[(p * x, p * y, p * z, t) for x, y, z, t in top], (q * a, q * b, q * c, p * w))
-    return Mat4.from_pair(p * d, rows)
+    factors = (p, p, p, q) * 3 + (1, 1, 1, p) if inverse else (p, p, p, 1) * 3 + (q, q, q, p)
+    return Mat4.from_pair(p * d, tuple(map(mul, factors, e)))
 
 
 def _integer_row(v) -> tuple[int, ...]:

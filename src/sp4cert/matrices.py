@@ -5,9 +5,11 @@ Every group element in this package lives in one of two carriers:
 * ``Mat2`` -- 2x2 matrices over arbitrary-precision integers (all the
   SL(2) work is integer-only);
 * ``Mat4`` -- 4x4 matrices over exact rationals, stored as one pair
-  ``(d, e)``: d > 0 a common denominator and e the integer rows of
-  ``d * m``, reduced so that ``gcd(d, *e) = 1``.  Equal matrices have
-  equal pairs, so ``==`` and ``hash`` read the pair.
+  ``(d, e)``: d > 0 a common denominator and e the 16 integer entries
+  of ``d * m``, one flat row-major tuple, reduced so that
+  ``gcd(d, *e) = 1``.  Equal matrices have equal pairs, so ``==`` and
+  ``hash`` read the pair.  ``Mat2.scaled()`` is ``(1, (a, b, c, d))``
+  in the same layout.
 
 Only this module knows how the entries are stored; others read a
 matrix through ``scaled()``, which returns the stored pair, and
@@ -18,10 +20,13 @@ takes rows of exact rationals (a ``str`` or ``float`` is a
 ``fractions.Fraction`` per entry, the only ``Fraction`` in the package;
 both are for callers off the hot paths.
 
-Every general 4x4 product is :func:`mul_rows` on the integer rows, and
-one gcd when d > 1; a unimodular 2x2 block on two coordinates, such as
-a shear ``1 + x E(i,j)``, acts by column operations with no gcd
-(:meth:`Mat4.times_block`).  :meth:`Mat4.inv` is one integer formula
+Every general 4x4 product is ``Mat4.__mul__``: both flat tuples
+unpacked into locals and the 16 sums written out, then one gcd when
+d > 1.  Do not fold it back into a comprehension: before Python 3.12 a
+comprehension runs as a nested function with a frame of its own, and
+certificate replay is mostly these products.  A unimodular 2x2 block
+on two coordinates, such as a shear ``1 + x E(i,j)``, acts by column
+operations with no gcd (:meth:`Mat4.times_block`).  :meth:`Mat4.inv` is one integer formula
 on the pair for every invertible matrix, ``(e / d)^-1 = d adj(e) /
 det(e)``, with no division.  :meth:`Mat4.symplectic_inv`, the signed
 block transpose ``-J m^T J``, costs no arithmetic and is the inverse
@@ -160,24 +165,9 @@ class Mat2:
     def is_identity(self) -> bool:
         return self.rows == ((1, 0), (0, 1))
 
-    def scaled(self) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
-        """``(1, rows)``: the entries are integers already."""
-        return 1, self.rows
-
-
-def mul_rows(a, b) -> tuple[tuple, ...]:
-    """The rows of the 4x4 product ``a b``, for rows of any exact
-    numbers; ``int`` rows give ``int`` entries."""
-    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
-    return tuple([
-        (
-            x0 * b00 + x1 * b10 + x2 * b20 + x3 * b30,
-            x0 * b01 + x1 * b11 + x2 * b21 + x3 * b31,
-            x0 * b02 + x1 * b12 + x2 * b22 + x3 * b32,
-            x0 * b03 + x1 * b13 + x2 * b23 + x3 * b33,
-        )
-        for x0, x1, x2, x3 in a
-    ])
+    def scaled(self) -> tuple[int, tuple[int, int, int, int]]:
+        """``(1, (a, b, c, d))``: the entries are integers already."""
+        return 1, self.rows[0] + self.rows[1]
 
 
 class Mat4:
@@ -194,7 +184,7 @@ class Mat4:
             raise ValueError("Mat4 needs 4 rows of 4 entries")
         flat = e[0] + e[1] + e[2] + e[3]
         if set(map(type, flat)) == {int}:
-            self._d, self._e = 1, e
+            self._d, self._e = 1, flat
         else:
             for x in flat:
                 if not isinstance(x, numbers.Rational):
@@ -202,14 +192,16 @@ class Mat4:
             self._d, self._e = _scale([(x.numerator, x.denominator) for x in flat])
 
     @staticmethod
-    def from_pair(d: int, e: tuple[tuple[int, ...], ...]) -> "Mat4":
+    def from_pair(d: int, e: tuple[int, ...]) -> "Mat4":
         """The ``Mat4`` of ``e / d``, the inverse of :meth:`scaled`: d > 0
-        and e a tuple of 4 tuples of 4 ints, divided by ``gcd(d, *e)``."""
+        and e a flat row-major tuple of 16 ints, divided by ``gcd(d, *e)``."""
+        if len(e) != 16:
+            raise ValueError(f"Mat4.from_pair needs 16 flat entries, not {len(e)}")
         if d != 1:
-            g = math.gcd(d, *e[0], *e[1], *e[2], *e[3])
+            g = math.gcd(d, *e)
             if g != 1:
                 d //= g
-                e = tuple([tuple([x // g for x in row]) for row in e])
+                e = tuple([x // g for x in e])
         return _pair(d, e)
 
     @staticmethod
@@ -222,9 +214,9 @@ class Mat4:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as ``Fraction`` objects, built on each read."""
-        d = self._d
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self._e)
+        """The entries as 4 rows of ``Fraction`` objects, built on each read."""
+        d, e = self._d, self._e
+        return tuple(tuple(Fraction(x, d) for x in e[k:k + 4]) for k in (0, 4, 8, 12))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat4):
@@ -238,7 +230,20 @@ class Mat4:
         return f"Mat4.from_pair({self._d!r}, {self._e!r})"
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        d, e = self._d * other._d, mul_rows(self._e, other._e)
+        """The product, written out (module docstring)."""
+        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = self._e
+        b00, b01, b02, b03, b10, b11, b12, b13, b20, b21, b22, b23, b30, b31, b32, b33 = other._e
+        e = (
+            a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30, a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
+            a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32, a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33,
+            a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30, a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
+            a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32, a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33,
+            a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30, a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
+            a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32, a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33,
+            a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30, a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
+            a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32, a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33,
+        )
+        d = self._d * other._d
         return _pair(1, e) if d == 1 else Mat4.from_pair(d, e)
 
     def times_block(self, i: int, j: int, a: int, b: int, c: int, d: int) -> "Mat4":
@@ -246,19 +251,17 @@ class Mat4:
         ``a d - b c = 1``, at rows and columns i != j: columns i and j turn
         into ``a col_i + c col_j`` and ``b col_i + d col_j``.  The block is
         invertible over Z, so the pair stays reduced with no gcd."""
-        rows = []
-        for r in map(list, self._e):
-            x, y = r[i], r[j]
-            r[i], r[j] = a * x + c * y, b * x + d * y
-            rows.append(tuple(r))
-        return _pair(self._d, tuple(rows))
+        e = list(self._e)
+        for k in (0, 4, 8, 12):
+            x, y = e[k + i], e[k + j]
+            e[k + i], e[k + j] = a * x + c * y, b * x + d * y
+        return _pair(self._d, tuple(e))
 
     def inv(self) -> "Mat4":
         """``(e / d)^-1 = d adj(e) / det(e)``, both expanded by Laplace on
         the 2x2 minors of rows 1-2 and of rows 3-4; det 0 raises
         :class:`SingularMatrix`."""
-        d, e = self._d, self._e
-        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = e
+        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = self._e
         # s: minors of rows 1-2, c: of rows 3-4, on the column pairs
         # 01, 02, 03, 12, 13, 23 and 23, 13, 12, 03, 02, 01
         s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
@@ -269,63 +272,62 @@ class Mat4:
         if det == 0:
             raise SingularMatrix("4x4 determinant is zero")
         adj = (
-            (a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3,
-             a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3),
-            (a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
-             a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1),
-            (a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0,
-             a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0),
-            (a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
-             a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0),
+            a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3,
+            a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3,
+            a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+            a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1,
+            a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0,
+            a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0,
+            a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+            a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0,
         )
-        scale = d if det > 0 else -d
+        scale = self._d if det > 0 else -self._d
         if scale != 1:
-            adj = tuple([tuple([scale * x for x in row]) for row in adj])
+            adj = tuple([scale * x for x in adj])
         return Mat4.from_pair(abs(det), adj)
 
     def symplectic_inv(self) -> "Mat4":
         """``-J m^T J = ((D^T, -B^T), (-C^T, A^T))`` for ``m = ((A, B), (C, D))``,
         d unchanged: the inverse iff ``m J m^T = J``, which is not checked."""
-        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = self._e
-        return _pair(self._d, ((a22, a32, -a02, -a12), (a23, a33, -a03, -a13),
-                               (-a20, -a30, a00, a10), (-a21, -a31, a01, a11)))
+        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = self._e
+        return _pair(self._d, (a22, a32, -a02, -a12, a23, a33, -a03, -a13,
+                               -a20, -a30, a00, a10, -a21, -a31, a01, a11))
 
     def __pow__(self, n: int) -> "Mat4":
         return _power(self, n)
 
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(d, e)``: d > 0, e the integer rows of ``d * self``, and
-        ``gcd(d, *e) = 1``."""
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, e)``: d > 0, e the 16 integer entries of ``d * self``,
+        row-major, and ``gcd(d, *e) = 1``."""
         return self._d, self._e
 
     def entry_bits(self) -> int:
         """Bits of the widest reduced numerator or denominator."""
         d = self._d
-        if d == 1:
+        if d == 1:  # a loop: faster than max over map(int.bit_length, ...)
             acc = 1
-            for x in chain(*self._e):
+            for x in self._e:
                 acc |= -x if x < 0 else x
             return acc.bit_length()
         acc = 0
-        for x in chain(*self._e):
+        for x in self._e:
             g = math.gcd(x, d)
             acc |= abs(x // g) | (d // g)
         return acc.bit_length()
 
 
-def _pair(d: int, e: tuple[tuple[int, ...], ...]) -> Mat4:
+def _pair(d: int, e: tuple[int, ...]) -> Mat4:
     """The ``Mat4`` of a pair that is already reduced."""
     m = object.__new__(Mat4)
     m._d, m._e = d, e
     return m
 
 
-def _scale(ratios: list[tuple[int, int]], n: int = 4) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The pair of n x n row-major reduced ``(num, den)`` entries: d is
-    the lcm of the denominators, which leaves ``gcd(d, *e) = 1``."""
+def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """The pair of row-major reduced ``(num, den)`` entries: d is the
+    lcm of the denominators, which leaves ``gcd(d, *e) = 1``."""
     d = math.lcm(*[q for _, q in ratios])
-    e = [num * (d // q) for num, q in ratios]
-    return d, tuple([tuple(e[i:i + n]) for i in range(0, n * n, n)])
+    return d, tuple([num * (d // q) for num, q in ratios])
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
@@ -337,13 +339,14 @@ def unipotent_power(m, n: int):
     read the pair ``(d, e)`` of ``m.scaled()``, ``d N = e - d``, and
     visit only the nonzero entries of ``d N``."""
     d, e = m.scaled()
+    size = 4 if isinstance(m, Mat4) else 2
     nil = []  # (i, j, x) for the nonzero x = d N_ij
-    for i, row in enumerate(e):
-        for j, x in enumerate(row):
-            if i == j:
-                x -= d
-            if x:
-                nil.append((i, j, x))
+    for k, x in enumerate(e):
+        i, j = divmod(k, size)
+        if i == j:
+            x -= d
+        if x:
+            nil.append((i, j, x))
     # (N N)_ij accumulates N_ik N_kj; its terms may cancel
     square: dict[tuple[int, int], int] = {}
     for i, k, x in nil:
@@ -352,12 +355,10 @@ def unipotent_power(m, n: int):
                 square[i, j] = square.get((i, j), 0) + x * y
     if any(square.values()):
         return None
-    size = len(e)
-    rows = [[d if i == j else 0 for j in range(size)] for i in range(size)]
+    out = [d if i == j else 0 for i in range(size) for j in range(size)]
     for i, j, x in nil:
-        rows[i][j] += n * x
-    rows = tuple(map(tuple, rows))
-    return Mat4.from_pair(d, rows) if isinstance(m, Mat4) else Mat2(rows)
+        out[i * size + j] += n * x
+    return Mat4.from_pair(d, tuple(out)) if isinstance(m, Mat4) else Mat2.of(*out)
 
 
 def _power(m, n: int):
@@ -455,11 +456,10 @@ def json_int(x, what: str) -> int:
 def entry_strings(m) -> tuple[str, ...]:
     """The row-major entry strings of a ``Mat4`` or ``Mat2`` (module docstring)."""
     d, e = m.scaled()
-    flat = sum(e, ())
     try:
-        return tuple(map(str, flat)) if d == 1 else tuple([_ratio_to_str(x, d, str) for x in flat])
+        return tuple(map(str, e)) if d == 1 else tuple([_ratio_to_str(x, d, str) for x in e])
     except ValueError:  # past the int/str conversion limit
-        return tuple([_ratio_to_str(x, d, _int_to_str) for x in flat])
+        return tuple([_ratio_to_str(x, d, _int_to_str) for x in e])
 
 
 def mat4_to_lists(m: Mat4) -> list[list[str]]:
@@ -467,17 +467,18 @@ def mat4_to_lists(m: Mat4) -> list[list[str]]:
     return [list(s[0:4]), list(s[4:8]), list(s[8:12]), list(s[12:16])]
 
 
-def _read_rows(obj, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The pair ``(d, e)`` of an n x n list of entry strings, read as
-    the module docstring says; n = 2 reads integers only.  Entry by
-    entry, the location ``at (i,j)`` is formatted only for a row that
-    fails: the row is read again with it, to raise the located error."""
+def _read_rows(obj, n: int) -> tuple[int, tuple[int, ...]]:
+    """The pair ``(d, e)``, e the n * n entries flat and row-major, of an
+    n x n list of entry strings, read as the module docstring says; n = 2
+    reads integers only.  Entry by entry, the location ``at (i,j)`` is
+    formatted only for a row that fails: the row is read again with it,
+    to raise the located error."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"matrix must be a list of {n} rows")
     if all(isinstance(row, list) and len(row) == n for row in obj):
         try:
             if _INT_ROWS_RE[n].fullmatch(";".join([",".join(row) for row in obj])):
-                return 1, tuple([tuple(map(int, row)) for row in obj])
+                return 1, tuple(map(int, chain.from_iterable(obj)))
         except (TypeError, ValueError):  # a non-str entry; past the digit limit
             pass
     integral = n == 2
@@ -491,7 +492,7 @@ def _read_rows(obj, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
             for j, x in enumerate(row):
                 _ratio_from_str(x, f"at ({i},{j})", integral)
             raise
-    return _scale(ratios, n)
+    return _scale(ratios)
 
 
 def mat4_from_lists(obj) -> Mat4:
@@ -504,4 +505,4 @@ def mat2_to_lists(m: Mat2) -> list[list[str]]:
 
 
 def mat2_from_lists(obj) -> Mat2:
-    return Mat2(_read_rows(obj, 2)[1])
+    return Mat2.of(*_read_rows(obj, 2)[1])

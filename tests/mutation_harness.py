@@ -71,20 +71,26 @@ TARGETS = (
     ("certificates", "CertBuilder.product", VERIFIER),
     ("groups", "member", PREDICATES),
     ("groups", "symplectic_check", PREDICATES),
+    ("groups", "SymplecticForm.__post_init__", PREDICATES),
+    ("groups", "r_conjugate", PREDICATES),
+    ("matrices", "Mat2.scaled", KERNEL),
+    ("matrices", "Mat4.__init__", KERNEL),
     ("matrices", "Mat4.from_pair", KERNEL),
+    ("matrices", "Mat4.rows", KERNEL),
     ("matrices", "Mat2.inv", KERNEL),
     ("matrices", "Mat4.inv", KERNEL),
     ("matrices", "Mat4.symplectic_inv", KERNEL),
     ("matrices", "Mat4.__mul__", KERNEL + ("tests/test_certificates.py",)),
+    ("matrices", "Mat4.times_block", KERNEL + ("tests/test_decompose.py",)),
     ("matrices", "Mat4.__eq__", KERNEL),
     ("matrices", "Mat4.entry_bits", KERNEL),
-    ("matrices", "mul_rows", KERNEL),
     ("matrices", "_scale", KERNEL),
     ("matrices", "unipotent_power", KERNEL),
     ("matrices", "_ratio_from_str", READER),
     ("matrices", "load_json", READER),
     ("matrices", "json_int", READER),
     ("matrices", "_read_rows", READER),
+    ("matrices", "mat2_from_lists", READER),
     ("matrices", "_int_to_str", WRITER),
     ("matrices", "_ratio_to_str", WRITER),
     ("matrices", "entry_strings", WRITER),
@@ -96,9 +102,11 @@ TARGETS = (
     ("decompose", "_Reducer.apply", REDUCER),
     ("decompose", "_Reducer.gcd_clear_v3", REDUCER),
     ("decompose", "reduce_first_row", REDUCER),
+    ("decompose", "_cleared_shape", REDUCER),
     ("decompose", "_decompose_tilde", REDUCER),
     ("sl2", "sl2_decompose", SL2),
     ("sl2", "gamma1p_generate", SL2),
+    ("cli", "_fuzz_trial", ("tests/test_cli.py",)),
 )
 
 # mutant name -> why no input can tell it from the original
@@ -110,6 +118,22 @@ EQUIVALENT = {
     "matrices:_int_to_str:7:25:26:const": "k = bits * 4 // 20 is still in 1..digits-1: another split, same digits",
     "matrices:_int_to_str:7:30:32:const": "k = bits * 3 // 21 is still in 1..digits-1: another split, same digits",
     "matrices:mat4_to_lists:2:65:67:const": "s[12:17] of a 16-tuple is s[12:16]",
+    "matrices:Mat4.inv:24:27:34:cmp": "det == 0 has raised two lines above, so det >= 0 iff det > 0",
+    "matrices:Mat4.entry_bits:6:29:34:cmp": "x <= 0 differs from x < 0 only at x = 0, and -0 == 0",
+    "matrices:Mat4.entry_bits:6:33:34:const": "x < 1 differs from x < 0 only at x = 0, and -0 == 0",
+    "matrices:Mat4.entry_bits:8:14:15:const": "each entry ORs in d // g >= 1, so a starting 1 sets no new bit",
+    "matrices:unipotent_power:19:31:60:arith": "subtracting accumulates -(N N)_ij, which is zero iff (N N)_ij is",
+    "matrices:_read_rows:24:12:17:stmt": "the loop above reads the failed row again and raises first",
+    "decompose:_Reducer.gcd_clear_v3:1:34:35:const": "[:5] adds an entry; only v[0] and v[2] are read",
+    "decompose:_Reducer.gcd_clear_v3:3:34:35:const": "[:5] adds an entry; only v[0] and v[2] are read",
+    "decompose:reduce_first_row:10:23:24:const": "[:5] adds an entry that only the unreachable LongFirstRow text shows",
+    "decompose:reduce_first_row:13:8:61:stmt": "unreachable: rows 1 and 3 of a member pair to 1 under Lambda",
+    "decompose:reduce_first_row:17:29:30:const": "[:5] adds an entry; only v[1] and v[3] are read",
+    "decompose:reduce_first_row:26:12:78:stmt": "unreachable: steps (a)-(c) end at gcd 1 on a short row",
+    "decompose:reduce_first_row:27:33:34:const": "[:5] adds an entry; only v[3] is read",
+    "decompose:reduce_first_row:29:33:34:const": "[:5] adds an entry; only v[1] is read",
+    "decompose:reduce_first_row:33:8:75:stmt": "unreachable: step (d) and a gcd step leave row 1 = (1,0,0,0)",
+    "decompose:_decompose_tilde:20:59:63:const": "a j1 letter acts the same in tilde and plain coordinates",
 }
 
 _CMP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,

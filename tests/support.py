@@ -88,11 +88,11 @@ class ReferenceMat4:
     def __pow__(self, n: int) -> "ReferenceMat4":
         return reference_power(self, n)
 
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(d, rows)``: d the lcm of the denominators, ``rows`` the
-        integer entries of ``d * self``."""
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, e)``: d the lcm of the denominators, e the 16 integer
+        entries of ``d * self``, row-major."""
         d = math.lcm(*(x.denominator for row in self.rows for x in row))
-        return d, tuple(tuple(int(x * d) for x in row) for row in self.rows)
+        return d, tuple(int(x * d) for row in self.rows for x in row)
 
     def entry_bits(self) -> int:
         """Bits of the widest reduced numerator or denominator."""

@@ -164,10 +164,10 @@ def test_verify_with_target_keeps_the_failure_locus(tmp_path, capsys, target):
     cert = normal_closure_witness(generator("M2", 3), 3)
     i = next(i for i, node in enumerate(cert.nodes) if node.op == SEED_P2)
     d, e = cert.nodes[i].value.scaled()
-    rows = [list(row) for row in e]
-    rows[1][3] += 1
+    e = list(e)
+    e[7] += 1  # entry (1, 3)
     nodes = list(cert.nodes)
-    nodes[i] = nodes[i]._replace(value=Mat4.from_pair(d, tuple(map(tuple, rows))))
+    nodes[i] = nodes[i]._replace(value=Mat4.from_pair(d, tuple(e)))
     cert_path, target_path = tmp_path / "bad.json", tmp_path / "target.json"
     cert_path.write_text(serialize(Certificate(cert.p, tuple(nodes), cert.root, cert.target)))
     target_path.write_text(json.dumps(mat4_to_lists(generator(target, 3))))
@@ -394,6 +394,16 @@ def test_fuzz_crash_prints_its_spec(monkeypatch, capsys, crash):
 def test_fuzz_predicates_reports_a_failed_trial(monkeypatch, capsys):
     # every tilde row classed long: trial 0's short first row fails
     monkeypatch.setattr(cli, "vector_class", lambda v, p: VectorClass.LONG)
+    assert main(["fuzz", "--p", "3", "--n", "3", "--seed", "11", "--suite", "predicates"]) == 1
+    spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 11, 5)
+    assert capsys.readouterr().out == f"FAIL at trial 0: {spec.describe()}\n"
+
+
+@pytest.mark.parametrize("refused", [GroupLabel.GAMMA_1P, GroupLabel.GAMMA_TILDE_1P])
+def test_fuzz_predicates_fails_a_trial_outside_either_group(monkeypatch, capsys, refused):
+    # the sample, or its R-conjugate, refused by member: trial 0 fails
+    real = cli.member
+    monkeypatch.setattr(cli, "member", lambda m, label, p: label != refused and real(m, label, p))
     assert main(["fuzz", "--p", "3", "--n", "3", "--seed", "11", "--suite", "predicates"]) == 1
     spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 11, 5)
     assert capsys.readouterr().out == f"FAIL at trial 0: {spec.describe()}\n"

@@ -23,7 +23,14 @@ from sp4cert.decompose import (
     decompose,
     reduce_first_row,
 )
-from sp4cert.errors import BadPrime, NotInGroup, NotUnimodular, ParseError, UnknownName
+from sp4cert.errors import (
+    BadPrime,
+    NotInGroup,
+    NotUnimodular,
+    ParseError,
+    ShapeAssertionFailed,
+    UnknownName,
+)
 from sp4cert.generators import _ENTRIES, generator
 from sp4cert.groups import (
     GroupLabel,
@@ -135,7 +142,7 @@ def test_decompose_rejects_non_members():
 def test_plain_decompose_rejects_each_kind_of_non_member(p):
     off_form = Mat4([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     moduli, residues = _pattern(GroupLabel.GAMMA_1P, p)[0][1]
-    assert tuple(x % n for x, n in zip(sum(off_form.scaled()[1], ()), moduli)) == residues
+    assert tuple(x % n for x, n in zip(off_form.scaled()[1], moduli)) == residues
     assert not symplectic_check(off_form, SymplecticForm.standard())
     slot = j2_embed(Mat2.of(1, 0, 1, 1), p)
     assert member(slot, GroupLabel.GAMMA0_1P, p) and slot.rows[3][1] == Fraction(1, p)
@@ -151,6 +158,31 @@ def test_plain_decompose_rejects_each_kind_of_non_member(p):
         with pytest.raises(NotInGroup) as exc:
             decompose(k, p, tilde=False)
         assert str(exc.value) == f"not in gamma_1p at p={p}"
+
+
+@pytest.mark.parametrize("first", [(2, 0, 3, 0), (0, 1, 0, 0), (-1, 0, 0, 0)])
+def test_a_gcd_step_that_leaves_v3_or_a_nonpositive_v1_is_caught(monkeypatch, first):
+    # the reducer checks its own j1 gcd step; an identity step clears nothing
+    dec = importlib.import_module("sp4cert.decompose")
+    monkeypatch.setattr(dec, "_gcd_step_matrix", lambda a, c: Mat2.identity())
+    cur = Mat4([list(first), [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ShapeAssertionFailed, match="did not clear v3 to a positive v1"):
+        dec._Reducer(cur, 3).gcd_clear_v3()
+
+
+def test_a_j2_block_or_residue_off_its_shape_is_caught(monkeypatch):
+    # _decompose_tilde checks the j2 clear and the residue itself, before any replay
+    dec = importlib.import_module("sp4cert.decompose")
+    k = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, 5, 7, 6))
+    with monkeypatch.context() as patch:
+        patch.setattr(dec, "member", lambda m, label, p: label != GroupLabel.GAMMA1_OF_P
+                      and member(m, label, p))
+        with pytest.raises(ShapeAssertionFailed, match="does not clear rows 2 and 4"):
+            dec._decompose_tilde(k, 5)
+    cleared = dec._cleared_shape
+    monkeypatch.setattr(dec, "_cleared_shape", lambda cur, p: (cleared(cur, p)[0] + 1, 0))
+    with pytest.raises(ShapeAssertionFailed, match="residue is not a j1 shear"):
+        dec._decompose_tilde(k, 5)
 
 
 def test_plain_decompose_tests_the_input_and_its_conjugate(monkeypatch):

@@ -12,9 +12,10 @@ the ``Mat4.rows`` view, so no ``Fraction`` arithmetic comes back.
 Inside ``Mat4`` only the ``rows`` property itself reads ``.rows``, so
 no method of the class goes through the ``Fraction`` view.
 
-The same walk keeps ``Mat4`` the one 4x4 carrier: outside ``matrices``,
-no module names the integer-row product ``mul_rows`` or a row
-constructor ``from_rows``.
+The same walk keeps ``Mat4`` the one 4x4 carrier.  ``Mat4`` stores one
+flat 16-tuple and its product is ``Mat4.__mul__`` itself, so no module,
+``matrices`` included, names the retired integer-row product
+``mul_rows`` or a row constructor ``from_rows``.
 """
 
 import ast
@@ -184,7 +185,7 @@ def _row_layer_refs(source: str) -> list[tuple[int, str]]:
 def test_only_matrices_names_the_row_layer():
     stray = [
         f"{path.name}:{line}: {what}"
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != OWNER
+        for path in sorted(PACKAGE.glob("*.py"))
         for line, what in _row_layer_refs(path.read_text())
     ]
     assert not stray, "multiply and build Mat4 values:\n" + "\n".join(stray)

@@ -89,11 +89,12 @@ MATRICES = st.one_of(rational(), group_element())
 @st.composite
 def raw_pair(draw):
     """A pair ``(d, e)`` with d = 1, an odd prime p or another
-    denominator, and integer rows e that often share a factor with d."""
+    denominator, and 16 flat integer entries e that often share a
+    factor with d."""
     d = draw(st.one_of(st.just(1), st.sampled_from(PRIMES), st.integers(2, 60)))
     k = draw(st.one_of(st.just(d), st.integers(1, 30)))
     entry = st.one_of(st.integers(-60, 60).map(lambda x: x * k), st.integers(-(10**20), 10**20))
-    return d, tuple(tuple(draw(entry) for _ in range(4)) for _ in range(4))
+    return d, tuple(draw(entry) for _ in range(16))
 
 
 @DIFF
@@ -102,9 +103,10 @@ def test_from_pair_inverts_scaled_and_reduces_like_the_reference(m, pair):
     assert Mat4.from_pair(*m.scaled()) == m
     d, e = pair
     built = Mat4.from_pair(d, e)
-    assert ReferenceMat4.of(built) == ReferenceMat4.of([[Fraction(x, d) for x in row] for row in e])
+    assert ReferenceMat4.of(built) == ReferenceMat4.of([[Fraction(x, d) for x in e[k:k + 4]]
+                                                        for k in (0, 4, 8, 12)])
     d2, e2 = built.scaled()
-    assert d2 > 0 and math.gcd(d2, *(x for row in e2 for x in row)) == 1
+    assert d2 > 0 and math.gcd(d2, *e2) == 1
 
 
 @DIFF
@@ -155,7 +157,7 @@ def test_pair_bits_and_strings_match_the_reference(m):
     ref = ReferenceMat4.of(m)
     assert m.scaled() == ref.scaled()
     d, e = m.scaled()
-    assert d > 0 and math.gcd(d, *(x for row in e for x in row)) == 1
+    assert d > 0 and math.gcd(d, *e) == 1
     assert m.entry_bits() == ref.entry_bits()
     lists = mat4_to_lists(m)
     assert json.dumps(lists) == json.dumps(ref.to_lists())
@@ -170,7 +172,8 @@ def test_one_matrix_one_pair(m, k):
     and its inverse, and the interchange strings all give one pair."""
     scaled = Mat4([[Fraction(x * k, k) for x in row] for row in m.rows])
     through_k = m * Mat4.diagonal(k, k, k, k) * Mat4.diagonal(*[Fraction(1, k)] * 4)
-    from_ints = Mat4(m.scaled()[1]) * Mat4.diagonal(*[Fraction(1, m.scaled()[0])] * 4)
+    d, e = m.scaled()
+    from_ints = Mat4([e[k:k + 4] for k in (0, 4, 8, 12)]) * Mat4.diagonal(*[Fraction(1, d)] * 4)
     for other in (scaled, through_k, from_ints, mat4_from_lists(mat4_to_lists(m))):
         assert other == m and hash(other) == hash(m)
         assert other.scaled() == m.scaled()
@@ -180,10 +183,11 @@ def test_one_matrix_one_pair(m, k):
 def test_equal_matrices_from_int_and_fraction_rows():
     rows = [[2, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [7, 0, 0, 1]]
     as_fractions = [[Fraction(x) for x in row] for row in rows]
-    assert Mat4(rows) == Mat4(as_fractions) == Mat4.from_pair(1, tuple(map(tuple, rows)))
-    assert Mat4(rows).scaled() == (1, tuple(map(tuple, rows)))
-    assert Mat4.diagonal(Fraction(3, 6), 1, 1, 1).scaled() == (2, ((1, 0, 0, 0), (0, 2, 0, 0),
-                                                                 (0, 0, 2, 0), (0, 0, 0, 2)))
+    flat = tuple(sum(rows, []))
+    assert Mat4(rows) == Mat4(as_fractions) == Mat4.from_pair(1, flat)
+    assert Mat4(rows).scaled() == (1, flat)
+    assert Mat4.diagonal(Fraction(3, 6), 1, 1, 1).scaled() == (2, (1, 0, 0, 0, 0, 2, 0, 0,
+                                                                 0, 0, 2, 0, 0, 0, 0, 2))
 
 
 def test_entry_bits_with_d_p_and_entries_sharing_p():
@@ -201,8 +205,55 @@ def test_entry_bits_with_d_p_and_entries_sharing_p():
 def test_entry_bits_at_d_2():
     # the pair is (2, e) with e_01 = 14: the entry itself is 7, 3 bits
     m = Mat4([[Fraction(1, 2), 7, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert m.scaled()[0] == 2 and m.scaled()[1][0][1] == 14
+    assert m.scaled()[0] == 2 and m.scaled()[1][1] == 14
     assert m.entry_bits() == ReferenceMat4.of(m).entry_bits() == 3
+
+
+# --- the stored layout: one flat row-major tuple of 16 ints ---------------
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("e", [
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # 4 nested rows
+    (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0),
+    (),
+])
+def test_from_pair_refuses_a_nested_or_wrong_length_e(d, e):
+    with pytest.raises(ValueError, match=f"16 flat entries, not {len(e)}"):
+        Mat4.from_pair(d, e)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0, 0]] * 3,
+    [[1, 0, 0, 0]] * 5,
+    [[1, 0, 0, 0]] * 3 + [[1, 0, 0]],
+    [[1, 0, 0, 0]] * 3 + [[1, 0, 0, 0, 0]],
+])
+def test_rows_of_another_shape_are_refused(rows):
+    with pytest.raises(ValueError, match="^Mat4 needs 4 rows of 4 entries$"):
+        Mat4(rows)
+
+
+@DIFF
+@given(st.sampled_from((1, 2, *PRIMES)),
+       st.lists(st.integers(-(10**20), 10**20), min_size=16, max_size=16))
+def test_pair_and_rows_round_trip_on_one_flat_tuple(d, entries):
+    m = Mat4([[Fraction(x, d) for x in entries[k:k + 4]] for k in (0, 4, 8, 12)])
+    assert Mat4.from_pair(*m.scaled()) == m and Mat4(m.rows) == m
+    d2, e = m.scaled()
+    assert type(e) is tuple and len(e) == 16 and all(type(x) is int for x in e)
+    # bench/workloads._sample_text and bench/spans._entry_bits read these rows
+    rows = m.rows
+    assert type(rows) is tuple and len(rows) == 4
+    assert all(len(row) == 4 and all(type(x) is Fraction for x in row) for row in rows)
+    assert [x for row in rows for x in row] == [Fraction(x, d2) for x in e]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_entry_bits_of_the_zero_matrix_is_one(d):
+    zero = Mat4.from_pair(d, (0,) * 16)
+    assert zero.scaled() == (1, (0,) * 16) and zero.entry_bits() == 1
 
 
 # --- the inverse: d adj(e) / det(e), one path for every matrix ------------
@@ -213,7 +264,7 @@ def _inverse_matches_the_reference(m: Mat4) -> Mat4:
     assert ReferenceMat4.of(inverse) == ReferenceMat4.of(m).inv()
     assert m * inverse == I4 and inverse * m == I4
     d, e = inverse.scaled()
-    assert d > 0 and math.gcd(d, *(x for row in e for x in row)) == 1
+    assert d > 0 and math.gcd(d, *e) == 1
     return inverse
 
 
@@ -245,7 +296,7 @@ def test_inverse_at_d_2_with_a_positive_determinant():
     # e = d m has det 8 > 0 and d = 2, so the adjugate is scaled by d = 2
     m = Mat4([[Fraction(1, 2), 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     d, e = m.scaled()
-    assert d == 2 and mat4_det(Mat4(e)) == 8
+    assert d == 2 and mat4_det(Mat4.from_pair(1, e)) == 8
     inverse = _inverse_matches_the_reference(m)
     assert inverse == Mat4([[2, -2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -359,9 +410,7 @@ def test_rows_that_parse_format_no_location(monkeypatch):
 
     monkeypatch.setattr(matrices, "_ratio_from_str", spy)
     obj = [["1/2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "3"]]
-    assert matrices._read_rows(obj, 4) == (
-        2, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 6))
-    )
+    assert matrices._read_rows(obj, 4) == (2, (1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 6))
     assert seen == [""] * 16
 
 

@@ -25,7 +25,6 @@ from sp4cert.matrices import (
     _int_to_str,
     _ratio_from_str,
     _ratio_to_str,
-    mul_rows,
     unipotent_power,
 )
 from sp4cert.sampling import SampleSpec, sample
@@ -455,14 +454,16 @@ def rows4(draw):
 @DIFF
 @given(rows4(), rows4())
 def test_mul_rows_matches_the_triple_sum(left, right):
+    # the one general product, Mat4.__mul__, written out on the flat pairs
     (kind_a, a), (kind_b, b) = left, right
-    out = mul_rows(a, b)
-    assert type(out) is tuple and all(type(row) is tuple for row in out)
-    assert out == reference_product(a, b)
+    out = reference_product(a, b)
+    product = Mat4(a) * Mat4(b)
+    assert product.rows == out
+    d, e = product.scaled()
+    assert type(e) is tuple and len(e) == 16 and math.gcd(d, *e) == 1
     if kind_a == kind_b == "int":
         # integer rows never turn into Fraction entries
-        assert all(type(x) is int for row in out for x in row)
-    product = Mat4(a) * Mat4(b)
+        assert d == 1 and all(type(x) is int for x in e)
     assert product == Mat4(out) and fraction_entries(product)
 
 
@@ -542,14 +543,14 @@ def test_integer_strings_at_chunk_boundaries(digits):
 @given(st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=60), min_size=16, max_size=16))
 def test_scaled_and_entry_bits_read_the_entries(entries):
     m = Mat4([entries[4 * i:4 * i + 4] for i in range(4)])
-    d, rows = m.scaled()
+    d, e = m.scaled()
     assert d == math.lcm(*(x.denominator for x in entries)) > 0
-    assert [Fraction(e, d) for row in rows for e in row] == entries
-    assert all(type(e) is int for row in rows for e in row)
-    assert m.scaled() == (d, rows)
+    assert [Fraction(x, d) for x in e] == entries
+    assert all(type(x) is int for x in e)
+    assert m.scaled() == (d, e)
     widest = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in entries)
     assert m.entry_bits() == widest
-    assert Mat2.of(1, -2, 3, 4).scaled() == (1, ((1, -2), (3, 4)))
+    assert Mat2.of(1, -2, 3, 4).scaled() == (1, (1, -2, 3, 4))
 
 
 def test_every_returned_mat4_has_fraction_entries():
