@@ -11,9 +11,12 @@ and whose internal nodes are
 so a passing certificate witnesses that its target lies in the normal
 closure of {M0} + gamma_p2 inside gamma0_1p; :func:`_node_value` is the
 one place these meanings are written.  A node is a :class:`CertNode`,
-the immutable named tuple ``(op, args, value)``.  ``_SHAPE`` gives each
-op its arity and, for a seed or conjugator, the check kind and the group
-its literal must lie in (gamma_p2, gamma0_1p); the structure check (run
+the immutable named tuple ``(op, args, value)``, built, as a literal's
+:class:`CheckResult` is, by ``_new = tuple.__new__``: a ``NamedTuple``'s
+constructor is a Python function at twice the cost, so do not fold
+these calls back into ``CertNode(...)``.  ``_SHAPE`` gives each op its
+arity and, for a seed or conjugator, the check kind and the group its
+literal must lie in (gamma_p2, gamma0_1p); the structure check (run
 once, when a :class:`Certificate` is built), the verifier and the
 builder all read it, and one memo, :func:`_verdict`, tests each
 (literal, group) pair once for either.  Verification (:func:`cert_verify`)
@@ -124,6 +127,7 @@ SEED_P2 = "seed_p2"
 MUL = "mul"
 INV = "inv"
 CONJ = "conj"
+_new = tuple.__new__  # _new(CertNode, (op, args, value)): see the module docstring
 
 _SHAPE = {  # op -> (arity, literal): (check kind, group) for the matrix of a seed or conjugator
     SEED_M0: (0, None), SEED_P2: (0, ("seed", GroupLabel.GAMMA_P2)), MUL: (2, None), INV: (1, None),
@@ -159,8 +163,8 @@ class Certificate:
             raise MalformedDag(f"root {self.root} out of range")
         if not isinstance(self.target, Mat4):
             raise MalformedDag(f"target is a {type(self.target).__name__}, not a Mat4")
-        for i, (op, args, value) in enumerate(self.nodes):
-            shape = _SHAPE.get(op) if isinstance(op, str) else None
+        for i, (op, args, value) in enumerate(self.nodes):  # type(x) is T first: the common case
+            shape = _SHAPE.get(op) if type(op) is str or isinstance(op, str) else None
             if shape is None:
                 raise MalformedDag(f"node {i}: unknown op {op!r}")
             arity, literal = shape
@@ -173,7 +177,7 @@ class Certificate:
                     raise MalformedDag(f"node {i}: args {args} not all earlier")
             if (literal is None) != (value is None):
                 raise MalformedDag(f"node {i}: op {op} value mismatch")
-            if value is not None and not isinstance(value, Mat4):
+            if value is not None and type(value) is not Mat4 and not isinstance(value, Mat4):
                 raise MalformedDag(f"node {i}: value is a {type(value).__name__}, not a Mat4")
 
     @property
@@ -181,8 +185,7 @@ class Certificate:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     kind: str  # "seed" | "conjugator" | "resource" | "replay"
     node: int | None
     ok: bool
@@ -269,7 +272,7 @@ def cert_verify(cert: Certificate) -> VerificationReport:
             continue
         kind, label = _SHAPE[node.op][1]
         good = _verdict(memo, node.value, label, p)
-        checks.append(CheckResult(kind, i, good, "" if good else f"{kind} not in {label.value}"))
+        checks.append(_new(CheckResult, (kind, i, good, "" if good else f"{kind} not in {label.value}")))
         if not good:
             return VerificationReport(False, tuple(checks), len(cert.nodes), f"{kind} node {i}")
 
@@ -310,9 +313,8 @@ class CertBuilder:
         if hit is not None:
             return hit
         self.values.append(_node_value(node, self.values, self._m0) if known is None else known)
+        idx = self._memo[node] = len(self.nodes)
         self.nodes.append(node)
-        idx = len(self.nodes) - 1
-        self._memo[node] = idx
         return idx
 
     def _literal(self, op: str, args: tuple[int, ...], m: Mat4) -> int:
@@ -320,19 +322,19 @@ class CertBuilder:
         kind, label = _SHAPE[op][1]
         if not _verdict(self._verdicts, m, label, self.p):
             raise NotInGroup(f"{kind} must lie in {label.value}")
-        return self._intern(CertNode(op, args, m))
+        return self._intern(_new(CertNode, (op, args, m)))
 
     def seed_m0(self) -> int:
-        return self._intern(CertNode(SEED_M0))
+        return self._intern(_new(CertNode, (SEED_M0, (), None)))
 
     def seed_p2(self, m: Mat4) -> int:
         return self._literal(SEED_P2, (), m)
 
     def mul(self, a: int, b: int) -> int:
-        return self._intern(CertNode(MUL, (a, b)))
+        return self._intern(_new(CertNode, (MUL, (a, b), None)))
 
     def inv(self, a: int) -> int:
-        return self._intern(CertNode(INV, (a,)))
+        return self._intern(_new(CertNode, (INV, (a,), None)))
 
     def conj(self, a: int, g: Mat4) -> int:
         return self._literal(CONJ, (a,), g)
@@ -395,11 +397,12 @@ class CertBuilder:
         if root == len(self.nodes) - 1 and all(live):  # the renumbering is the identity
             return Certificate(self.p, tuple(self.nodes), root, self.values[root])
         new_id = [0] * (root + 1)
+        renumber = new_id.__getitem__
         nodes: list[CertNode] = []
-        for i, node in enumerate(self.nodes[: root + 1]):
+        for i, (op, args, value) in enumerate(self.nodes[: root + 1]):
             if live[i]:
                 new_id[i] = len(nodes)
-                nodes.append(CertNode(node.op, tuple([new_id[a] for a in node.args]), node.value))
+                nodes.append(_new(CertNode, (op, tuple(map(renumber, args)), value)))
         return Certificate(self.p, tuple(nodes), len(nodes) - 1, self.values[root])
 
 
@@ -481,10 +484,9 @@ def _core_nodes(b: CertBuilder) -> dict[str, int]:
     first appear in the order that building the chain in ``b`` gives."""
     template, names = _core_template(b.p)
     ids: list[int] = []
-    for node, value in template:
-        if node.args:
-            node = CertNode(node.op, tuple([ids[a] for a in node.args]), node.value)
-        ids.append(b._intern(node, value))
+    renumber = ids.__getitem__
+    for (op, args, literal), value in template:
+        ids.append(b._intern(_new(CertNode, (op, tuple(map(renumber, args)), literal)), value))
     return {name: ids[i] for name, i in names}
 
 
@@ -645,22 +647,22 @@ def certificate_from_json_obj(obj) -> Certificate:
     if not isinstance(raw, list):
         raise ParseError("nodes must be a list")
     nodes: list[CertNode] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
+    for i, item in enumerate(raw):  # type(x) is T first: the common case
+        if type(item) is not dict and not isinstance(item, dict):
             raise ParseError(f"node {i} malformed")
         node_id = item.get("id")
         if type(node_id) is not int or node_id != i:
             json_int(node_id, f"node {i} id")
             raise ParseError(f"node {i} has id {node_id!r}; ids must be 0..n-1 in order")
         args = item.get("args", [])
-        if not isinstance(args, list):
+        if type(args) is not list and not isinstance(args, list):
             raise ParseError(f"node {i}: args must be a list of ints")
         for a in args:
             if type(a) is not int:
                 json_int(a, f"node {i} arg")
         value = item.get("value", ...)  # JSON has no Ellipsis: no value given
         value = None if value is ... else mat4_from_lists(value)
-        nodes.append(CertNode(item.get("op"), tuple(args), value))
+        nodes.append(_new(CertNode, (item.get("op"), tuple(args), value)))
     try:
         return Certificate(p=p, nodes=tuple(nodes), root=root, target=target)
     except MalformedDag as exc:

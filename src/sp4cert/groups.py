@@ -314,18 +314,12 @@ def short_witness(v: tuple[int, int, int, int], p: int) -> tuple[int, int, int, 
     # v Lambda w^T = -v3*w1 - p*v4*w2 + v1*w3 + p*v2*w4
     coeffs = (-v3, -p * v4, v1, p * v2)
     g, acc = 0, [0, 0, 0, 0]
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(coeffs):  # at the first nonzero c, ext_gcd(0, c) = (|c|, 0, sign c)
         if c == 0:
             continue
-        if g == 0:
-            g = abs(c)
-            acc = [0, 0, 0, 0]
-            acc[i] = 1 if c > 0 else -1
-        else:
-            g2, x, y = ext_gcd(g, c)
-            acc = [x * t for t in acc]
-            acc[i] += y
-            g = g2
+        g, x, y = ext_gcd(g, c)
+        acc = [x * t for t in acc]
+        acc[i] += y
     if g == 0:
         raise ZeroVector("cannot witness the zero vector")
     if g != 1:

@@ -45,12 +45,13 @@ the only ``**`` callers in the package -- the power is the closed form
 ``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.
 That closed form is public as :func:`unipotent_power`, which returns
 ``None`` when ``N N != 0``; ``CertBuilder.power`` uses it to split a
-large power.  The helper collects the nonzero entries of ``N``, tests ``N N = 0`` by
-summing products over those entries only, and builds ``1 + n N`` by
-touching only them, so such a power costs no matrix product.  The
-sums matter: a dense rank-one ``N = u v^T`` with ``v . u = 0`` squares
-to zero only through cancellation.  Any other base falls back to
-binary powering, of the inverse when ``n < 0``.
+large power.  The helper reads the cell (i, j) of each flat entry of
+``d N = e - d`` from a table built at import (no ``divmod`` per entry),
+keeps the nonzero ones, tests ``N N = 0`` by summing products over them
+only, and writes ``d (1 + n N)`` as ``e + (n - 1) d N`` on them only:
+no matrix product.  The sums matter: a dense rank-one ``N = u v^T`` with
+``v . u = 0`` squares to zero only through cancellation.  Any other
+base falls back to binary powering, of the inverse when ``n < 0``.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -62,12 +63,14 @@ is one C-level ``map(str, ...)``, a fraction entry is reduced by its
 own gcd and written by ``str``, and if ``str`` refuses an entry past
 the int/str conversion limit (4,300 digits by default), every entry
 goes through ``_int_to_str``, the same digits written in pieces.  A
-matrix is read in one pass when it can be: its entries are joined
-(``,`` in a row, ``;`` between rows) and matched once against n x n
-canonical integers, so a separator inside an entry fails.  Any other
-matrix -- with a fraction, a non-canonical or non-string entry, or an
-entry past the limit -- is read entry by entry, the one source of
-fractions and of every :class:`ParseError` text.
+4 x 4 matrix is read in one pass when it can be: its rows, each a list
+of four, are unpacked once and joined into one string (``,`` in a row,
+``;`` between rows) that one match checks against 16 canonical
+integers, so a separator inside an entry fails, and one
+``map(int, ...)`` reads.  Any other matrix -- 2 x 2, of another shape,
+with a fraction, a non-canonical or non-string entry, or an entry past
+the limit -- is read entry by entry, the one source of fractions and of
+every :class:`ParseError` text.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import index
 
 from .errors import (
@@ -331,6 +333,7 @@ def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
+_CELLS = {n: tuple([(k, *divmod(k, n)) for k in range(n * n)]) for n in (2, 4)}  # (k, i, j) of n x n
 
 
 def unipotent_power(m, n: int):
@@ -340,24 +343,23 @@ def unipotent_power(m, n: int):
     visit only the nonzero entries of ``d N``."""
     d, e = m.scaled()
     size = 4 if isinstance(m, Mat4) else 2
-    nil = []  # (i, j, x) for the nonzero x = d N_ij
-    for k, x in enumerate(e):
-        i, j = divmod(k, size)
+    nil = []  # (k, i, j, x) for the nonzero x = d N_ij at flat index k
+    for (k, i, j), x in zip(_CELLS[size], e):
         if i == j:
             x -= d
         if x:
-            nil.append((i, j, x))
+            nil.append((k, i, j, x))
     # (N N)_ij accumulates N_ik N_kj; its terms may cancel
     square: dict[tuple[int, int], int] = {}
-    for i, k, x in nil:
-        for k2, j, y in nil:
+    for _, i, k, x in nil:
+        for _, k2, j, y in nil:
             if k == k2:
                 square[i, j] = square.get((i, j), 0) + x * y
     if any(square.values()):
         return None
-    out = [d if i == j else 0 for i in range(size) for j in range(size)]
-    for i, j, x in nil:
-        out[i * size + j] += n * x
+    out = list(e)  # d (1 + n N) = e + (n - 1) d N
+    for k, _, _, x in nil:
+        out[k] += (n - 1) * x
     return Mat4.from_pair(d, tuple(out)) if isinstance(m, Mat4) else Mat2.of(*out)
 
 
@@ -386,8 +388,8 @@ def _power(m, n: int):
 # canonical only: no "-0", no leading zeros; a denominator of 1 is refused below
 _INT = "(?:0|-?[1-9][0-9]*)"
 _ENTRY_RE = re.compile(rf"({_INT})(?:/([1-9][0-9]*))?")
-# n x n canonical integers, "," between entries and ";" between rows
-_INT_ROWS_RE = {n: re.compile(";".join([",".join([_INT] * n)] * n)) for n in (2, 4)}
+# 4 x 4 canonical integers, "," between entries and ";" between rows
+_INT_ROWS_RE = re.compile(";".join([",".join([_INT] * 4)] * 4))
 
 
 def _int_to_str(n: int) -> str:
@@ -475,12 +477,14 @@ def _read_rows(obj, n: int) -> tuple[int, tuple[int, ...]]:
     to raise the located error."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"matrix must be a list of {n} rows")
-    if all(isinstance(row, list) and len(row) == n for row in obj):
-        try:
-            if _INT_ROWS_RE[n].fullmatch(";".join([",".join(row) for row in obj])):
-                return 1, tuple(map(int, chain.from_iterable(obj)))
-        except (TypeError, ValueError):  # a non-str entry; past the digit limit
-            pass
+    if n == 4:
+        a, b, c, d = obj
+        if type(a) is type(b) is type(c) is type(d) is list and len(a) == len(b) == len(c) == len(d) == 4:
+            try:
+                if _INT_ROWS_RE.fullmatch(f"{','.join(a)};{','.join(b)};{','.join(c)};{','.join(d)}"):
+                    return 1, tuple(map(int, (*a, *b, *c, *d)))
+            except (TypeError, ValueError):  # a non-str entry; past the digit limit
+                pass
     integral = n == 2
     ratios = []
     for i, row in enumerate(obj):

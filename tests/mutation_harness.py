@@ -68,11 +68,16 @@ TARGETS = (
     ("certificates", "certificate_from_json_obj", VERIFIER),
     ("certificates", "VerificationReport.lines", VERIFIER),
     ("certificates", "IdentityReport.lines", VERIFIER),
+    ("certificates", "CertBuilder._intern", VERIFIER),
+    ("certificates", "CertBuilder._literal", VERIFIER),
     ("certificates", "CertBuilder.product", VERIFIER),
+    ("certificates", "CertBuilder.certificate", VERIFIER),
+    ("certificates", "_core_nodes", VERIFIER),
     ("groups", "member", PREDICATES),
     ("groups", "symplectic_check", PREDICATES),
     ("groups", "SymplecticForm.__post_init__", PREDICATES),
     ("groups", "r_conjugate", PREDICATES),
+    ("groups", "short_witness", PREDICATES),
     ("matrices", "Mat2.scaled", KERNEL),
     ("matrices", "Mat4.__init__", KERNEL),
     ("matrices", "Mat4.from_pair", KERNEL),
@@ -122,8 +127,14 @@ EQUIVALENT = {
     "matrices:Mat4.entry_bits:6:29:34:cmp": "x <= 0 differs from x < 0 only at x = 0, and -0 == 0",
     "matrices:Mat4.entry_bits:6:33:34:const": "x < 1 differs from x < 0 only at x = 0, and -0 == 0",
     "matrices:Mat4.entry_bits:8:14:15:const": "each entry ORs in d // g >= 1, so a starting 1 sets no new bit",
-    "matrices:unipotent_power:19:31:60:arith": "subtracting accumulates -(N N)_ij, which is zero iff (N N)_ij is",
-    "matrices:_read_rows:24:12:17:stmt": "the loop above reads the failed row again and raises first",
+    "matrices:unipotent_power:18:31:60:arith": "subtracting accumulates -(N N)_ij, which is zero iff (N N)_ij is",
+    "matrices:_read_rows:26:12:17:stmt": "the loop above reads the failed row again and raises first",
+    "certificates:CertBuilder.certificate:11:18:19:const": "new_id is read only at live ids, each set before it is read",
+    "certificates:CertBuilder.certificate:11:31:32:const": "a spare new_id slot past root is never read",
+    "groups:short_witness:11:17:18:const": "ext_gcd(0, c) has x = 0 at the first nonzero c: acc's start is multiplied away",
+    "groups:short_witness:11:20:21:const": "ext_gcd(0, c) has x = 0 at the first nonzero c: acc's start is multiplied away",
+    "groups:short_witness:11:23:24:const": "ext_gcd(0, c) has x = 0 at the first nonzero c: acc's start is multiplied away",
+    "groups:short_witness:11:26:27:const": "ext_gcd(0, c) has x = 0 at the first nonzero c: acc's start is multiplied away",
     "decompose:_Reducer.gcd_clear_v3:1:34:35:const": "[:5] adds an entry; only v[0] and v[2] are read",
     "decompose:_Reducer.gcd_clear_v3:3:34:35:const": "[:5] adds an entry; only v[0] and v[2] are read",
     "decompose:reduce_first_row:10:23:24:const": "[:5] adds an entry that only the unreachable LongFirstRow text shows",

@@ -254,6 +254,81 @@ def test_bit_budget_of_golden_certificates_matches_the_reference(path):
     assert _bit_budget(cert) == reference_bit_budget(cert)
 
 
+def _exact_nodes(cert: Certificate) -> bool:
+    """Every node is exactly a ``CertNode`` whose args are a tuple of ints."""
+    return all(type(n) is CertNode and type(n.args) is tuple and all(type(a) is int for a in n.args)
+               for n in cert.nodes)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("witness_*.json")), ids=lambda p: p.name)
+def test_every_node_of_a_golden_witness_is_exactly_a_cert_node(path):
+    # parsing builds each node; the witness builder interns, copies the
+    # core template and renumbers them
+    cert = parse(path.read_text())
+    built = normal_closure_witness(cert.target, cert.p)
+    assert _exact_nodes(cert) and _exact_nodes(built)
+    assert built == cert
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_every_renumbered_or_copied_node_is_exactly_a_cert_node(p):
+    certs = build_generator_certs(p)
+    assert any(cert.node_count < len(_core_template(p)[0]) for cert in certs.values())  # renumbered
+    b = CertBuilder(p)
+    b.seed_m0()  # so the copied template is renumbered by one
+    _core_nodes(b)
+    copied = Certificate(p, tuple(b.nodes), len(b.nodes) - 1, b.values[-1])
+    for cert in (*certs.values(), copied, expand_j1(Mat2.of(2, 1, 1, 1), p),
+                 expand_j2(Mat2.of(1 + p, p, -p, 1 - p), p)):
+        assert _exact_nodes(cert)
+        assert cert_verify(cert).passed
+
+
+class _Op(str):
+    """A ``str`` subclass: an op is read by the name it spells."""
+
+
+class _JsonObject(dict):
+    """A ``dict`` subclass, as an ``object_hook`` of ``json.loads`` may give."""
+
+
+class _JsonArray(list):
+    """A ``list`` subclass."""
+
+
+class _Literal(Mat4):
+    """A ``Mat4`` subclass."""
+
+    __slots__ = ()
+
+
+def test_subclassed_ops_nodes_args_and_literals_keep_their_verdict():
+    # the exact-type tests are shortcuts: each subclass takes the
+    # isinstance test behind it, as before
+    text = (GOLDEN / "witness_p5_len3.json").read_text()
+    cert, obj = parse(text), json.loads(text)
+    obj["nodes"] = [_JsonObject(node, args=_JsonArray(node["args"])) for node in obj["nodes"]]
+    assert certificate_from_json_obj(obj) == cert
+    nodes = tuple(CertNode(_Op(n.op), n.args, n.value and _Literal(n.value.rows)) for n in cert.nodes)
+    assert sum(type(n.value) is _Literal for n in nodes) >= 2
+    again = Certificate(cert.p, nodes, cert.root, cert.target)
+    assert again == cert and serialize(again) == serialize(cert)
+    assert cert_verify(again).lines() == cert_verify(cert).lines()
+
+
+def test_check_result_is_a_tuple_with_the_old_fields():
+    assert issubclass(CheckResult, tuple)
+    assert CheckResult._fields == ("kind", "node", "ok", "detail")
+    check = CheckResult("seed", 3, True)
+    assert check == CheckResult("seed", 3, True, "") == ("seed", 3, True, "")
+    assert (check.kind, check.node, check.ok, check.detail) == ("seed", 3, True, "")
+    with pytest.raises(AttributeError):
+        check.ok = False
+    report = cert_verify(parse((GOLDEN / "witness_p5_len3.json").read_text()))
+    assert report.passed and all(type(c) is CheckResult for c in report.checks)
+    assert report.checks[-1] == CheckResult("replay", report.checks[-1].node, True)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_bit_budget_with_d_p_and_entries_sharing_p(p):
     # the pair of the target has d = p, and its numerators p^2 and
@@ -485,6 +560,20 @@ def test_extraction_matches_the_reference_for_every_root(p, calls):
             b.power(a, extra)
     for root in range(len(b.nodes)):
         assert b.certificate(root) == reference_certificate(b, root)
+
+
+def test_only_a_builder_with_a_dead_or_later_node_renumbers():
+    # every node live and the root last: the builder's own node objects
+    # are handed out; otherwise each kept node is a new, renumbered one
+    b = CertBuilder(3)
+    m0 = b.seed_m0()
+    root = b.mul(m0, b.inv(m0))
+    assert all(x is y for x, y in zip(b.certificate(root).nodes, b.nodes, strict=True))
+    b.seed_p2(generator("L1", 3))  # dead below the next root
+    top = b.mul(root, m0)
+    cert = b.certificate(top)
+    assert cert.nodes == reference_certificate(b, top).nodes
+    assert cert.nodes[-1] == CertNode(MUL, (2, 0)) and cert.nodes[-1] is not b.nodes[top]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

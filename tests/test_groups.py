@@ -296,6 +296,8 @@ def test_vector_class_examples():
 def test_vector_class_zero_vector():
     with pytest.raises(ZeroVector):
         vector_class((0, 0, 0, 0), 3)
+    with pytest.raises(ZeroVector, match="cannot witness the zero vector"):
+        short_witness((0, 0, 0, 0), 3)
 
 
 @pytest.mark.parametrize("v", [

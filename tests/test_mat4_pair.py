@@ -545,3 +545,88 @@ def test_repr_is_the_pair_and_evaluates_back(m):
     d, e = m.scaled()
     assert repr(m) == f"Mat4.from_pair({d!r}, {e!r})"
     assert eval(repr(m), {"Mat4": Mat4}) == m
+
+
+# --- the 4x4 one-pass reader: exact error texts, and the entry path's pair ---
+
+def _too_long_text() -> str:
+    """What ``int`` says of a 4,301-digit string under the default limit."""
+    try:
+        int(TOO_LONG)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("a 4,301-digit string read as an int")
+
+
+HOSTILE_ROWS_4X4 = [  # (row index, the row put there, the exact ParseError text)
+    (1, "0,1,0,0", "row 1 must be a list of 4 entries"),
+    (2, ("0", "0", "1", "0"), "row 2 must be a list of 4 entries"),
+    (0, ["1", "0", "0"], "row 0 must be a list of 4 entries"),
+    (3, ["0", "0", "0", "1", "0"], "row 3 must be a list of 4 entries"),
+]
+HOSTILE_ENTRIES_4X4 = [  # (cell, the entry put there, the exact ParseError text)
+    ((1, 2), 7, "entry at (1,2) must be a string"),
+    ((2, 0), 1.0, "entry at (2,0) must be a string"),
+    ((3, 3), None, "entry at (3,3) must be a string"),
+    ((0, 1), "1\n", "bad scalar '1\\n' at (0,1)"),
+    ((1, 1), "\u0661", "bad scalar '\u0661' at (1,1)"),
+    ((2, 3), "-0", "bad scalar '-0' at (2,3)"),
+    ((3, 0), "05", "bad scalar '05' at (3,0)"),
+    ((0, 3), "2/4", "scalar '2/4' is not canonical at (0,3)"),
+    ((1, 0), TOO_LONG, None),  # the text ends in what int() says: _too_long_text
+]
+
+
+@pytest.mark.parametrize("i, row, text", HOSTILE_ROWS_4X4)
+def test_each_hostile_4x4_row_keeps_its_exact_error(i, row, text):
+    obj = _identity_lists(4)
+    obj[i] = row
+    with pytest.raises(ParseError) as exc:
+        mat4_from_lists(obj)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("obj", [_identity_lists(4)[:3], _identity_lists(4) + [["0"] * 4], None])
+def test_a_4x4_literal_of_another_shape_keeps_its_exact_error(obj):
+    with pytest.raises(ParseError) as exc:
+        mat4_from_lists(obj)
+    assert str(exc.value) == "matrix must be a list of 4 rows"
+
+
+@pytest.mark.parametrize("cell, bad, text", HOSTILE_ENTRIES_4X4)
+def test_each_hostile_4x4_entry_keeps_its_exact_error(cell, bad, text):
+    (i, j), obj = cell, _identity_lists(4)
+    obj[i][j] = bad
+    with pytest.raises(ParseError) as exc:
+        mat4_from_lists(obj)
+    assert str(exc.value) == (text or f"entry too long to read at ({i},{j}): {_too_long_text()}")
+
+
+def _entry_by_entry(obj) -> tuple[int, tuple[int, ...]]:
+    """The pair of the reader's entry-by-entry path, called directly."""
+    return matrices._scale([matrices._ratio_from_str(x) for row in obj for x in row])
+
+
+class _Row(list):
+    """A list subclass: the one-pass reader takes only exact lists."""
+
+
+@pytest.mark.parametrize("m", [
+    I4, generator("M1", 7) * generator("L5", 7) * generator("M3", 7),
+    Mat4([[-(10**40), 0, 3, 0], [0, 1, 0, 0], [0, 0, 1, 0], [7, 0, 0, 10**39 + 1]]),
+])
+def test_an_integer_literal_reads_the_pair_of_the_entry_path(m, monkeypatch):
+    obj = mat4_to_lists(m)
+    pair = _entry_by_entry(obj)
+    assert pair == (1, m.scaled()[1]) and type(pair[1]) is tuple
+    assert matrices._read_rows([_Row(row) for row in obj], 4) == pair  # the entry path
+    seen = _count_entry_reads(monkeypatch)
+    assert matrices._read_rows(obj, 4) == pair and seen == []  # the one pass
+    assert mat4_from_lists(obj) == m
+
+
+def test_a_fraction_literal_reads_the_pair_of_the_entry_path():
+    obj = _identity_lists(4)
+    obj[1][2], obj[3][3] = "-1/6", "5/4"
+    assert matrices._read_rows(obj, 4) == _entry_by_entry(obj) == (
+        12, (12, 0, 0, 0, 0, 12, -2, 0, 0, 0, 12, 0, 0, 0, 0, 15))
