@@ -111,6 +111,7 @@ from .matrices import (
     json_int,
     load_json,
     mat4_from_lists,
+    repeated_squaring,
     unipotent_power,
 )
 from .sl2 import (
@@ -163,8 +164,8 @@ class Certificate:
             raise MalformedDag(f"root {self.root} out of range")
         if not isinstance(self.target, Mat4):
             raise MalformedDag(f"target is a {type(self.target).__name__}, not a Mat4")
-        for i, (op, args, value) in enumerate(self.nodes):  # type(x) is T first: the common case
-            shape = _SHAPE.get(op) if type(op) is str or isinstance(op, str) else None
+        for i, (op, args, value) in enumerate(self.nodes):
+            shape = _SHAPE.get(op) if isinstance(op, str) else None
             if shape is None:
                 raise MalformedDag(f"node {i}: unknown op {op!r}")
             arity, literal = shape
@@ -177,7 +178,7 @@ class Certificate:
                     raise MalformedDag(f"node {i}: args {args} not all earlier")
             if (literal is None) != (value is None):
                 raise MalformedDag(f"node {i}: op {op} value mismatch")
-            if value is not None and type(value) is not Mat4 and not isinstance(value, Mat4):
+            if value is not None and not isinstance(value, Mat4):
                 raise MalformedDag(f"node {i}: value is a {type(value).__name__}, not a Mat4")
 
     @property
@@ -351,8 +352,9 @@ class CertBuilder:
         group element, so it is symplectic; when N is integral it is also
         congruent to 1 mod p^2, so it enters as one gamma_p2 seed and
         only ``a^r`` is built by repeated squaring.  Any other base, an
-        S outside gamma_p2, and any ``|e| <= p^2/2`` take repeated
-        squaring over mul/inv nodes.
+        S outside gamma_p2, and any ``|e| <= p^2/2`` take
+        :func:`sp4cert.matrices.repeated_squaring`, the loop of ``Mat4 **``,
+        over this builder's ``mul``, ``inv`` and ``identity`` nodes.
         """
         p2 = self.p * self.p
         q, r = divmod(e + p2 // 2, p2)
@@ -362,24 +364,8 @@ class CertBuilder:
             _, seed_group = _SHAPE[SEED_P2][1]
             if s is not None and _verdict(self._verdicts, s, seed_group, self.p):
                 seed = self.seed_p2(s)
-                return seed if r == 0 else self.mul(self._binary_power(a, r), seed)
-        return self._binary_power(a, e)
-
-    def _binary_power(self, a: int, e: int) -> int:
-        """e-th power by repeated squaring over mul/inv nodes."""
-        if e == 0:
-            return self.identity()
-        if e < 0:
-            return self._binary_power(self.inv(a), -e)
-        result: int | None = None
-        base = a
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+                return seed if r == 0 else self.mul(self.power(a, r), seed)  # |r| <= p^2/2: no split
+        return repeated_squaring(a, e, self.mul, self.inv, self.identity)
 
     def product(self, ids: Iterable[int]) -> int:
         ids = list(ids)
@@ -647,15 +633,15 @@ def certificate_from_json_obj(obj) -> Certificate:
     if not isinstance(raw, list):
         raise ParseError("nodes must be a list")
     nodes: list[CertNode] = []
-    for i, item in enumerate(raw):  # type(x) is T first: the common case
-        if type(item) is not dict and not isinstance(item, dict):
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict):
             raise ParseError(f"node {i} malformed")
         node_id = item.get("id")
         if type(node_id) is not int or node_id != i:
             json_int(node_id, f"node {i} id")
             raise ParseError(f"node {i} has id {node_id!r}; ids must be 0..n-1 in order")
         args = item.get("args", [])
-        if type(args) is not list and not isinstance(args, list):
+        if not isinstance(args, list):
             raise ParseError(f"node {i}: args must be a list of ints")
         for a in args:
             if type(a) is not int:

@@ -119,9 +119,11 @@ def _cmd_certify_generators(args) -> int:
         f' "{name}": ' + certs.serialize(cert).replace("\n", "\n ")
         for name, cert in table.items()
     ]
-    _write_text(args.out, "{\n" + ",\n".join(entries) + "\n}")
+    text = "{\n" + ",\n".join(entries) + "\n}"
+    _write_text(args.out, text)
     all_ok = True
-    for name, cert in table.items():
+    for name, obj in load_json(text).items():  # what was written, read back
+        cert = certs.certificate_from_json_obj(obj)
         report = certs.cert_verify(cert)
         all_ok = all_ok and report.passed
         print(
@@ -139,8 +141,9 @@ def _cmd_witness(args) -> int:
     except NotInGroup as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return EXIT_MATH
-    report = certs.cert_verify(cert)
-    _write_text(args.out, certs.serialize(cert))
+    text = certs.serialize(cert)
+    _write_text(args.out, text)
+    report = certs.cert_verify(certs.parse(text))  # what was written, read back
     print(f"{cert.node_count} nodes")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_MATH
@@ -180,8 +183,8 @@ def _fuzz_trial(suite: str, p: int, spec: SampleSpec) -> bool:
         decompose(sample(spec), p, tilde=False)
         return True
     if suite == "witness":
-        m = sample(spec)
-        return certs.cert_verify(certs.normal_closure_witness(m, p)).passed
+        text = certs.serialize(certs.normal_closure_witness(sample(spec), p))
+        return certs.cert_verify(certs.parse(text)).passed  # what a witness file reads back as
     if suite == "predicates":
         m = sample(spec)
         if not member(m, GroupLabel.GAMMA_1P, p):

@@ -76,7 +76,6 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import (
-    LongFirstRow,
     NotInGroup,
     ParseError,
     ShapeAssertionFailed,
@@ -254,7 +253,7 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
     v = k.scaled()[1][:4]
     if math.gcd(v[0], p * v[1], v[2], p * v[3]) != 1:
         # impossible for genuine members; loud signal of a predicate bug
-        raise LongFirstRow(f"first row {v} is long at p={p}")
+        raise ShapeAssertionFailed(f"first row {v} is long at p={p}")
 
     red = _Reducer(k, p)
     g = red.gcd_clear_v3()  # (a)
@@ -267,7 +266,7 @@ def reduce_first_row(k: Mat4, p: int) -> tuple[GeneratorWord, Mat4]:
             red.apply(Named("Mt3", -1))
             g = red.gcd_clear_v3()
         if g != 1:
-            raise LongFirstRow(f"gcd stalled at {g}; first row was not short")
+            raise ShapeAssertionFailed(f"gcd stalled at {g}; first row was not short")
         v = red.cur.scaled()[1][:4]
         red.apply(Named("Mt2", -v[3]))  # (d)
         v = red.cur.scaled()[1][:4]

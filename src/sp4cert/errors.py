@@ -2,7 +2,8 @@
 
 Most predicates return booleans; exceptions are reserved for contract
 violations (bad input, malformed data) and for conditions that signal a
-bug in the caller or in this library itself.
+bug in the caller or in this library itself.  Every such bug in the
+library is one type, :class:`ShapeAssertionFailed`.
 """
 
 
@@ -38,19 +39,10 @@ class NotInGroup(Sp4CertError):
     """Input fails the membership predicate required by an algorithm."""
 
 
-class LongFirstRow(Sp4CertError):
-    """First row of the input is not short.
-
-    Impossible for genuine group members; raised so that a predicate or
-    algorithm bug surfaces loudly instead of looping.
-    """
-
-
 class ShapeAssertionFailed(Sp4CertError):
-    """An intermediate matrix violated the shape the theory guarantees.
-
-    Signals an internal inconsistency, never a property of valid input.
-    """
+    """An internal inconsistency, never a property of valid input: an
+    intermediate matrix off the shape the theory guarantees, a first row
+    that a member cannot have, or a sampler output outside its group."""
 
 
 class MalformedDag(Sp4CertError):
@@ -63,7 +55,3 @@ class ParseError(Sp4CertError):
 
 class DomainError(Sp4CertError):
     """Numeric argument outside its documented domain."""
-
-
-class InternalPredicateFailure(Sp4CertError):
-    """A sampler produced a matrix that fails its own group predicate."""

@@ -250,18 +250,15 @@ def j1_embed(a: Mat2) -> Mat4:
     return times_embedding(Mat4.identity(), a, 1)
 
 
-def j2_embed(q: Mat2, p: int, tilde: bool = False) -> Mat4:
-    """Embed a 2x2 unimodular matrix along coordinates (2,4).
-
-    Tilde coordinates place ``(a, b, c, d)``; plain coordinates place
-    ``(a, p*b, c/p, d)``, the R^-1-conjugate of the tilde image.  For
-    plain coordinates the result is integral only when p divides c, but
-    non-integral images are still valid elements of the rational group
-    gamma0_1p.
+def j2_embed(q: Mat2, p: int) -> Mat4:
+    """Embed a 2x2 unimodular matrix along coordinates (2,4) in plain
+    coordinates: ``(a, p*b, c/p, d)``, the R^-1-conjugate of the tilde
+    image ``times_embedding(Mat4.identity(), q, 2)``.  The result is
+    integral only when p divides c, but non-integral images are still
+    valid elements of the rational group gamma0_1p.
     """
     require_odd_prime(p)
-    image = times_embedding(Mat4.identity(), q, 2)
-    return image if tilde else r_conjugate(image, p, inverse=True)
+    return r_conjugate(times_embedding(Mat4.identity(), q, 2), p, inverse=True)
 
 
 def r_conjugate(m: Mat4, p: int, inverse: bool = False) -> Mat4:

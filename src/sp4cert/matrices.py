@@ -51,7 +51,8 @@ keeps the nonzero ones, tests ``N N = 0`` by summing products over them
 only, and writes ``d (1 + n N)`` as ``e + (n - 1) d N`` on them only:
 no matrix product.  The sums matter: a dense rank-one ``N = u v^T`` with
 ``v . u = 0`` squares to zero only through cancellation.  Any other
-base falls back to binary powering, of the inverse when ``n < 0``.
+base goes to :func:`repeated_squaring`, the one square-and-multiply
+loop, which ``CertBuilder.power`` runs over certificate nodes too.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -81,7 +82,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 
 from .errors import (
     BothZero,
@@ -143,10 +144,6 @@ class Mat2:
         (e, f), (g, h) = other.rows
         return Mat2.of(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
-    def __neg__(self) -> "Mat2":
-        (a, b), (c, d) = self.rows
-        return Mat2.of(-a, -b, -c, -d)
-
     def det(self) -> int:
         (a, b), (c, d) = self.rows
         return a * d - b * c
@@ -185,13 +182,10 @@ class Mat4:
         if len(e) != 4 or any(len(r) != 4 for r in e):
             raise ValueError("Mat4 needs 4 rows of 4 entries")
         flat = e[0] + e[1] + e[2] + e[3]
-        if set(map(type, flat)) == {int}:
-            self._d, self._e = 1, flat
-        else:
-            for x in flat:
-                if not isinstance(x, numbers.Rational):
-                    raise TypeError(f"Mat4 entries must be exact rationals, not {type(x).__name__}")
-            self._d, self._e = _scale([(x.numerator, x.denominator) for x in flat])
+        for x in flat:
+            if not isinstance(x, numbers.Rational):
+                raise TypeError(f"Mat4 entries must be exact rationals, not {type(x).__name__}")
+        self._d, self._e = _scale([(x.numerator, x.denominator) for x in flat])
 
     @staticmethod
     def from_pair(d: int, e: tuple[int, ...]) -> "Mat4":
@@ -363,22 +357,32 @@ def unipotent_power(m, n: int):
     return Mat4.from_pair(d, tuple(out)) if isinstance(m, Mat4) else Mat2.of(*out)
 
 
+def repeated_squaring(base, n: int, mul, inv, one):
+    """``base ** n`` by repeated squaring, for any ``base`` with the product
+    ``mul(x, y)``, the inverse ``inv(x)`` and the unit ``one()``: ``base``
+    is inverted once when n < 0, no product by the unit is formed, and
+    the last square, which nothing would use, is skipped."""
+    if n == 0:
+        return one()
+    if n < 0:
+        base, n = inv(base), -n
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
 def _power(m, n: int):
     """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``: the closed form of
-    :func:`unipotent_power` when it applies, otherwise binary powering,
-    of ``m.inv()`` when ``n < 0``."""
+    :func:`unipotent_power` when it applies, otherwise repeated squaring."""
     closed = unipotent_power(m, n)
     if closed is not None:
         return closed
-    base = m if n >= 0 else m.inv()
-    n = abs(n)
-    acc = type(m).identity()
-    while n:
-        if n & 1:
-            acc = acc * base
-        base = base * base
-        n >>= 1
-    return acc
+    return repeated_squaring(m, n, mul, type(m).inv, type(m).identity)
 
 
 # ---------------------------------------------------------------------------

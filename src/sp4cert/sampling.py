@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 
 from .decompose import J1, J2, GeneratorWord, Letter, Named
-from .errors import InternalPredicateFailure, UnknownName
+from .errors import ShapeAssertionFailed, UnknownName
 from .groups import GroupLabel, member, r_conjugate, require_odd_prime
 from .matrices import Mat2, Mat4
 from .sl2 import Sl2Word
@@ -166,7 +166,5 @@ def sample(spec: SampleSpec) -> Mat2 | Mat4:
         raise UnknownName(f"no sampler for {label.value}")
     result = sampler(random.Random(spec.seed), p, spec.word_length)
     if not member(result, label, p):
-        raise InternalPredicateFailure(
-            f"sampler output fails its own predicate: {spec.describe()}"
-        )
+        raise ShapeAssertionFailed(f"sampler output fails its own predicate: {spec.describe()}")
     return result

@@ -91,8 +91,9 @@ TARGETS = (
     ("matrices", "Mat4.entry_bits", KERNEL),
     ("matrices", "_scale", KERNEL),
     ("matrices", "unipotent_power", KERNEL),
+    ("matrices", "repeated_squaring", KERNEL + ("tests/test_certificates.py",)),
     ("matrices", "_ratio_from_str", READER),
-    ("matrices", "load_json", READER),
+    ("matrices", "load_json", READER + ("tests/test_certificates.py",)),
     ("matrices", "json_int", READER),
     ("matrices", "_read_rows", READER),
     ("matrices", "mat2_from_lists", READER),
@@ -129,6 +130,8 @@ EQUIVALENT = {
     "matrices:Mat4.entry_bits:8:14:15:const": "each entry ORs in d // g >= 1, so a starting 1 sets no new bit",
     "matrices:unipotent_power:18:31:60:arith": "subtracting accumulates -(N N)_ij, which is zero iff (N N)_ij is",
     "matrices:_read_rows:26:12:17:stmt": "the loop above reads the failed row again and raises first",
+    "matrices:repeated_squaring:7:7:12:cmp": "n == 0 has returned the line above, so n <= 0 iff n < 0",
+    "matrices:repeated_squaring:7:11:12:const": "n == 0 has returned the line above, so n < 1 iff n < 0",
     "certificates:CertBuilder.certificate:11:18:19:const": "new_id is read only at live ids, each set before it is read",
     "certificates:CertBuilder.certificate:11:31:32:const": "a spare new_id slot past root is never read",
     "groups:short_witness:11:17:18:const": "ext_gcd(0, c) has x = 0 at the first nonzero c: acc's start is multiplied away",
@@ -137,10 +140,7 @@ EQUIVALENT = {
     "groups:short_witness:11:26:27:const": "ext_gcd(0, c) has x = 0 at the first nonzero c: acc's start is multiplied away",
     "decompose:_Reducer.gcd_clear_v3:1:34:35:const": "[:5] adds an entry; only v[0] and v[2] are read",
     "decompose:_Reducer.gcd_clear_v3:3:34:35:const": "[:5] adds an entry; only v[0] and v[2] are read",
-    "decompose:reduce_first_row:10:23:24:const": "[:5] adds an entry that only the unreachable LongFirstRow text shows",
-    "decompose:reduce_first_row:13:8:61:stmt": "unreachable: rows 1 and 3 of a member pair to 1 under Lambda",
     "decompose:reduce_first_row:17:29:30:const": "[:5] adds an entry; only v[1] and v[3] are read",
-    "decompose:reduce_first_row:26:12:78:stmt": "unreachable: steps (a)-(c) end at gcd 1 on a short row",
     "decompose:reduce_first_row:27:33:34:const": "[:5] adds an entry; only v[3] is read",
     "decompose:reduce_first_row:29:33:34:const": "[:5] adds an entry; only v[1] is read",
     "decompose:reduce_first_row:33:8:75:stmt": "unreachable: step (d) and a gcd step leave row 1 = (1,0,0,0)",

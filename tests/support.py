@@ -26,7 +26,7 @@ from sp4cert.certificates import (
 from sp4cert.decompose import J1, GeneratorWord, Named
 from sp4cert.errors import SingularMatrix
 from sp4cert.generators import generator
-from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed
+from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed, times_embedding
 from sp4cert.matrices import Mat2, Mat4, _ratio_to_str, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 
@@ -263,6 +263,11 @@ def reference_product(a, b) -> tuple[tuple, ...]:
     )
 
 
+def tilde_j2(q: Mat2) -> Mat4:
+    """The j2 image of ``q`` in tilde coordinates, ``(a, b, c, d)`` on (2,4)."""
+    return times_embedding(Mat4.identity(), q, 2)
+
+
 def reference_replay(word: GeneratorWord) -> Mat4:
     """A word's replay as first written: the ``Fraction`` product of
     ``generator(name) ** e``, ``j1_embed`` and ``j2_embed`` in the word's
@@ -274,7 +279,7 @@ def reference_replay(word: GeneratorWord) -> Mat4:
         elif isinstance(letter, J1):
             acc = acc * j1_embed(letter.payload)
         else:
-            acc = acc * j2_embed(letter.payload, word.p, tilde=word.tilde)
+            acc = acc * (tilde_j2(letter.payload) if word.tilde else j2_embed(letter.payload, word.p))
     return acc
 
 

@@ -144,6 +144,27 @@ def test_witness_verify_pipeline(member_file, tmp_path, capsys):
     assert serialize(parse(text)) == text.rstrip("\n")
 
 
+def test_witness_passes_only_a_file_that_verify_reads(tmp_path, capsys):
+    # a gamma_1p member of over 1,100 digits: a sample squared seven times,
+    # times M1 after each squaring; its witness has a literal past 4,300 digits
+    p = 7
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 1, 20))
+    for _ in range(7):
+        k = k * k * generator("M1", p)
+    assert max(len(str(abs(x))) for x in k.scaled()[1]) >= 1100
+    path, cert_path = tmp_path / "k.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(mat4_to_lists(k)))
+    witness = main(["witness", "--p", str(p), "--in", str(path), "--out", str(cert_path)])
+    witness_out, witness_err = capsys.readouterr()
+    verify = main(["verify", "--cert", str(cert_path)])
+    verify_out, verify_err = capsys.readouterr()
+    assert (witness == 0) == (verify == 0)
+    if verify == 0:
+        assert witness_out.endswith("PASS\n") and verify_out.endswith("PASS\n")
+    else:  # the file is written, then read back as verify reads it
+        assert (witness, witness_out, witness_err) == (verify, verify_out, verify_err)
+
+
 def test_verify_with_matching_target(member_file, tmp_path):
     path, k = member_file
     cert_path = tmp_path / "cert.json"

@@ -108,6 +108,27 @@ def test_reduce_rejects_non_members():
         reduce_first_row(generator("M2", 3), 3)  # plain coords, not tilde
 
 
+def test_a_long_first_row_past_the_member_check_is_an_internal_fault(monkeypatch):
+    # no member has a long first row, so only a predicate bug gets one past member
+    dec = importlib.import_module("sp4cert.decompose")
+    monkeypatch.setattr(dec, "member", lambda m, label, p: True)
+    with pytest.raises(ShapeAssertionFailed) as exc:
+        reduce_first_row(Mat4.diagonal(3, 1, 1, 1), 3)
+    assert str(exc.value) == "first row (3, 0, 0, 0) is long at p=3"
+
+
+def test_a_stalled_gcd_is_an_internal_fault(monkeypatch):
+    # steps (a)-(c) end at gcd 1 on any short row; a j1 step that reports
+    # twice its gcd stalls them at 2
+    dec = importlib.import_module("sp4cert.decompose")
+    k = sample(SampleSpec(GroupLabel.GAMMA_TILDE_1P, 5, 7, 6))
+    real = dec._Reducer.gcd_clear_v3
+    monkeypatch.setattr(dec._Reducer, "gcd_clear_v3", lambda self: 2 * real(self))
+    with pytest.raises(ShapeAssertionFailed) as exc:
+        reduce_first_row(k, 5)
+    assert str(exc.value) == "gcd stalled at 2; first row was not short"
+
+
 # --- decompose -------------------------------------------------------------
 
 

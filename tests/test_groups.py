@@ -35,6 +35,7 @@ from support import (
     reference_member,
     reference_r_conjugate,
     reference_symplectic_check,
+    tilde_j2,
 )
 
 I4 = Mat4.identity()
@@ -209,9 +210,7 @@ def test_j1_j2_homomorphism_laws():
         a, b = rand_sl2(), rand_sl2()
         assert j1_embed(a) * j1_embed(b) == j1_embed(a * b)
         assert j2_embed(a, p) * j2_embed(b, p) == j2_embed(a * b, p)
-        assert j2_embed(a, p, tilde=True) * j2_embed(b, p, tilde=True) == j2_embed(
-            a * b, p, tilde=True
-        )
+        assert tilde_j2(a) * tilde_j2(b) == tilde_j2(a * b)
 
 
 # --- R-conjugation ---------------------------------------------------------
@@ -407,7 +406,7 @@ def _pools(p):
         gamma_1p,
         gamma_1p + [j2_embed(T, p), j2_embed(U, p)],
         [generator(f"Mt{i}", p) for i in range(1, 5)]
-        + [j2_embed(generator("P", p), p, tilde=True), j1_embed(T)],
+        + [tilde_j2(generator("P", p)), j1_embed(T)],
         [generator("L1", p), generator("L3", p)] + [g ** (p * p) for g in plain],
     ]
 
@@ -418,7 +417,7 @@ def _outside(p):
     return [
         j2_embed(T, p),
         Mat4([[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
-        j2_embed(T, p, tilde=True),
+        tilde_j2(T),
         generator("M0", p),
         Mat4([[1, p * p, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
         Mat4.diagonal(1, 1, 1, p),

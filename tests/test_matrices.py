@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import evaluate, fraction_entries, mat4_det, reference_power, reference_product
+from support import evaluate, fraction_entries, mat4_det, reference_power, reference_product, tilde_j2
 
 from sp4cert.certificates import expand_j1, expand_j2, normal_closure_witness
 from sp4cert.decompose import GeneratorWord, decompose, reduce_first_row
@@ -565,7 +565,7 @@ def test_every_returned_mat4_has_fraction_entries():
         I4, Mat4.diagonal(1, 2, 3, 4), Mat4([[7] * 4] * 4),
         k * k, k.inv(), k ** 3, k ** -2,
         mat4_from_lists(mat4_to_lists(k)), j1_embed(a), j2_embed(a, p),
-        j2_embed(a, p, tilde=True), kt, r_conjugate(kt, p, inverse=True),
+        tilde_j2(a), kt, r_conjugate(kt, p, inverse=True),
         word.replay(), tilde_word.replay(), reduce_first_row(kt, p)[1],
         *(generator(name, p) for name in GENERATOR_NAMES if name != "P"),
         *(GeneratorWord(p, w.tilde, (x,)).replay() for w in (word, tilde_word) for x in w.letters),

@@ -3,7 +3,8 @@ import statistics
 
 import pytest
 
-from sp4cert.errors import BadPrime, UnknownName
+from sp4cert import sampling
+from sp4cert.errors import BadPrime, ShapeAssertionFailed, UnknownName
 from sp4cert.groups import GroupLabel, member
 from sp4cert.matrices import Mat2, Mat4
 from sp4cert.sampling import SampleSpec, sample
@@ -12,6 +13,14 @@ from sp4cert.sampling import SampleSpec, sample
 def test_zero_length_is_identity():
     assert sample(SampleSpec(GroupLabel.GAMMA_1P, 3, 1, 0)) == Mat4.identity()
     assert sample(SampleSpec(GroupLabel.SL2Z, 3, 1, 0)) == Mat2.identity()
+
+
+def test_a_sampler_output_outside_its_group_is_an_internal_fault(monkeypatch):
+    monkeypatch.setitem(sampling._SAMPLERS, GroupLabel.GAMMA_1P, lambda rng, p, n: Mat4.diagonal(1, 1, 1, p))
+    spec = SampleSpec(GroupLabel.GAMMA_1P, 3, 1, 4)
+    with pytest.raises(ShapeAssertionFailed) as exc:
+        sample(spec)
+    assert str(exc.value) == f"sampler output fails its own predicate: {spec.describe()}"
 
 
 def test_determinism():

@@ -47,8 +47,8 @@ def test_decompose_s():
 
 
 def test_decompose_minus_identity():
-    word = sl2_decompose(-Mat2.identity())
-    assert word.replay() == -Mat2.identity()
+    word = sl2_decompose(Mat2.of(-1, 0, 0, -1))
+    assert word.replay() == Mat2.of(-1, 0, 0, -1)
 
 
 def test_decompose_rejects_other_determinants():
