@@ -16,19 +16,23 @@ the immutable named tuple ``(op, args, value)``, built, as a literal's
 constructor is a Python function at twice the cost, so do not fold
 these calls back into ``CertNode(...)``.  ``_SHAPE`` gives each op its
 arity and, for a seed or conjugator, the check kind and the group its
-literal must lie in (gamma_p2, gamma0_1p); the structure check (run
-once, when a :class:`Certificate` is built), the verifier and the
-builder all read it, and one memo, :func:`_verdict`, tests each
-(literal, group) pair once for either.  Verification (:func:`cert_verify`)
-checks every literal first, in node order, and stops at the first
-failure; only then does it replay the DAG once, exactly, and compare the
-root with the target.  Both groups preserve J, as M0 does, and the
-builder checks each literal before it interns it, so every value
-preserves J and ``inv`` and ``conj`` invert by the block transpose
-:meth:`Mat4.symplectic_inv`.  Nothing about a certificate is trusted;
-the builders only ever hand out objects that the verifier then
-re-checks from scratch, each extracted from a builder's nodes by a
-liveness pass and, unless every node is live, a renumbering pass.
+literal must lie in (gamma_p2, gamma0_1p); the verifier and the builder
+both read it, and one memo, :func:`_verdict`, tests each (literal,
+group) pair once for either.  A :class:`Certificate` is plain data,
+trusted in nothing; builders hand out their live nodes (a liveness
+pass, then a renumbering pass unless all are live).  A PASS of
+:func:`cert_verify` is sound by five premises, each pinned by a test:
+
+1. the structure is checked, in one walk, before any verdict
+   (test_a_certificate_holds_only_mat4_literals, its last case);
+2. literals are exact members, tested before any product
+   (test_bad_seed_reported, test_bad_conjugator_reported);
+3. mul, inv and conj by a gamma0_1p literal stay in the normal closure
+   (test_cert_verify_agrees_with_the_oracle, an independent replay);
+4. both groups preserve J, as M0 does, so :meth:`Mat4.symplectic_inv`
+   inverts every value, the builder's too: it checks each literal first
+   (test_target_tamper_replays_with_exact_transpose_inverses);
+5. the root equals the target (test_tampered_target_fails_with_replay_locus).
 
 Builders:
 
@@ -146,40 +150,12 @@ class CertNode(NamedTuple):
 
 @dataclass(frozen=True)
 class Certificate:
-    """A DAG of :class:`CertNode`, well-formed or not built (:class:`MalformedDag`)."""
+    """A DAG of :class:`CertNode`: plain data, checked by :func:`cert_verify`."""
 
     p: int
     nodes: tuple[CertNode, ...]
     root: int
     target: Mat4
-
-    def __post_init__(self) -> None:
-        n = len(self.nodes)
-        if n == 0:
-            raise MalformedDag("certificate has no nodes")
-        for name, x in (("p", self.p), ("root", self.root)):
-            if type(x) is not int:  # exactly int, as for args: serialize writes str(x)
-                raise MalformedDag(f"{name} {x!r} is not an int")
-        if not 0 <= self.root < n:
-            raise MalformedDag(f"root {self.root} out of range")
-        if not isinstance(self.target, Mat4):
-            raise MalformedDag(f"target is a {type(self.target).__name__}, not a Mat4")
-        for i, (op, args, value) in enumerate(self.nodes):
-            shape = _SHAPE.get(op) if isinstance(op, str) else None
-            if shape is None:
-                raise MalformedDag(f"node {i}: unknown op {op!r}")
-            arity, literal = shape
-            if len(args) != arity:
-                raise MalformedDag(f"node {i}: op {op} wants {arity} args")
-            for a in args:
-                if type(a) is not int:
-                    raise MalformedDag(f"node {i}: args {args} not all ints")
-                if not 0 <= a < i:
-                    raise MalformedDag(f"node {i}: args {args} not all earlier")
-            if (literal is None) != (value is None):
-                raise MalformedDag(f"node {i}: op {op} value mismatch")
-            if value is not None and not isinstance(value, Mat4):
-                raise MalformedDag(f"node {i}: value is a {type(value).__name__}, not a Mat4")
 
     @property
     def node_count(self) -> int:
@@ -253,29 +229,56 @@ def _bit_budget(cert: Certificate) -> int:
 
 
 def cert_verify(cert: Certificate) -> VerificationReport:
-    """Check every seed and conjugator, then replay the DAG exactly.
+    """Check the structure of ``cert``, then every seed and conjugator,
+    then replay the DAG exactly.
 
-    Structure was checked when ``cert`` was built (a malformed DAG
-    raises :class:`MalformedDag` there); mathematical failures (bad
-    seed, bad conjugator, replay mismatch) are reported, not thrown.
-    The first failed seed or conjugator check ends verification before
-    any product is formed, and is the last check in the report; once
-    all have passed, every value preserves J, and each ``inv`` and
-    ``conj`` inverts it by the block transpose of :meth:`Mat4.symplectic_inv`.
-    A mul or conj value over the bit budget ends replay as a failed
-    ``resource`` check at that node.
+    One walk over the nodes checks the structure and collects the
+    literals; a malformed DAG raises :class:`MalformedDag` before ``p``
+    is checked or any literal tested.  Mathematical failures (bad seed,
+    bad conjugator, replay mismatch) are reported, not thrown.  The
+    first failed seed or conjugator check ends verification before any
+    product is formed, and is the last check in the report.  A mul or
+    conj value over the bit budget ends replay as a failed ``resource``
+    check at that node.
     """
+    n = len(cert.nodes)
+    if n == 0:
+        raise MalformedDag("certificate has no nodes")
+    for name, x in (("p", cert.p), ("root", cert.root)):
+        if type(x) is not int:  # exactly int, as for args: serialize writes str(x)
+            raise MalformedDag(f"{name} {x!r} is not an int")
+    if not 0 <= cert.root < n:
+        raise MalformedDag(f"root {cert.root} out of range")
+    if not isinstance(cert.target, Mat4):
+        raise MalformedDag(f"target is a {type(cert.target).__name__}, not a Mat4")
+    literals: list[tuple[int, str, GroupLabel, Mat4]] = []  # (node, check kind, group, matrix)
+    for i, (op, args, value) in enumerate(cert.nodes):
+        shape = _SHAPE.get(op) if isinstance(op, str) else None
+        if shape is None:
+            raise MalformedDag(f"node {i}: unknown op {op!r}")
+        arity, literal = shape
+        if len(args) != arity:
+            raise MalformedDag(f"node {i}: op {op} wants {arity} args")
+        for a in args:
+            if type(a) is not int:
+                raise MalformedDag(f"node {i}: args {args} not all ints")
+            if not 0 <= a < i:
+                raise MalformedDag(f"node {i}: args {args} not all earlier")
+        if (literal is None) != (value is None):
+            raise MalformedDag(f"node {i}: op {op} value mismatch")
+        if value is not None:
+            if not isinstance(value, Mat4):
+                raise MalformedDag(f"node {i}: value is a {type(value).__name__}, not a Mat4")
+            literals.append((i, *literal, value))
+
     p = require_odd_prime(cert.p)
     checks: list[CheckResult] = []
     memo: dict[tuple[Mat4, GroupLabel], bool] = {}
-    for i, node in enumerate(cert.nodes):
-        if node.value is None:  # not a literal (the structure check pairs the two)
-            continue
-        kind, label = _SHAPE[node.op][1]
-        good = _verdict(memo, node.value, label, p)
+    for i, kind, label, value in literals:
+        good = _verdict(memo, value, label, p)
         checks.append(_new(CheckResult, (kind, i, good, "" if good else f"{kind} not in {label.value}")))
         if not good:
-            return VerificationReport(False, tuple(checks), len(cert.nodes), f"{kind} node {i}")
+            return VerificationReport(False, tuple(checks), n, f"{kind} node {i}")
 
     budget = _bit_budget(cert)
     m0 = generator("M0", p)
@@ -285,14 +288,14 @@ def cert_verify(cert: Certificate) -> VerificationReport:
         if node.op in (MUL, CONJ) and value.entry_bits() > budget:
             detail = f"value wider than the {budget}-bit budget"
             checks.append(CheckResult("resource", i, False, detail))
-            return VerificationReport(False, tuple(checks), len(cert.nodes), f"resource node {i}")
+            return VerificationReport(False, tuple(checks), n, f"resource node {i}")
         values.append(value)
 
     replay_ok = values[cert.root] == cert.target
     detail = "" if replay_ok else "root value differs from target"
     checks.append(CheckResult("replay", cert.root, replay_ok, detail))
     locus = "" if replay_ok else f"replay mismatch at root {cert.root}"
-    return VerificationReport(replay_ok, tuple(checks), len(cert.nodes), locus)
+    return VerificationReport(replay_ok, tuple(checks), n, locus)
 
 
 class CertBuilder:
@@ -649,10 +652,7 @@ def certificate_from_json_obj(obj) -> Certificate:
         value = item.get("value", ...)  # JSON has no Ellipsis: no value given
         value = None if value is ... else mat4_from_lists(value)
         nodes.append(_new(CertNode, (item.get("op"), tuple(args), value)))
-    try:
-        return Certificate(p=p, nodes=tuple(nodes), root=root, target=target)
-    except MalformedDag as exc:
-        raise ParseError(str(exc)) from exc
+    return Certificate(p, tuple(nodes), root, target)
 
 
 def _matrix_layout(pad: str) -> str:

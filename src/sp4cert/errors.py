@@ -46,7 +46,7 @@ class ShapeAssertionFailed(Sp4CertError):
 
 
 class MalformedDag(Sp4CertError):
-    """Certificate node list is structurally invalid."""
+    """A certificate's structure is invalid; ``cert_verify`` raises it before any verdict."""
 
 
 class ParseError(Sp4CertError):

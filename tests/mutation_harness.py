@@ -60,7 +60,6 @@ SL2 = ("tests/test_sl2.py", "tests/test_golden.py")
 # the verifier and predicates, the reader and kernel, the writer, then
 # decompose's reducer and sl2
 TARGETS = (
-    ("certificates", "Certificate.__post_init__", VERIFIER),
     ("certificates", "_verdict", VERIFIER),
     ("certificates", "_node_value", VERIFIER),
     ("certificates", "_bit_budget", VERIFIER),
@@ -111,6 +110,7 @@ TARGETS = (
     ("decompose", "_cleared_shape", REDUCER),
     ("decompose", "_decompose_tilde", REDUCER),
     ("sl2", "sl2_decompose", SL2),
+    ("sl2", "conjugates_of_t", SL2),
     ("sl2", "gamma1p_generate", SL2),
     ("cli", "_fuzz_trial", ("tests/test_cli.py",)),
 )
@@ -145,6 +145,9 @@ EQUIVALENT = {
     "decompose:reduce_first_row:29:33:34:const": "[:5] adds an entry; only v[1] is read",
     "decompose:reduce_first_row:33:8:75:stmt": "unreachable: step (d) and a gcd step leave row 1 = (1,0,0,0)",
     "decompose:_decompose_tilde:20:59:63:const": "a j1 letter acts the same in tilde and plain coordinates",
+    "sl2:gamma1p_generate:11:11:22:arith": "q[0][0] = 1 + lam p with p >= 3, so (q[0][0] + 1) // p is lam too",
+    "sl2:gamma1p_generate:15:20:21:const": "undo is empty here, so insert(1, x) puts x first as insert(0, x) does",
+    "sl2:gamma1p_generate:16:21:22:const": "cases is empty here, so insert(1, 3) puts 3 first as insert(0, 3) does",
 }
 
 _CMP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,

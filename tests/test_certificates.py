@@ -53,6 +53,7 @@ from sp4cert.certificates import (
     parse,
     serialize,
 )
+from sp4cert.cli import main
 from sp4cert.errors import (
     MalformedDag,
     NotInGroup,
@@ -405,23 +406,43 @@ def test_malformed_dag_rejected():
         )
 
 
-def test_structure_is_checked_once_when_a_certificate_is_built(monkeypatch):
-    # a library caller gets MalformedDag from the constructor, and parse
-    # turns the same message into a ParseError
+class _CountingShape(dict):
+    """``_SHAPE`` counting its ``.get`` calls: only the structure walk
+    of :func:`cert_verify` makes them, one per node."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_structure_is_checked_once_when_a_certificate_is_verified(monkeypatch, tmp_path, capsys):
+    # a hand-built and a parsed certificate get the same MalformedDag, from cert_verify
     one = mat4_to_lists(Mat4.identity())
     bad = {"p": 3, "nodes": [{"id": 0, "op": "seed_m0", "args": []},
                              {"id": 1, "op": "inv", "args": [1]}], "root": 1, "target": one}
     with pytest.raises(MalformedDag) as built:
-        Certificate(3, (CertNode(SEED_M0), CertNode(INV, (1,))), 1, Mat4.identity())
-    with pytest.raises(ParseError) as parsed:
-        parse(json.dumps(bad))
+        cert_verify(Certificate(3, (CertNode(SEED_M0), CertNode(INV, (1,))), 1, Mat4.identity()))
+    with pytest.raises(MalformedDag) as parsed:
+        cert_verify(parse(json.dumps(bad)))
     assert str(parsed.value) == str(built.value) == "node 1: args (1,) not all earlier"
-    cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, 3, 7, 4)), 3)
-    calls = []
-    real = Certificate.__post_init__
-    monkeypatch.setattr(Certificate, "__post_init__", lambda self: calls.append(1) or real(self))
-    assert cert_verify(parse(serialize(cert))).passed
-    assert calls == [1]
+    shape = _CountingShape(_SHAPE)
+    monkeypatch.setattr(importlib.import_module("sp4cert.certificates"), "_SHAPE", shape)
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, 3, 7, 4))
+    text = serialize(normal_closure_witness(k, 3))
+    build_generator_certs(5)
+    expand_j2(Mat2.of(1, 0, 5, 1), 5)
+    cert = parse(text)
+    assert shape.gets == 0  # builders and the reader walk nothing
+    assert cert_verify(cert).passed
+    assert shape.gets == len(cert.nodes)
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(mat4_to_lists(k)))
+    shape.gets = 0
+    assert main(["witness", "--p", "3", "--in", str(path), "--out", str(tmp_path / "w.json")]) == 0
+    assert capsys.readouterr().out == f"{len(cert.nodes)} nodes\nPASS\n"
+    assert shape.gets == len(cert.nodes)  # the text it read back, not the certificate it built
 
 
 @pytest.mark.parametrize(
@@ -436,9 +457,9 @@ def test_structure_is_checked_once_when_a_certificate_is_built(monkeypatch):
 )
 def test_a_certificate_holds_only_ints(p, nodes, root, message):
     # parse refuses the same values first (test_parse_accepts_only_json_integers)
-    with pytest.raises(MalformedDag) as built:
-        Certificate(p, nodes, root, Mat4.identity())
-    assert str(built.value) == message
+    with pytest.raises(MalformedDag) as caught:
+        cert_verify(Certificate(p, nodes, root, Mat4.identity()))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
@@ -449,13 +470,16 @@ def test_a_certificate_holds_only_ints(p, nodes, root, message):
         ((CertNode(SEED_P2, (), [[1, 0, 0, 0]] * 4),), Mat4.identity(), "node 0: value is a list, not a Mat4"),
         ((CertNode(SEED_M0), CertNode(CONJ, (0,), Mat2.of(1, 0, 0, 1))), Mat4.identity(),
          "node 1: value is a Mat2, not a Mat4"),
+        # every node is checked before any verdict: the conjugator off gamma0_1p is not reported
+        ((CertNode(SEED_M0), CertNode(CONJ, (0,), Mat4.diagonal(2, 1, 1, 1)),
+          CertNode(CONJ, (1,), Mat2.of(1, 0, 0, 1))), Mat4.identity(), "node 2: value is a Mat2, not a Mat4"),
     ],
 )
 def test_a_certificate_holds_only_mat4_literals(nodes, target, message):
-    # cert_verify reads entry_bits() of each literal and hashes it, so only a Mat4 may build
-    with pytest.raises(MalformedDag) as built:
-        Certificate(3, nodes, len(nodes) - 1, target)
-    assert str(built.value) == message
+    # cert_verify reads entry_bits() of each literal and hashes it, so only a Mat4 may pass
+    with pytest.raises(MalformedDag) as caught:
+        cert_verify(Certificate(3, nodes, len(nodes) - 1, target))
+    assert str(caught.value) == message
 
 
 def test_builder_refuses_a_seed_outside_gamma_p2():
@@ -873,10 +897,11 @@ def test_witness_takes_a_large_named_exponent_as_a_seed():
 
 def _program_verdict(text: str) -> tuple[bool, str]:
     """``(passed, failure locus)`` of ``parse`` + ``cert_verify``; a
-    :class:`ParseError` is a refusal with the locus ``"parse"``."""
+    :class:`ParseError` or :class:`MalformedDag` is a refusal with the
+    locus ``"parse"``."""
     try:
         report = cert_verify(parse(text))
-    except ParseError:
+    except (ParseError, MalformedDag):
         return False, "parse"
     return report.passed, report.failure_locus
 
@@ -1040,8 +1065,8 @@ def test_parse_rejects_missing_fields():
 def test_parse_rejects_forward_reference():
     obj = json.loads(serialize(build_generator_certs(3)["M2"]))
     obj["nodes"][0] = {"id": 0, "op": "mul", "args": [1, 2]}
-    with pytest.raises(ParseError):
-        certificate_from_json_obj(obj)
+    with pytest.raises(MalformedDag, match=r"^node 0: args \(1, 2\) not all earlier$"):
+        cert_verify(certificate_from_json_obj(obj))
 
 
 @pytest.mark.parametrize("bad", [lambda x: x + 0.9, lambda x: True, str])

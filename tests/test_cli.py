@@ -239,6 +239,14 @@ def _swap_first_ids(obj):
     obj["nodes"][0]["id"], obj["nodes"][1]["id"] = 1, 0
 
 
+def _bad_seed_bogus_op_p_two(obj):
+    # a seed off gamma_p2 at node 2, an unknown op at node 6 and p = 2: every
+    # node is checked before p and before any verdict
+    obj["nodes"][2]["value"] = mat4_to_lists(generator("M0", 3))
+    obj["nodes"][6]["op"] = "bogus"
+    obj["p"] = 2
+
+
 MALFORMED = {
     "no_nodes": (_set(["nodes"], []), "no nodes"),
     "root_out_of_range": (_set(["root"], 7), "root 7 out of range"),
@@ -291,6 +299,7 @@ HOSTILE_CERTS = {
     "unicode_digit": (_edited(["nodes", 2, "value", 0, 0], "\u0661"),
                       "bad scalar '\u0661' at (0,0)"),
     "trailing_newline": (_edited(["target", 0, 0], "1\n"), "bad scalar '1\\n' at (0,0)"),
+    "bogus_op_after_a_bad_seed": (lambda: _malformed(_bad_seed_bogus_op_p_two), "node 6: unknown op 'bogus'"),
 }
 
 

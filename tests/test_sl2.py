@@ -56,6 +56,16 @@ def test_decompose_rejects_other_determinants():
         sl2_decompose(Mat2.of(1, 0, 0, -1))
 
 
+@pytest.mark.parametrize("a", [Mat2.of(1, 0, 0, 2), Mat2.of(2, 0, 0, 2)])
+def test_a_euclid_run_off_the_diagonal_is_an_internal_fault(monkeypatch, a):
+    # no input reaches this raise: past the determinant check, Euclid ends
+    # with c = 0 and x w = 1, so x = w = +-1; each case fails one half of it
+    monkeypatch.setattr(sl2, "_require_unimodular", lambda m: None)
+    with pytest.raises(ShapeAssertionFailed) as caught:
+        sl2_decompose(a)
+    assert str(caught.value) == f"Euclid did not end on a diagonal +-1: {a.rows}"
+
+
 def test_decompose_replay_seeded():
     for i in range(300):
         a = sample(SampleSpec(GroupLabel.SL2Z, 3, 1000 + i, i % 31))
