@@ -30,11 +30,13 @@ pass, then a renumbering pass unless all are live).  A PASS of
 3. mul, inv and conj by a gamma0_1p literal stay in the normal closure
    (test_cert_verify_agrees_with_the_oracle, an independent replay);
 4. both groups preserve J, as M0 does, so :meth:`Mat4.symplectic_inv`
-   inverts every value, the builder's too: it checks each literal first
+   inverts every value replay forms: each literal is checked first
    (test_target_tamper_replays_with_exact_transpose_inverses);
 5. the root equals the target (test_tampered_target_fails_with_replay_locus).
 
-Builders:
+Builders, which form no value: what they hand out is unchecked data
+until :func:`cert_verify` replays it, and each command that prints PASS
+runs it on the text it wrote and read back.
 
 * :func:`build_generator_certs` -- certificates for M2, L2, L4, M3, M4
   and M1, following the product identities of the core chain (below).
@@ -62,12 +64,13 @@ nodes, however large e is.
 
 The core chain (M2, L2, L4, M3, M4, L5 and M1 from the seeds) is the
 one place the six product identities that generate M1..M4 from M0 and
-level-p^2 elements are written.  It depends only on p: it is built and
-checked once per p, kept for the last ``_CORE_TEMPLATES`` primes, and
-interned into each builder that needs it with its values known, in the
-node order building it there gives.  :func:`verify_identities` builds it
-in a fresh builder and reports, with exact arithmetic, whether each
-identity lands on its generator.  Identity ``m4-from-l5-commutator``
+level-p^2 elements are written.  It depends only on p: it is built once
+per p, each named node's certificate checked by :func:`cert_verify`
+against its generator, kept for the last ``_CORE_TEMPLATES`` primes,
+and interned into each builder that needs it, in the node order building
+it there gives.  :func:`verify_identities` builds it in a fresh builder
+and reports, by :func:`cert_verify`, whether each identity lands on its
+generator.  Identity ``m4-from-l5-commutator``
 requires the *positive* power of L1: the exact computation gives
 
     L5^-1 M2^-1 L5 M2      =  M4 L1^-1,
@@ -223,9 +226,8 @@ _BUDGET_SCALE = 4
 _BUDGET_SLACK = 64
 
 
-def _bit_budget(cert: Certificate) -> int:
-    literals = [cert.target, *(node.value for node in cert.nodes if node.value is not None)]
-    return _BUDGET_SCALE * max(m.entry_bits() for m in literals) + _BUDGET_SLACK
+def _bit_budget(target: Mat4, literals: Iterable[Mat4]) -> int:
+    return _BUDGET_SCALE * max(m.entry_bits() for m in (target, *literals)) + _BUDGET_SLACK
 
 
 def cert_verify(cert: Certificate) -> VerificationReport:
@@ -280,7 +282,7 @@ def cert_verify(cert: Certificate) -> VerificationReport:
         if not good:
             return VerificationReport(False, tuple(checks), n, f"{kind} node {i}")
 
-    budget = _bit_budget(cert)
+    budget = _bit_budget(cert.target, [value for *_, value in literals])
     m0 = generator("M0", p)
     values: list[Mat4] = []
     for i, node in enumerate(cert.nodes):
@@ -300,25 +302,19 @@ def cert_verify(cert: Certificate) -> VerificationReport:
 
 class CertBuilder:
     """Hash-consing builder: structurally equal nodes are shared, so
-    repeated sub-chains (the L4 chain in particular) appear once."""
+    repeated sub-chains (the L4 chain in particular) appear once.  It
+    forms no value; only :func:`cert_verify` checks what it builds."""
 
     def __init__(self, p: int):
         self.p = require_odd_prime(p)
         self.nodes: list[CertNode] = []
-        self.values: list[Mat4] = []
         self._memo: dict[CertNode, int] = {}
         self._verdicts: dict[tuple[Mat4, GroupLabel], bool] = {}  # literal checks
-        self._m0 = generator("M0", p)
 
-    def _intern(self, node: CertNode, known: Mat4 | None = None) -> int:
-        # equal nodes have equal values, so a hit forms no product; a
-        # node copied from a core template brings its value as ``known``
-        hit = self._memo.get(node)
-        if hit is not None:
-            return hit
-        self.values.append(_node_value(node, self.values, self._m0) if known is None else known)
-        idx = self._memo[node] = len(self.nodes)
-        self.nodes.append(node)
+    def _intern(self, node: CertNode) -> int:
+        idx = self._memo.setdefault(node, len(self.nodes))
+        if idx == len(self.nodes):
+            self.nodes.append(node)
         return idx
 
     def _literal(self, op: str, args: tuple[int, ...], m: Mat4) -> int:
@@ -346,10 +342,11 @@ class CertBuilder:
     def identity(self) -> int:
         return self.seed_p2(Mat4.identity())
 
-    def power(self, a: int, e: int) -> int:
-        """Node for the e-th power of node ``a``.
+    def power(self, a: int, e: int, base: Mat4) -> int:
+        """Node for the e-th power of node ``a``, whose value the caller
+        gives as ``base``.
 
-        When a's value is ``1 + N`` with ``N N = 0`` and ``|e| > p^2/2``,
+        When ``base`` is ``1 + N`` with ``N N = 0`` and ``|e| > p^2/2``,
         write ``e = r + q p^2`` with ``|r| <= p^2/2``: then
         ``a^e = a^r S`` with ``S = 1 + q p^2 N``.  S is a power of a
         group element, so it is symplectic; when N is integral it is also
@@ -363,28 +360,28 @@ class CertBuilder:
         q, r = divmod(e + p2 // 2, p2)
         r -= p2 // 2
         if q:
-            s = unipotent_power(self.values[a], q * p2)
+            s = unipotent_power(base, q * p2)
             _, seed_group = _SHAPE[SEED_P2][1]
             if s is not None and _verdict(self._verdicts, s, seed_group, self.p):
                 seed = self.seed_p2(s)
-                return seed if r == 0 else self.mul(self.power(a, r), seed)  # |r| <= p^2/2: no split
+                return seed if r == 0 else self.mul(self.power(a, r, base), seed)  # |r| <= p^2/2: no split
         return repeated_squaring(a, e, self.mul, self.inv, self.identity)
 
     def product(self, ids: Iterable[int]) -> int:
         ids = list(ids)
         return functools.reduce(self.mul, ids) if ids else self.identity()
 
-    def certificate(self, root: int) -> Certificate:
+    def certificate(self, root: int, target: Mat4) -> Certificate:
         """The sub-DAG reachable from ``root``, renumbered, with the
-        value of ``root`` as target: a backward liveness pass, then a
-        forward renumbering pass unless that is the identity."""
+        caller's ``target``: a backward liveness pass, then a forward
+        renumbering pass unless that is the identity."""
         live = [False] * root + [True]
         for i in range(root, -1, -1):
             if live[i]:
                 for a in self.nodes[i].args:
                     live[a] = True
         if root == len(self.nodes) - 1 and all(live):  # the renumbering is the identity
-            return Certificate(self.p, tuple(self.nodes), root, self.values[root])
+            return Certificate(self.p, tuple(self.nodes), root, target)
         new_id = [0] * (root + 1)
         renumber = new_id.__getitem__
         nodes: list[CertNode] = []
@@ -392,7 +389,7 @@ class CertBuilder:
             if live[i]:
                 new_id[i] = len(nodes)
                 nodes.append(_new(CertNode, (op, tuple(map(renumber, args)), value)))
-        return Certificate(self.p, tuple(nodes), len(nodes) - 1, self.values[root])
+        return Certificate(self.p, tuple(nodes), len(nodes) - 1, target)
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +397,19 @@ class CertBuilder:
 # ---------------------------------------------------------------------------
 
 
-def _require_value(b: CertBuilder, idx: int, expected: Mat4, what: str) -> None:
-    """Raise :class:`ShapeAssertionFailed` unless node ``idx`` evaluates
-    to ``expected``; an explicit check, so ``python -O`` keeps it."""
-    if b.values[idx] != expected:
-        raise ShapeAssertionFailed(f"the {what} chain does not evaluate to its target at p={b.p}")
+def _require_chain(b: CertBuilder, idx: int, name: str) -> None:
+    """Raise :class:`ShapeAssertionFailed` unless the certificate of node
+    ``idx`` with the generator ``name`` as target passes
+    :func:`cert_verify`; an explicit check, so ``python -O`` keeps it."""
+    if not cert_verify(b.certificate(idx, generator(name, b.p))).passed:
+        raise ShapeAssertionFailed(f"the {name} chain does not evaluate to its target at p={b.p}")
 
 
 def _core_chain(b: CertBuilder) -> dict[str, int]:
     """Build the nodes for M2, L2, L4, M3, M4, L5 and M1 from seeds only,
     in that order, and check none of them."""
     p = b.p
-    g = {name: generator(name, p) for name in ("M1", "M3", "M4", "L1", "L3", "L5")}
+    g = {name: generator(name, p) for name in ("M1", "M3", "M4", "L1", "L2", "L3", "L5")}
 
     n_m0 = b.seed_m0()
     n_m0_inv = b.inv(n_m0)
@@ -431,7 +429,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     # L4 = L2^lam L3^mu with -2*lam + p^2*mu = 1
     _, lam, mu = ext_gcd(-2, p * p)
     n_l3 = b.seed_p2(g["L3"])
-    n_l4 = b.mul(b.power(n_l2, lam), b.power(n_l3, mu))
+    n_l4 = b.mul(b.power(n_l2, lam, g["L2"]), b.power(n_l3, mu, g["L3"]))
 
     # M3 = (L4 (M1 M0 M1^-1) M0^-1)^-1
     n_m3 = b.inv(b.mul(b.mul(n_l4, b.conj(n_m0, g["M1"])), n_m0_inv))
@@ -456,15 +454,15 @@ _CORE_TEMPLATES = 8  # primes whose core chain is kept; p may be as large as 3.3
 
 
 @functools.lru_cache(maxsize=_CORE_TEMPLATES)
-def _core_template(p: int) -> tuple[tuple[tuple[CertNode, Mat4], ...], tuple[tuple[str, int], ...]]:
-    """The ``(node, value)`` pairs and named ids of the core chain of p,
-    built and checked, node by node, in a fresh builder; a failed check
-    caches nothing."""
+def _core_template(p: int) -> tuple[tuple[CertNode, ...], tuple[tuple[str, int], ...]]:
+    """The nodes and named ids of the core chain of p, built in a fresh
+    builder, each name's certificate checked; a failed check caches
+    nothing."""
     b = CertBuilder(p)
     names = _core_chain(b)
     for name, idx in names.items():
-        _require_value(b, idx, generator(name, p), name)
-    return tuple(zip(b.nodes, b.values)), tuple(names.items())
+        _require_chain(b, idx, name)
+    return tuple(b.nodes), tuple(names.items())
 
 
 def _core_nodes(b: CertBuilder) -> dict[str, int]:
@@ -474,18 +472,18 @@ def _core_nodes(b: CertBuilder) -> dict[str, int]:
     template, names = _core_template(b.p)
     ids: list[int] = []
     renumber = ids.__getitem__
-    for (op, args, literal), value in template:
-        ids.append(b._intern(_new(CertNode, (op, tuple(map(renumber, args)), literal)), value))
+    for op, args, literal in template:
+        ids.append(b._intern(_new(CertNode, (op, tuple(map(renumber, args)), literal))))
     return {name: ids[i] for name, i in names}
 
 
 def build_generator_certs(p: int) -> dict[str, Certificate]:
     """Certificates for M2, L2, L4, M3, M4, M1 over the seeds
-    {M0} + gamma_p2; every one verifies by exact replay."""
+    {M0} + gamma_p2, from the core template, whose check they passed."""
     b = CertBuilder(p)
     nodes = _core_nodes(b)
     return {
-        name: b.certificate(nodes[name])
+        name: b.certificate(nodes[name], generator(name, p))
         for name in ("M2", "L2", "L4", "M3", "M4", "M1")
     }
 
@@ -516,12 +514,13 @@ class IdentityReport:
 
 
 def verify_identities(p: int) -> IdentityReport:
-    """Replay the core chain in a fresh builder and report, identity by
-    identity, whether its node equals the generator; nothing is assumed.
-    L5 and L4 = j2(P) are checked, not reported."""
+    """Build the core chain in a fresh builder and report, identity by
+    identity, whether its node's certificate, with the generator as
+    target, passes :func:`cert_verify`; nothing is assumed.  L5 and
+    L4 = j2(P) are checked, not reported."""
     b = CertBuilder(p)
     nodes = _core_chain(b)
-    _require_value(b, nodes["L5"], generator("L5", p), "L5")  # the M4 link conjugates by L5^-1
+    _require_chain(b, nodes["L5"], "L5")  # the M4 link conjugates by L5^-1
     if generator("L4", p) != j2_embed(generator("P", p), p):
         raise ShapeAssertionFailed(f"L4 is not j2(P) at p={p}")
     _, lam, mu = ext_gcd(-2, p * p)
@@ -534,7 +533,7 @@ def verify_identities(p: int) -> IdentityReport:
         ("M1", "m1-from-m3-chain", ""),
     )
     return IdentityReport(p, tuple(
-        IdentityCheck(name, b.values[nodes[key]] == generator(key, p), note)
+        IdentityCheck(name, cert_verify(b.certificate(nodes[key], generator(key, p))).passed, note)
         for key, name, note in identities
     ))
 
@@ -543,20 +542,19 @@ def _j1_chain(b: CertBuilder, a: Mat2) -> int:
     """Node for j1(a), using only the M0 seed: the j1 image of the
     :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
     w T^e w^-1 a power of M0, conjugated by j1(w) unless w is the identity."""
-    n_m0 = b.seed_m0()
+    n_m0, m0 = b.seed_m0(), generator("M0", b.p)
     parts = []
     for w, e in conjugates_of_t(sl2_decompose(a)):
-        part = b.power(n_m0, e)
+        part = b.power(n_m0, e, m0)
         parts.append(part if w.is_identity() else b.conj(part, j1_embed(w)))
     return b.product(parts)
 
 
 def expand_j1(a: Mat2, p: int) -> Certificate:
-    """Certificate for j1(a) with SeedM0 as the only leaf."""
+    """Certificate for j1(a) with SeedM0 as the only leaf, unchecked
+    until :func:`cert_verify`."""
     b = CertBuilder(p)
-    idx = _j1_chain(b, a)
-    _require_value(b, idx, j1_embed(a), "j1")
-    return b.certificate(idx)
+    return b.certificate(_j1_chain(b, a), j1_embed(a))
 
 
 def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
@@ -575,7 +573,7 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
             idx = b.conj(b.identity() if idx is None else idx, j2_embed(step.conjugator, p))
             continue
         if isinstance(step, MultiplyLeftP):
-            part = b.power(core["L4"], step.exponent)
+            part = b.power(core["L4"], step.exponent, generator("L4", p))
         else:  # MultiplyLeftPrime
             part = b.seed_p2(j2_embed(step.element, p))
         idx = part if idx is None else b.mul(part, idx)
@@ -584,11 +582,10 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
 
 def expand_j2(q: Mat2, p: int) -> Certificate:
     """Certificate for j2(q), q in gamma1_of_p; seeds are M0 (through
-    the embedded L4 chain) and j2 images of gamma1prime_p2 elements."""
+    the embedded L4 chain) and j2 images of gamma1prime_p2 elements.
+    It is unchecked until :func:`cert_verify`."""
     b = CertBuilder(p)
-    idx = _j2_chain(b, _core_nodes(b), q)
-    _require_value(b, idx, j2_embed(q, p), "j2")
-    return b.certificate(idx)
+    return b.certificate(_j2_chain(b, _core_nodes(b), q), j2_embed(q, p))
 
 
 def normal_closure_witness(k: Mat4, p: int) -> Certificate:
@@ -598,6 +595,8 @@ def normal_closure_witness(k: Mat4, p: int) -> Certificate:
     letter -- named generators through their chains, j1 letters through
     the M0 word, j2 letters through the level-p case split.
     ``decompose`` raises :class:`NotInGroup` when k is not in gamma_1p.
+    The certificate, with k as target, is unchecked until
+    :func:`cert_verify`.
     """
     word = decompose(k, p, tilde=False)
     b = CertBuilder(p)
@@ -610,12 +609,10 @@ def normal_closure_witness(k: Mat4, p: int) -> Certificate:
         if core is None:
             core = _core_nodes(b)
         if isinstance(letter, Named):
-            parts.append(b.power(core[letter.name], letter.exp))
+            parts.append(b.power(core[letter.name], letter.exp, generator(letter.name, p)))
         else:
             parts.append(_j2_chain(b, core, letter.payload))
-    root = b.product(parts)
-    _require_value(b, root, k, "witness")
-    return b.certificate(root)
+    return b.certificate(b.product(parts), k)
 
 
 # ---------------------------------------------------------------------------

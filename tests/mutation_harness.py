@@ -21,10 +21,16 @@ The function's source lines are replaced by the mutated function, so the
 rest of the module keeps its text.  Each mutant runs in a scratch copy of
 ``src/``, ``tests/``, ``bench/``, ``demos/`` and ``pyproject.toml`` (no
 byte code is written, so no stale cache hides a mutant), with
-``pytest -x`` over the target's test files.  The mutant is killed when
-pytest fails or times out.  A survivor listed in ``EQUIVALENT``, with the
-reason it cannot change behaviour, is not counted against the score;
-any other survivor makes the exit code 1.
+``pytest -x`` over the target's test files, under an address-space limit
+of ``MEMORY_LIMIT`` bytes (``setrlimit`` in the child, so only that run
+is bounded).  Before the first mutant of a set of test files, those
+files run once unmutated: that run must pass, or nothing is scored and
+the exit code is 2, and unless ``--timeout`` is given it sets the
+mutants' timeout, ``TIMEOUT_SCALE`` times its time plus
+``TIMEOUT_SLACK`` seconds.  The mutant is killed when pytest fails, runs
+out of memory or times out.  A survivor listed in ``EQUIVALENT``, with
+the reason it cannot change behaviour, is not counted against the
+score; any other survivor makes the exit code 1.
 
 A mutant is named ``module:qualname:line:col:end:operator``: the line of
 the mutated node counted from the ``def`` (0), and its first and last
@@ -36,6 +42,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -56,6 +63,9 @@ READER = ("tests/test_matrices.py", "tests/test_mat4_pair.py", "tests/test_cli.p
 REDUCER = ("tests/test_decompose.py", "tests/test_golden.py")
 SL2 = ("tests/test_sl2.py", "tests/test_golden.py")
 
+MEMORY_LIMIT = 2 << 30  # bytes of address space for one pytest run
+TIMEOUT_SCALE, TIMEOUT_SLACK = 5, 10  # a mutant's timeout from the unmutated run's seconds
+
 # (module, qualified function name, test files run against its mutants):
 # the verifier and predicates, the reader and kernel, the writer, then
 # decompose's reducer and sl2
@@ -69,9 +79,13 @@ TARGETS = (
     ("certificates", "IdentityReport.lines", VERIFIER),
     ("certificates", "CertBuilder._intern", VERIFIER),
     ("certificates", "CertBuilder._literal", VERIFIER),
+    ("certificates", "CertBuilder.power", VERIFIER),
     ("certificates", "CertBuilder.product", VERIFIER),
     ("certificates", "CertBuilder.certificate", VERIFIER),
+    ("certificates", "_require_chain", VERIFIER),
+    ("certificates", "_core_template", VERIFIER),
     ("certificates", "_core_nodes", VERIFIER),
+    ("certificates", "verify_identities", VERIFIER + ("tests/test_generators.py",)),
     ("groups", "member", PREDICATES),
     ("groups", "symplectic_check", PREDICATES),
     ("groups", "SymplecticForm.__post_init__", PREDICATES),
@@ -231,11 +245,16 @@ def mutants(module: str, qualname: str) -> list[tuple[str, str]]:
     return out
 
 
-def _run(work: Path, tests: tuple[str, ...], timeout: float) -> str:
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _run(work: Path, tests: tuple[str, ...], timeout: float | None) -> str:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        res = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout)
+        res = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout,
+                             preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
     return {0: "survived", 1: "killed", 2: "killed"}.get(res.returncode, f"error {res.returncode}")
@@ -246,7 +265,7 @@ def main(argv=None) -> int:
     ap.add_argument("--target", action="append", default=[],
                     help="run only targets whose 'module:qualname' contains this text")
     ap.add_argument("--list", action="store_true", help="list the mutants, run nothing")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
+    ap.add_argument("--timeout", type=float, help="seconds per mutant (default: from the unmutated run)")
     args = ap.parse_args(argv)
     chosen = [t for t in TARGETS if not args.target or any(s in f"{t[0]}:{t[1]}" for s in args.target)]
     if args.list:
@@ -264,14 +283,24 @@ def main(argv=None) -> int:
             else:
                 shutil.copy(src, work / item)
         survivors, killed, equivalent, total = [], 0, 0, 0
+        timeouts: dict[tuple[str, ...], float] = {}  # test files -> seconds per mutant
         for module, qualname, tests in chosen:
+            if tests not in timeouts:
+                t0 = time.perf_counter()
+                verdict = _run(work, tests, None)
+                elapsed = time.perf_counter() - t0
+                verdict = {"survived": "passed", "killed": "failed"}.get(verdict, verdict)
+                print(f"{'unmutated':10} {elapsed:6.1f}s  {' '.join(tests)}: {verdict}", flush=True)
+                if verdict != "passed":
+                    return 2
+                timeouts[tests] = args.timeout or TIMEOUT_SCALE * elapsed + TIMEOUT_SLACK
             path = work / "src" / "sp4cert" / f"{module}.py"
             original = path.read_text()
             for name, text in mutants(module, qualname):
                 t0 = time.perf_counter()
                 path.write_text(text)
                 try:
-                    verdict = _run(work, tests, args.timeout)
+                    verdict = _run(work, tests, timeouts[tests])
                 finally:
                     path.write_text(original)
                 total += 1

@@ -214,17 +214,18 @@ def reference_certificate_text(cert: Certificate) -> str:
     return json.dumps(certificate_to_json_obj(cert), indent=1)
 
 
-def evaluate(cert: Certificate) -> list[Mat4]:
-    """The value of every node, in order; no side condition is checked,
-    so the literals must preserve J, as ``_node_value`` requires."""
-    m0 = generator("M0", cert.p)
+def evaluate(dag: Certificate | CertBuilder) -> list[Mat4]:
+    """The value of every node of a certificate or a builder, in order; no
+    side condition is checked, so the literals must preserve J, as
+    ``_node_value`` requires."""
+    m0 = generator("M0", dag.p)
     values: list[Mat4] = []
-    for node in cert.nodes:
+    for node in dag.nodes:
         values.append(_node_value(node, values, m0))
     return values
 
 
-def reference_certificate(b: CertBuilder, root: int) -> Certificate:
+def reference_certificate(b: CertBuilder, root: int, target: Mat4) -> Certificate:
     """``CertBuilder.certificate`` as first written: the nodes reachable
     from ``root`` found with a stack and a set, sorted, and renumbered
     through a dict."""
@@ -242,7 +243,7 @@ def reference_certificate(b: CertBuilder, root: int) -> Certificate:
         CertNode(b.nodes[i].op, tuple(renumber[a] for a in b.nodes[i].args), b.nodes[i].value)
         for i in order
     )
-    return Certificate(p=b.p, nodes=nodes, root=renumber[root], target=b.values[root])
+    return Certificate(p=b.p, nodes=nodes, root=renumber[root], target=target)
 
 
 def is_integral(m: Mat4) -> bool:

@@ -54,6 +54,7 @@ from sp4cert.certificates import (
     serialize,
 )
 from sp4cert.cli import main
+from sp4cert.decompose import J1, J2, Named
 from sp4cert.errors import (
     MalformedDag,
     NotInGroup,
@@ -66,6 +67,11 @@ from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member
 from sp4cert.matrices import Mat2, Mat4, ext_gcd, load_json, mat4_from_lists, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import S, T, U
+
+
+def _literals(cert: Certificate) -> list[Mat4]:
+    """The seed and conjugator matrices of ``cert``, in node order."""
+    return [node.value for node in cert.nodes if node.value is not None]
 
 
 def seed_only_cert(p=3):
@@ -157,7 +163,8 @@ def test_verification_stops_at_first_failed_conjugator():
 @pytest.mark.parametrize("op", [SEED_P2, CONJ, SEED_M0])
 def test_failed_check_replays_nothing(monkeypatch, op):
     # a seed_p2 or conjugator times diag(2,1,1,1), or a seed_m0 made a
-    # seed_p2 holding M0; replay, which inverts by the transpose, never starts
+    # seed_p2 holding M0; replay, which inverts by the transpose, never
+    # starts, and no width is measured for the budget
     p = 7
     cert = normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 3, 3)), p)
     nodes = list(cert.nodes)
@@ -168,8 +175,8 @@ def test_failed_check_replays_nothing(monkeypatch, op):
     else:
         assert any(node.op in (MUL, INV) for node in nodes[:i])  # a replay to i would multiply
         nodes[i] = CertNode(op, nodes[i].args, nodes[i].value * Mat4.diagonal(2, 1, 1, 1))
-    for name in ("__mul__", "inv", "symplectic_inv", "times_block"):
-        monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("product after a failed check"))
+    for name in ("__mul__", "inv", "symplectic_inv", "times_block", "entry_bits"):
+        monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("a product or width after a failed check"))
     report = cert_verify(Certificate(p, tuple(nodes), cert.root, cert.target))
     kind = "conjugator" if op == CONJ else "seed"
     assert report.failure_locus == f"{kind} node {i}"
@@ -202,7 +209,7 @@ def test_a_value_at_the_bit_budget_passes_and_one_bit_more_fails(c, over):
     nodes = (CertNode(SEED_P2, (), X), CertNode(SEED_P2, (), Y), CertNode(MUL, (0, 1)),
              CertNode(MUL, (2, 2)), CertNode(MUL, (3, 3)), CertNode(SEED_P2, (), filler))
     cert = Certificate(3, nodes, 5, filler)
-    assert _bit_budget(cert) == widest - over
+    assert _bit_budget(cert.target, _literals(cert)) == widest - over
     report = cert_verify(cert)
     assert report.passed == (not over)
     if over:
@@ -240,7 +247,7 @@ def test_transpose_inverse_is_the_adjugate_on_every_golden_value():
         for cert in map(certificate_from_json_obj, obj.values() if "M2" in obj else [obj]):
             values = evaluate(cert)
             assert values[cert.root] == cert.target
-            for m in (*values, *(node.value for node in cert.nodes if node.value is not None)):
+            for m in (*values, *_literals(cert)):
                 assert m.symplectic_inv() == m.inv(), path.name
                 if m.scaled()[0] == cert.p:
                     with_d_p.add(cert.p)
@@ -250,9 +257,9 @@ def test_transpose_inverse_is_the_adjugate_on_every_golden_value():
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("witness_*.json")), ids=lambda p: p.name)
 def test_bit_budget_of_golden_certificates_matches_the_reference(path):
     cert = parse(path.read_text())
-    for m in (cert.target, *(node.value for node in cert.nodes if node.value is not None)):
+    for m in (cert.target, *_literals(cert)):
         assert m.entry_bits() == ReferenceMat4.of(m).entry_bits()
-    assert _bit_budget(cert) == reference_bit_budget(cert)
+    assert _bit_budget(cert.target, _literals(cert)) == reference_bit_budget(cert)
 
 
 def _exact_nodes(cert: Certificate) -> bool:
@@ -278,7 +285,7 @@ def test_every_renumbered_or_copied_node_is_exactly_a_cert_node(p):
     b = CertBuilder(p)
     b.seed_m0()  # so the copied template is renumbered by one
     _core_nodes(b)
-    copied = Certificate(p, tuple(b.nodes), len(b.nodes) - 1, b.values[-1])
+    copied = Certificate(p, tuple(b.nodes), len(b.nodes) - 1, evaluate(b)[-1])
     for cert in (*certs.values(), copied, expand_j1(Mat2.of(2, 1, 1, 1), p),
                  expand_j2(Mat2.of(1 + p, p, -p, 1 - p), p)):
         assert _exact_nodes(cert)
@@ -338,7 +345,7 @@ def test_bit_budget_with_d_p_and_entries_sharing_p(p):
     conj = j2_embed(Mat2.of(1 + p, p, -p, 1 - p), p) * Mat4.diagonal(p, 1, 1, 1)
     cert = Certificate(p, (CertNode(SEED_M0), CertNode(CONJ, (0,), conj)), 1, target)
     assert target.scaled()[0] == p and conj.scaled()[0] in (1, p)
-    assert _bit_budget(cert) == reference_bit_budget(cert)
+    assert _bit_budget(cert.target, _literals(cert)) == reference_bit_budget(cert)
     assert target.entry_bits() == ReferenceMat4.of(target).entry_bits() == (2 * p**2).bit_length()
 
 
@@ -373,15 +380,15 @@ def test_hostile_conj_chain_is_refused():
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_evaluate_matches_the_builder_values(monkeypatch, p):
-    builders = []
-    monkeypatch.setattr(CertBuilder, "certificate", lambda b, *args, **kw: builders.append(b))
-    for i in range(4):
-        normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 8100 + i, 4 + i)), p)
-    assert len(builders) == 4
-    for b in builders:
-        whole = Certificate(p, tuple(b.nodes), len(b.nodes) - 1, b.values[-1])
-        assert evaluate(whole) == b.values
+def test_evaluate_of_a_witness_builder_reaches_its_target(monkeypatch, p):
+    extracted = []
+    monkeypatch.setattr(CertBuilder, "certificate", lambda b, root, target: extracted.append((b, root, target)))
+    ks = [sample(SampleSpec(GroupLabel.GAMMA_1P, p, 8100 + i, 4 + i)) for i in range(4)]
+    for k in ks:
+        normal_closure_witness(k, p)
+    assert [target for _, _, target in extracted] == ks
+    for b, root, k in extracted:
+        assert root == len(b.nodes) - 1 and evaluate(b)[root] == k
 
 
 def test_malformed_dag_rejected():
@@ -580,10 +587,13 @@ def test_extraction_matches_the_reference_for_every_root(p, calls):
             b.inv(a)
         elif op == "conj":
             b.conj(a, generator(extra, p))
-        elif b.values[a].entry_bits() <= 64:  # a power of a wide value is slow to form
-            b.power(a, extra)
+        else:
+            base = evaluate(b)[a]
+            if base.entry_bits() <= 64:  # a power of a wide value is slow to evaluate
+                b.power(a, extra, base)
+    values = evaluate(b)
     for root in range(len(b.nodes)):
-        assert b.certificate(root) == reference_certificate(b, root)
+        assert b.certificate(root, values[root]) == reference_certificate(b, root, values[root])
 
 
 def test_only_a_builder_with_a_dead_or_later_node_renumbers():
@@ -592,11 +602,11 @@ def test_only_a_builder_with_a_dead_or_later_node_renumbers():
     b = CertBuilder(3)
     m0 = b.seed_m0()
     root = b.mul(m0, b.inv(m0))
-    assert all(x is y for x, y in zip(b.certificate(root).nodes, b.nodes, strict=True))
+    assert all(x is y for x, y in zip(b.certificate(root, Mat4.identity()).nodes, b.nodes, strict=True))
     b.seed_p2(generator("L1", 3))  # dead below the next root
     top = b.mul(root, m0)
-    cert = b.certificate(top)
-    assert cert.nodes == reference_certificate(b, top).nodes
+    cert = b.certificate(top, generator("M0", 3))
+    assert cert == reference_certificate(b, top, generator("M0", 3))
     assert cert.nodes[-1] == CertNode(MUL, (2, 0)) and cert.nodes[-1] is not b.nodes[top]
 
 
@@ -765,12 +775,13 @@ ORACLE = _load_oracle()
 SPLIT_BASES = ("M0", "L4", "M3", "M0^-1", "L4^-1", "M3^-1")
 
 
-def _split_base(b: CertBuilder, name: str) -> int:
-    """Node for M0, L4 or M3, or the inverse of one (``"L4^-1"``)."""
+def _split_base(b: CertBuilder, name: str) -> tuple[int, Mat4]:
+    """Node and value of M0, L4 or M3, or of the inverse of one (``"L4^-1"``)."""
     core = _core_nodes(b)
     nodes = {"M0": b.seed_m0(), "L4": core["L4"], "M3": core["M3"]}
-    idx = nodes[name.removesuffix("^-1")]
-    return b.inv(idx) if name.endswith("^-1") else idx
+    base = name.removesuffix("^-1")
+    idx, value = nodes[base], generator(base, b.p)
+    return (b.inv(idx), value.inv()) if name.endswith("^-1") else (idx, value)
 
 
 def _seeds_p2(b: CertBuilder, start: int) -> list[Mat4]:
@@ -789,33 +800,29 @@ def _both_verifiers(cert: Certificate) -> tuple[bool, tuple[bool, str]]:
 )
 def test_split_power_is_exact_short_and_verifies(p, name, e):
     b = CertBuilder(p)
-    a = _split_base(b, name)
+    a, base = _split_base(b, name)
     before = len(b.nodes)
-    idx = b.power(a, e)
-    target = b.values[a] ** e
-    assert b.values[idx] == target
+    idx = b.power(a, e, base)
     assert len(b.nodes) - before <= 2 * (p * p // 2).bit_length() + 3
-    cert = b.certificate(idx)
-    assert _both_verifiers(cert) == (True, (True, ""))
+    cert = b.certificate(idx, base ** e)
+    assert _both_verifiers(cert) == (True, (True, ""))  # the root replays to base^e
     half = p * p // 2
     if abs(e) > half:
         # the p^2-multiple part of the power is one seed (perhaps shared)
         r = (e + half) % (p * p) - half
-        seed = b.values[a] ** (e - r)
+        seed = base ** (e - r)
         assert any(n.op == SEED_P2 and n.value == seed for n in cert.nodes)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_power_of_a_non_unipotent_base_is_binary(p):
     b = CertBuilder(p)
-    a = _j1_chain(b, Mat2.of(2, 1, 1, 1))  # trace 3: no power of it is a seed
+    a, base = _j1_chain(b, Mat2.of(2, 1, 1, 1)), j1_embed(Mat2.of(2, 1, 1, 1))  # trace 3: no power is a seed
     for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
         before = len(b.nodes)
-        idx = b.power(a, e)
-        target = b.values[a] ** e
-        assert b.values[idx] == target
+        idx = b.power(a, e, base)
         assert not _seeds_p2(b, before)
-        assert _both_verifiers(b.certificate(idx)) == (True, (True, ""))
+        assert _both_verifiers(b.certificate(idx, base ** e)) == (True, (True, ""))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -831,17 +838,16 @@ def test_power_of_a_non_integral_unipotent_base(p):
     # q = 1, -1, 2: S = 1 + q p^2 N is off gamma_p2, so the power is binary
     for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
         before = len(b.nodes)
-        idx = b.power(a, e)
-        assert b.values[idx] == base ** e
+        idx = b.power(a, e, base)
         assert not _seeds_p2(b, before)
-        cert = b.certificate(idx)
+        cert = b.certificate(idx, base ** e)
         assert evaluate(cert)[cert.root] == base ** e
         assert _both_verifiers(cert) == refused
     # q = p: S = 1 + p^3 N lies in gamma_p2, and the split takes it
     before = len(b.nodes)
-    idx = b.power(a, p ** 3 + 1)
+    idx = b.power(a, p ** 3 + 1, base)
     assert _seeds_p2(b, before) == [base ** p ** 3]
-    assert b.values[idx] == base ** (p ** 3 + 1)
+    assert evaluate(b)[idx] == base ** (p ** 3 + 1)
 
 
 def test_each_split_literal_is_tested_once(monkeypatch):
@@ -856,12 +862,12 @@ def test_each_split_literal_is_tested_once(monkeypatch):
     b = CertBuilder(5)
     m0 = b.seed_m0()
     for e in (100, 100, 101, -100, 1000, 3):
-        b.power(m0, e)
+        b.power(m0, e, generator("M0", 5))
     b.identity()
     b.identity()
     # conjugators share the memo: j1(S), as each U-letter uses it, and M1
     for e in (1, 2, 1, -3):
-        b.conj(b.power(m0, e), j1_embed(S))
+        b.conj(b.power(m0, e, generator("M0", 5)), j1_embed(S))
     for a in (m0, m0, b.inv(m0)):
         b.conj(a, generator("M1", 5))
     assert len(tested) == len(set(tested)) == 6
@@ -976,35 +982,36 @@ def test_core_template_interns_as_building_it_in_place(p):
     def prefixed() -> CertBuilder:
         b = CertBuilder(p)
         _j1_chain(b, Mat2.of(-7, 3, 2, -1))
-        b.power(b.seed_m0(), -2)
+        b.power(b.seed_m0(), -2, generator("M0", p))
         return b
 
     built, interned = prefixed(), prefixed()
     before = len(built.nodes)
     names = _core_chain(built)
     assert _core_nodes(interned) == names
-    assert interned.nodes == built.nodes and interned.values == built.values
+    assert interned.nodes == built.nodes
     assert len(built.nodes) - before < len(_core_template(p)[0])
 
 
 def test_core_chain_is_checked_once_per_p(monkeypatch):
+    # the builders' one check: cert_verify of each core name's certificate,
+    # once per p; no witness, generator table or j2 certificate is checked
     certificates = importlib.import_module("sp4cert.certificates")
-    real = certificates._require_value
+    real = certificates.cert_verify
     checked = []
 
-    def spy(b, idx, expected, what):
-        checked.append((b.p, what))
-        real(b, idx, expected, what)
+    def spy(cert):
+        checked.append((cert.p, cert.target))
+        return real(cert)
 
     _core_template.cache_clear()
-    monkeypatch.setattr(certificates, "_require_value", spy)
+    monkeypatch.setattr(certificates, "cert_verify", spy)
     for p in (3, 5):
         for i in range(5):
             normal_closure_witness(sample(SampleSpec(GroupLabel.GAMMA_1P, p, 900 + i, 8)), p)
         build_generator_certs(p)
         expand_j2(Mat2.of(1, 0, p, 1), p)
-    assert [c for c in checked if c[1] in CORE_NAMES] == [(p, name) for p in (3, 5) for name in CORE_NAMES]
-    assert checked.count((3, "witness")) == checked.count((5, "witness")) == 5
+    assert checked == [(p, generator(name, p)) for p in (3, 5) for name in CORE_NAMES]
 
 
 def test_core_template_cache_is_bounded_by_its_constant():
@@ -1106,11 +1113,33 @@ def test_parse_rejects_unreduced_entries():
         certificate_from_json_obj(obj)
 
 
+# --- the builders form no value ---------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_builders_form_no_product(monkeypatch, p):
+    # a word decomposed beforehand and a warm core template: what is left
+    # of a witness, and all of a generator table, is node building
+    certificates = importlib.import_module("sp4cert.certificates")
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 40 + p, 12))
+    word = certificates.decompose(k, p, tilde=False)
+    _core_template(p)
+    monkeypatch.setattr(certificates, "decompose", lambda m, q, tilde: word)
+    for name in ("__mul__", "symplectic_inv"):
+        monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("a product while building"))
+    witness, table = normal_closure_witness(k, p), build_generator_certs(p)
+    monkeypatch.undo()
+    assert not hasattr(CertBuilder(p), "values")
+    assert {type(x) for x in word.letters} == {J1, J2, Named}
+    assert cert_verify(witness).passed and all(cert_verify(c).passed for c in table.values())
+
+
 # --- checks that python -O keeps -------------------------------------------
 
 
 def test_chain_checks_survive_python_optimise_flag():
-    # each case feeds one check a wrong value; only an explicit raise sees it
+    # each case feeds one check a wrong value; only an explicit raise, or
+    # cert_verify of a builder's output, sees it
     script = textwrap.dedent("""
         import dataclasses
         import importlib
@@ -1167,9 +1196,12 @@ def test_chain_checks_survive_python_optimise_flag():
             setattr(mod, name, wrong)
             for call in calls:
                 try:
-                    call()
+                    out = call()
                 except ShapeAssertionFailed:
                     print("rejected", label)
+                else:
+                    if isinstance(out, certs.Certificate) and not certs.cert_verify(out).passed:
+                        print("refused", label)
             setattr(mod, name, real[name])
         """)
     src = str(Path(sp4cert.__file__).resolve().parents[1])
@@ -1182,6 +1214,9 @@ def test_chain_checks_survive_python_optimise_flag():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    # "lift" runs two calls: expand_j1 and a witness
-    labels = ["core", "j1", "j2", "witness", "lift", "lift", "sl2", "conjugates", "gamma1p", "short"]
-    assert done.stdout.split() == [w for label in labels for w in ("rejected", label)]
+    # the core template's check raises; a builder's output is refused by
+    # cert_verify; "lift" runs two calls: expand_j1 and a witness
+    labels = [("rejected", "core"), ("refused", "j1"), ("refused", "j2"), ("refused", "witness"),
+              ("refused", "lift"), ("refused", "lift"), ("rejected", "sl2"), ("rejected", "conjugates"),
+              ("rejected", "gamma1p"), ("rejected", "short")]
+    assert done.stdout.split() == [w for pair in labels for w in pair]

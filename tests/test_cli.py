@@ -24,6 +24,7 @@ from sp4cert.groups import GroupLabel, VectorClass
 from sp4cert.matrices import Mat4, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.siegel import MAX_SAMPLES
+from sp4cert.sl2 import T
 
 
 @pytest.fixture()
@@ -163,6 +164,24 @@ def test_witness_passes_only_a_file_that_verify_reads(tmp_path, capsys):
         assert witness_out.endswith("PASS\n") and verify_out.endswith("PASS\n")
     else:  # the file is written, then read back as verify reads it
         assert (witness, witness_out, witness_err) == (verify, verify_out, verify_err)
+
+
+def test_a_corrupted_chain_fails_witness_verify_and_fuzz(monkeypatch, member_file, tmp_path, capsys):
+    # every j1 payload is expanded as itself times T; the builder checks
+    # nothing, so only the replay of what witness wrote can see it
+    certificates = sys.modules["sp4cert.certificates"]
+    path, _ = member_file
+    certificates.build_generator_certs(3)  # the core template, checked before the fault
+    real = certificates._j1_chain
+    monkeypatch.setattr(certificates, "_j1_chain", lambda b, m: real(b, m * T))
+    cert_path = tmp_path / "cert.json"
+    assert main(["witness", "--p", "3", "--in", path, "--out", str(cert_path)]) == 1
+    assert capsys.readouterr().out.endswith("\nFAIL\n")
+    root = json.loads(cert_path.read_text())["root"]
+    assert main(["verify", "--cert", str(cert_path)]) == 1
+    assert capsys.readouterr().out.endswith(f"\nFAIL (replay mismatch at root {root})\n")
+    assert main(["fuzz", "--p", "3", "--n", "2", "--seed", "5", "--suite", "witness"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL at trial 0: ")
 
 
 def test_verify_with_matching_target(member_file, tmp_path):

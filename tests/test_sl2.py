@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -104,13 +103,16 @@ def test_normal_closure_tu():
 
 def _one_factor_per_letter(a: Mat2) -> sl2.ConjugateList:
     """The conjugate list of ``a``, checked to replay, to hold one factor
-    per letter of a's word and to take under 10 ms."""
-    start = time.perf_counter()
-    cl = normal_closure_decompose(a)
-    elapsed = time.perf_counter() - start
-    assert len(cl.factors) == len(sl2_decompose(a).letters)
+    per letter of a's word and to form at most three ``Mat2`` products a
+    letter however wide the exponents: no work per unit of exponent."""
+    products, real = [], Mat2.__mul__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Mat2, "__mul__", lambda x, y: products.append(1) or real(x, y))
+        cl = normal_closure_decompose(a)
+    letters = len(sl2_decompose(a).letters)
+    assert len(cl.factors) == letters
+    assert len(products) <= 3 * letters
     assert cl.replay() == a
-    assert elapsed < 0.010, f"{elapsed * 1e3:.1f} ms"
     return cl
 
 
