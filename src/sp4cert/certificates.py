@@ -85,13 +85,19 @@ Serialisation (:func:`serialize`) is one direct writer of what
 ``json.dumps(obj, indent=1)`` makes of ``{"p", "nodes", "root",
 "target"}``, each node ``{"id", "op", "args"}`` plus ``"value"`` for a
 seed or conjugator: one-space indents, ``,`` at line ends, ``": "``
-after keys, ``"args": []`` when empty.  Each node fills its op's ``%``
-template and the target its own, built at import, with ints and the
-strings of the one entry writer, :func:`sp4cert.matrices.entry_strings`
-(``str``, or ``_int_to_str``'s pieces past the int/str limit).  Entries
-hold only digits, ``-`` and ``/``, and ops are the names of ``_SHAPE``,
-so nothing is escaped.  Nested one level deeper (``certify-generators``),
-the text gains one space after each newline; :func:`parse` reads it back.
+after keys, ``"args": []`` when empty.  The text is one ``%`` of the
+op templates built at import, joined, over one flat tuple: p, each
+node's id, args and literal entries, root, the target's entries.  An
+integral matrix gives its stored ints, which ``%s`` writes as ``str``
+does, in C; a fraction gives its :func:`sp4cert.matrices.entry_strings`.
+If ``%`` refuses an entry past the int/str limit, the text is written
+again with ``entry_strings`` for every matrix.  A node that does not
+fit its op's template (arity, a value or none) raises
+:class:`TypeError`: two misfits could cancel in the flat tuple and
+shift every field between them.  Entries hold only digits, ``-`` and
+``/``, and ops are the names of ``_SHAPE``, so nothing is escaped.
+Nested one level deeper (``certify-generators``), the text gains one
+space after each newline; :func:`parse` reads it back.
 """
 
 from __future__ import annotations
@@ -666,18 +672,41 @@ def _node_layout(op: str) -> str:
     return '  {\n   "id": %d,\n   "op": "' + op + '",\n   "args": ' + args + value + "\n  }"
 
 
-_NODE_TEXT, _TARGET_TEXT = {op: _node_layout(op) for op in _SHAPE}, _matrix_layout(" ")
+# op -> (its node's template, arity, whether it holds a value), and the
+# text before and after the nodes: p, then root and the target's entries
+_NODE_TEXT = {op: (_node_layout(op), arity, literal is not None) for op, (arity, literal) in _SHAPE.items()}
+_HEAD, _TAIL = '{\n "p": %s,\n "nodes": [\n', '\n ],\n "root": %s,\n "target": ' + _matrix_layout(" ") + "\n}"
+
+
+def _text(cert: Certificate, as_is: bool) -> str:
+    """The text of ``cert`` (module docstring): with ``as_is`` an
+    integral matrix gives its stored ints to ``%s``, else every matrix
+    gives its :func:`entry_strings`."""
+    texts: list[str] = []
+    flat = [cert.p]
+    for i, (op, args, value) in enumerate(cert.nodes):
+        text, arity, literal = _NODE_TEXT[op]
+        if len(args) != arity or (value is None) == literal:  # a misfit shifts every later field
+            has = "no value" if value is None else "a value"
+            raise TypeError(f"node {i}: op {op} with {len(args)} args and {has} fits no template")
+        texts.append(text)
+        flat.append(i)
+        flat += args
+        if literal:
+            d, e = value.scaled()
+            flat += e if as_is and d == 1 else entry_strings(value)
+    d, e = cert.target.scaled()
+    flat += (cert.root, *(e if as_is and d == 1 else entry_strings(cert.target)))
+    return (_HEAD + ",\n".join(texts) + _TAIL) % tuple(flat)
 
 
 def serialize(cert: Certificate) -> str:
     """The certificate as ``json.dumps(obj, indent=1)`` lays out its
     JSON object, written directly; see the module docstring."""
-    nodes = [_NODE_TEXT[op] % (i, *args, *(() if value is None else entry_strings(value)))
-             for i, (op, args, value) in enumerate(cert.nodes)]
-    return (
-        f'{{\n "p": {cert.p},\n "nodes": [\n' + ",\n".join(nodes)
-        + f'\n ],\n "root": {cert.root},\n "target": ' + _TARGET_TEXT % entry_strings(cert.target) + "\n}"
-    )
+    try:
+        return _text(cert, True)
+    except ValueError:  # an entry past the int/str digit limit: entry_strings writes it
+        return _text(cert, False)
 
 
 def parse(text: str | bytes) -> Certificate:

@@ -63,7 +63,11 @@ round-trips are bit-exact.  :func:`entry_strings` is the one writer
 is one C-level ``map(str, ...)``, a fraction entry is reduced by its
 own gcd and written by ``str``, and if ``str`` refuses an entry past
 the int/str conversion limit (4,300 digits by default), every entry
-goes through ``_int_to_str``, the same digits written in pieces.  A
+goes through ``_int_to_str``, the same digits written in pieces.  The
+one other writer of entry text is the ``%s`` of ``certificates.serialize``,
+which takes an integer matrix's stored ints as they are: ``%s`` is
+``str``, in C.  A fraction, and any entry past the limit, still goes
+through :func:`entry_strings`.  A
 4 x 4 matrix is read in one pass when it can be: its rows, each a list
 of four, are unpacked once and joined into one string (``,`` in a row,
 ``;`` between rows) that one match checks against 16 canonical
@@ -190,9 +194,12 @@ class Mat4:
     @staticmethod
     def from_pair(d: int, e: tuple[int, ...]) -> "Mat4":
         """The ``Mat4`` of ``e / d``, the inverse of :meth:`scaled`: d > 0
-        and e a flat row-major tuple of 16 ints, divided by ``gcd(d, *e)``."""
+        and e a flat row-major tuple of 16 ints, divided by ``gcd(d, *e)``;
+        any other length of e, or a d below 1, is a ``ValueError``."""
         if len(e) != 16:
             raise ValueError(f"Mat4.from_pair needs 16 flat entries, not {len(e)}")
+        if d < 1:  # (-d, -e) would be a second pair of one matrix
+            raise ValueError(f"Mat4.from_pair needs a denominator d > 0, not {d}")
         if d != 1:
             g = math.gcd(d, *e)
             if g != 1:

@@ -117,6 +117,7 @@ TARGETS = (
     ("matrices", "mat2_to_lists", WRITER),
     ("certificates", "_matrix_layout", WRITER),
     ("certificates", "_node_layout", WRITER),
+    ("certificates", "_text", WRITER),
     ("certificates", "serialize", WRITER),
     ("decompose", "_Reducer.apply", REDUCER),
     ("decompose", "_Reducer.gcd_clear_v3", REDUCER),

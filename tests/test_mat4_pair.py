@@ -224,6 +224,15 @@ def test_from_pair_refuses_a_nested_or_wrong_length_e(d, e):
         Mat4.from_pair(d, e)
 
 
+@pytest.mark.parametrize("d", [-1, 0])
+@pytest.mark.parametrize("e", [(1,) + (0,) * 15, (0,) * 16])
+def test_from_pair_refuses_a_denominator_below_one(d, e):
+    # from_pair(-1, e) would be the matrix of from_pair(1, -e) with another
+    # pair, so unequal to it; from_pair(0, e) would divide by zero
+    with pytest.raises(ValueError, match=f"^Mat4.from_pair needs a denominator d > 0, not {d}$"):
+        Mat4.from_pair(d, e)
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 0, 0, 0]] * 3,
     [[1, 0, 0, 0]] * 5,

@@ -3,7 +3,8 @@
 ``serialize`` writes its text directly; ``support.reference_certificate_text``
 is ``json.dumps(obj, indent=1)`` of the certificate's JSON object, which
 is how the text was first written.  Every certificate here must give
-the same bytes both ways and read back equal."""
+the same bytes both ways and read back equal, unless a node fits no
+template of the writer, which must then raise."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from sp4cert.certificates import (
     parse,
     serialize,
 )
+import sp4cert.certificates as certificates
 import sp4cert.matrices as matrices
 from sp4cert.cli import main
 from sp4cert.decompose import J1, GeneratorWord, Named
@@ -181,3 +183,68 @@ def test_entries_past_a_lowered_digit_limit_write_as_at_the_default():
         assert _long_entry_texts() == expected
     finally:
         sys.set_int_max_str_digits(old)
+
+
+# --- one % over one flat tuple: ints as they are stored, a per-node fit ----
+
+
+def test_a_long_integral_literal_after_others_writes_as_the_reference():
+    # the flat tuple is half built, with stored ints and fraction strings,
+    # when the long literal's %s raises; the whole text is written again
+    long = 10 ** 4_400 + 1
+    half = Mat4.diagonal(Fraction(1, 2), Fraction(-3, 2), 1, 2)
+    third = Mat4.diagonal(Fraction(-1, 3), 1, 1, -3)
+    nodes = (CertNode(SEED_P2, value=_seed(-9)), CertNode(CONJ, (0,), half), CertNode(CONJ, (1,), third),
+             CertNode(MUL, (2, 0)), CertNode(SEED_P2, value=_seed(-long)), CertNode(MUL, (3, 4)))
+    for target in (_seed(9), _seed(long), third):
+        text = _same_both_ways(Certificate(3, nodes, 5, target))
+        assert max(map(len, re.findall("[0-9]+", text))) == 4_401
+        assert '"-3/2"' in text and '"-1/3"' in text
+
+
+@pytest.fixture
+def entry_writer_calls(monkeypatch):
+    """The matrices that ``serialize`` hands to ``entry_strings``."""
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return matrices.entry_strings(m)
+
+    monkeypatch.setattr(certificates, "entry_strings", spy)
+    return seen
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("witness_*.json")), ids=lambda p: p.name)
+def test_only_fraction_literals_reach_the_entry_writer(entry_writer_calls, path):
+    text = path.read_text()
+    cert = parse(text)
+    assert serialize(cert) == text.rstrip("\n")
+    literals = [node.value for node in cert.nodes if node.value is not None] + [cert.target]
+    assert entry_writer_calls == [m for m in literals if m.scaled()[0] != 1]
+
+
+def test_two_misfits_that_cancel_in_the_flat_tuple_raise():
+    # the mul's 16 extra entries fill the conj's 16 missing ones: written
+    # flat with no fit check, every field between them would shift
+    conj = j1_embed(Mat2.of(0, -1, 1, 0))
+    nodes = (CertNode(SEED_M0), CertNode(MUL, (0, 0), conj), CertNode(CONJ, (1,)))
+    cert = Certificate(3, nodes, 2, conj)
+    assert '"value"' in reference_certificate_text(cert)  # the nodes hold what the encoder writes
+    with pytest.raises(TypeError, match="^node 1: op mul with 2 args and a value fits no template$"):
+        serialize(cert)
+
+
+@pytest.mark.parametrize("node, text", [
+    (CertNode(MUL, (0, 0), _seed(3)), "op mul with 2 args and a value"),
+    (CertNode(CONJ, (0,)), "op conj with 1 args and no value"),
+    (CertNode(SEED_P2), "op seed_p2 with 0 args and no value"),
+    (CertNode(SEED_M0, value=_seed(3)), "op seed_m0 with 0 args and a value"),
+    (CertNode(MUL, (0,)), "op mul with 1 args and no value"),
+    (CertNode(INV, (0, 0)), "op inv with 2 args and no value"),
+    (CertNode(CONJ, (0, 0), _seed(3)), "op conj with 2 args and a value"),
+])
+def test_a_single_misfit_node_raises(node, text):
+    cert = Certificate(3, (CertNode(SEED_M0), node, CertNode(INV, (1,))), 2, _seed(3))
+    with pytest.raises(TypeError, match=f"^node 1: {text} fits no template$"):
+        serialize(cert)
