@@ -16,11 +16,10 @@ the immutable named tuple ``(op, args, value)``, built, as a literal's
 constructor is a Python function at twice the cost, so do not fold
 these calls back into ``CertNode(...)``.  ``_SHAPE`` gives each op its
 arity and, for a seed or conjugator, the check kind and the group its
-literal must lie in (gamma_p2, gamma0_1p); the verifier and the builder
-both read it, and one memo, :func:`_verdict`, tests each (literal,
-group) pair once for either.  A :class:`Certificate` is plain data,
-trusted in nothing; builders hand out their live nodes (a liveness
-pass, then a renumbering pass unless all are live).  A PASS of
+literal must lie in (gamma_p2, gamma0_1p); :func:`cert_verify` reads it
+and tests each (literal, group) pair once.  A :class:`Certificate` is
+plain data, trusted in nothing; builders hand out their live nodes (a
+liveness pass, then a renumbering pass unless all are live).  A PASS of
 :func:`cert_verify` is sound by five premises, each pinned by a test:
 
 1. the structure is checked, in one walk, before any verdict
@@ -34,9 +33,9 @@ pass, then a renumbering pass unless all are live).  A PASS of
    (test_target_tamper_replays_with_exact_transpose_inverses);
 5. the root equals the target (test_tampered_target_fails_with_replay_locus).
 
-Builders, which form no value: what they hand out is unchecked data
-until :func:`cert_verify` replays it, and each command that prints PASS
-runs it on the text it wrote and read back.
+Builders, which form no value and test no literal: what they hand out
+is unchecked data until :func:`cert_verify` replays it, and each
+command that prints PASS runs it on the text it wrote and read back.
 
 * :func:`build_generator_certs` -- certificates for M2, L2, L4, M3, M4
   and M1, following the product identities of the core chain (below).
@@ -55,23 +54,26 @@ runs it on the text it wrote and read back.
 Every gamma_p2 element is a leaf at no cost, and :meth:`CertBuilder.power`
 uses that.  A unipotent base ``1 + N`` (``N N = 0``) raised to an
 exponent ``e = r + q p^2`` past ``p^2/2`` (``|r| <= p^2/2``) becomes
-``a^r`` times the seed ``S = 1 + q p^2 N``: S is a power of a
-symplectic matrix, hence symplectic, and for integral N it is
-congruent to 1 mod p^2, so it lies in gamma_p2.  The closed form is
-:func:`sp4cert.matrices.unipotent_power`; each literal S is tested for
-gamma_p2 once.  Such a power adds at most ``2 bit_length(p^2 // 2) + 3``
-nodes, however large e is.
+``a^r`` times the seed ``S = 1 + q p^2 N`` exactly when d | q, for
+``(d, E) = base.scaled()``.  S is a power of a symplectic matrix, hence
+symplectic, and ``S - 1 = p^2 qN``, so S lies in gamma_p2 iff qN is
+integral.  The entries of ``d N`` are those of E, less d on the
+diagonal, so ``gcd(d, *dN) = gcd(d, *E) = 1``: qN is integral iff d | q,
+and the split needs no membership test.  The closed form of S is
+:func:`sp4cert.matrices.unipotent_power`.  Such a power adds at most
+``2 bit_length(p^2 // 2) + 3`` nodes, however large e is.
 
 The core chain (M2, L2, L4, M3, M4, L5 and M1 from the seeds) is the
 one place the six product identities that generate M1..M4 from M0 and
-level-p^2 elements are written.  It depends only on p: it is built once
-per p, each named node's certificate checked by :func:`cert_verify`
-against its generator, kept for the last ``_CORE_TEMPLATES`` primes,
-and interned into each builder that needs it, in the node order building
-it there gives.  :func:`verify_identities` builds it in a fresh builder
-and reports, by :func:`cert_verify`, whether each identity lands on its
-generator.  Identity ``m4-from-l5-commutator``
-requires the *positive* power of L1: the exact computation gives
+level-p^2 elements are written.  :func:`_checked_core` builds it in a
+fresh builder and runs :func:`cert_verify` on each named node's
+certificate against its generator.  The template, which raises at the
+first failed name, is kept for the last ``_CORE_TEMPLATES`` primes and
+interned into each builder that needs it, in the node order building it
+there gives; :func:`verify_identities` reports from the same verdicts
+whether each identity lands on its generator.  Identity
+``m4-from-l5-commutator`` requires the *positive* power of L1: the
+exact computation gives
 
     L5^-1 M2^-1 L5 M2      =  M4 L1^-1,
 
@@ -108,12 +110,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .decompose import J1, Named, decompose
-from .errors import (
-    MalformedDag,
-    NotInGroup,
-    ParseError,
-    ShapeAssertionFailed,
-)
+from .errors import MalformedDag, ParseError, ShapeAssertionFailed
 from .generators import generator
 from .groups import GroupLabel, j1_embed, j2_embed, member, require_odd_prime
 from .matrices import (
@@ -197,16 +194,6 @@ class VerificationReport:
         return out
 
 
-def _verdict(memo: dict[tuple[Mat4, GroupLabel], bool], m: Mat4, label: GroupLabel, p: int) -> bool:
-    """Whether the literal ``m`` lies in ``label``; ``memo`` keeps each
-    pair's verdict, so each is tested once."""
-    key = (m, label)
-    verdict = memo.get(key)
-    if verdict is None:
-        verdict = memo[key] = member(m, label, p)
-    return verdict
-
-
 def _node_value(node: CertNode, values: list[Mat4], m0: Mat4) -> Mat4:
     """The value of ``node`` given the values of the nodes before it.
     Precondition: every literal has passed its ``_SHAPE`` check, so every
@@ -281,9 +268,11 @@ def cert_verify(cert: Certificate) -> VerificationReport:
 
     p = require_odd_prime(cert.p)
     checks: list[CheckResult] = []
-    memo: dict[tuple[Mat4, GroupLabel], bool] = {}
+    verdicts: dict[tuple[Mat4, GroupLabel], bool] = {}  # each (literal, group) pair is tested once
     for i, kind, label, value in literals:
-        good = _verdict(memo, value, label, p)
+        good = verdicts.get((value, label))
+        if good is None:
+            good = verdicts[value, label] = member(value, label, p)
         checks.append(_new(CheckResult, (kind, i, good, "" if good else f"{kind} not in {label.value}")))
         if not good:
             return VerificationReport(False, tuple(checks), n, f"{kind} node {i}")
@@ -309,13 +298,13 @@ def cert_verify(cert: Certificate) -> VerificationReport:
 class CertBuilder:
     """Hash-consing builder: structurally equal nodes are shared, so
     repeated sub-chains (the L4 chain in particular) appear once.  It
-    forms no value; only :func:`cert_verify` checks what it builds."""
+    forms no value and tests no literal; only :func:`cert_verify`
+    checks what it builds."""
 
     def __init__(self, p: int):
         self.p = require_odd_prime(p)
         self.nodes: list[CertNode] = []
         self._memo: dict[CertNode, int] = {}
-        self._verdicts: dict[tuple[Mat4, GroupLabel], bool] = {}  # literal checks
 
     def _intern(self, node: CertNode) -> int:
         idx = self._memo.setdefault(node, len(self.nodes))
@@ -323,18 +312,11 @@ class CertBuilder:
             self.nodes.append(node)
         return idx
 
-    def _literal(self, op: str, args: tuple[int, ...], m: Mat4) -> int:
-        """Intern an ``op`` node holding ``m``, which must lie in the op's ``_SHAPE`` group."""
-        kind, label = _SHAPE[op][1]
-        if not _verdict(self._verdicts, m, label, self.p):
-            raise NotInGroup(f"{kind} must lie in {label.value}")
-        return self._intern(_new(CertNode, (op, args, m)))
-
     def seed_m0(self) -> int:
         return self._intern(_new(CertNode, (SEED_M0, (), None)))
 
     def seed_p2(self, m: Mat4) -> int:
-        return self._literal(SEED_P2, (), m)
+        return self._intern(_new(CertNode, (SEED_P2, (), m)))
 
     def mul(self, a: int, b: int) -> int:
         return self._intern(_new(CertNode, (MUL, (a, b), None)))
@@ -343,7 +325,7 @@ class CertBuilder:
         return self._intern(_new(CertNode, (INV, (a,), None)))
 
     def conj(self, a: int, g: Mat4) -> int:
-        return self._literal(CONJ, (a,), g)
+        return self._intern(_new(CertNode, (CONJ, (a,), g)))
 
     def identity(self) -> int:
         return self.seed_p2(Mat4.identity())
@@ -354,21 +336,20 @@ class CertBuilder:
 
         When ``base`` is ``1 + N`` with ``N N = 0`` and ``|e| > p^2/2``,
         write ``e = r + q p^2`` with ``|r| <= p^2/2``: then
-        ``a^e = a^r S`` with ``S = 1 + q p^2 N``.  S is a power of a
-        group element, so it is symplectic; when N is integral it is also
-        congruent to 1 mod p^2, so it enters as one gamma_p2 seed and
-        only ``a^r`` is built by repeated squaring.  Any other base, an
-        S outside gamma_p2, and any ``|e| <= p^2/2`` take
+        ``a^e = a^r S`` with ``S = 1 + q p^2 N``.  S lies in gamma_p2
+        exactly when the denominator d of ``base.scaled()`` divides q
+        (module docstring); then it enters as one seed and only ``a^r``
+        is built by repeated squaring.  Any other base, a q that d does
+        not divide, and any ``|e| <= p^2/2`` take
         :func:`sp4cert.matrices.repeated_squaring`, the loop of ``Mat4 **``,
         over this builder's ``mul``, ``inv`` and ``identity`` nodes.
         """
         p2 = self.p * self.p
         q, r = divmod(e + p2 // 2, p2)
         r -= p2 // 2
-        if q:
+        if q and q % base.scaled()[0] == 0:
             s = unipotent_power(base, q * p2)
-            _, seed_group = _SHAPE[SEED_P2][1]
-            if s is not None and _verdict(self._verdicts, s, seed_group, self.p):
+            if s is not None:
                 seed = self.seed_p2(s)
                 return seed if r == 0 else self.mul(self.power(a, r, base), seed)  # |r| <= p^2/2: no split
         return repeated_squaring(a, e, self.mul, self.inv, self.identity)
@@ -401,14 +382,6 @@ class CertBuilder:
 # ---------------------------------------------------------------------------
 # generator chains
 # ---------------------------------------------------------------------------
-
-
-def _require_chain(b: CertBuilder, idx: int, name: str) -> None:
-    """Raise :class:`ShapeAssertionFailed` unless the certificate of node
-    ``idx`` with the generator ``name`` as target passes
-    :func:`cert_verify`; an explicit check, so ``python -O`` keeps it."""
-    if not cert_verify(b.certificate(idx, generator(name, b.p))).passed:
-        raise ShapeAssertionFailed(f"the {name} chain does not evaluate to its target at p={b.p}")
 
 
 def _core_chain(b: CertBuilder) -> dict[str, int]:
@@ -459,15 +432,26 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
 _CORE_TEMPLATES = 8  # primes whose core chain is kept; p may be as large as 3.3e24
 
 
-@functools.lru_cache(maxsize=_CORE_TEMPLATES)
-def _core_template(p: int) -> tuple[tuple[CertNode, ...], tuple[tuple[str, int], ...]]:
-    """The nodes and named ids of the core chain of p, built in a fresh
-    builder, each name's certificate checked; a failed check caches
-    nothing."""
+def _checked_core(p: int) -> tuple[CertBuilder, dict[str, int], dict[str, bool]]:
+    """The core chain of p built in a fresh builder, its named ids, and
+    whether each name's certificate, with its generator as target,
+    passes :func:`cert_verify`."""
     b = CertBuilder(p)
     names = _core_chain(b)
-    for name, idx in names.items():
-        _require_chain(b, idx, name)
+    holds = {name: cert_verify(b.certificate(idx, generator(name, p))).passed
+             for name, idx in names.items()}
+    return b, names, holds
+
+
+@functools.lru_cache(maxsize=_CORE_TEMPLATES)
+def _core_template(p: int) -> tuple[tuple[CertNode, ...], tuple[tuple[str, int], ...]]:
+    """The nodes and named ids of the core chain of p, from
+    :func:`_checked_core`; the first failed name raises, an explicit
+    check that ``python -O`` keeps, and caches nothing."""
+    b, names, holds = _checked_core(p)
+    for name, ok in holds.items():
+        if not ok:
+            raise ShapeAssertionFailed(f"the {name} chain does not evaluate to its target at p={p}")
     return tuple(b.nodes), tuple(names.items())
 
 
@@ -520,13 +504,13 @@ class IdentityReport:
 
 
 def verify_identities(p: int) -> IdentityReport:
-    """Build the core chain in a fresh builder and report, identity by
-    identity, whether its node's certificate, with the generator as
-    target, passes :func:`cert_verify`; nothing is assumed.  L5 and
-    L4 = j2(P) are checked, not reported."""
-    b = CertBuilder(p)
-    nodes = _core_chain(b)
-    _require_chain(b, nodes["L5"], "L5")  # the M4 link conjugates by L5^-1
+    """Report, identity by identity, whether its node's certificate, with
+    the generator as target, passes :func:`cert_verify`, from
+    :func:`_checked_core`; nothing is assumed.  L5 and L4 = j2(P) are
+    checked, not reported."""
+    _, _, holds = _checked_core(p)
+    if not holds["L5"]:  # the M4 link conjugates by L5^-1
+        raise ShapeAssertionFailed(f"the L5 chain does not evaluate to its target at p={p}")
     if generator("L4", p) != j2_embed(generator("P", p), p):
         raise ShapeAssertionFailed(f"L4 is not j2(P) at p={p}")
     _, lam, mu = ext_gcd(-2, p * p)
@@ -539,7 +523,7 @@ def verify_identities(p: int) -> IdentityReport:
         ("M1", "m1-from-m3-chain", ""),
     )
     return IdentityReport(p, tuple(
-        IdentityCheck(name, cert_verify(b.certificate(nodes[key], generator(key, p))).passed, note)
+        IdentityCheck(name, holds[key], note)
         for key, name, note in identities
     ))
 

@@ -70,7 +70,6 @@ TIMEOUT_SCALE, TIMEOUT_SLACK = 5, 10  # a mutant's timeout from the unmutated ru
 # the verifier and predicates, the reader and kernel, the writer, then
 # decompose's reducer and sl2
 TARGETS = (
-    ("certificates", "_verdict", VERIFIER),
     ("certificates", "_node_value", VERIFIER),
     ("certificates", "_bit_budget", VERIFIER),
     ("certificates", "cert_verify", VERIFIER),
@@ -78,11 +77,10 @@ TARGETS = (
     ("certificates", "VerificationReport.lines", VERIFIER),
     ("certificates", "IdentityReport.lines", VERIFIER),
     ("certificates", "CertBuilder._intern", VERIFIER),
-    ("certificates", "CertBuilder._literal", VERIFIER),
     ("certificates", "CertBuilder.power", VERIFIER),
     ("certificates", "CertBuilder.product", VERIFIER),
     ("certificates", "CertBuilder.certificate", VERIFIER),
-    ("certificates", "_require_chain", VERIFIER),
+    ("certificates", "_checked_core", VERIFIER + ("tests/test_generators.py",)),
     ("certificates", "_core_template", VERIFIER),
     ("certificates", "_core_nodes", VERIFIER),
     ("certificates", "verify_identities", VERIFIER + ("tests/test_generators.py",)),

@@ -62,9 +62,9 @@ from sp4cert.errors import (
     ParseError,
     ShapeAssertionFailed,
 )
-from sp4cert.generators import generator
+from sp4cert.generators import _ENTRIES, generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member
-from sp4cert.matrices import Mat2, Mat4, ext_gcd, load_json, mat4_from_lists, mat4_to_lists
+from sp4cert.matrices import Mat2, Mat4, ext_gcd, load_json, mat4_from_lists, mat4_to_lists, unipotent_power
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import S, T, U
 
@@ -489,20 +489,22 @@ def test_a_certificate_holds_only_mat4_literals(nodes, target, message):
     assert str(caught.value) == message
 
 
-def test_builder_refuses_a_seed_outside_gamma_p2():
-    builder = CertBuilder(3)
-    with pytest.raises(NotInGroup, match="seed must lie in gamma_p2"):
-        builder.seed_p2(generator("M0", 3))
-    assert builder.nodes == []
+def test_a_built_seed_outside_gamma_p2_fails_at_its_node():
+    # the builder interns any literal; cert_verify refuses it at its node
+    builder, m0 = CertBuilder(3), generator("M0", 3)
+    report = cert_verify(builder.certificate(builder.seed_p2(m0), m0))
+    assert report.checks == (CheckResult("seed", 0, False, "seed not in gamma_p2"),)
+    assert report.lines()[-1] == "FAIL (seed node 0)"
 
 
-def test_builder_refuses_a_conjugator_outside_gamma0_1p():
-    builder = CertBuilder(3)
+def test_a_built_conjugator_outside_gamma0_1p_fails_at_its_node():
+    builder, m0 = CertBuilder(3), generator("M0", 3)
     a = builder.seed_m0()
-    for g in (generator("Mt2", 3), Mat4.diagonal(2, 1, 1, 1)):
-        with pytest.raises(NotInGroup, match="conjugator must lie in gamma0_1p"):
-            builder.conj(a, g)
-    assert len(builder.nodes) == 1
+    for g in (generator("Mt2", 3), Mat4.diagonal(2, 1, 1, 1)):  # each is node 1 of its certificate
+        report = cert_verify(builder.certificate(builder.conj(a, g), m0))
+        assert report.checks == (CheckResult("conjugator", 1, False, "conjugator not in gamma0_1p"),)
+        assert report.lines()[-1] == "FAIL (conjugator node 1)"
+    assert len(builder.nodes) == 3
 
 
 # --- build_generator_certs -------------------------------------------------
@@ -850,43 +852,39 @@ def test_power_of_a_non_integral_unipotent_base(p):
     assert evaluate(b)[idx] == base ** (p ** 3 + 1)
 
 
-def test_each_split_literal_is_tested_once(monkeypatch):
-    certificates = importlib.import_module("sp4cert.certificates")
-    tested = []
-
-    def counting_member(m, label, p):
-        tested.append((m, label))
-        return member(m, label, p)
-
-    monkeypatch.setattr(certificates, "member", counting_member)
-    b = CertBuilder(5)
-    m0 = b.seed_m0()
-    for e in (100, 100, 101, -100, 1000, 3):
-        b.power(m0, e, generator("M0", 5))
-    b.identity()
-    b.identity()
-    # conjugators share the memo: j1(S), as each U-letter uses it, and M1
-    for e in (1, 2, 1, -3):
-        b.conj(b.power(m0, e, generator("M0", 5)), j1_embed(S))
-    for a in (m0, m0, b.inv(m0)):
-        b.conj(a, generator("M1", 5))
-    assert len(tested) == len(set(tested)) == 6
-    assert [m for m, label in tested if label is GroupLabel.GAMMA_P2] == _seeds_p2(b, 0)
-    assert len(_seeds_p2(b, 0)) == 4
-    conjugators = [m for m, label in tested if label is GroupLabel.GAMMA0_1P]
-    assert conjugators == [j1_embed(S), generator("M1", 5)]
+def test_power_splits_exactly_when_the_seed_lies_in_gamma_p2():
+    # power tests no literal: for a unipotent base with denominator d it
+    # takes the seed S = 1 + q p^2 N iff d | q, and S lies in gamma_p2
+    # exactly then; the Mt_i preserve the polarised form, not J, so no
+    # node has one as its value
+    for p in (3, 5, 7):
+        bases = [generator(name, p) for name in _ENTRIES if not name.startswith("Mt")]
+        bases += [j2_embed(Mat2.of(1, 0, c, 1), p) for c in (1, 2, p + 1)]  # d = p
+        half = p * p // 2
+        exponents = [q * p * p + r for q in (-2 * p, -p, -2, -1, 0, 1, 2, p, 2 * p)
+                     for r in (-half, -1, 0, 1, half) if q or r]
+        for base in bases:
+            for e in exponents:
+                b = CertBuilder(p)
+                b.power(b.seed_m0(), e, base)  # the builder forms no value: any node stands for base
+                q = (e + half) // (p * p)
+                s = unipotent_power(base, q * p * p)
+                expected = [s] if q and member(s, GroupLabel.GAMMA_P2, p) else []
+                assert _seeds_p2(b, 0) == expected, (p, base, e)
 
 
 def test_a_witness_tests_each_literal_once(monkeypatch):
+    # the builders test no literal; cert_verify tests each (literal,
+    # group) pair once, however many nodes hold it
     certificates = importlib.import_module("sp4cert.certificates")
     p, k = 5, sample(SampleSpec(GroupLabel.GAMMA_1P, 5, 2, 10))
-    _core_template(p)  # built already, so the witness's builder is the only one
-    tested = []
-    monkeypatch.setattr(certificates, "member", lambda m, label, q: tested.append((m, label)) or member(m, label, q))
     cert = normal_closure_witness(k, p)
     assert sum(node.op == CONJ and node.value == j1_embed(S) for node in cert.nodes) == 5
-    assert tested.count((j1_embed(S), GroupLabel.GAMMA0_1P)) == 1
+    tested = []
+    monkeypatch.setattr(certificates, "member", lambda m, label, q: tested.append((m, label)) or member(m, label, q))
+    assert cert_verify(cert).passed
     assert len(tested) == len(set(tested))
+    assert set(tested) == {(node.value, _SHAPE[node.op][1][1]) for node in cert.nodes if node.value is not None}
 
 
 def test_witness_takes_a_large_named_exponent_as_a_seed():
@@ -1119,7 +1117,9 @@ def test_parse_rejects_unreduced_entries():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_the_builders_form_no_product(monkeypatch, p):
     # a word decomposed beforehand and a warm core template: what is left
-    # of a witness, and all of a generator table, is node building
+    # of a witness, and all of a generator table or a j1 or j2
+    # certificate, is node building, which forms no product and tests no
+    # literal
     certificates = importlib.import_module("sp4cert.certificates")
     k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 40 + p, 12))
     word = certificates.decompose(k, p, tilde=False)
@@ -1127,11 +1127,13 @@ def test_the_builders_form_no_product(monkeypatch, p):
     monkeypatch.setattr(certificates, "decompose", lambda m, q, tilde: word)
     for name in ("__mul__", "symplectic_inv"):
         monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("a product while building"))
+    monkeypatch.setattr(certificates, "member", lambda *a: pytest.fail("a literal tested while building"))
     witness, table = normal_closure_witness(k, p), build_generator_certs(p)
+    j1, j2 = expand_j1(Mat2.of(2, 1, 1, 1), p), expand_j2(Mat2.of(1 - p, p, -p, 1 + p), p)
     monkeypatch.undo()
     assert not hasattr(CertBuilder(p), "values")
     assert {type(x) for x in word.letters} == {J1, J2, Named}
-    assert cert_verify(witness).passed and all(cert_verify(c).passed for c in table.values())
+    assert all(cert_verify(c).passed for c in (witness, j1, j2, *table.values()))
 
 
 # --- checks that python -O keeps -------------------------------------------

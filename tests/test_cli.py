@@ -182,6 +182,18 @@ def test_a_corrupted_chain_fails_witness_verify_and_fuzz(monkeypatch, member_fil
     assert capsys.readouterr().out.endswith(f"\nFAIL (replay mismatch at root {root})\n")
     assert main(["fuzz", "--p", "3", "--n", "2", "--seed", "5", "--suite", "witness"]) == 1
     assert capsys.readouterr().out.startswith("FAIL at trial 0: ")
+    # a j1 conjugator off gamma0_1p is interned as it is: witness writes
+    # the file and fails its read-back, and verify names the node
+    monkeypatch.undo()
+    off = Mat4.diagonal(2, 1, 1, 1)
+    monkeypatch.setattr(certificates, "j1_embed", lambda a: off)
+    assert main(["witness", "--p", "3", "--in", path, "--out", str(cert_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith(" nodes\nFAIL\n") and err == ""
+    nodes = json.loads(cert_path.read_text())["nodes"]
+    i = next(i for i, node in enumerate(nodes) if node.get("value") == mat4_to_lists(off))
+    assert main(["verify", "--cert", str(cert_path)]) == 1
+    assert capsys.readouterr().out.endswith(f"\nFAIL (conjugator node {i})\n")
 
 
 def test_verify_with_matching_target(member_file, tmp_path):

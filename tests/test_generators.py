@@ -11,7 +11,7 @@ from support import mat4_det, mat4_sub
 
 from sp4cert.certificates import verify_identities
 from sp4cert.cli import main
-from sp4cert.errors import BadPrime, NotInGroup, ShapeAssertionFailed, UnknownName
+from sp4cert.errors import BadPrime, ShapeAssertionFailed, UnknownName
 from sp4cert.generators import GENERATOR_NAMES, _ENTRIES, generator
 from sp4cert.groups import GroupLabel, member, r_conjugate
 from sp4cert.matrices import Mat2, Mat4
@@ -195,10 +195,16 @@ def test_l5_from_the_seeds_is_checked_not_reported(table):
         verify_identities(3)
 
 
-def test_a_conjugator_outside_gamma0_1p_is_refused(table):
+def test_a_conjugator_outside_gamma0_1p_is_refused(table, capsys):
+    # M1 off gamma0_1p: the builder interns it as it is, and cert_verify
+    # refuses each identity whose chain conjugates by it
     table("M1", {(1, 1): 1, (3, 2): 1, (4, 1): 1})
-    with pytest.raises(NotInGroup, match="conjugator must lie in gamma0_1p"):
-        verify_identities(3)
+    assert main(["check-identities", "--p", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("  FAIL")] == [
+        "l2-from-m1-chain", "l4-power-combination", "m3-from-l4-chain", "m1-from-m3-chain"
+    ]
+    assert lines[-1] == "FAIL"
 
 
 def test_table_checks_survive_python_optimise_flag():
