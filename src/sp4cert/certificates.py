@@ -388,7 +388,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     """Build the nodes for M2, L2, L4, M3, M4, L5 and M1 from seeds only,
     in that order, and check none of them."""
     p = b.p
-    g = {name: generator(name, p) for name in ("M1", "M3", "M4", "L1", "L2", "L3", "L5")}
+    g = {name: generator(name, p) for name in ("M0", "M1", "M3", "M4", "L1", "L2", "L3", "L5")}
 
     n_m0 = b.seed_m0()
     n_m0_inv = b.inv(n_m0)
@@ -402,7 +402,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1))
     n_l2 = b.mul(
         b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].inv())),
-        _j1_chain(b, Mat2.of(1, -2, 0, 1)),
+        _j1_chain(b, Mat2.of(1, -2, 0, 1), g["M0"]),
     )
 
     # L4 = L2^lam L3^mu with -2*lam + p^2*mu = 1
@@ -416,7 +416,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     # M4 = (L5^-1 M2^-1 L5 M2) L1: the commutator, then the +1 power of L1
     n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].inv()), n_m2), n_l1)
 
-    n_l5 = _j1_chain(b, U)  # L5 = j1(U)
+    n_l5 = _j1_chain(b, U, g["M0"])  # L5 = j1(U)
 
     # M1 = ((M3 (L5 L4) M3^-1) L5^-1 L2)^-1
     n_m1 = b.inv(
@@ -528,11 +528,11 @@ def verify_identities(p: int) -> IdentityReport:
     ))
 
 
-def _j1_chain(b: CertBuilder, a: Mat2) -> int:
-    """Node for j1(a), using only the M0 seed: the j1 image of the
-    :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
+def _j1_chain(b: CertBuilder, a: Mat2, m0: Mat4) -> int:
+    """Node for j1(a), using only the M0 seed, of value ``m0``: the j1 image
+    of the :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
     w T^e w^-1 a power of M0, conjugated by j1(w) unless w is the identity."""
-    n_m0, m0 = b.seed_m0(), generator("M0", b.p)
+    n_m0 = b.seed_m0()
     parts = []
     for w, e in conjugates_of_t(sl2_decompose(a)):
         part = b.power(n_m0, e, m0)
@@ -544,16 +544,16 @@ def expand_j1(a: Mat2, p: int) -> Certificate:
     """Certificate for j1(a) with SeedM0 as the only leaf, unchecked
     until :func:`cert_verify`."""
     b = CertBuilder(p)
-    return b.certificate(_j1_chain(b, a), j1_embed(a))
+    return b.certificate(_j1_chain(b, a, generator("M0", p)), j1_embed(a))
 
 
-def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
+def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2, l4: Mat4) -> int:
     """Node evaluating to j2(q) for q in gamma1_of_p.
 
-    P-powers reuse the core L4 node; gamma1prime_p2 elements enter as
-    gamma_p2 seeds (their j2 images are congruent to 1 mod p^2); the
-    SL(2,Z) conjugations of the step list become conj nodes with
-    j2-image conjugators, which lie in gamma0_1p.
+    P-powers reuse the core L4 node, of value ``l4``; gamma1prime_p2
+    elements enter as gamma_p2 seeds (their j2 images are congruent to
+    1 mod p^2); the SL(2,Z) conjugations of the step list become conj
+    nodes with j2-image conjugators, which lie in gamma0_1p.
     """
     p = b.p
     steps = gamma1p_generate(q, p)
@@ -563,7 +563,7 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
             idx = b.conj(b.identity() if idx is None else idx, j2_embed(step.conjugator, p))
             continue
         if isinstance(step, MultiplyLeftP):
-            part = b.power(core["L4"], step.exponent, generator("L4", p))
+            part = b.power(core["L4"], step.exponent, l4)
         else:  # MultiplyLeftPrime
             part = b.seed_p2(j2_embed(step.element, p))
         idx = part if idx is None else b.mul(part, idx)
@@ -575,7 +575,7 @@ def expand_j2(q: Mat2, p: int) -> Certificate:
     the embedded L4 chain) and j2 images of gamma1prime_p2 elements.
     It is unchecked until :func:`cert_verify`."""
     b = CertBuilder(p)
-    return b.certificate(_j2_chain(b, _core_nodes(b), q), j2_embed(q, p))
+    return b.certificate(_j2_chain(b, _core_nodes(b), q, generator("L4", p)), j2_embed(q, p))
 
 
 def normal_closure_witness(k: Mat4, p: int) -> Certificate:
@@ -583,25 +583,27 @@ def normal_closure_witness(k: Mat4, p: int) -> Certificate:
 
     Pipeline: decompose k over {M1..M4, j1, j2}, then splice each
     letter -- named generators through their chains, j1 letters through
-    the M0 word, j2 letters through the level-p case split.
-    ``decompose`` raises :class:`NotInGroup` when k is not in gamma_1p.
-    The certificate, with k as target, is unchecked until
-    :func:`cert_verify`.
+    the M0 word, j2 letters through the level-p case split, each
+    generator value fetched once.  ``decompose`` raises
+    :class:`NotInGroup` when k is not in gamma_1p.  The certificate,
+    with k as target, is unchecked until :func:`cert_verify`.
     """
     word = decompose(k, p, tilde=False)
     b = CertBuilder(p)
+    m0 = generator("M0", p)
+    named = {name: generator(name, p) for name in {x.name for x in word.letters if isinstance(x, Named)}}
     core: dict[str, int] | None = None
     parts: list[int] = []
     for letter in word.letters:
         if isinstance(letter, J1):
-            parts.append(_j1_chain(b, letter.payload))
+            parts.append(_j1_chain(b, letter.payload, m0))
             continue
         if core is None:
-            core = _core_nodes(b)
+            core, l4 = _core_nodes(b), generator("L4", p)
         if isinstance(letter, Named):
-            parts.append(b.power(core[letter.name], letter.exp, generator(letter.name, p)))
+            parts.append(b.power(core[letter.name], letter.exp, named[letter.name]))
         else:
-            parts.append(_j2_chain(b, core, letter.payload))
+            parts.append(_j2_chain(b, core, letter.payload, l4))
     return b.certificate(b.product(parts), k)
 
 

@@ -11,17 +11,17 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
-A letter acts on the matrix it right-multiplies as column operations
-in tilde coordinates (:func:`_times_letter`), the ones that build it
-from the identity: a named power e of M_i or Mt_i is
-``generators.times_power`` of its tilde twin Mt_i, and a j1 or j2
-letter is ``groups.times_embedding`` of its payload.  No letter product
-is dense.  A plain letter is the R-conjugate of its tilde twin, so
-:meth:`GeneratorWord.replay` multiplies a plain word in tilde
-coordinates and conjugates the result back by R once at the end
-(``groups.r_conjugate``): every matrix but the last stays integral
-(d = 1), a plain j2 payload with p not dividing c included.  The
-reducer right-multiplies its working matrix the same way.
+A letter acts on the matrix it right-multiplies in tilde coordinates
+(:func:`_times_letter`), by the functions that build it from the identity,
+in one pass over the flat entries with no gcd: a named power e of M_i or
+Mt_i is ``generators.times_power`` of its tilde twin Mt_i (its shears on one
+copy), and a j1 or j2 letter is ``groups.times_embedding`` of its payload
+(the block written out).  No letter product is dense.  A plain letter is the
+R-conjugate of its tilde twin, so :meth:`GeneratorWord.replay` multiplies a
+plain word in tilde coordinates and conjugates the result back by R once at
+the end (``groups.r_conjugate``): every matrix but the last stays integral
+(d = 1), a plain j2 payload with p not dividing c included.  The reducer
+right-multiplies its working matrix the same way.
 
 :func:`decompose` tests its input's membership, R-conjugates a plain
 input, runs :func:`reduce_first_row` and the j2 clear on the tilde

@@ -23,13 +23,14 @@ P     ((1,0),(p,1))  (2x2)                     gamma1_of_p
 R     diag(1,1,1,p)
 ====  =======================================  ==============
 
-Rows M0..L5 are kept as data in ``_ENTRIES``, the identity plus the
-listed entries N.  :func:`times_power` right-multiplies by ``1 + e N``,
-the power e exactly, as one shear ``col_j += e x col_i`` per entry x at
-(i, j): in each row, the product of two listed units E(i,j) E(k,l) is
-zero because j != k, so N N = 0 and no target column is a source
-column.  It builds each generator from the identity (e = 1) and applies
-each named letter of ``decompose`` (that of M_i or Mt_i is Mt_i's).
+Rows M0..L5 are kept as data in ``_ENTRIES``, the identity plus the listed
+entries N, read on every call.  :func:`times_power` right-multiplies by
+``1 + e N``, the power e exactly, in one pass: ``Mat4.times_shears`` applies
+one shear ``col_j += e x col_i`` per entry x at (i, j) to one copy of the
+flat entries.  In each row, the product of two listed units E(i,j) E(k,l) is
+zero because j != k, so N N = 0 and no target column is a source column.  It
+builds each generator from the identity (e = 1) and applies each named
+letter of ``decompose`` (that of M_i or Mt_i is Mt_i's).
 
 A widely reproduced variant of M1 has row 4 equal to (1,0,0,0); that
 matrix is singular (rows 1 and 4 coincide), and conjugation by R then
@@ -84,7 +85,5 @@ def generator(name: str, p: int) -> Mat4 | Mat2:
 
 def times_power(m: Mat4, name: str, p: int, e: int) -> Mat4:
     """``m (1 + e N)``, m times the e-th power of the generator ``name`` =
-    ``1 + N`` of ``_ENTRIES``; name and p are not checked."""
-    for (i, j), x in _ENTRIES[name](p).items():
-        m = m.times_block(i - 1, j - 1, 1, e * x, 0, 1)
-    return m
+    ``1 + N`` of ``_ENTRIES``, all its shears on one copy; name and p are not checked."""
+    return m.times_shears(_ENTRIES[name](p), e)

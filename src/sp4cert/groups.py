@@ -239,9 +239,10 @@ def member(m: Mat2 | Mat4, label: GroupLabel, p: int) -> bool:
 
 def times_embedding(m: Mat4, q: Mat2, which: int) -> Mat4:
     """``m j_which(q)`` in tilde coordinates: columns (1,3) or (2,4) of m times q."""
-    if q.det() != 1:
+    (a, b), (c, d) = q.rows
+    if a * d - b * c != 1:
         raise NotUnimodular(f"j{which} payload must have determinant 1")
-    return m.times_block(which - 1, which + 1, *q.rows[0], *q.rows[1])
+    return m.times_j_block(which, a, b, c, d)
 
 
 def j1_embed(a: Mat2) -> Mat4:

@@ -20,18 +20,18 @@ takes rows of exact rationals (a ``str`` or ``float`` is a
 ``fractions.Fraction`` per entry, the only ``Fraction`` in the package;
 both are for callers off the hot paths.
 
-Every general 4x4 product is ``Mat4.__mul__``: both flat tuples
-unpacked into locals and the 16 sums written out, then one gcd when
-d > 1.  Do not fold it back into a comprehension: before Python 3.12 a
-comprehension runs as a nested function with a frame of its own, and
-certificate replay is mostly these products.  A unimodular 2x2 block
-on two coordinates, such as a shear ``1 + x E(i,j)``, acts by column
-operations with no gcd (:meth:`Mat4.times_block`).  :meth:`Mat4.inv` is one integer formula
-on the pair for every invertible matrix, ``(e / d)^-1 = d adj(e) /
-det(e)``, with no division.  :meth:`Mat4.symplectic_inv`, the signed
-block transpose ``-J m^T J``, costs no arithmetic and is the inverse
-only of an m with ``m J m^T = J``, which its callers must vouch for.
-``Mat4.identity()`` is one shared constant.
+Every general 4x4 product is ``Mat4.__mul__``: both flat tuples unpacked into
+locals and the 16 sums written out, then one gcd when d > 1.  Do not fold it
+back into a comprehension: before Python 3.12 a comprehension runs as a nested
+function with a frame of its own, and certificate replay is mostly these
+products.  A word letter acts in one pass with no gcd: ``1 + n N`` as its
+shears on one list copy (:meth:`Mat4.times_shears`), a unimodular block on
+columns (1,3) or (2,4) written out (:meth:`Mat4.times_j_block`).
+:meth:`Mat4.inv` is one integer formula on the pair for every invertible
+matrix, ``(e / d)^-1 = d adj(e) / det(e)``, with no division.
+:meth:`Mat4.symplectic_inv`, the signed block transpose ``-J m^T J``, costs no
+arithmetic and is the inverse only of an m with ``m J m^T = J``, which its
+callers must vouch for.  ``Mat4.identity()`` is one shared constant.
 
 There is no floating point anywhere in this module: divisibility
 patterns such as ``p^2 | x`` or ``x in (1/p)Z`` are meaningless after
@@ -134,7 +134,9 @@ class Mat2:
 
     @staticmethod
     def of(a: int, b: int, c: int, d: int) -> "Mat2":
-        return Mat2(((a, b), (c, d)))
+        m = object.__new__(Mat2)
+        object.__setattr__(m, "rows", ((index(a), index(b)), (index(c), index(d))))
+        return m
 
     @staticmethod
     def identity() -> "Mat2":
@@ -249,16 +251,27 @@ class Mat4:
         d = self._d * other._d
         return _pair(1, e) if d == 1 else Mat4.from_pair(d, e)
 
-    def times_block(self, i: int, j: int, a: int, b: int, c: int, d: int) -> "Mat4":
-        """``self`` times the identity with the block ``((a, b), (c, d))``,
-        ``a d - b c = 1``, at rows and columns i != j: columns i and j turn
-        into ``a col_i + c col_j`` and ``b col_i + d col_j``.  The block is
-        invertible over Z, so the pair stays reduced with no gcd."""
+    def times_shears(self, shears: dict[tuple[int, int], int], n: int) -> "Mat4":
+        """``self (1 + n N)``, N the 1-based ``{(i, j): x}`` with no j an i: shears on one copy."""
         e = list(self._e)
-        for k in (0, 4, 8, 12):
-            x, y = e[k + i], e[k + j]
-            e[k + i], e[k + j] = a * x + c * y, b * x + d * y
+        for (i, j), x in shears.items():
+            x *= n
+            e[j - 1] += x * e[i - 1]
+            e[j + 3] += x * e[i + 3]
+            e[j + 7] += x * e[i + 7]
+            e[j + 11] += x * e[i + 11]
         return _pair(self._d, tuple(e))
+
+    def times_j_block(self, which: int, a: int, b: int, c: int, d: int) -> "Mat4":
+        """``self`` times the block ``((a, b), (c, d))`` of det 1 on (1,3) if ``which`` is 1, else (2,4)."""
+        s0, s1, s2, s3, t0, t1, t2, t3, u0, u1, u2, u3, v0, v1, v2, v3 = self._e  # rows 1..4
+        if which == 1:
+            e = (a * s0 + c * s2, s1, b * s0 + d * s2, s3, a * t0 + c * t2, t1, b * t0 + d * t2, t3,
+                 a * u0 + c * u2, u1, b * u0 + d * u2, u3, a * v0 + c * v2, v1, b * v0 + d * v2, v3)
+        else:
+            e = (s0, a * s1 + c * s3, s2, b * s1 + d * s3, t0, a * t1 + c * t3, t2, b * t1 + d * t3,
+                 u0, a * u1 + c * u3, u2, b * u1 + d * u3, v0, a * v1 + c * v3, v2, b * v1 + d * v3)
+        return _pair(self._d, e)
 
     def inv(self) -> "Mat4":
         """``(e / d)^-1 = d adj(e) / det(e)``, both expanded by Laplace on

@@ -62,13 +62,14 @@ READER = ("tests/test_matrices.py", "tests/test_mat4_pair.py", "tests/test_cli.p
           "tests/test_cli_robustness.py")
 REDUCER = ("tests/test_decompose.py", "tests/test_golden.py")
 SL2 = ("tests/test_sl2.py", "tests/test_golden.py")
+LETTERS = REDUCER + ("tests/test_generators.py", "tests/test_matrices.py")
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one pytest run
 TIMEOUT_SCALE, TIMEOUT_SLACK = 5, 10  # a mutant's timeout from the unmutated run's seconds
 
 # (module, qualified function name, test files run against its mutants):
-# the verifier and predicates, the reader and kernel, the writer, then
-# decompose's reducer and sl2
+# the verifier and predicates, the reader and kernel, the writer, the
+# letter actions, then decompose's reducer and sl2
 TARGETS = (
     ("certificates", "_node_value", VERIFIER),
     ("certificates", "_bit_budget", VERIFIER),
@@ -97,7 +98,8 @@ TARGETS = (
     ("matrices", "Mat4.inv", KERNEL),
     ("matrices", "Mat4.symplectic_inv", KERNEL),
     ("matrices", "Mat4.__mul__", KERNEL + ("tests/test_certificates.py",)),
-    ("matrices", "Mat4.times_block", KERNEL + ("tests/test_decompose.py",)),
+    ("matrices", "Mat4.times_shears", KERNEL + ("tests/test_decompose.py",)),
+    ("matrices", "Mat4.times_j_block", KERNEL + ("tests/test_decompose.py",)),
     ("matrices", "Mat4.__eq__", KERNEL),
     ("matrices", "Mat4.entry_bits", KERNEL),
     ("matrices", "_scale", KERNEL),
@@ -117,6 +119,10 @@ TARGETS = (
     ("certificates", "_node_layout", WRITER),
     ("certificates", "_text", WRITER),
     ("certificates", "serialize", WRITER),
+    ("generators", "generator", LETTERS),
+    ("generators", "times_power", LETTERS),
+    ("groups", "times_embedding", LETTERS),
+    ("matrices", "Mat2.of", LETTERS),
     ("decompose", "_Reducer.apply", REDUCER),
     ("decompose", "_Reducer.gcd_clear_v3", REDUCER),
     ("decompose", "reduce_first_row", REDUCER),

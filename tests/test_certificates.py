@@ -175,7 +175,7 @@ def test_failed_check_replays_nothing(monkeypatch, op):
     else:
         assert any(node.op in (MUL, INV) for node in nodes[:i])  # a replay to i would multiply
         nodes[i] = CertNode(op, nodes[i].args, nodes[i].value * Mat4.diagonal(2, 1, 1, 1))
-    for name in ("__mul__", "inv", "symplectic_inv", "times_block", "entry_bits"):
+    for name in ("__mul__", "inv", "symplectic_inv", "times_shears", "times_j_block", "entry_bits"):
         monkeypatch.setattr(Mat4, name, lambda *a: pytest.fail("a product or width after a failed check"))
     report = cert_verify(Certificate(p, tuple(nodes), cert.root, cert.target))
     kind = "conjugator" if op == CONJ else "seed"
@@ -819,7 +819,7 @@ def test_split_power_is_exact_short_and_verifies(p, name, e):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_power_of_a_non_unipotent_base_is_binary(p):
     b = CertBuilder(p)
-    a, base = _j1_chain(b, Mat2.of(2, 1, 1, 1)), j1_embed(Mat2.of(2, 1, 1, 1))  # trace 3: no power is a seed
+    a, base = _j1_chain(b, Mat2.of(2, 1, 1, 1), generator("M0", p)), j1_embed(Mat2.of(2, 1, 1, 1))  # trace 3: no power is a seed
     for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
         before = len(b.nodes)
         idx = b.power(a, e, base)
@@ -979,7 +979,7 @@ def test_core_template_interns_as_building_it_in_place(p):
     # the j1 chain and M0^-2 already hold seed_m0, M0^-1, M0^-2 and L5
     def prefixed() -> CertBuilder:
         b = CertBuilder(p)
-        _j1_chain(b, Mat2.of(-7, 3, 2, -1))
+        _j1_chain(b, Mat2.of(-7, 3, 2, -1), generator("M0", p))
         b.power(b.seed_m0(), -2, generator("M0", p))
         return b
 
@@ -1182,7 +1182,7 @@ def test_chain_checks_survive_python_optimise_flag():
                    lambda: certs.expand_j1(a, p)),
             "j2": (certs, "gamma1p_generate", lambda q, r: real["gamma1p_generate"](P * q, r),
                    lambda: certs.expand_j2(P, p)),
-            "witness": (certs, "_j1_chain", lambda b, m: real["_j1_chain"](b, m * sl2.T),
+            "witness": (certs, "_j1_chain", lambda b, m, m0: real["_j1_chain"](b, m * sl2.T, m0),
                         lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
             "lift": (certs, "conjugates_of_t", negate_first, lambda: certs.expand_j1(a, p),
                      lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),

@@ -31,7 +31,7 @@ from sp4cert.errors import (
     ShapeAssertionFailed,
     UnknownName,
 )
-from sp4cert.generators import _ENTRIES, generator
+from sp4cert.generators import _ENTRIES, generator, times_power
 from sp4cert.groups import (
     GroupLabel,
     SymplecticForm,
@@ -417,6 +417,28 @@ def test_letter_product_matches_full_product(acc, exp, payload):
                 # show that the column action keeps its pair reduced
                 expect = Mat4(reference_product(acc.rows, dense_letter(letter, p, tilde)))
                 assert _times_letter(acc, letter, p, tilde) == expect
+
+
+@DIFF
+@given(st.lists(st.integers(-(10**12), 10**12), min_size=16, max_size=16),
+       st.integers(2, 10**6), WIDE_EXPONENTS)
+def test_times_power_matches_full_product_for_every_table_row(flat, d, exp):
+    # every row of the table, M0 and L1..L5 included, at exponent 0, a
+    # negative one and a wide one, on the pairs (1, flat) and (d, flat),
+    # gcd(d, *flat) = 1, against the integer triple sum flat (1 + e N):
+    # the shears keep d and leave the pair reduced
+    flat[0] = 1
+    rows = [flat[k:k + 4] for k in (0, 4, 8, 12)]
+    for scale in (1, d):
+        m = Mat4.from_pair(scale, tuple(flat))
+        for name, entries in _ENTRIES.items():
+            for p in (3, 11, 10**9 + 7):
+                for e in (0, -(p + 2), exp):
+                    shear = [[int(i == j) for j in range(4)] for i in range(4)]
+                    for (i, j), x in entries(p).items():
+                        shear[i - 1][j - 1] += e * x
+                    expect = sum(reference_product(rows, shear), ())
+                    assert times_power(m, name, p, e).scaled() == (scale, expect)
 
 
 @DIFF

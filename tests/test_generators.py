@@ -102,6 +102,17 @@ def test_p_is_2x2():
     assert generator("P", 5) == Mat2.of(1, 0, 5, 1)
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_r_j_and_lambda_are_pinned(p):
+    # R = diag(1,1,1,p) conjugates M1 onto Mt1, as r_conjugate does
+    r = generator("R", p)
+    assert r == Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, p]])
+    m1 = generator("M1", p)
+    assert r * m1 * r.inv() == r_conjugate(m1, p) == generator("Mt1", p)
+    assert generator("J", p) == Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    assert generator("Lambda", p) == Mat4([[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]])
+
+
 def test_unknown_name():
     with pytest.raises(UnknownName):
         generator("M9", 3)
