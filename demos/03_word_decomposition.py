@@ -11,7 +11,6 @@ and replay is checked exactly.
 import json
 
 from sp4cert import GroupLabel, SampleSpec, decompose, sample
-from sp4cert.decompose import J1, J2, Named
 
 p = 3
 
@@ -23,14 +22,9 @@ for row in k.rows:
     print("  ", [str(x) for x in row])
 
 word = decompose(k, p, tilde=False)
-print(f"\ndecomposed into {len(word.letters)} letters:")
+print(f"\ndecomposed into {len(word.letters)} letters, each written by itself:")
 for letter in word.letters:
-    if isinstance(letter, Named):
-        print(f"   {letter.name}^{letter.exp}")
-    elif isinstance(letter, J1):
-        print(f"   j1{letter.payload.rows}")
-    elif isinstance(letter, J2):
-        print(f"   j2{letter.payload.rows}")
+    print("  ", json.dumps(letter.to_json_obj()))
 
 # Replay is the oracle: multiplying the letters back gives the input,
 # with exact equality, not approximation.

@@ -11,17 +11,18 @@ left-to-right product of the letters) is the correctness oracle:
 input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
-A letter acts on the matrix it right-multiplies in tilde coordinates
-(:func:`_times_letter`), by the functions that build it from the identity,
-in one pass over the flat entries with no gcd: a named power e of M_i or
-Mt_i is ``generators.times_power`` of its tilde twin Mt_i (its shears on one
-copy), and a j1 or j2 letter is ``groups.times_embedding`` of its payload
-(the block written out).  No letter product is dense.  A plain letter is the
-R-conjugate of its tilde twin, so :meth:`GeneratorWord.replay` multiplies a
-plain word in tilde coordinates and conjugates the result back by R once at
-the end (``groups.r_conjugate``): every matrix but the last stays integral
-(d = 1), a plain j2 payload with p not dividing c included.  The reducer
-right-multiplies its working matrix the same way.
+Each letter carries its action: ``times``, ``inverse``, ``is_identity``,
+``plain`` and ``to_json_obj``.  Its ``times`` right-multiplies in tilde
+coordinates by the function that builds it from the identity, in one pass
+over the flat entries with no gcd: a :class:`Named` power e of M_i or Mt_i
+is ``generators.times_power`` of its tilde twin Mt_i (its shears on one copy),
+and a :class:`J1` or :class:`J2` letter is ``groups.times_embedding`` of its
+payload (the block written out).  No letter product is dense.  A plain letter
+is the R-conjugate of its tilde twin, which ``plain`` maps back, so
+:meth:`GeneratorWord.replay` multiplies a plain word in tilde coordinates and
+conjugates back by R once at the end (``groups.r_conjugate``): every matrix but
+the last stays integral (d = 1), a plain j2 payload with p not dividing c
+included.  The reducer right-multiplies its working matrix the same way.
 
 :func:`decompose` tests its input's membership, R-conjugates a plain
 input, runs :func:`reduce_first_row` and the j2 clear on the tilde
@@ -86,45 +87,71 @@ from .groups import GroupLabel, member, r_conjugate, require_odd_prime, times_em
 from .matrices import Mat2, Mat4, ext_gcd, json_int, mat2_from_lists, mat2_to_lists
 
 
+# the named letters of each alphabet, keyed by ``tilde``; M_i's tilde twin Mt_i has its index
+ALPHABET = {True: ("Mt1", "Mt2", "Mt3", "Mt4"), False: ("M1", "M2", "M3", "M4")}
+
+
 @dataclass(frozen=True)
 class Named:
     name: str  # "M1".."M4" or "Mt1".."Mt4"
     exp: int
 
+    def times(self, m: Mat4, p: int, tilde: bool) -> Mat4:
+        """``m`` times this letter in tilde coordinates, ``times_power`` of its
+        tilde twin; a name outside the ``tilde`` alphabet is :class:`UnknownName`."""
+        names = ALPHABET[tilde]
+        if self.name not in names:
+            coords = "tilde" if tilde else "untilded"
+            raise UnknownName(f"no {coords} letter named {self.name!r}")
+        return times_power(m, ALPHABET[True][names.index(self.name)], p, self.exp)
+
+    def inverse(self) -> "Named":
+        return Named(self.name, -self.exp)
+
+    def is_identity(self) -> bool:
+        return self.exp == 0
+
+    def plain(self) -> "Named":
+        """A tilde letter's plain twin, Mt_i -> M_i: its R-conjugate."""
+        return Named(ALPHABET[False][ALPHABET[True].index(self.name)], self.exp)
+
+    def to_json_obj(self) -> dict:
+        return {"gen": self.name, "exp": self.exp}
+
 
 @dataclass(frozen=True)
-class J1:
+class _Block:
+    """A j1 or j2 letter: its payload on columns (1,3) or (2,4), as ``which`` is 1 or 2."""
+
     payload: Mat2
 
+    def times(self, m: Mat4, p: int, tilde: bool) -> Mat4:
+        """``m`` times this letter in tilde coordinates, ``times_embedding`` of
+        the payload; a determinant other than 1 is :class:`NotUnimodular`."""
+        return times_embedding(m, self.payload, self.which)
 
-@dataclass(frozen=True)
-class J2:
-    payload: Mat2
+    def inverse(self) -> "_Block":
+        return type(self)(self.payload.inv())
+
+    def is_identity(self) -> bool:
+        return self.payload.is_identity()
+
+    def plain(self) -> "_Block":
+        return self  # its own R-conjugate
+
+    def to_json_obj(self) -> dict:
+        return {f"j{self.which}": mat2_to_lists(self.payload)}
+
+
+class J1(_Block):
+    which = 1
+
+
+class J2(_Block):
+    which = 2
 
 
 Letter = Union[Named, J1, J2]
-
-# the named letters of each alphabet (keyed by ``tilde``), each mapped to
-# the tilde twin whose entries give its column operations
-_TWINS = {
-    True: {f"Mt{i}": f"Mt{i}" for i in range(1, 5)},
-    False: {f"M{i}": f"Mt{i}" for i in range(1, 5)},
-}
-
-
-def _times_letter(m: Mat4, letter: Letter, p: int, tilde: bool) -> Mat4:
-    """``m`` times a letter's matrix in tilde coordinates, as column
-    operations: ``times_power`` of a named letter's tilde twin, or
-    ``times_embedding`` of a payload.  A name outside the ``tilde``
-    alphabet raises :class:`UnknownName`; a payload of determinant other
-    than 1, the :class:`NotUnimodular` of its embedding."""
-    if isinstance(letter, Named):
-        twin = _TWINS[tilde].get(letter.name)
-        if twin is None:
-            coords = "tilde" if tilde else "untilded"
-            raise UnknownName(f"no {coords} letter named {letter.name!r}")
-        return times_power(m, twin, p, letter.exp)
-    return times_embedding(m, letter.payload, 1 if isinstance(letter, J1) else 2)
 
 
 @dataclass(frozen=True)
@@ -145,21 +172,14 @@ class GeneratorWord:
         require_odd_prime(self.p)
         acc = Mat4.identity()
         for letter in self.letters:
-            acc = _times_letter(acc, letter, self.p, self.tilde)
+            acc = letter.times(acc, self.p, self.tilde)
         return acc if self.tilde else r_conjugate(acc, self.p, inverse=True)
 
     def to_json_obj(self) -> dict:
-        letters = []
-        for letter in self.letters:
-            if isinstance(letter, Named):
-                letters.append({"gen": letter.name, "exp": letter.exp})
-            else:
-                tag = "j1" if isinstance(letter, J1) else "j2"
-                letters.append({tag: mat2_to_lists(letter.payload)})
         return {
             "p": self.p,
             "coords": "tilde" if self.tilde else "untilded",
-            "letters": letters,
+            "letters": [letter.to_json_obj() for letter in self.letters],
         }
 
     @staticmethod
@@ -176,38 +196,25 @@ class GeneratorWord:
             raise ParseError(f"bad coords {coords!r}")
         if not isinstance(raw, list):
             raise ParseError("letters must be a list")
-        names = _TWINS[coords == "tilde"]
+        names = ALPHABET[coords == "tilde"]
         letters: list[Letter] = []
         for idx, item in enumerate(raw):
             if not isinstance(item, dict):
                 raise ParseError(f"letter {idx} malformed")
             if "gen" in item:
-                gen = item["gen"]
-                if not isinstance(gen, str) or gen not in names:
+                if item["gen"] not in names:
                     raise ParseError(
                         f"letter {idx}: gen must be one of {', '.join(names)} in {coords} coords"
                     )
-                exp = json_int(item.get("exp"), f"letter {idx} exponent")
-                letters.append(Named(gen, exp))
-            elif "j1" in item:
-                letters.append(J1(mat2_from_lists(item["j1"])))
-            elif "j2" in item:
-                letters.append(J2(mat2_from_lists(item["j2"])))
+                letters.append(Named(item["gen"], json_int(item.get("exp"), f"letter {idx} exponent")))
+                continue
+            for kind in (J1, J2):
+                if f"j{kind.which}" in item:
+                    letters.append(kind(mat2_from_lists(item[f"j{kind.which}"])))
+                    break
             else:
                 raise ParseError(f"letter {idx} has no recognised tag")
         return GeneratorWord(p=p, tilde=coords == "tilde", letters=tuple(letters))
-
-
-def _invert_letter(letter: Letter) -> Letter:
-    if isinstance(letter, Named):
-        return Named(letter.name, -letter.exp)
-    return type(letter)(letter.payload.inv())
-
-
-def _is_identity(letter: Letter) -> bool:
-    if isinstance(letter, Named):
-        return letter.exp == 0
-    return letter.payload.is_identity()
 
 
 def _gcd_step_matrix(v1: int, v3: int) -> Mat2:
@@ -226,9 +233,9 @@ class _Reducer:
 
     def apply(self, letter: Letter) -> None:
         """Right-multiply by a tilde letter and log it; skip an identity."""
-        if _is_identity(letter):
+        if letter.is_identity():
             return
-        self.cur = _times_letter(self.cur, letter, self.p, True)
+        self.cur = letter.times(self.cur, self.p, True)
         self.letters.append(letter)
 
     def gcd_clear_v3(self) -> int:
@@ -301,10 +308,7 @@ def decompose(k: Mat4, p: int, tilde: bool = True) -> GeneratorWord:
     else:
         if not member(k, GroupLabel.GAMMA_1P, p):
             raise NotInGroup(f"not in gamma_1p at p={p}")
-        letters = tuple(
-            Named("M" + letter.name[2:], letter.exp) if isinstance(letter, Named) else letter
-            for letter in _decompose_tilde(r_conjugate(k, p), p).letters
-        )
+        letters = tuple(letter.plain() for letter in _decompose_tilde(r_conjugate(k, p), p).letters)
         word = GeneratorWord(p=p, tilde=False, letters=letters)
     if word.replay() != k:
         raise ShapeAssertionFailed(f"word does not replay to its input at p={p}")
@@ -331,14 +335,14 @@ def _decompose_tilde(k: Mat4, p: int) -> GeneratorWord:
 
     residue = work.cur
     shear = J1(Mat2.of(1, 0, residue.scaled()[1][8], 1))
-    if residue != _times_letter(Mat4.identity(), shear, p, True):
+    if residue != shear.times(Mat4.identity(), p, True):
         raise ShapeAssertionFailed(f"residue is not a j1 shear: {residue!r}")
 
     # the log holds no identity letter and no two adjacent letters of one
     # kind (module docstring): the one merge is the shear with a leading j1
-    letters = [_invert_letter(letter) for letter in reversed(work.letters)]
-    if letters and isinstance(letters[0], J1):
+    letters = [letter.inverse() for letter in reversed(work.letters)]
+    if letters and type(letters[0]) is J1:
         shear = J1(shear.payload * letters.pop(0).payload)
-    if not _is_identity(shear):
+    if not shear.is_identity():
         letters.insert(0, shear)
     return GeneratorWord(p=p, tilde=True, letters=tuple(letters))

@@ -29,8 +29,8 @@ entries N, read on every call.  :func:`times_power` right-multiplies by
 one shear ``col_j += e x col_i`` per entry x at (i, j) to one copy of the
 flat entries.  In each row, the product of two listed units E(i,j) E(k,l) is
 zero because j != k, so N N = 0 and no target column is a source column.  It
-builds each generator from the identity (e = 1) and applies each named
-letter of ``decompose`` (that of M_i or Mt_i is Mt_i's).
+builds each generator from the identity (e = 1), and ``decompose.Named.times``
+applies each named letter by it (that of M_i or Mt_i is Mt_i's).
 
 A widely reproduced variant of M1 has row 4 equal to (1,0,0,0); that
 matrix is singular (rows 1 and 4 coincide), and conjugation by R then

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .decompose import J1, J2, GeneratorWord, Letter, Named
+from .decompose import ALPHABET, J1, J2, GeneratorWord, Letter, Named
 from .errors import ShapeAssertionFailed, UnknownName
 from .groups import GroupLabel, member, r_conjugate, require_odd_prime
 from .matrices import Mat2, Mat4
@@ -92,12 +92,11 @@ def _sample_word(rng: random.Random, p: int, length: int, tilde: bool) -> Mat4:
     """Replay of a random word over M1..M4, j1 of SL(2,Z) words and j2 of
     gamma1_of_p words; with ``tilde``, over Mt1..Mt4, j1 and tilde j2 of
     SL(2,Z) words."""
-    prefix = "Mt" if tilde else "M"
     letters: list[Letter] = []
     for _ in range(length):
         pick = rng.randrange(6)
         if pick < 4:
-            letters.append(Named(f"{prefix}{pick + 1}", _nonzero_exp(rng, 2)))
+            letters.append(Named(ALPHABET[tilde][pick], _nonzero_exp(rng, 2)))
         elif pick == 4:
             letters.append(J1(_sample_sl2(rng, rng.randint(1, 3))))
         elif tilde:

@@ -69,7 +69,8 @@ TIMEOUT_SCALE, TIMEOUT_SLACK = 5, 10  # a mutant's timeout from the unmutated ru
 
 # (module, qualified function name, test files run against its mutants):
 # the verifier and predicates, the reader and kernel, the writer, the
-# letter actions, then decompose's reducer and sl2
+# letter actions and each letter kind's methods, then the word's JSON,
+# decompose's reducer and sl2
 TARGETS = (
     ("certificates", "_node_value", VERIFIER),
     ("certificates", "_bit_budget", VERIFIER),
@@ -123,6 +124,10 @@ TARGETS = (
     ("generators", "times_power", LETTERS),
     ("groups", "times_embedding", LETTERS),
     ("matrices", "Mat2.of", LETTERS),
+    *(("decompose", f"{kind}.{method}", LETTERS) for kind in ("Named", "_Block")
+      for method in ("times", "inverse", "is_identity", "plain", "to_json_obj")),
+    ("decompose", "GeneratorWord.to_json_obj", REDUCER),
+    ("decompose", "GeneratorWord.from_json_obj", REDUCER),
     ("decompose", "_Reducer.apply", REDUCER),
     ("decompose", "_Reducer.gcd_clear_v3", REDUCER),
     ("decompose", "reduce_first_row", REDUCER),
@@ -163,7 +168,7 @@ EQUIVALENT = {
     "decompose:reduce_first_row:27:33:34:const": "[:5] adds an entry; only v[3] is read",
     "decompose:reduce_first_row:29:33:34:const": "[:5] adds an entry; only v[1] is read",
     "decompose:reduce_first_row:33:8:75:stmt": "unreachable: step (d) and a gcd step leave row 1 = (1,0,0,0)",
-    "decompose:_decompose_tilde:20:59:63:const": "a j1 letter acts the same in tilde and plain coordinates",
+    "decompose:_decompose_tilde:20:50:54:const": "a j1 letter's times ignores tilde: it acts alike in both coordinates",
     "sl2:gamma1p_generate:11:11:22:arith": "q[0][0] = 1 + lam p with p >= 3, so (q[0][0] + 1) // p is lam too",
     "sl2:gamma1p_generate:15:20:21:const": "undo is empty here, so insert(1, x) puts x first as insert(0, x) does",
     "sl2:gamma1p_generate:16:21:22:const": "cases is empty here, so insert(1, 3) puts 3 first as insert(0, 3) does",

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -19,7 +20,6 @@ from sp4cert.decompose import (
     J1,
     J2,
     Named,
-    _times_letter,
     decompose,
     reduce_first_row,
 )
@@ -408,15 +408,26 @@ def dense_letter(letter, p, tilde):
 def test_letter_product_matches_full_product(acc, exp, payload):
     # the reducer, replay and the residue check right-multiply by a letter
     # as column operations; every letter of both alphabets, on integer
-    # (d = 1) and rational (d > 1) matrices, against the dense triple sum
+    # (d = 1) and rational (d > 1) matrices, against the dense triple sum.
+    # Each letter's inverse undoes it, it is the identity exactly when its
+    # dense matrix is, and its JSON reads back; the tilde letters' plain
+    # twins replay to the R^-1-conjugate of the tilde word
     for tilde in (False, True):
-        letters = [Named(name, exp) for name in ALPHABET[tilde]] + [J1(payload), J2(payload)]
-        for letter in letters:
-            for p in (3, 11):
+        letters = (*(Named(name, exp) for name in ALPHABET[tilde]), J1(payload), J2(payload))
+        for p in (3, 11):
+            for letter in letters:
                 # Mat4 of Fraction rows reduces its pair: equal pairs also
                 # show that the column action keeps its pair reduced
-                expect = Mat4(reference_product(acc.rows, dense_letter(letter, p, tilde)))
-                assert _times_letter(acc, letter, p, tilde) == expect
+                rows = dense_letter(letter, p, tilde)
+                product = letter.times(acc, p, tilde)
+                assert product == Mat4(reference_product(acc.rows, rows))
+                assert letter.inverse().times(product, p, tilde) == acc
+                assert letter.is_identity() == (Mat4(rows) == I4)
+            word = GeneratorWord(p, tilde, letters)
+            assert GeneratorWord.from_json_obj(json.loads(json.dumps(word.to_json_obj()))) == word
+            if tilde:
+                plain = GeneratorWord(p, False, tuple(letter.plain() for letter in letters))
+                assert plain.replay() == r_conjugate(word.replay(), p, inverse=True)
 
 
 @DIFF
@@ -533,6 +544,26 @@ def test_the_residue_shear_merges_with_a_leading_j1_letter():
     assert word.letters == (J1(Mat2.of(1, -2, -4, 9)),)
 
 
+def _letter_class_tests(source):
+    """Lines of the ``isinstance`` calls in ``source`` that name a letter class."""
+    classes = {"Named", "J1", "J2", "_Block", "Letter"}
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and classes & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    ]
+
+
+def test_decompose_tests_no_letter_class():
+    # each letter kind carries its action (times, inverse, is_identity,
+    # plain, to_json_obj), so decompose dispatches on no letter's class
+    source = Path(importlib.import_module("sp4cert.decompose").__file__).read_text()
+    assert _letter_class_tests(source) == []
+    assert _letter_class_tests("f(x)\nisinstance(x, (int, J2))\nisinstance(x, Mat2)") == [2]
+
+
 # --- serialisation ---------------------------------------------------------
 
 
@@ -587,15 +618,13 @@ def test_replay_check_survives_python_optimise_flag():
 
         assert False, "python -O was expected to strip this"
         dec = importlib.import_module("sp4cert.decompose")
-        invert = dec._invert_letter
+        invert = dec.Named.inverse
 
         def corrupt(letter):
             inverse = invert(letter)
-            if isinstance(inverse, dec.Named):
-                return dec.Named(inverse.name, inverse.exp + 1)
-            return inverse
+            return dec.Named(inverse.name, inverse.exp + 1)
 
-        dec._invert_letter = corrupt
+        dec.Named.inverse = corrupt
         for tilde, name in ((True, "Mt2"), (False, "M2")):
             try:
                 dec.decompose(generator(name, 3), 3, tilde=tilde)
