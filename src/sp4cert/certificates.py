@@ -52,25 +52,27 @@ command that prints PASS runs it on the text it wrote and read back.
   gamma_1p element into a generator word, then splice the pieces.
 
 Every gamma_p2 element is a leaf at no cost, and :meth:`CertBuilder.power`
-uses that.  A unipotent base ``1 + N`` (``N N = 0``) raised to an
-exponent ``e = r + q p^2`` past ``p^2/2`` (``|r| <= p^2/2``) becomes
-``a^r`` times the seed ``S = 1 + q p^2 N`` exactly when d | q, for
-``(d, E) = base.scaled()``.  S is a power of a symplectic matrix, hence
-symplectic, and ``S - 1 = p^2 qN``, so S lies in gamma_p2 iff qN is
-integral.  The entries of ``d N`` are those of E, less d on the
-diagonal, so ``gcd(d, *dN) = gcd(d, *E) = 1``: qN is integral iff d | q,
-and the split needs no membership test.  The closed form of S is
-:func:`sp4cert.matrices.unipotent_power`.  Such a power adds at most
+uses that.  It takes each power of a node whose value the caller names:
+M0, L2, L3, L4 or a named letter's M_i, each an integral ``1 + N`` with
+``N N = 0``.  An exponent ``e = r + q p^2`` past ``p^2/2``
+(``|r| <= p^2/2``) becomes ``a^r`` times the seed ``S = 1 + q p^2 N``,
+which :func:`sp4cert.generators.times_power` writes from the generator's
+entries.  S is a power of a symplectic matrix, hence symplectic, and
+``S - 1 = p^2 qN`` with qN integral, so S lies in gamma_p2 and the split
+needs no membership test.  Such a power adds at most
 ``2 bit_length(p^2 // 2) + 3`` nodes, however large e is.
 
 The core chain (M2, L2, L4, M3, M4, L5 and M1 from the seeds) is the
 one place the six product identities that generate M1..M4 from M0 and
 level-p^2 elements are written.  :func:`_checked_core` builds it in a
 fresh builder and runs :func:`cert_verify` on each named node's
-certificate against its generator.  The template, which raises at the
-first failed name, is kept for the last ``_CORE_TEMPLATES`` primes and
-interned into each builder that needs it, in the node order building it
-there gives; :func:`verify_identities` reports from the same verdicts
+certificate against its generator.  The template (nodes, memo and named
+ids), which raises at the first failed name, is kept for the last
+``_CORE_TEMPLATES`` primes.  Each builder that needs it (a witness, a j2
+certificate, the generator table) starts from :func:`_core_builder`,
+copies of its node list and memo, so the core's nodes come first and
+the liveness pass of :meth:`CertBuilder.certificate` drops those a root
+does not reach; :func:`verify_identities` reports from the same verdicts
 whether each identity lands on its generator.  Identity
 ``m4-from-l5-commutator`` requires the *positive* power of L1: the
 exact computation gives
@@ -111,7 +113,7 @@ from typing import Iterable, NamedTuple
 
 from .decompose import J1, Named, decompose
 from .errors import MalformedDag, ParseError, ShapeAssertionFailed
-from .generators import generator
+from .generators import generator, times_power
 from .groups import GroupLabel, j1_embed, j2_embed, member, require_odd_prime
 from .matrices import (
     Mat2,
@@ -122,7 +124,6 @@ from .matrices import (
     load_json,
     mat4_from_lists,
     repeated_squaring,
-    unipotent_power,
 )
 from .sl2 import (
     ConjugateBy,
@@ -330,29 +331,26 @@ class CertBuilder:
     def identity(self) -> int:
         return self.seed_p2(Mat4.identity())
 
-    def power(self, a: int, e: int, base: Mat4) -> int:
-        """Node for the e-th power of node ``a``, whose value the caller
-        gives as ``base``.
+    def power(self, a: int, e: int, name: str) -> int:
+        """Node for the e-th power of node ``a``, whose value is the
+        generator ``name`` (``"M0"``, ``"L2"``, ``"L3"``, ``"L4"`` or a
+        named letter's), ``1 + N`` with ``N N = 0``.
 
-        When ``base`` is ``1 + N`` with ``N N = 0`` and ``|e| > p^2/2``,
-        write ``e = r + q p^2`` with ``|r| <= p^2/2``: then
-        ``a^e = a^r S`` with ``S = 1 + q p^2 N``.  S lies in gamma_p2
-        exactly when the denominator d of ``base.scaled()`` divides q
-        (module docstring); then it enters as one seed and only ``a^r``
-        is built by repeated squaring.  Any other base, a q that d does
-        not divide, and any ``|e| <= p^2/2`` take
-        :func:`sp4cert.matrices.repeated_squaring`, the loop of ``Mat4 **``,
-        over this builder's ``mul``, ``inv`` and ``identity`` nodes.
+        When ``|e| > p^2/2``, write ``e = r + q p^2`` with ``|r| <= p^2/2``:
+        then ``a^e = a^r S`` with ``S = 1 + q p^2 N``, which
+        :func:`sp4cert.generators.times_power` writes and which enters as
+        one gamma_p2 seed (module docstring); only ``a^r`` is built.  Any
+        ``|e| <= p^2/2`` takes :func:`sp4cert.matrices.repeated_squaring`,
+        the loop of ``Mat4 **``, over this builder's ``mul``, ``inv`` and
+        ``identity`` nodes.
         """
         p2 = self.p * self.p
         q, r = divmod(e + p2 // 2, p2)
         r -= p2 // 2
-        if q and q % base.scaled()[0] == 0:
-            s = unipotent_power(base, q * p2)
-            if s is not None:
-                seed = self.seed_p2(s)
-                return seed if r == 0 else self.mul(self.power(a, r, base), seed)  # |r| <= p^2/2: no split
-        return repeated_squaring(a, e, self.mul, self.inv, self.identity)
+        if not q:
+            return repeated_squaring(a, e, self.mul, self.inv, self.identity)
+        seed = self.seed_p2(times_power(Mat4.identity(), name, self.p, q * p2))
+        return seed if r == 0 else self.mul(self.power(a, r, name), seed)  # |r| <= p^2/2: no split
 
     def product(self, ids: Iterable[int]) -> int:
         ids = list(ids)
@@ -388,7 +386,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     """Build the nodes for M2, L2, L4, M3, M4, L5 and M1 from seeds only,
     in that order, and check none of them."""
     p = b.p
-    g = {name: generator(name, p) for name in ("M0", "M1", "M3", "M4", "L1", "L2", "L3", "L5")}
+    g = {name: generator(name, p) for name in ("M1", "M3", "M4", "L1", "L3", "L5")}
 
     n_m0 = b.seed_m0()
     n_m0_inv = b.inv(n_m0)
@@ -402,13 +400,13 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1))
     n_l2 = b.mul(
         b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].inv())),
-        _j1_chain(b, Mat2.of(1, -2, 0, 1), g["M0"]),
+        _j1_chain(b, Mat2.of(1, -2, 0, 1)),
     )
 
     # L4 = L2^lam L3^mu with -2*lam + p^2*mu = 1
     _, lam, mu = ext_gcd(-2, p * p)
     n_l3 = b.seed_p2(g["L3"])
-    n_l4 = b.mul(b.power(n_l2, lam, g["L2"]), b.power(n_l3, mu, g["L3"]))
+    n_l4 = b.mul(b.power(n_l2, lam, "L2"), b.power(n_l3, mu, "L3"))
 
     # M3 = (L4 (M1 M0 M1^-1) M0^-1)^-1
     n_m3 = b.inv(b.mul(b.mul(n_l4, b.conj(n_m0, g["M1"])), n_m0_inv))
@@ -416,7 +414,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     # M4 = (L5^-1 M2^-1 L5 M2) L1: the commutator, then the +1 power of L1
     n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].inv()), n_m2), n_l1)
 
-    n_l5 = _j1_chain(b, U, g["M0"])  # L5 = j1(U)
+    n_l5 = _j1_chain(b, U)  # L5 = j1(U)
 
     # M1 = ((M3 (L5 L4) M3^-1) L5^-1 L2)^-1
     n_m1 = b.inv(
@@ -444,36 +442,33 @@ def _checked_core(p: int) -> tuple[CertBuilder, dict[str, int], dict[str, bool]]
 
 
 @functools.lru_cache(maxsize=_CORE_TEMPLATES)
-def _core_template(p: int) -> tuple[tuple[CertNode, ...], tuple[tuple[str, int], ...]]:
-    """The nodes and named ids of the core chain of p, from
+def _core_template(p: int) -> tuple[tuple[CertNode, ...], dict[CertNode, int], dict[str, int]]:
+    """The nodes, memo and named ids of the core chain of p, from
     :func:`_checked_core`; the first failed name raises, an explicit
-    check that ``python -O`` keeps, and caches nothing."""
+    check that ``python -O`` keeps, and caches nothing.  Only
+    :func:`_core_builder` reads it, and hands out copies."""
     b, names, holds = _checked_core(p)
     for name, ok in holds.items():
         if not ok:
             raise ShapeAssertionFailed(f"the {name} chain does not evaluate to its target at p={p}")
-    return tuple(b.nodes), tuple(names.items())
+    return tuple(b.nodes), b._memo, names
 
 
-def _core_nodes(b: CertBuilder) -> dict[str, int]:
-    """Nodes for M2, L2, L4, M3, M4, M1 (plus L5) in ``b``: the template
-    interned in order, args renumbered through ``b``'s memo, so nodes
-    first appear in the order that building the chain in ``b`` gives."""
-    template, names = _core_template(b.p)
-    ids: list[int] = []
-    renumber = ids.__getitem__
-    for op, args, literal in template:
-        ids.append(b._intern(_new(CertNode, (op, tuple(map(renumber, args)), literal))))
-    return {name: ids[i] for name, i in names}
+def _core_builder(p: int) -> tuple[CertBuilder, dict[str, int]]:
+    """A fresh builder whose node list and memo are copies of the core
+    template's, and the ids of M2, L2, L4, M3, M4, L5 and M1 in it."""
+    nodes, memo, names = _core_template(p)
+    b = CertBuilder(p)
+    b.nodes, b._memo = list(nodes), memo.copy()
+    return b, names.copy()
 
 
 def build_generator_certs(p: int) -> dict[str, Certificate]:
     """Certificates for M2, L2, L4, M3, M4, M1 over the seeds
     {M0} + gamma_p2, from the core template, whose check they passed."""
-    b = CertBuilder(p)
-    nodes = _core_nodes(b)
+    b, core = _core_builder(p)
     return {
-        name: b.certificate(nodes[name], generator(name, p))
+        name: b.certificate(core[name], generator(name, p))
         for name in ("M2", "L2", "L4", "M3", "M4", "M1")
     }
 
@@ -528,14 +523,14 @@ def verify_identities(p: int) -> IdentityReport:
     ))
 
 
-def _j1_chain(b: CertBuilder, a: Mat2, m0: Mat4) -> int:
-    """Node for j1(a), using only the M0 seed, of value ``m0``: the j1 image
-    of the :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
+def _j1_chain(b: CertBuilder, a: Mat2) -> int:
+    """Node for j1(a), using only the M0 seed: the j1 image of the
+    :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
     w T^e w^-1 a power of M0, conjugated by j1(w) unless w is the identity."""
     n_m0 = b.seed_m0()
     parts = []
     for w, e in conjugates_of_t(sl2_decompose(a)):
-        part = b.power(n_m0, e, m0)
+        part = b.power(n_m0, e, "M0")
         parts.append(part if w.is_identity() else b.conj(part, j1_embed(w)))
     return b.product(parts)
 
@@ -544,16 +539,16 @@ def expand_j1(a: Mat2, p: int) -> Certificate:
     """Certificate for j1(a) with SeedM0 as the only leaf, unchecked
     until :func:`cert_verify`."""
     b = CertBuilder(p)
-    return b.certificate(_j1_chain(b, a, generator("M0", p)), j1_embed(a))
+    return b.certificate(_j1_chain(b, a), j1_embed(a))
 
 
-def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2, l4: Mat4) -> int:
+def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
     """Node evaluating to j2(q) for q in gamma1_of_p.
 
-    P-powers reuse the core L4 node, of value ``l4``; gamma1prime_p2
-    elements enter as gamma_p2 seeds (their j2 images are congruent to
-    1 mod p^2); the SL(2,Z) conjugations of the step list become conj
-    nodes with j2-image conjugators, which lie in gamma0_1p.
+    P-powers reuse the core L4 node; gamma1prime_p2 elements enter as
+    gamma_p2 seeds (their j2 images are congruent to 1 mod p^2); the
+    SL(2,Z) conjugations of the step list become conj nodes with
+    j2-image conjugators, which lie in gamma0_1p.
     """
     p = b.p
     steps = gamma1p_generate(q, p)
@@ -563,7 +558,7 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2, l4: Mat4) -> int:
             idx = b.conj(b.identity() if idx is None else idx, j2_embed(step.conjugator, p))
             continue
         if isinstance(step, MultiplyLeftP):
-            part = b.power(core["L4"], step.exponent, l4)
+            part = b.power(core["L4"], step.exponent, "L4")
         else:  # MultiplyLeftPrime
             part = b.seed_p2(j2_embed(step.element, p))
         idx = part if idx is None else b.mul(part, idx)
@@ -574,36 +569,31 @@ def expand_j2(q: Mat2, p: int) -> Certificate:
     """Certificate for j2(q), q in gamma1_of_p; seeds are M0 (through
     the embedded L4 chain) and j2 images of gamma1prime_p2 elements.
     It is unchecked until :func:`cert_verify`."""
-    b = CertBuilder(p)
-    return b.certificate(_j2_chain(b, _core_nodes(b), q, generator("L4", p)), j2_embed(q, p))
+    b, core = _core_builder(p)
+    return b.certificate(_j2_chain(b, core, q), j2_embed(q, p))
 
 
 def normal_closure_witness(k: Mat4, p: int) -> Certificate:
     """Seed-level certificate for any gamma_1p element.
 
     Pipeline: decompose k over {M1..M4, j1, j2}, then splice each
-    letter -- named generators through their chains, j1 letters through
-    the M0 word, j2 letters through the level-p case split, each
-    generator value fetched once.  ``decompose`` raises
+    letter into a copy of the core template -- named generators as
+    powers of their core nodes, j1 letters through the M0 word, j2
+    letters through the level-p case split.  ``decompose`` raises
     :class:`NotInGroup` when k is not in gamma_1p.  The certificate,
-    with k as target, is unchecked until :func:`cert_verify`.
+    with k as target, keeps only the nodes its root reaches and is
+    unchecked until :func:`cert_verify`.
     """
     word = decompose(k, p, tilde=False)
-    b = CertBuilder(p)
-    m0 = generator("M0", p)
-    named = {name: generator(name, p) for name in {x.name for x in word.letters if isinstance(x, Named)}}
-    core: dict[str, int] | None = None
+    b, core = _core_builder(p)
     parts: list[int] = []
     for letter in word.letters:
         if isinstance(letter, J1):
-            parts.append(_j1_chain(b, letter.payload, m0))
-            continue
-        if core is None:
-            core, l4 = _core_nodes(b), generator("L4", p)
-        if isinstance(letter, Named):
-            parts.append(b.power(core[letter.name], letter.exp, named[letter.name]))
+            parts.append(_j1_chain(b, letter.payload))
+        elif isinstance(letter, Named):
+            parts.append(b.power(core[letter.name], letter.exp, letter.name))
         else:
-            parts.append(_j2_chain(b, core, letter.payload, l4))
+            parts.append(_j2_chain(b, core, letter.payload))
     return b.certificate(b.product(parts), k)
 
 

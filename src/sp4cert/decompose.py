@@ -99,11 +99,12 @@ class Named:
     def times(self, m: Mat4, p: int, tilde: bool) -> Mat4:
         """``m`` times this letter in tilde coordinates, ``times_power`` of its
         tilde twin; a name outside the ``tilde`` alphabet is :class:`UnknownName`."""
-        names = ALPHABET[tilde]
-        if self.name not in names:
+        try:
+            i = ALPHABET[tilde].index(self.name)
+        except ValueError:
             coords = "tilde" if tilde else "untilded"
-            raise UnknownName(f"no {coords} letter named {self.name!r}")
-        return times_power(m, ALPHABET[True][names.index(self.name)], p, self.exp)
+            raise UnknownName(f"no {coords} letter named {self.name!r}") from None
+        return times_power(m, ALPHABET[True][i], p, self.exp)
 
     def inverse(self) -> "Named":
         return Named(self.name, -self.exp)
@@ -121,7 +122,8 @@ class Named:
 
 @dataclass(frozen=True)
 class _Block:
-    """A j1 or j2 letter: its payload on columns (1,3) or (2,4), as ``which`` is 1 or 2."""
+    """A j1 or j2 letter: its payload on columns (1,3) or (2,4), as ``which``
+    is 1 or 2; ``tag``, ``"j1"`` or ``"j2"``, keys it in the word JSON."""
 
     payload: Mat2
 
@@ -140,15 +142,15 @@ class _Block:
         return self  # its own R-conjugate
 
     def to_json_obj(self) -> dict:
-        return {f"j{self.which}": mat2_to_lists(self.payload)}
+        return {self.tag: mat2_to_lists(self.payload)}
 
 
 class J1(_Block):
-    which = 1
+    which, tag = 1, "j1"
 
 
 class J2(_Block):
-    which = 2
+    which, tag = 2, "j2"
 
 
 Letter = Union[Named, J1, J2]
@@ -209,8 +211,8 @@ class GeneratorWord:
                 letters.append(Named(item["gen"], json_int(item.get("exp"), f"letter {idx} exponent")))
                 continue
             for kind in (J1, J2):
-                if f"j{kind.which}" in item:
-                    letters.append(kind(mat2_from_lists(item[f"j{kind.which}"])))
+                if kind.tag in item:
+                    letters.append(kind(mat2_from_lists(item[kind.tag])))
                     break
             else:
                 raise ParseError(f"letter {idx} has no recognised tag")

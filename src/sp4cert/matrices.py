@@ -44,8 +44,7 @@ Integer powers ``m ** n`` of both types go through one helper.  When
 the only ``**`` callers in the package -- the power is the closed form
 ``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.
 That closed form is public as :func:`unipotent_power`, which returns
-``None`` when ``N N != 0``; ``CertBuilder.power`` uses it to split a
-large power.  The helper reads the cell (i, j) of each flat entry of
+``None`` when ``N N != 0``; only ``**`` uses it.  The helper reads the cell (i, j) of each flat entry of
 ``d N = e - d`` from a table built at import (no ``divmod`` per entry),
 keeps the nonzero ones, tests ``N N = 0`` by summing products over them
 only, and writes ``d (1 + n N)`` as ``e + (n - 1) d N`` on them only:

@@ -13,6 +13,7 @@ one operator of the fixed set ``OPERATORS``:
   ``in`` and ``not in``);
 * ``bool``  ``and`` and ``or`` swapped;
 * ``not``   a ``not`` dropped;
+* ``neg``   a unary minus dropped;
 * ``const`` an int constant plus one, or a bool flipped;
 * ``arith`` ``+`` to ``-``, ``-`` to ``+``, ``*`` to ``+``;
 * ``stmt``  a ``raise`` or ``continue`` replaced by ``pass``.
@@ -84,7 +85,7 @@ TARGETS = (
     ("certificates", "CertBuilder.certificate", VERIFIER),
     ("certificates", "_checked_core", VERIFIER + ("tests/test_generators.py",)),
     ("certificates", "_core_template", VERIFIER),
-    ("certificates", "_core_nodes", VERIFIER),
+    ("certificates", "_core_builder", VERIFIER),
     ("certificates", "verify_identities", VERIFIER + ("tests/test_generators.py",)),
     ("groups", "member", PREDICATES),
     ("groups", "symplectic_check", PREDICATES),
@@ -177,7 +178,7 @@ EQUIVALENT = {
 _CMP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
 _ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add}
-OPERATORS = ("cmp", "bool", "not", "const", "arith", "stmt")
+OPERATORS = ("cmp", "bool", "not", "neg", "const", "arith", "stmt")
 
 
 def _sites(func: ast.AST) -> list[tuple[ast.AST, str]]:
@@ -189,8 +190,8 @@ def _sites(func: ast.AST) -> list[tuple[ast.AST, str]]:
             out += [(node, "cmp")] if any(type(op) in _CMP for op in node.ops) else []
         elif isinstance(node, ast.BoolOp):
             out.append((node, "bool"))
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            out.append((node, "not"))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.Not, ast.USub)):
+            out.append((node, "not" if isinstance(node.op, ast.Not) else "neg"))
         elif isinstance(node, ast.Constant) and type(node.value) in (int, bool):
             out.append((node, "const"))
         elif isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
@@ -215,7 +216,7 @@ class _Apply(ast.NodeTransformer):
                         for i, o in enumerate(node.ops)]
         elif op == "bool":
             node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
-        elif op == "not":
+        elif op in ("not", "neg"):
             return node.operand
         elif op == "const":
             node.value = (not node.value) if type(node.value) is bool else node.value + 1

@@ -7,13 +7,13 @@ one must pay for itself.  Measured on Python 3.11.7 (2 cores):
 ``certificates._core_template``, building the core chain in every
 witness builder made a seed-1 ``witness`` round 28% slower (best of
 7).  ``generator()`` is not cached.  ``CertBuilder.power`` takes its
-base's value from each caller, and ``normal_closure_witness`` fetches
-each value once and passes it down, so a seed-1 ``witness`` operation
-calls it 5.2 times on average (M0 once, L4 once if the word needs the
-core, once per distinct named letter; core template already built), and
-a ``verify`` operation once if it reaches replay (0.67 times on
-average); it costs 1.8-2.9 µs built against 0.1 µs cached, about 11 µs,
-or 3%, of a ``witness`` operation.
+base by generator name and writes a split seed by
+``generators.times_power``, and every witness builder starts from a
+copy of the core template, so once the template is built a seed-1
+``witness`` operation calls it 0 times (5.2 when each power was given
+its base's value); a ``verify`` operation calls it once if it reaches
+replay (0.67 times on average).  It costs 1.8-2.9 µs built against
+0.1 µs cached.
 The guard walks each module's syntax tree and lists every use of
 ``lru_cache`` or ``cache`` imported from ``functools``: a decorated
 function by its qualified name, any other use by module and line.  A

@@ -40,10 +40,9 @@ from sp4cert.certificates import (
     _CORE_TEMPLATES,
     _SHAPE,
     _bit_budget,
+    _core_builder,
     _core_chain,
-    _core_nodes,
     _core_template,
-    _j1_chain,
     build_generator_certs,
     cert_verify,
     certificate_from_json_obj,
@@ -64,7 +63,7 @@ from sp4cert.errors import (
 )
 from sp4cert.generators import _ENTRIES, generator
 from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member
-from sp4cert.matrices import Mat2, Mat4, ext_gcd, load_json, mat4_from_lists, mat4_to_lists, unipotent_power
+from sp4cert.matrices import Mat2, Mat4, ext_gcd, load_json, mat4_from_lists, mat4_to_lists
 from sp4cert.sampling import SampleSpec, sample
 from sp4cert.sl2 import S, T, U
 
@@ -282,9 +281,7 @@ def test_every_node_of_a_golden_witness_is_exactly_a_cert_node(path):
 def test_every_renumbered_or_copied_node_is_exactly_a_cert_node(p):
     certs = build_generator_certs(p)
     assert any(cert.node_count < len(_core_template(p)[0]) for cert in certs.values())  # renumbered
-    b = CertBuilder(p)
-    b.seed_m0()  # so the copied template is renumbered by one
-    _core_nodes(b)
+    b, _ = _core_builder(p)
     copied = Certificate(p, tuple(b.nodes), len(b.nodes) - 1, evaluate(b)[-1])
     for cert in (*certs.values(), copied, expand_j1(Mat2.of(2, 1, 1, 1), p),
                  expand_j2(Mat2.of(1 + p, p, -p, 1 - p), p)):
@@ -558,7 +555,7 @@ def test_conjugator_discipline():
 
 # builder calls: (op, node pick, extra); a node pick is reduced mod the
 # number of nodes so far, the extra names a seed (in gamma_p2), a
-# conjugator (in gamma0_1p) or a power's exponent
+# conjugator (in gamma0_1p) or a power's exponent and generator name
 DAG_CALLS = st.lists(
     st.one_of(
         st.tuples(st.just("seed_m0"), st.just(0), st.just(None)),
@@ -566,7 +563,8 @@ DAG_CALLS = st.lists(
         st.tuples(st.just("mul"), st.integers(0, 99), st.integers(0, 99)),
         st.tuples(st.just("inv"), st.integers(0, 99), st.just(None)),
         st.tuples(st.just("conj"), st.integers(0, 99), st.sampled_from(("M1", "M3", "L5"))),
-        st.tuples(st.just("power"), st.integers(0, 99), st.integers(-60, 60)),
+        st.tuples(st.just("power"), st.integers(0, 99),
+                  st.tuples(st.integers(-60, 60), st.sampled_from(("M0", "L4", "M3")))),
     ),
     min_size=1,
     max_size=12,
@@ -590,9 +588,8 @@ def test_extraction_matches_the_reference_for_every_root(p, calls):
         elif op == "conj":
             b.conj(a, generator(extra, p))
         else:
-            base = evaluate(b)[a]
-            if base.entry_bits() <= 64:  # a power of a wide value is slow to evaluate
-                b.power(a, extra, base)
+            if evaluate(b)[a].entry_bits() <= 64:  # a power of a wide value is slow to evaluate
+                b.power(a, *extra)  # the builder forms no value: any node stands for the name
     values = evaluate(b)
     for root in range(len(b.nodes)):
         assert b.certificate(root, values[root]) == reference_certificate(b, root, values[root])
@@ -777,13 +774,13 @@ ORACLE = _load_oracle()
 SPLIT_BASES = ("M0", "L4", "M3", "M0^-1", "L4^-1", "M3^-1")
 
 
-def _split_base(b: CertBuilder, name: str) -> tuple[int, Mat4]:
-    """Node and value of M0, L4 or M3, or of the inverse of one (``"L4^-1"``)."""
-    core = _core_nodes(b)
-    nodes = {"M0": b.seed_m0(), "L4": core["L4"], "M3": core["M3"]}
+def _split_base(p: int, name: str) -> tuple[CertBuilder, int, str, int]:
+    """A core builder, the node and name of M0, L4 or M3 in it, and the
+    sign an inverse (``"L4^-1"``) puts on the exponent."""
+    b, core = _core_builder(p)
     base = name.removesuffix("^-1")
-    idx, value = nodes[base], generator(base, b.p)
-    return (b.inv(idx), value.inv()) if name.endswith("^-1") else (idx, value)
+    nodes = {"M0": b.seed_m0(), "L4": core["L4"], "M3": core["M3"]}
+    return b, nodes[base], base, -1 if name.endswith("^-1") else 1
 
 
 def _seeds_p2(b: CertBuilder, start: int) -> list[Mat4]:
@@ -801,76 +798,39 @@ def _both_verifiers(cert: Certificate) -> tuple[bool, tuple[bool, str]]:
     st.one_of(st.integers(-(2 ** 256), 2 ** 256), st.integers(-100, 100)),
 )
 def test_split_power_is_exact_short_and_verifies(p, name, e):
-    b = CertBuilder(p)
-    a, base = _split_base(b, name)
+    b, a, base, sign = _split_base(p, name)
+    e *= sign  # a power of an inverse is the power with the exponent negated
+    value = generator(base, p)
     before = len(b.nodes)
     idx = b.power(a, e, base)
     assert len(b.nodes) - before <= 2 * (p * p // 2).bit_length() + 3
-    cert = b.certificate(idx, base ** e)
+    cert = b.certificate(idx, value ** e)
     assert _both_verifiers(cert) == (True, (True, ""))  # the root replays to base^e
     half = p * p // 2
     if abs(e) > half:
         # the p^2-multiple part of the power is one seed (perhaps shared)
         r = (e + half) % (p * p) - half
-        seed = base ** (e - r)
+        seed = value ** (e - r)
         assert any(n.op == SEED_P2 and n.value == seed for n in cert.nodes)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_power_of_a_non_unipotent_base_is_binary(p):
-    b = CertBuilder(p)
-    a, base = _j1_chain(b, Mat2.of(2, 1, 1, 1), generator("M0", p)), j1_embed(Mat2.of(2, 1, 1, 1))  # trace 3: no power is a seed
-    for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
-        before = len(b.nodes)
-        idx = b.power(a, e, base)
-        assert not _seeds_p2(b, before)
-        assert _both_verifiers(b.certificate(idx, base ** e)) == (True, (True, ""))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_power_of_a_non_integral_unipotent_base(p):
-    # every value formed from the seeds is integral (gamma_1p is normal in
-    # gamma0_1p), so the plain j2 image of (1 0; 1 1), whose N has 1/p at
-    # entry (4,2), is planted as a leaf that both verifiers refuse
-    base = j2_embed(Mat2.of(1, 0, 1, 1), p)
-    assert base.scaled()[0] == p
-    b = CertBuilder(p)
-    a = b._intern(CertNode(SEED_P2, value=base))
-    refused = (False, (False, "seed node 0 not in gamma_p2"))
-    # q = 1, -1, 2: S = 1 + q p^2 N is off gamma_p2, so the power is binary
-    for e in (p * p, -(p * p) - 2, 2 * p * p + 1):
-        before = len(b.nodes)
-        idx = b.power(a, e, base)
-        assert not _seeds_p2(b, before)
-        cert = b.certificate(idx, base ** e)
-        assert evaluate(cert)[cert.root] == base ** e
-        assert _both_verifiers(cert) == refused
-    # q = p: S = 1 + p^3 N lies in gamma_p2, and the split takes it
-    before = len(b.nodes)
-    idx = b.power(a, p ** 3 + 1, base)
-    assert _seeds_p2(b, before) == [base ** p ** 3]
-    assert evaluate(b)[idx] == base ** (p ** 3 + 1)
-
-
 def test_power_splits_exactly_when_the_seed_lies_in_gamma_p2():
-    # power tests no literal: for a unipotent base with denominator d it
-    # takes the seed S = 1 + q p^2 N iff d | q, and S lies in gamma_p2
-    # exactly then; the Mt_i preserve the polarised form, not J, so no
-    # node has one as its value
+    # power tests no literal: for the generator 1 + N it names, it takes
+    # the seed S = 1 + q p^2 N whenever q != 0, and every such S lies in
+    # gamma_p2, as each N is integral; the Mt_i preserve the polarised
+    # form, not J, so no node has one as its value
     for p in (3, 5, 7):
-        bases = [generator(name, p) for name in _ENTRIES if not name.startswith("Mt")]
-        bases += [j2_embed(Mat2.of(1, 0, c, 1), p) for c in (1, 2, p + 1)]  # d = p
         half = p * p // 2
         exponents = [q * p * p + r for q in (-2 * p, -p, -2, -1, 0, 1, 2, p, 2 * p)
                      for r in (-half, -1, 0, 1, half) if q or r]
-        for base in bases:
+        for name in (name for name in _ENTRIES if not name.startswith("Mt")):
             for e in exponents:
                 b = CertBuilder(p)
-                b.power(b.seed_m0(), e, base)  # the builder forms no value: any node stands for base
+                b.power(b.seed_m0(), e, name)  # the builder forms no value: any node stands for the name
                 q = (e + half) // (p * p)
-                s = unipotent_power(base, q * p * p)
-                expected = [s] if q and member(s, GroupLabel.GAMMA_P2, p) else []
-                assert _seeds_p2(b, 0) == expected, (p, base, e)
+                s = generator(name, p) ** (q * p * p)
+                assert not q or member(s, GroupLabel.GAMMA_P2, p)
+                assert _seeds_p2(b, 0) == ([s] if q else []), (p, name, e)
 
 
 def test_a_witness_tests_each_literal_once(monkeypatch):
@@ -975,20 +935,37 @@ CORE_NAMES = ("M2", "L2", "L4", "M3", "M4", "L5", "M1")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_core_template_interns_as_building_it_in_place(p):
-    # the j1 chain and M0^-2 already hold seed_m0, M0^-1, M0^-2 and L5
-    def prefixed() -> CertBuilder:
-        b = CertBuilder(p)
-        _j1_chain(b, Mat2.of(-7, 3, 2, -1), generator("M0", p))
-        b.power(b.seed_m0(), -2, generator("M0", p))
-        return b
-
-    built, interned = prefixed(), prefixed()
-    before = len(built.nodes)
+def test_core_builder_is_a_copy_of_the_core_chain(p):
+    # a builder from the template holds what building the chain in a
+    # fresh builder gives; builders share no list or dict with each
+    # other or with the cache, so what one adds the next does not hold
+    built = CertBuilder(p)
     names = _core_chain(built)
-    assert _core_nodes(interned) == names
-    assert interned.nodes == built.nodes
-    assert len(built.nodes) - before < len(_core_template(p)[0])
+    cached = _core_template(p)
+    first, core = _core_builder(p)
+    assert (first.nodes, first._memo, core) == (built.nodes, built._memo, names)
+    second, again = _core_builder(p)
+    for x, y, z in ((first.nodes, second.nodes, cached[0]), (first._memo, second._memo, cached[1]),
+                    (core, again, cached[2])):
+        assert x is not y and x is not z and y is not z
+    first.mul(core["M1"], core["M2"])
+    core["M1"] = -1
+    third, fresh = _core_builder(p)
+    assert (third.nodes, third._memo, fresh) == (built.nodes, built._memo, names)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_witness_fetches_no_generator_once_the_core_is_built(monkeypatch, p):
+    # every power is taken by its generator's name, so with the core
+    # template warm a witness builder fetches no generator value
+    certificates = importlib.import_module("sp4cert.certificates")
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 40 + p, 12))
+    assert {type(x) for x in certificates.decompose(k, p, tilde=False).letters} == {J1, J2, Named}
+    _core_template(p)
+    monkeypatch.setattr(certificates, "generator", lambda *a: pytest.fail("a generator fetched"))
+    witness = normal_closure_witness(k, p)
+    monkeypatch.undo()
+    assert cert_verify(witness).passed
 
 
 def test_core_chain_is_checked_once_per_p(monkeypatch):
@@ -1182,7 +1159,7 @@ def test_chain_checks_survive_python_optimise_flag():
                    lambda: certs.expand_j1(a, p)),
             "j2": (certs, "gamma1p_generate", lambda q, r: real["gamma1p_generate"](P * q, r),
                    lambda: certs.expand_j2(P, p)),
-            "witness": (certs, "_j1_chain", lambda b, m, m0: real["_j1_chain"](b, m * sl2.T, m0),
+            "witness": (certs, "_j1_chain", lambda b, m: real["_j1_chain"](b, m * sl2.T),
                         lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
             "lift": (certs, "conjugates_of_t", negate_first, lambda: certs.expand_j1(a, p),
                      lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),

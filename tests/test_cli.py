@@ -173,7 +173,7 @@ def test_a_corrupted_chain_fails_witness_verify_and_fuzz(monkeypatch, member_fil
     path, _ = member_file
     certificates.build_generator_certs(3)  # the core template, checked before the fault
     real = certificates._j1_chain
-    monkeypatch.setattr(certificates, "_j1_chain", lambda b, m, m0: real(b, m * T, m0))
+    monkeypatch.setattr(certificates, "_j1_chain", lambda b, m: real(b, m * T))
     cert_path = tmp_path / "cert.json"
     assert main(["witness", "--p", "3", "--in", path, "--out", str(cert_path)]) == 1
     assert capsys.readouterr().out.endswith("\nFAIL\n")
