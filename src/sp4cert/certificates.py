@@ -341,8 +341,8 @@ class CertBuilder:
         :func:`sp4cert.generators.times_power` writes and which enters as
         one gamma_p2 seed (module docstring); only ``a^r`` is built.  Any
         ``|e| <= p^2/2`` takes :func:`sp4cert.matrices.repeated_squaring`,
-        the loop of ``Mat4 **``, over this builder's ``mul``, ``inv`` and
-        ``identity`` nodes.
+        the loop, over this builder's ``mul``, ``inv`` and ``identity``
+        nodes.
         """
         p2 = self.p * self.p
         q, r = divmod(e + p2 // 2, p2)
@@ -394,12 +394,12 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
 
     # M2 = (M4^-1 M0 M4) M0^-1 L1^-1
     n_m2 = b.mul(
-        b.mul(b.conj(n_m0, g["M4"].inv()), n_m0_inv), b.inv(n_l1)
+        b.mul(b.conj(n_m0, g["M4"].symplectic_inv()), n_m0_inv), b.inv(n_l1)
     )
 
     # L2 = (M1 M0 M1^-1)(M1^-1 M0 M1) j1((1,-2),(0,1))
     n_l2 = b.mul(
-        b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].inv())),
+        b.mul(b.conj(n_m0, g["M1"]), b.conj(n_m0, g["M1"].symplectic_inv())),
         _j1_chain(b, Mat2.of(1, -2, 0, 1)),
     )
 
@@ -412,7 +412,7 @@ def _core_chain(b: CertBuilder) -> dict[str, int]:
     n_m3 = b.inv(b.mul(b.mul(n_l4, b.conj(n_m0, g["M1"])), n_m0_inv))
 
     # M4 = (L5^-1 M2^-1 L5 M2) L1: the commutator, then the +1 power of L1
-    n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].inv()), n_m2), n_l1)
+    n_m4 = b.mul(b.mul(b.conj(b.inv(n_m2), g["L5"].symplectic_inv()), n_m2), n_l1)
 
     n_l5 = _j1_chain(b, U)  # L5 = j1(U)
 
@@ -554,8 +554,8 @@ def _j2_chain(b: CertBuilder, core: dict[str, int], q: Mat2) -> int:
     steps = gamma1p_generate(q, p)
     idx: int | None = None
     for step in steps.steps:
-        if isinstance(step, ConjugateBy):
-            idx = b.conj(b.identity() if idx is None else idx, j2_embed(step.conjugator, p))
+        if isinstance(step, ConjugateBy):  # never first: case 2 leaves m != 1, so a multiply comes before it
+            idx = b.conj(idx, j2_embed(step.conjugator, p))
             continue
         if isinstance(step, MultiplyLeftP):
             part = b.power(core["L4"], step.exponent, "L4")

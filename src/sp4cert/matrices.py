@@ -39,19 +39,13 @@ rounding.  Both matrix types are immutable values; all operations
 return fresh objects, so certificate replay is deterministic and the
 types are safe to share between threads.
 
-Integer powers ``m ** n`` of both types go through one helper.  When
-``N = m - 1`` squares to zero -- as for the sampler's level-p shears,
-the only ``**`` callers in the package -- the power is the closed form
-``1 + n N``, exact for negative ``n`` too because ``(1 + N)(1 - N) = 1``.
-That closed form is public as :func:`unipotent_power`, which returns
-``None`` when ``N N != 0``; only ``**`` uses it.  The helper reads the cell (i, j) of each flat entry of
-``d N = e - d`` from a table built at import (no ``divmod`` per entry),
-keeps the nonzero ones, tests ``N N = 0`` by summing products over them
-only, and writes ``d (1 + n N)`` as ``e + (n - 1) d N`` on them only:
-no matrix product.  The sums matter: a dense rank-one ``N = u v^T`` with
-``v . u = 0`` squares to zero only through cancellation.  Any other
-base goes to :func:`repeated_squaring`, the one square-and-multiply
-loop, which ``CertBuilder.power`` runs over certificate nodes too.
+Integer powers ``m ** n`` of both types run :func:`repeated_squaring`, the
+one square-and-multiply loop, which ``CertBuilder.power`` runs over
+certificate nodes too.  No package path takes a general power or inverse:
+a generator's power is ``generators.times_power`` over
+:meth:`Mat4.times_shears`, the sampler writes its level-p shears, and each
+4x4 inverse is :meth:`Mat4.symplectic_inv`, so no package module calls
+:meth:`Mat4.inv` or ``**``; tests and demos do.
 
 The interchange format for matrices is a row-major list of lists of
 strings, each string a base-10 integer or a reduced ``num/den``
@@ -85,7 +79,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, mul
+from operator import index
 
 from .errors import (
     BothZero,
@@ -164,7 +158,7 @@ class Mat2:
         return Mat2.of(d * det, -b * det, -c * det, a * det)
 
     def __pow__(self, n: int) -> "Mat2":
-        return _power(self, n)
+        return repeated_squaring(self, n, Mat2.__mul__, Mat2.inv, Mat2.identity)
 
     def is_identity(self) -> bool:
         return self.rows == ((1, 0), (0, 1))
@@ -309,7 +303,7 @@ class Mat4:
                                -a20, -a30, a00, a10, -a21, -a31, a01, a11))
 
     def __pow__(self, n: int) -> "Mat4":
-        return _power(self, n)
+        return repeated_squaring(self, n, Mat4.__mul__, Mat4.inv, Mat4.identity)
 
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """``(d, e)``: d > 0, e the 16 integer entries of ``d * self``,
@@ -346,34 +340,6 @@ def _scale(ratios: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
 
 
 _IDENTITY4 = Mat4.diagonal(1, 1, 1, 1)
-_CELLS = {n: tuple([(k, *divmod(k, n)) for k in range(n * n)]) for n in (2, 4)}  # (k, i, j) of n x n
-
-
-def unipotent_power(m, n: int):
-    """``1 + n N`` for ``N = m - 1`` when ``N N = 0``, else ``None``;
-    ``m`` a ``Mat2`` or ``Mat4``.  Both the test and the closed form
-    read the pair ``(d, e)`` of ``m.scaled()``, ``d N = e - d``, and
-    visit only the nonzero entries of ``d N``."""
-    d, e = m.scaled()
-    size = 4 if isinstance(m, Mat4) else 2
-    nil = []  # (k, i, j, x) for the nonzero x = d N_ij at flat index k
-    for (k, i, j), x in zip(_CELLS[size], e):
-        if i == j:
-            x -= d
-        if x:
-            nil.append((k, i, j, x))
-    # (N N)_ij accumulates N_ik N_kj; its terms may cancel
-    square: dict[tuple[int, int], int] = {}
-    for _, i, k, x in nil:
-        for _, k2, j, y in nil:
-            if k == k2:
-                square[i, j] = square.get((i, j), 0) + x * y
-    if any(square.values()):
-        return None
-    out = list(e)  # d (1 + n N) = e + (n - 1) d N
-    for k, _, _, x in nil:
-        out[k] += (n - 1) * x
-    return Mat4.from_pair(d, tuple(out)) if isinstance(m, Mat4) else Mat2.of(*out)
 
 
 def repeated_squaring(base, n: int, mul, inv, one):
@@ -393,15 +359,6 @@ def repeated_squaring(base, n: int, mul, inv, one):
         if n:
             base = mul(base, base)
     return result
-
-
-def _power(m, n: int):
-    """``m ** n`` for a ``Mat2`` or ``Mat4`` ``m``: the closed form of
-    :func:`unipotent_power` when it applies, otherwise repeated squaring."""
-    closed = unipotent_power(m, n)
-    if closed is not None:
-        return closed
-    return repeated_squaring(m, n, mul, type(m).inv, type(m).identity)
 
 
 # ---------------------------------------------------------------------------

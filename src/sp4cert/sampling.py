@@ -67,11 +67,11 @@ def _sample_sl2(rng: random.Random, length: int) -> Mat2:
 
 
 def _sample_gamma1_of_p(rng: random.Random, p: int, length: int) -> Mat2:
-    shear_up = Mat2.of(1, p, 0, 1)
-    shear_down = Mat2.of(1, 0, p, 1)
     acc = Mat2.identity()
     for _ in range(length):
-        g = (shear_up if rng.random() < 0.5 else shear_down) ** _nonzero_exp(rng, 2)
+        up = rng.random() < 0.5
+        e = _nonzero_exp(rng, 2)
+        g = Mat2.of(1, e * p, 0, 1) if up else Mat2.of(1, 0, e * p, 1)
         if rng.random() < 0.5:
             w = _sample_sl2(rng, rng.randint(1, 2))
             g = w * g * w.inv()
@@ -80,11 +80,11 @@ def _sample_gamma1_of_p(rng: random.Random, p: int, length: int) -> Mat2:
 
 
 def _sample_gamma1prime_p2(rng: random.Random, p: int, length: int) -> Mat2:
-    a = Mat2.of(1, p, 0, 1)
-    b = Mat2.of(1, 0, p**3, 1)
     acc = Mat2.identity()
     for _ in range(length):
-        acc = acc * (a if rng.random() < 0.5 else b) ** _nonzero_exp(rng, 2)
+        up = rng.random() < 0.5
+        e = _nonzero_exp(rng, 2)
+        acc = acc * (Mat2.of(1, e * p, 0, 1) if up else Mat2.of(1, 0, e * p**3, 1))
     return acc
 
 

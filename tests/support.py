@@ -271,12 +271,12 @@ def tilde_j2(q: Mat2) -> Mat4:
 
 def reference_replay(word: GeneratorWord) -> Mat4:
     """A word's replay as first written: the ``Fraction`` product of
-    ``generator(name) ** e``, ``j1_embed`` and ``j2_embed`` in the word's
-    own coordinates."""
+    :func:`reference_power` of each named generator, ``j1_embed`` and
+    ``j2_embed`` in the word's own coordinates."""
     acc = Mat4.identity()
     for letter in word.letters:
         if isinstance(letter, Named):
-            acc = acc * generator(letter.name, word.p) ** letter.exp
+            acc = acc * reference_power(generator(letter.name, word.p), letter.exp)
         elif isinstance(letter, J1):
             acc = acc * j1_embed(letter.payload)
         else:

@@ -51,6 +51,7 @@ from sp4cert.certificates import (
     normal_closure_witness,
     parse,
     serialize,
+    verify_identities,
 )
 from sp4cert.cli import main
 from sp4cert.decompose import J1, J2, Named
@@ -89,6 +90,7 @@ def test_single_seed_verifies():
     report = cert_verify(seed_only_cert())
     assert report.passed
     assert report.node_count == 1
+    assert type(report.checks) is tuple
 
 
 def test_m2_chain_verifies():
@@ -186,6 +188,7 @@ def test_hostile_mul_chain_is_refused_quickly():
     start = time.perf_counter()
     report = cert_verify(hostile_chain())
     assert time.perf_counter() - start < 0.1
+    assert type(report.checks) is tuple
     last = report.checks[-1]
     assert not report.passed and (last.kind, last.ok) == ("resource", False)
     # the literal widest entry is 82 (7 bits), so the budget is 4 * 7 + 64;
@@ -502,6 +505,13 @@ def test_a_built_conjugator_outside_gamma0_1p_fails_at_its_node():
         assert report.checks == (CheckResult("conjugator", 1, False, "conjugator not in gamma0_1p"),)
         assert report.lines()[-1] == "FAIL (conjugator node 1)"
     assert len(builder.nodes) == 3
+
+
+def test_product_takes_any_iterable_of_ids():
+    b = CertBuilder(3)
+    a = b.seed_m0()
+    assert b.product(iter([])) == b.identity()
+    assert b.product(x for x in (a, a)) == b.mul(a, a)
 
 
 # --- build_generator_certs -------------------------------------------------
@@ -1010,6 +1020,30 @@ def test_a_failed_core_check_caches_nothing(monkeypatch):
             normal_closure_witness(k, 3)
     assert _core_template.cache_info().currsize == 0
     assert cert_verify(normal_closure_witness(k, 3)).passed
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 10**9 + 7])
+def test_no_package_path_takes_a_general_power_or_inverse(monkeypatch, p):
+    # every power is a generator's shears and every 4x4 inverse its block
+    # transpose, so the sampler, decompose and the builders run without them
+    sampling = importlib.import_module("sp4cert.sampling")
+    certificates = importlib.import_module("sp4cert.certificates")
+
+    def refuse(*args):
+        raise AssertionError("a general power or inverse was taken")
+
+    for cls, method in ((Mat4, "inv"), (Mat4, "__pow__"), (Mat2, "__pow__")):
+        monkeypatch.setattr(cls, method, refuse)
+    _core_template.cache_clear()
+    for label in sampling._SAMPLERS:
+        assert member(sample(SampleSpec(label, p, 7, 6)), label, p)
+    for tilde, label in ((False, GroupLabel.GAMMA_1P), (True, GroupLabel.GAMMA_TILDE_1P)):
+        k = sample(SampleSpec(label, p, 11, 8))
+        assert certificates.decompose(k, p, tilde).replay() == k
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 13, 8))
+    assert cert_verify(parse(serialize(normal_closure_witness(k, p)))).passed
+    assert all(cert_verify(cert).passed for cert in build_generator_certs(p).values())
+    assert verify_identities(p).passed
 
 
 # --- serialisation ---------------------------------------------------------

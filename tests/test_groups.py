@@ -105,9 +105,17 @@ def test_member_prime_shear():
 
 
 def test_member_bad_prime():
-    for p in (2, 4, 9, 1, -3, 15):
+    for p in (2, 4, 9, 1, -3, 15, 3.0, "3", [3]):
         with pytest.raises(BadPrime):
             member(I4, GroupLabel.GAMMA_1P, p)
+
+
+def test_r_conjugate_and_short_witness_refuse_a_bad_prime():
+    for p in (2, 9, -3):
+        with pytest.raises(BadPrime):
+            r_conjugate(I4, p)
+        with pytest.raises(BadPrime):
+            short_witness((1, 0, 0, 0), p)
 
 
 def test_require_odd_prime_refuses_non_int_p_after_an_int_p():
@@ -120,6 +128,8 @@ def test_require_odd_prime_refuses_non_int_p_after_an_int_p():
 def test_member_arity_mismatch():
     with pytest.raises(TypeError, match="^sl2z is a 2x2 predicate$"):
         member(I4, GroupLabel.SL2Z, 3)
+    with pytest.raises(TypeError, match="^sl2z is a 2x2 predicate$"):
+        member(I4, "sl2z", 3)
     with pytest.raises(TypeError, match="^gamma_1p is a 4x4 predicate$"):
         member(Mat2.identity(), GroupLabel.GAMMA_1P, 3)
 

@@ -7,7 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sp4cert
 from sp4cert import sl2
@@ -230,6 +230,29 @@ def test_gamma1p_case_one_payload_is_checked_explicitly(monkeypatch):
     monkeypatch.setattr(sl2, "member", no_prime_members)
     with pytest.raises(ShapeAssertionFailed, match="gamma1prime_p2"):
         gamma1p_generate(Mat2.of(6, 25, 5, 21), 5)
+
+
+@st.composite
+def gamma1_of_p_elements(draw):
+    """``(q, p)``: q a product of level-p shears, each conjugated by an SL(2,Z) word."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    word = st.lists(st.tuples(st.sampled_from("TU"), st.integers(-3, 3)), max_size=3)
+    q = Mat2.identity()
+    for up, e, letters in draw(st.lists(st.tuples(st.booleans(), st.integers(-3, 3), word), max_size=4)):
+        w = Sl2Word(tuple(letters)).replay()
+        q = q * w * (Mat2.of(1, e * p, 0, 1) if up else Mat2.of(1, 0, e * p, 1)) * w.inv()
+    return q, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma1_of_p_elements())
+@example((Mat2.of(4, 3, 9, 7), 3))  # cases 1 and 2
+@example((Mat2.of(6, 25, 5, 21), 5))  # cases 1, 2 and 3
+def test_gamma1p_steps_never_start_with_a_conjugation(case):
+    # certificates._j2_chain conjugates the node built so far, so it needs one
+    q, p = case
+    steps = gamma1p_generate(q, p).steps
+    assert not steps or not isinstance(steps[0], ConjugateBy)
 
 
 # --- the closed forms against the Mat2 powers they replace ------------------
