@@ -49,18 +49,35 @@ command that prints PASS runs it on the text it wrote and read back.
   :func:`sp4cert.sl2.gamma1p_generate`; P-powers reuse the embedded L4
   chain.
 * :func:`normal_closure_witness` -- full pipeline: decompose a
-  gamma_1p element into a generator word, then splice the pieces.
+  gamma_1p element k into a generator word, take each letter's small
+  twin, then splice one seed and the small word's pieces (below).
 
-Every gamma_p2 element is a leaf at no cost, and :meth:`CertBuilder.power`
-uses that.  It takes each power of a node whose value the caller names:
-M0, L2, L3, L4 or a named letter's M_i, each an integral ``1 + N`` with
-``N N = 0``.  An exponent ``e = r + q p^2`` past ``p^2/2``
-(``|r| <= p^2/2``) becomes ``a^r`` times the seed ``S = 1 + q p^2 N``,
-which :func:`sp4cert.generators.times_power` writes from the generator's
-entries.  S is a power of a symplectic matrix, hence symplectic, and
-``S - 1 = p^2 qN`` with qN integral, so S lies in gamma_p2 and the split
-needs no membership test.  Such a power adds at most
-``2 bit_length(p^2 // 2) + 3`` nodes, however large e is.
+Every gamma_p2 element is a leaf at no cost, and the witness and
+:meth:`CertBuilder.power` use that.  A witness replaces each letter of
+k's plain word by its ``small(p)`` twin, congruent to it mod p^2 and
+with small entries (``sp4cert.decompose``): a named exponent becomes its
+symmetric residue mod p^2, a j1 payload with an entry past p^4 a lift
+of its class mod p^2, a j2 payload with an entry past p^6 a lift of its
+class mod p^3.  The small word r then lies in gamma_1p and r = k mod
+p^2, so s = k r^-1 is integral, preserves J and is 1 mod p^2: it lies
+in gamma_p2, and the witness is ``seed_p2(s)`` times r's pieces.  s is
+formed from k by the column operations of r's inverted letters, with no
+dense product, and is left out when no letter changed (s = 1).  So a
+witness's node count depends on p, not on k, and its widest literal, s,
+is about as wide as k.
+
+:meth:`CertBuilder.power` takes each power of a node whose value the
+caller names: M0, L2, L3, L4 or a named letter's M_i, each an integral
+``1 + N`` with ``N N = 0``.  An exponent ``e = r + q p^2`` past
+``p^2/2`` (``|r| <= p^2/2``) becomes ``a^r`` times the seed
+``S = 1 + q p^2 N``, which :func:`sp4cert.generators.times_power` writes
+from the generator's entries.  S is a power of a symplectic matrix,
+hence symplectic, and ``S - 1 = p^2 qN`` with qN integral, so S lies in
+gamma_p2 and the split needs no membership test.  Such a power adds at
+most ``2 bit_length(p^2 // 2) + 3`` nodes, however large e is.  A
+witness's named letters no longer reach the split, as their small
+exponents are at most p^2/2; the M0 powers of a j1 chain and the L4
+powers of a j2 chain, and the core's L2 and L3 powers, still may.
 
 The core chain (M2, L2, L4, M3, M4, L5 and M1 from the seeds) is the
 one place the six product identities that generate M1..M4 from M0 and
@@ -114,7 +131,7 @@ from typing import Iterable, NamedTuple
 from .decompose import J1, Named, decompose
 from .errors import MalformedDag, ParseError, ShapeAssertionFailed
 from .generators import generator, times_power
-from .groups import GroupLabel, j1_embed, j2_embed, member, require_odd_prime
+from .groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate, require_odd_prime
 from .matrices import (
     Mat2,
     Mat4,
@@ -128,6 +145,7 @@ from .matrices import (
 from .sl2 import (
     ConjugateBy,
     MultiplyLeftP,
+    S,
     U,
     conjugates_of_t,
     gamma1p_generate,
@@ -523,15 +541,19 @@ def verify_identities(p: int) -> IdentityReport:
     ))
 
 
+_J1_S = j1_embed(S)  # the conjugator of every U-factor, built once
+
+
 def _j1_chain(b: CertBuilder, a: Mat2) -> int:
     """Node for j1(a), using only the M0 seed: the j1 image of the
     :func:`sp4cert.sl2.conjugates_of_t` list of a's word, each factor
-    w T^e w^-1 a power of M0, conjugated by j1(w) unless w is the identity."""
+    w T^e w^-1 a power of M0, conjugated by j1(w) unless w is the
+    identity; w is the identity or S, so j1(w) is ``_J1_S``."""
     n_m0 = b.seed_m0()
     parts = []
     for w, e in conjugates_of_t(sl2_decompose(a)):
         part = b.power(n_m0, e, "M0")
-        parts.append(part if w.is_identity() else b.conj(part, j1_embed(w)))
+        parts.append(part if w.is_identity() else b.conj(part, _J1_S))
     return b.product(parts)
 
 
@@ -576,18 +598,27 @@ def expand_j2(q: Mat2, p: int) -> Certificate:
 def normal_closure_witness(k: Mat4, p: int) -> Certificate:
     """Seed-level certificate for any gamma_1p element.
 
-    Pipeline: decompose k over {M1..M4, j1, j2}, then splice each
-    letter into a copy of the core template -- named generators as
+    Pipeline: decompose k over {M1..M4, j1, j2}, take the ``small`` twin
+    of each letter (its class mod p^2, small entries), then splice the
+    small word r into a copy of the core template -- named generators as
     powers of their core nodes, j1 letters through the M0 word, j2
-    letters through the level-p case split.  ``decompose`` raises
-    :class:`NotInGroup` when k is not in gamma_1p.  The certificate,
-    with k as target, keeps only the nodes its root reaches and is
-    unchecked until :func:`cert_verify`.
+    letters through the level-p case split -- after one seed
+    s = k r^-1, which lies in gamma_p2 (module docstring).  No seed is
+    taken when every letter is its own twin, as s = 1.  ``decompose``
+    raises :class:`NotInGroup` when k is not in gamma_1p.  The
+    certificate, with k as target, keeps only the nodes its root reaches
+    and is unchecked until :func:`cert_verify`.
     """
-    word = decompose(k, p, tilde=False)
+    letters = decompose(k, p, tilde=False).letters
+    small = [letter.small(p) for letter in letters]
     b, core = _core_builder(p)
     parts: list[int] = []
-    for letter in word.letters:
+    if any(x is not y for x, y in zip(small, letters)):
+        s = r_conjugate(k, p)  # k r^-1 by the inverted small letters' column operations
+        for letter in reversed(small):
+            s = letter.inverse().times(s, p, False)
+        parts.append(b.seed_p2(r_conjugate(s, p, inverse=True)))
+    for letter in small:
         if isinstance(letter, J1):
             parts.append(_j1_chain(b, letter.payload))
         elif isinstance(letter, Named):

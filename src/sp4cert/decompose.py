@@ -12,7 +12,12 @@ input, and raises :class:`ShapeAssertionFailed` on a mismatch.  The
 checks in this module are explicit, so ``python -O`` keeps them.
 
 Each letter carries its action: ``times``, ``inverse``, ``is_identity``,
-``plain`` and ``to_json_obj``.  Its ``times`` right-multiplies in tilde
+``plain``, ``small`` and ``to_json_obj``.  ``small(p)`` is a letter
+congruent to it mod p^2 (in plain coordinates) with small entries, which
+``certificates.normal_closure_witness`` splices in its place: a named
+exponent's symmetric residue mod p^2, or a lift (:func:`_lift`) of a j1
+payload mod p^2 or of a j2 payload mod p^3 once an entry passes the
+square of that modulus.  Its ``times`` right-multiplies in tilde
 coordinates by the function that builds it from the identity, in one pass
 over the flat entries with no gcd: a :class:`Named` power e of M_i or Mt_i
 is ``generators.times_power`` of its tilde twin Mt_i (its shears on one copy),
@@ -116,6 +121,14 @@ class Named:
         """A tilde letter's plain twin, Mt_i -> M_i: its R-conjugate."""
         return Named(ALPHABET[False][ALPHABET[True].index(self.name)], self.exp)
 
+    def small(self, p: int) -> "Named":
+        """This letter with its exponent's symmetric residue mod p^2, or
+        itself if that is its exponent: M_i = 1 + N with N N = 0 and N
+        integral, so M_i^e - M_i^r = (e - r) N is 0 mod p^2."""
+        p2 = p * p
+        r = (self.exp + p2 // 2) % p2 - p2 // 2
+        return self if r == self.exp else Named(self.name, r)
+
     def to_json_obj(self) -> dict:
         return {"gen": self.name, "exp": self.exp}
 
@@ -141,16 +154,67 @@ class _Block:
     def plain(self) -> "_Block":
         return self  # its own R-conjugate
 
+    def small(self, p: int) -> "_Block":
+        """This letter, or, when an entry of its payload passes m^2 for
+        m = p^level, the letter of :func:`_lift` of the payload modulo m.
+        A j1 letter's level is 2, so its image keeps its class mod p^2; a
+        j2 letter's is 3, so the lift stays 1 mod p and its plain image
+        ``(a, p b, c/p, d)`` keeps its class mod p^2."""
+        m = p ** self.level
+        (a, b), (c, d) = self.payload.rows
+        if -m * m <= min(a, b, c, d) and max(a, b, c, d) <= m * m:
+            return self
+        out = _lift(self.payload, m)
+        (x, y), (z, w) = out.rows
+        if x * w - y * z != 1 or (x - a) % m or (y - b) % m or (z - c) % m or (w - d) % m:
+            raise ShapeAssertionFailed(f"the lift of {self.payload.rows} mod {m} is {out.rows}")
+        return type(self)(out)
+
     def to_json_obj(self) -> dict:
         return {self.tag: mat2_to_lists(self.payload)}
 
 
 class J1(_Block):
-    which, tag = 1, "j1"
+    which, tag, level = 1, "j1", 2
 
 
 class J2(_Block):
-    which, tag = 2, "j2"
+    which, tag, level = 2, "j2", 3
+
+
+def _lift(q: Mat2, m: int) -> Mat2:
+    """A small matrix of SL(2,Z) congruent to q modulo m, for a 2x2
+    integer q of determinant 1 mod m: SL(2,Z) -> SL(2,Z/m) is onto
+    (Shimura, Lemma 1.38).  Its entries are about m^2 at most.
+
+    The entries are reduced to their symmetric residues; if then c = 0 and
+    d = +-1, a = d and that is the lift.  Otherwise c and d are made
+    coprime: d moves by the least multiple t m that does it, which exists
+    as gcd(c, d, m) = 1 (else q is no element of SL(2,Z/m), a
+    :class:`ShapeAssertionFailed`), t below the Jacobsthal function of c;
+    when m divides c, c moves instead, to m, as d is a unit mod m.  The
+    top row then takes -k m (x, y), where a d - b c = 1 + k m and
+    x d - y c = 1 (the determinant fix), and last the multiple of
+    m (c, d) that brings |a| to at most m |c| / 2."""
+    half = m // 2
+    (a, b), (c, d) = q.rows
+    a, b, c, d = (a + half) % m - half, (b + half) % m - half, (c + half) % m - half, (d + half) % m - half
+    if math.gcd(c, d, m) != 1:
+        raise ShapeAssertionFailed(f"({c}, {d}) is no bottom row of SL(2, Z/{m})")
+    if c:
+        while math.gcd(c, d) != 1:
+            d += m
+    elif abs(d) == 1:
+        return Mat2.of(a, b, c, d)
+    else:
+        c = m
+    k = (a * d - b * c - 1) // m
+    x = pow(d, -1, c)
+    y = (x * d - 1) // c
+    a, b = a - k * m * x, b - k * m * y
+    u = m * c
+    j = (2 * a + u) // (2 * u)
+    return Mat2.of(a - j * u, b - j * m * d, c, d)
 
 
 Letter = Union[Named, J1, J2]

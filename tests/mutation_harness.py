@@ -128,6 +128,9 @@ TARGETS = (
     ("matrices", "Mat2.of", LETTERS),
     *(("decompose", f"{kind}.{method}", LETTERS) for kind in ("Named", "_Block")
       for method in ("times", "inverse", "is_identity", "plain", "to_json_obj")),
+    ("decompose", "Named.small", REDUCER),
+    ("decompose", "_Block.small", REDUCER),
+    ("decompose", "_lift", REDUCER),
     ("decompose", "GeneratorWord.to_json_obj", REDUCER),
     ("decompose", "GeneratorWord.from_json_obj", REDUCER),
     ("decompose", "_Reducer.apply", REDUCER),
@@ -172,6 +175,8 @@ EQUIVALENT = {
     "decompose:reduce_first_row:27:33:34:const": "[:5] adds an entry; only v[3] is read",
     "decompose:reduce_first_row:29:33:34:const": "[:5] adds an entry; only v[1] is read",
     "decompose:reduce_first_row:33:8:75:stmt": "unreachable: step (d) and a gcd step leave row 1 = (1,0,0,0)",
+    "decompose:reduce_first_row:33:14:75:call": "unreachable: step (d) and a gcd step leave row 1 = (1,0,0,0)",
+    "decompose:_lift:26:9:26:arith": "a d - b c = 1 + k m with m >= 9, so (a d - b c + 1) // m is k too",
     "decompose:_decompose_tilde:20:50:54:const": "a j1 letter's times ignores tilde: it acts alike in both coordinates",
     "sl2:gamma1p_generate:11:11:22:arith": "q[0][0] = 1 + lam p with p >= 3, so (q[0][0] + 1) // p is lam too",
     "sl2:gamma1p_generate:15:20:21:const": "undo is empty here, so insert(1, x) puts x first as insert(0, x) does",

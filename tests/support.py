@@ -24,7 +24,7 @@ from sp4cert.certificates import (
     _node_value,
 )
 from sp4cert.decompose import J1, GeneratorWord, Named
-from sp4cert.errors import SingularMatrix
+from sp4cert.errors import NotUnimodular, SingularMatrix
 from sp4cert.generators import generator
 from sp4cert.groups import TWO_BY_TWO_LABELS, GroupLabel, SymplecticForm, j1_embed, j2_embed, times_embedding
 from sp4cert.matrices import Mat2, Mat4, _ratio_to_str, mat4_to_lists
@@ -38,6 +38,19 @@ def corpus(group: GroupLabel, p: int, count: int, seed: int, max_len: int = 20):
         spec = SampleSpec(group=group, p=p, seed=seed + i, word_length=i % (max_len + 1))
         out.append(sample(spec))
     return out
+
+
+def wide_member(p: int, bits: int, seed: int = 1) -> Mat4:
+    """A gamma_1p member whose widest entry has at least ``bits`` bits and
+    not many more: a length-20 sample g, then squarings times g while the
+    size stays under half of ``bits``, then products by g."""
+    step = sample(SampleSpec(GroupLabel.GAMMA_1P, p, seed, 20))
+    k = step
+    while 2 * k.entry_bits() <= bits:
+        k = k * k * step
+    while k.entry_bits() < bits:
+        k = k * step
+    return k
 
 
 @dataclass(frozen=True)
@@ -310,27 +323,33 @@ def reference_symplectic_check(m: Mat4, form: SymplecticForm) -> bool:
 
 
 def reference_power(m, n: int):
-    """``m ** n`` as first written: ``N N = 0`` tested by one full
-    product of ``N = m - 1``, ``1 + n N`` built entry by entry, else
-    binary powering of ``m`` or ``m.inv()``."""
-    cls = type(m)
-    one = cls.identity()
-    nil = cls(
-        tuple(tuple(x - i for x, i in zip(r, e)) for r, e in zip(m.rows, one.rows))
-    )
-    if not any(x for row in (nil * nil).rows for x in row):
-        return cls(
-            tuple(tuple(i + n * x for x, i in zip(r, e)) for r, e in zip(nil.rows, one.rows))
-        )
-    base = m if n >= 0 else m.inv()
-    n = abs(n)
-    acc = one
-    while n:
-        if n & 1:
-            acc = acc * base
-        base = base * base
-        n >>= 1
-    return acc
+    """``m ** n`` as first written, in :class:`ReferenceMat4` arithmetic
+    alone, a 2x2 ``m`` as the top-left block of a 4x4: ``N N = 0`` tested
+    by one :func:`reference_product` of ``N = m - 1``, ``1 + n N`` built
+    entry by entry, else binary powering of ``m`` or its Gauss-Jordan
+    inverse.  The result is of ``m``'s own type; a 2x2 inverse that is not
+    integral is :class:`NotUnimodular`, as ``Mat2.inv`` has it."""
+    size = len(m.rows)
+    rows = [[m.rows[i][j] if i < size and j < size else int(i == j) for j in range(4)] for i in range(4)]
+    ref, one = ReferenceMat4.of(rows), ReferenceMat4.identity()
+    nil = tuple(tuple(x - i for x, i in zip(r, e)) for r, e in zip(ref.rows, one.rows))
+    if not any(x for row in reference_product(nil, nil) for x in row):
+        acc = ReferenceMat4(tuple(tuple(i + n * x for x, i in zip(r, e)) for r, e in zip(nil, one.rows)))
+    else:
+        base = ref if n >= 0 else ref.inv()
+        if size == 2 and any(x.denominator != 1 for row in base.rows for x in row):
+            raise NotUnimodular("2x2 determinant has no integer inverse")
+        n = abs(n)
+        acc = one
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
+    block = tuple(row[:size] for row in acc.rows[:size])
+    if size == 2:
+        return Mat2.of(*(int(x) for row in block for x in row))
+    return acc if type(m) is ReferenceMat4 else Mat4(block)
 
 
 def _divisible(x, n: int) -> bool:

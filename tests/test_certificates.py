@@ -1,6 +1,8 @@
+import functools
 import importlib
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -23,6 +25,7 @@ from support import (
     random_tamper,
     reference_bit_budget,
     reference_certificate,
+    wide_member,
 )
 
 from sp4cert.certificates import (
@@ -54,7 +57,7 @@ from sp4cert.certificates import (
     verify_identities,
 )
 from sp4cert.cli import main
-from sp4cert.decompose import J1, J2, Named
+from sp4cert.decompose import J1, J2, GeneratorWord, Named, decompose
 from sp4cert.errors import (
     MalformedDag,
     NotInGroup,
@@ -847,9 +850,9 @@ def test_a_witness_tests_each_literal_once(monkeypatch):
     # the builders test no literal; cert_verify tests each (literal,
     # group) pair once, however many nodes hold it
     certificates = importlib.import_module("sp4cert.certificates")
-    p, k = 5, sample(SampleSpec(GroupLabel.GAMMA_1P, 5, 2, 10))
+    p, k = 5, sample(SampleSpec(GroupLabel.GAMMA_1P, 5, 4, 10))
     cert = normal_closure_witness(k, p)
-    assert sum(node.op == CONJ and node.value == j1_embed(S) for node in cert.nodes) == 5
+    assert sum(node.op == CONJ and node.value == j1_embed(S) for node in cert.nodes) == 3
     tested = []
     monkeypatch.setattr(certificates, "member", lambda m, label, q: tested.append((m, label)) or member(m, label, q))
     assert cert_verify(cert).passed
@@ -858,12 +861,50 @@ def test_a_witness_tests_each_literal_once(monkeypatch):
 
 
 def test_witness_takes_a_large_named_exponent_as_a_seed():
-    # the M2^55 letter of this p = 7 word is M2^6 times one seed
-    k = sample(SampleSpec(GroupLabel.GAMMA_1P, 7, 3, 8))
-    cert = normal_closure_witness(k, 7)
+    # the M2^55 letter of this p = 7 word is M2^6 in the small word r, and
+    # the remainder lands in the one seed s = k r^-1, not in a seed M2^49
+    p = 7
+    k = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 3, 8))
+    word = decompose(k, p, tilde=False)
+    small = GeneratorWord(p, False, tuple(letter.small(p) for letter in word.letters))
+    assert Named("M2", 55) in word.letters and Named("M2", 6) in small.letters
+    s = k * small.replay().inv()
+    assert member(s, GroupLabel.GAMMA_P2, p) and s != Mat4.identity()
+    cert = normal_closure_witness(k, p)
     assert _both_verifiers(cert) == (True, (True, ""))
-    assert any(node.op == SEED_P2 and node.value == generator("M2", 7) ** 49
-               for node in cert.nodes)
+    seeds = [node.value for node in cert.nodes if node.op == SEED_P2]
+    assert s in seeds and generator("M2", p) ** 49 not in seeds
+
+
+# --- a witness is a short word plus one seed, whatever its input's size -----
+
+WIDE_PRIMES = (3, 5, 7, 10**9 + 7)
+WIDE_BITS = (256, 1024, 4096, 13_000)
+NODES_PER_BIT_OF_P = 60  # largest seen: 44.2 at p = 3, 27.7 at p = 10^9 + 7
+LITERAL_BITS_PER_BIT_OF_P = 24  # largest seen: 17.4, at p = 10^9 + 7
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_witnesses(p: int) -> tuple[tuple[Mat4, Certificate], ...]:
+    """Inputs of 256 to 13,000 bits at p, two seeds a size, and their witnesses."""
+    members = [wide_member(p, bits, seed) for bits in WIDE_BITS for seed in (1, 3)]
+    return tuple((k, normal_closure_witness(k, p)) for k in members)
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_witness_nodes_are_bounded_by_log_p_whatever_the_input_size(p):
+    # a witness of the unreduced word had 8,125 nodes for a 13,011-bit input at p = 7
+    for k, cert in _wide_witnesses(p):
+        assert cert.node_count <= NODES_PER_BIT_OF_P * math.log2(p), (k.entry_bits(), cert.node_count)
+        assert cert_verify(cert).passed
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_witness_literals_are_at_most_log_p_wider_than_the_input(p):
+    # a witness of the unreduced word had a 60,540-bit literal for a 13,011-bit input at p = 7
+    for k, cert in _wide_witnesses(p):
+        widest = max(m.entry_bits() for m in _literals(cert))
+        assert widest <= k.entry_bits() + LITERAL_BITS_PER_BIT_OF_P * math.log2(p), (k.entry_bits(), widest)
 
 
 # --- differential: cert_verify against the benchmark's oracle -------------
@@ -1158,19 +1199,31 @@ def test_chain_checks_survive_python_optimise_flag():
         import importlib
 
         from sp4cert.errors import ShapeAssertionFailed
+        from sp4cert.groups import GroupLabel
         from sp4cert.matrices import Mat2
+        from sp4cert.sampling import SampleSpec, sample
 
         assert False, "python -O was expected to strip this"
         certs = importlib.import_module("sp4cert.certificates")
         groups = importlib.import_module("sp4cert.groups")
         sl2 = importlib.import_module("sp4cert.sl2")
+        dec = importlib.import_module("sp4cert.decompose")
         p, a = 3, Mat2.of(2, 1, 1, 1)
         P = Mat2.of(1, 0, p, 1)
+        wide = sample(SampleSpec(GroupLabel.GAMMA_1P, p, 2, 7))  # a j1 lift takes the determinant fix
         real = {name: getattr(mod, name) for mod, name in (
             (certs, "generator"), (certs, "sl2_decompose"), (certs, "gamma1p_generate"),
             (certs, "_j1_chain"), (certs, "conjugates_of_t"), (sl2, "_push"),
             (sl2, "sl2_decompose"), (sl2, "MultiplyLeftP"), (groups, "ext_gcd"),
+            (dec, "_lift"), (dec.Named, "small"),
         )}
+
+        def residues(q, m):  # the lift without its determinant fix
+            return Mat2.of(*[(x + m // 2) % m - m // 2 for x in q.scaled()[1]])
+
+        def off_by_one(letter, q):
+            small = real["small"](letter, q)
+            return dataclasses.replace(small, exp=small.exp + 1)
 
         def ext_gcd_off(x, y):
             g, s, t = real["ext_gcd"](x, y)
@@ -1195,8 +1248,10 @@ def test_chain_checks_survive_python_optimise_flag():
                    lambda: certs.expand_j2(P, p)),
             "witness": (certs, "_j1_chain", lambda b, m: real["_j1_chain"](b, m * sl2.T),
                         lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
-            "lift": (certs, "conjugates_of_t", negate_first, lambda: certs.expand_j1(a, p),
-                     lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
+            "factors": (certs, "conjugates_of_t", negate_first, lambda: certs.expand_j1(a, p),
+                        lambda: certs.normal_closure_witness(certs.generator("M0", p), p)),
+            "lift": (dec, "_lift", residues, lambda: certs.normal_closure_witness(wide, p)),
+            "residue": (dec.Named, "small", off_by_one, lambda: certs.normal_closure_witness(wide, p)),
             "sl2": (sl2, "_push", lambda letters, name, exp: real["_push"](letters, name, exp + 1),
                     lambda: sl2.sl2_decompose(a)),
             "conjugates": (sl2, "sl2_decompose", lambda m: real["sl2_decompose"](m * sl2.T),
@@ -1228,8 +1283,10 @@ def test_chain_checks_survive_python_optimise_flag():
     )
     assert done.returncode == 0, done.stderr
     # the core template's check raises; a builder's output is refused by
-    # cert_verify; "lift" runs two calls: expand_j1 and a witness
+    # cert_verify; "factors" runs two calls: expand_j1 and a witness; a
+    # lift that is not unimodular is rejected by small's own check, and a
+    # named letter off its class mod p^2 leaves a seed outside gamma_p2
     labels = [("rejected", "core"), ("refused", "j1"), ("refused", "j2"), ("refused", "witness"),
-              ("refused", "lift"), ("refused", "lift"), ("rejected", "sl2"), ("rejected", "conjugates"),
-              ("rejected", "gamma1p"), ("rejected", "short")]
+              ("refused", "factors"), ("refused", "factors"), ("rejected", "lift"), ("refused", "residue"),
+              ("rejected", "sl2"), ("rejected", "conjugates"), ("rejected", "gamma1p"), ("rejected", "short")]
     assert done.stdout.split() == [w for pair in labels for w in pair]

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,6 +22,7 @@ from sp4cert.decompose import (
     J1,
     J2,
     Named,
+    _lift,
     decompose,
     reduce_first_row,
 )
@@ -564,6 +567,139 @@ def test_decompose_tests_no_letter_class():
     assert _letter_class_tests("f(x)\nisinstance(x, (int, J2))\nisinstance(x, Mat2)") == [2]
 
 
+# --- small letters: each letter's class mod p^2, with small entries ---------
+
+SMALL_PRIMES = (3, 5, 7, 11, 10**9 + 7)
+
+
+def _congruent(a, b, n: int) -> bool:
+    """Two integral matrices agree entrywise mod n."""
+    return all((x - y) % n == 0 for x, y in zip(a.scaled()[1], b.scaled()[1])) and a.scaled()[0] == b.scaled()[0] == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_named_small_is_the_symmetric_residue_mod_p2(p):
+    p2, half = p * p, p * p // 2
+    for name in ALPHABET[False]:
+        for e in (*range(-2 * p2, 2 * p2 + 1), 10**30 + 7, -(10**30) - 7):
+            letter = Named(name, e)
+            small = letter.small(p)
+            assert small.name == name and (small.exp - e) % p2 == 0 and -half <= small.exp <= half
+            assert (small is letter) == (small.exp == e)
+            assert _congruent(generator(name, p) ** e if abs(e) < 10**6 else small_power(name, p, e),
+                              generator(name, p) ** small.exp, p2)
+
+
+def small_power(name: str, p: int, e: int) -> Mat4:
+    """``generator(name, p) ** e`` as the identity plus e times its table entries."""
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    for (i, j), x in _ENTRIES[name](p).items():
+        rows[i - 1][j - 1] += e * x
+    return Mat4(rows)
+
+
+@st.composite
+def block_letters(draw):
+    """``(p, letter)``: a j1 letter over an SL(2,Z) sample, or a j2 letter
+    over a gamma1_of_p sample, long enough to pass the lift's threshold."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    kind = draw(st.sampled_from((J1, J2)))
+    label = GroupLabel.SL2Z if kind is J1 else GroupLabel.GAMMA1_OF_P
+    spec = SampleSpec(label, p, draw(st.integers(0, 10**6)), draw(st.integers(0, 60)))
+    return p, kind(sample(spec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_letters())
+def test_block_small_keeps_the_class_and_shrinks_the_payload(case):
+    p, letter = case
+    m = p ** (2 if isinstance(letter, J1) else 3)
+    small = letter.small(p)
+    _, (a, b, c, d) = letter.payload.scaled()
+    if max(abs(a), abs(b), abs(c), abs(d)) <= m * m:
+        assert small is letter
+        return
+    assert type(small) is type(letter) and small.payload.det() == 1
+    assert _congruent(small.payload, letter.payload, m)
+    # d (c when m divides it) moved from its symmetric residue by the least t m
+    # that makes c and d coprime, and the top row is then at most about m^2 (t + 1)
+    _, (a1, b1, c1, d1) = small.payload.scaled()
+    half = m // 2
+    if c % m:
+        t, rest = divmod(d1 - ((d + half) % m - half), m)
+        assert rest == 0 and 0 <= t < abs(c1)
+        assert all(math.gcd(c1, d1 - u * m) != 1 for u in range(1, t + 1))
+    elif abs(d1) == 1:
+        assert (a1, b1, c1, d1) == tuple((x + half) % m - half for x in (a, b, c, d))
+        return
+    else:
+        t = 0
+        assert c1 == m
+    assert abs(a1) <= m * abs(c1) // 2 and max(abs(a1), abs(b1)) <= m * m * (t + 1)
+    if isinstance(letter, J1):
+        assert _congruent(j1_embed(small.payload), j1_embed(letter.payload), p * p)
+    else:
+        assert member(small.payload, GroupLabel.GAMMA1_OF_P, p)
+        assert _congruent(j2_embed(small.payload, p), j2_embed(letter.payload, p), p * p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_block_is_lifted_only_past_the_square_of_its_modulus(p):
+    for kind, m in ((J1, p * p), (J2, p ** 3)):
+        for sign in (1, -1):
+            at = kind(Mat2.of(1, sign * m * m, 0, 1))
+            past = kind(Mat2.of(1, sign * (m * m + p), 0, 1))
+            assert at.small(p) is at
+            assert past.small(p) == kind(Mat2.of(1, sign * p, 0, 1))
+    between = J2(Mat2.of(1, p**4 + p, 0, 1))  # past p^4, not past p^6: j2's level is 3
+    assert between.small(p) is between
+
+
+def test_lift_moves_c_when_the_modulus_divides_it():
+    m = 25
+    for q in (Mat2.of((1 + 3 * m) // 2, 1, 3 * m, 2), Mat2.of(37, -27, -4 * m, 73)):
+        out = _lift(q, m)
+        assert out.det() == 1 and _congruent(out, q, m) and out.rows[1] == (m, (q.rows[1][1] + 12) % m - 12)
+    # with d = +-1 as well, the residues are the lift
+    for q in (Mat2.of(1, 0, -3 * m, 1), Mat2.of(-1, 7 + 7 * m, 7 * m, -1), Mat2.of(1 + m, 12, m, 1)):
+        assert _lift(q, m) == Mat2.of(*[(x + 12) % m - 12 for x in q.scaled()[1]])
+
+
+def test_lift_refuses_a_bottom_row_that_no_unimodular_matrix_has():
+    # (c, d) = (p, p) or (0, p) mod p^2 is no bottom row of SL(2, Z/p^2): no t
+    # makes c and d + t p^2 coprime, and the lift says so before it searches,
+    # at once even where c is near 10^9
+    big = 10**9 + 7
+    for q, m, row in ((Mat2.of(1, 0, 3, 3), 9, "(3, 3)"), (Mat2.of(1, 0, -3, -3), 9, "(-3, -3)"),
+                      (Mat2.of(1, 0, 0, 3), 9, "(0, 3)"), (Mat2.of(1, 0, big, big), big * big, f"({big}, {big})")):
+        with pytest.raises(ShapeAssertionFailed, match=f"^{re.escape(row)} is no bottom row of SL\\(2, Z/{m}\\)$"):
+            _lift(q, m)
+
+
+@pytest.mark.parametrize("wrong", ["residues", "off class"])
+def test_block_small_checks_its_lift(monkeypatch, wrong):
+    decompose_module = importlib.import_module("sp4cert.decompose")
+    real = decompose_module._lift
+    bad = {
+        "residues": lambda q, m: Mat2.of(*[(x + m // 2) % m - m // 2 for x in q.scaled()[1]]),
+        "off class": lambda q, m: real(q, m) * Mat2.of(1, 1, 0, 1),
+    }[wrong]
+    monkeypatch.setattr(decompose_module, "_lift", bad)
+    letter = J1(Mat2.of(-8294, 1659, -5, 1))  # its residues mod 9 have det 7
+    with pytest.raises(ShapeAssertionFailed, match="the lift of"):
+        letter.small(3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_small_word_is_the_input_mod_p2(p):
+    # r, each letter of k's plain word replaced by its small twin, lies in
+    # gamma_1p and k r^-1 in gamma_p2
+    for k in [sample(SampleSpec(GroupLabel.GAMMA_1P, p, 700 + n, n)) for n in range(21)]:
+        word = decompose(k, p, tilde=False)
+        r = GeneratorWord(p, False, tuple(letter.small(p) for letter in word.letters)).replay()
+        assert member(r, GroupLabel.GAMMA_1P, p) and member(k * r.inv(), GroupLabel.GAMMA_P2, p)
+
+
 # --- serialisation ---------------------------------------------------------
 
 
@@ -576,6 +712,14 @@ def test_word_json_round_trip():
     back = GeneratorWord.from_json_obj(json.loads(text))
     assert back == word
     assert back.replay() == k
+
+
+@pytest.mark.parametrize("coords, names", [("untilded", "M1, M2, M3, M4"), ("tilde", "Mt1, Mt2, Mt3, Mt4")])
+def test_word_json_names_the_letters_of_its_coords(coords, names):
+    obj = {"p": 3, "coords": coords, "letters": [{"gen": "M5", "exp": 1}]}
+    with pytest.raises(ParseError) as info:
+        GeneratorWord.from_json_obj(obj)
+    assert str(info.value) == f"letter 0: gen must be one of {names} in {coords} coords"
 
 
 def test_word_json_rejects_junk():

@@ -7,7 +7,9 @@
 * ``witness_p<p>_len<n>.json`` -- the serialised
   ``normal_closure_witness`` of three short samples, and of the
   shortest sample whose word has a named exponent past p^2/2, so that
-  ``CertBuilder.power`` splits it into a small power and one seed;
+  the witness takes that letter's small twin and one gamma_p2 seed
+  s = k r^-1 (each letter of the three short samples is its own small
+  twin, so their witnesses take no such seed);
 * ``verify_p<p>.txt`` -- the ``sp4cert verify`` output and exit code for
   each of those witness files, for ``VERIFY_TAMPERS`` ``random_tamper``
   draws of each (one seeded generator per p), and for one malformed

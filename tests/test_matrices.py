@@ -16,6 +16,7 @@ from sp4cert.groups import GroupLabel, j1_embed, j2_embed, member, r_conjugate
 from sp4cert.matrices import (
     Mat2,
     Mat4,
+    entry_strings,
     ext_gcd,
     mat2_from_lists,
     mat2_to_lists,
@@ -166,10 +167,9 @@ def test_mat2_arithmetic():
 @pytest.mark.parametrize("bad", [1.5, "7", Fraction(3, 2), Fraction(2), Decimal(1)])
 def test_mat2_refuses_a_non_integer_entry(bad):
     # a type error, not a silent conversion: int() reads 1.5 and 3/2 as 1, "7" as 7
-    with pytest.raises(TypeError, match=type(bad).__name__):
-        Mat2.of(bad, 0, 0, 1)
-    with pytest.raises(TypeError, match=type(bad).__name__):
-        Mat2.of(1, 0, 0, bad)
+    for slot in range(4):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            Mat2.of(*[bad if i == slot else int(i in (0, 3)) for i in range(4)])
     with pytest.raises(TypeError, match=type(bad).__name__):  # the constructor checks too
         Mat2(((1, 0), (bad, 1)))
 
@@ -318,6 +318,22 @@ def test_general_bases_keep_binary_powering(name):
     assert not _squares_to_zero(m)
     for e in range(-12, 13):
         assert m ** e == _repeated(m, e) == reference_power(m, e), e
+
+
+def test_reference_power_takes_no_product_or_inverse_of_the_package(monkeypatch):
+    # the reference that ** is held against shares no arithmetic with it:
+    # the same matrices come back with every package product, inverse and
+    # power made to raise
+    unipotent = _unipotent_letters(5)
+    bases = {**GENERAL_BASES, **unipotent, "D": Mat2.of(2, 1, 1, 1)}
+    cases = [(name, e) for name in bases for e in (-7, -1, 0, 1, 2, 5)] + [(name, 10**6) for name in unipotent]
+    expected = {(name, e): reference_power(bases[name], e) for name, e in cases}
+    for cls in (Mat2, Mat4):
+        for method in ("__mul__", "inv", "__pow__"):
+            monkeypatch.setattr(cls, method, lambda *a: pytest.fail("a package product, inverse or power"))
+    assert {(name, e): reference_power(bases[name], e) for name, e in cases} == expected
+    monkeypatch.undo()
+    assert all(value == bases[name] ** e for (name, e), value in expected.items())
 
 
 def test_general_power_values():
@@ -486,6 +502,27 @@ def test_integers_past_the_digit_limit_are_written():
     assert mat2_to_lists(Mat2.of(n, 1, -n, 1)) == [[digits, "1"], ["-" + digits, "1"]]
     m4 = Mat4([[1, 0, -n, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert mat4_to_lists(m4)[0][2] == "-" + digits
+
+
+def test_an_unlocated_entry_error_ends_at_the_entry():
+    # with no location, each text is the located one without " at (i,j)"
+    texts = {Fraction(1, 2): "entry Fraction(1, 2) must be a string", "1.5": "bad scalar '1.5'",
+             "2/4": "scalar '2/4' is not canonical"}
+    for entry, text in texts.items():
+        with pytest.raises(ParseError) as info:
+            _ratio_from_str(entry)
+        assert str(info.value) == text
+    with pytest.raises(ParseError) as info:
+        _ratio_from_str("7" * 5001)
+    assert str(info.value).startswith("entry too long to read: ")
+
+
+def test_entry_strings_is_a_tuple_on_every_path():
+    n = 10**5000
+    for m in (Mat2.of(1, 2, 3, 7), Mat4.diagonal(1, Fraction(1, 3), 1, 3), Mat4.diagonal(n, 1, 1, 1),
+              Mat4.diagonal(Fraction(1, n), 1, 1, n)):
+        strings = entry_strings(m)
+        assert type(strings) is tuple and all(type(x) is str for x in strings)
 
 
 def test_entries_past_the_digit_limit_are_a_parse_error():
